@@ -34,7 +34,6 @@ from .covers import (
     PrecoverMorphism,
     TorsionPiece,
     TowerBounds,
-    _ensure_prime,
     build_tower,
     chain,
     complete,
@@ -52,7 +51,7 @@ from .gog import (
     reverse_edge,
     validate,
 )
-from .homology import h1, p_rank, quotient_by, class_image
+from .homology import _check_prime, class_image, h1, p_rank, quotient_by
 from .words import Word
 
 FORMAT_VERSION = 1
@@ -331,7 +330,7 @@ def parse_document(data: dict, path: str):
         return m
     prime = _get(data, "prime", int, path)
     try:
-        _ensure_prime(prime)
+        _check_prime(prime)
     except ValueError as exc:
         _fail(path + ".prime", str(exc))
     c1 = _get(data, "c1", str, path)

@@ -49,6 +49,7 @@ from .gog import (
 from .homology import (
     AbelianGroup,
     TowerLedger,
+    _check_prime,
     class_image,
     h1,
     ledger_check,
@@ -60,6 +61,17 @@ from .homology import (
 from .words import Word
 
 DEFAULT_BUDGET = 200_000
+
+
+@lru_cache(maxsize=None)
+def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
+    """``elevations`` memoised for this layer.
+
+    Its tables are mostly catalog tables from ``_tables`` and cyclic tables,
+    so the keys stay few.  ``cosets.elevations`` itself stays uncached:
+    ``prescribe_degrees`` calls it on many throw-away tables.
+    """
+    return tuple(elevations(table, word))
 
 
 @dataclass(frozen=True)
@@ -153,7 +165,7 @@ class PrecoverMorphism:
             if v not in self.vertex_map:
                 raise ValueError("index for unknown lift %r" % v)
 
-        self._elev_cache: Dict[Tuple[str, str], List[Elevation]] = {}
+        self._elev_cache: Dict[Tuple[str, str], Tuple[Elevation, ...]] = {}
         total_pairs: Dict[str, Tuple[str, str]] = {}
         edge_words: Dict[str, Word] = {}
         self.edge_map: Dict[str, str] = {}
@@ -166,20 +178,19 @@ class PrecoverMorphism:
                 raise ValueError("total pair %r over unknown base pair %r" % (q, bp))
             if fwd.edge != bp or bwd.edge != reverse_edge(bp):
                 raise ValueError("ref orientation mismatch at pair %r" % q)
-            for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
+            for ref, d in ((fwd, q), (bwd, "~" + q)):
+                end = ref.edge
                 if ref.vertex not in self.vertex_map:
                     raise ValueError("pair %r realized at unknown lift %r" % (q, ref.vertex))
                 if self.vertex_map[ref.vertex] != gr.tau(end):
                     raise ValueError("pair %r: lift %r is not over %r" % (q, ref.vertex, gr.tau(end)))
-                if self._elev_by_ref(ref) is None:
+                el = self._elev_by_ref(ref)
+                if el is None:
                     raise ValueError("pair %r names a nonexistent elevation %r" % (q, ref))
+                edge_words[d] = el.local.canonical
+                self.edge_map[d] = end
+                self.edge_assignment[d] = ref
             total_pairs[q] = (bwd.vertex, fwd.vertex)
-            self.edge_map[q] = bp
-            self.edge_map["~" + q] = reverse_edge(bp)
-            self.edge_assignment[q] = fwd
-            self.edge_assignment["~" + q] = bwd
-            edge_words[q] = self._elev_by_ref(fwd).local.canonical
-            edge_words["~" + q] = self._elev_by_ref(bwd).local.canonical
 
         names = sorted(self.vertex_map)
         graph = SerreGraph(names, total_pairs)
@@ -227,6 +238,7 @@ class PrecoverMorphism:
             sums[self.vertex_map[v]] += self.vertex_index(v)
         self.sums: Dict[str, int] = sums
         self._precover_problems: Optional[List[str]] = None
+        self._iso_key: Optional[tuple] = None
 
     def vertex_table(self, v: str) -> CosetTable:
         """Coset table of a lift; cyclic lifts materialize theirs on demand."""
@@ -242,11 +254,11 @@ class PrecoverMorphism:
     def lifts_over(self, b: str) -> List[str]:
         return sorted(v for v in self.vertex_map if self.vertex_map[v] == b)
 
-    def elevs(self, v: str, e: str) -> List[Elevation]:
+    def elevs(self, v: str, e: str) -> Tuple[Elevation, ...]:
         key = (v, e)
         out = self._elev_cache.get(key)
         if out is None:
-            out = elevations(self.vertex_table(v), self.base.edge_word(e))
+            out = _elevations(self.vertex_table(v), self.base.edge_word(e))
             self._elev_cache[key] = out
         return out
 
@@ -733,7 +745,7 @@ def _free_pool(
         for e in gr.oriented_edges():
             if gr.tau(e) != b:
                 continue
-            for el in elevations(table, base.edge_word(e)):
+            for el in _elevations(table, base.edge_word(e)):
                 pools.setdefault(e, []).append(
                     (ElevationRef(name, e, el.cycle[0]), el.degree)
                 )
@@ -766,6 +778,47 @@ def _vertex_multisets(
     return out
 
 
+def _candidate_covers(
+    g: GraphOfGroups, n: int, counter: List[int], cap: Optional[int]
+) -> Iterator[PrecoverMorphism]:
+    """Connected covers of degree n in matching-engine order, before any
+    isomorphism dedup, so one class may come up many times."""
+    gr = g.graph
+    free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
+    cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
+    per_vertex = [_vertex_multisets(g.rank(v), n) for v in free_vs]
+    for combo in itertools.product(*per_vertex):
+        _tick(counter, cap)
+        lifts: Dict[str, Tuple[str, CosetTable]] = {}
+        for v, multiset in zip(free_vs, combo):
+            for i, (_, _, t) in enumerate(multiset):
+                lifts["%s@%d" % (v, i)] = (v, t)
+        pools = _free_pool(g, lifts)
+        budgets = {c: n for c in cyclic_vs}
+        taken = set(lifts)
+        for new_cyclic, triples in _close_open_ends(
+            g, pools, [], budgets, taken, counter, cap
+        ):
+            vertex_map = {name: b for name, (b, _) in lifts.items()}
+            vertex_data = {name: t for name, (_, t) in lifts.items()}
+            cyclic_index = {}
+            for name, (c, d) in new_cyclic.items():
+                vertex_map[name] = c
+                cyclic_index[name] = d
+            pairs = {}
+            seq: Dict[str, int] = {}
+            for bp, fwd, bwd in triples:
+                k = seq.get(bp, 0)
+                seq[bp] = k + 1
+                pairs["%s@%d" % (bp, k)] = (bp, fwd, bwd)
+            m = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
+            assert not validate_cover(m), validate_cover(m)
+            if not m.total.graph.is_connected():
+                continue
+            assert euler_characteristic(m.total) == n * euler_characteristic(g)
+            yield m
+
+
 def enumerate_covers(
     g: GraphOfGroups, max_index: int, cap: Optional[int] = None
 ) -> Iterator[PrecoverMorphism]:
@@ -773,64 +826,38 @@ def enumerate_covers(
     class, in ascending degree.
 
     Free lifts run over the subgroup catalog; cyclic lifts are created to
-    order while matching elevation ends.  Raises BudgetExceededError when
-    the search exceeds ``cap`` nodes.
+    order while matching elevation ends.  Each candidate is kept when it is
+    isomorphic to no cover found so far with the same ``_iso_invariant``;
+    the first candidate of a class is its representative.  Elevations of
+    catalog tables and table isomorphisms are memoised for the life of the
+    process.  Raises BudgetExceededError when the search exceeds ``cap``
+    nodes.
     """
     ensure_valid(g)
     _check_base_shape(g)
-    gr = g.graph
-    free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
-    cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
     counter = [0]
-
     for n in range(1, max_index + 1):
-        found: List[PrecoverMorphism] = []
-        per_vertex = [_vertex_multisets(g.rank(v), n) for v in free_vs]
-        for combo in itertools.product(*per_vertex):
-            _tick(counter, cap)
-            lifts: Dict[str, Tuple[str, CosetTable]] = {}
-            for v, multiset in zip(free_vs, combo):
-                for i, (_, _, t) in enumerate(multiset):
-                    lifts["%s@%d" % (v, i)] = (v, t)
-            pools = _free_pool(g, lifts)
-            budgets = {c: n for c in cyclic_vs}
-            taken = set(lifts)
-            for new_cyclic, triples in _close_open_ends(
-                g, pools, [], budgets, taken, counter, cap
-            ):
-                vertex_map = {name: b for name, (b, _) in lifts.items()}
-                vertex_data = {name: t for name, (_, t) in lifts.items()}
-                cyclic_index = {}
-                for name, (c, d) in new_cyclic.items():
-                    vertex_map[name] = c
-                    cyclic_index[name] = d
-                pairs = {}
-                seq: Dict[str, int] = {}
-                for bp, fwd, bwd in triples:
-                    k = seq.get(bp, 0)
-                    seq[bp] = k + 1
-                    pairs["%s@%d" % (bp, k)] = (bp, fwd, bwd)
-                m = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
-                assert not validate_cover(m), validate_cover(m)
-                if not m.total.graph.is_connected():
-                    continue
-                assert euler_characteristic(m.total) == n * euler_characteristic(g)
-                if any(isomorphic(m, other) for other in found):
-                    continue
-                found.append(m)
-                yield m
+        found: Dict[tuple, List[PrecoverMorphism]] = {}
+        for m in _candidate_covers(g, n, counter, cap):
+            bucket = found.setdefault(_iso_invariant(m), [])
+            if any(isomorphic(m, other) for other in bucket):
+                continue
+            bucket.append(m)
+            yield m
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism of morphisms over a common base.
 
 
-def _table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _table_iso_list(t1: CosetTable, t2: CosetTable) -> Tuple[Tuple[int, ...], ...]:
     """Equivariant coset bijections (not required to fix coset 0)."""
     if t1.size != t2.size or t1.rank != t2.rank:
-        return
+        return ()
     n = t1.size
     letters = [x for i in range(1, t1.rank + 1) for x in (i, -i)]
+    out = []
     for s0 in range(n):
         sigma: List[Optional[int]] = [None] * n
         sigma[0] = s0
@@ -848,7 +875,23 @@ def _table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]
                     ok = False
                     break
         if ok and len(set(sigma)) == n:
-            yield tuple(sigma)  # type: ignore[arg-type]
+            out.append(tuple(sigma))
+    return tuple(out)  # type: ignore[arg-type]
+
+
+def _iso_invariant(m: PrecoverMorphism) -> tuple:
+    """Lifts, pairs and hanging slots counted per base object: equal for
+    isomorphic morphisms over one base."""
+    if m._iso_key is None:
+        m._iso_key = (
+            tuple(sorted(
+                (b, m.total.vertex_kind[v], m.vertex_index(v))
+                for v, b in m.vertex_map.items()
+            )),
+            tuple(sorted(bp for bp, _, _ in m.pair_spec.values())),
+            tuple(sorted((s.edge, s.side, s.degree) for s in m.hanging)),
+        )
+    return m._iso_key
 
 
 def isomorphic(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
@@ -856,87 +899,94 @@ def isomorphic(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
 
     Searches for a fiberwise bijection: a table isomorphism per free lift
     and an index-preserving matching of cyclic lifts, carrying every edge
-    assignment of one morphism onto the other.  Basepoints are ignored.
+    assignment of one morphism onto the other.  Basepoints are ignored and
+    the totals may be disconnected.
+
+    Lifts of m1 are assigned in breadth-first order over its total graph,
+    each component rooted at its least name.  Each total pair is checked
+    as soon as both of its ends are mapped, so a wrong branch fails at its
+    first mismatched edge, not after a full assignment.  Table
+    isomorphisms are memoised per table pair.
     """
     if m1 is m2:
         return True
     if not _same_base(m1.base, m2.base):
         return False
-    inv1 = sorted((b, m1.total.vertex_kind[v], m1.vertex_index(v)) for v, b in m1.vertex_map.items())
-    inv2 = sorted((b, m2.total.vertex_kind[v], m2.vertex_index(v)) for v, b in m2.vertex_map.items())
-    if inv1 != inv2:
-        return False
-    cnt1 = sorted(bp for bp, _, _ in m1.pair_spec.values())
-    cnt2 = sorted(bp for bp, _, _ in m2.pair_spec.values())
-    if cnt1 != cnt2:
-        return False
-    h1_keys = sorted((s.edge, s.side, s.degree) for s in m1.hanging)
-    h2_keys = sorted((s.edge, s.side, s.degree) for s in m2.hanging)
-    if h1_keys != h2_keys:
+    if _iso_invariant(m1) != _iso_invariant(m2):
         return False
 
-    base_vs = sorted(m1.base.graph.vertices)
-    groups = [(b, m1.lifts_over(b), m2.lifts_over(b)) for b in base_vs]
-    for b, l1, l2 in groups:
-        if len(l1) != len(l2):
-            return False
+    gr1 = m1.total.graph
+    order: List[str] = []
+    pos: Dict[str, int] = {}
+    for root in sorted(m1.vertex_map):
+        if root in pos:
+            continue
+        i = len(order)
+        pos[root] = i
+        order.append(root)
+        while i < len(order):
+            for e in gr1.star(order[i]):
+                w = gr1.tau(e)
+                if w not in pos:
+                    pos[w] = len(order)
+                    order.append(w)
+            i += 1
+
+    # Each end of a pair is (oriented base edge, m1 lift, elevation cycle
+    # or None at a cyclic lift); the pair is checked at its later end.
+    checks: List[list] = [[] for _ in order]
+    kinds = m1.total.vertex_kind
+    for bp, fwd, bwd in m1.pair_spec.values():
+        ends = []
+        for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
+            cycle = None
+            if kinds[ref.vertex] == "free":
+                cycle = m1._elev_by_ref(ref).cycle
+            ends.append((end, ref.vertex, cycle))
+        checks[max(pos[fwd.vertex], pos[bwd.vertex])].append(tuple(ends))
 
     lookup2 = {
         (m2.edge_map[d], ref.vertex, ref.least): d
         for d, ref in m2.edge_assignment.items()
     }
-
+    candidates = {b: m2.lifts_over(b) for b in m1.base.graph.vertices}
     phi: Dict[str, Tuple[str, Optional[Tuple[int, ...]]]] = {}
+    used: Set[str] = set()
 
-    def edges_match() -> bool:
-        for q, (bp, fwd, bwd) in m1.pair_spec.items():
-            keys = []
-            for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
-                target, sigma = phi[ref.vertex]
-                if sigma is None:
-                    least = 0
-                else:
-                    el = m1._elev_by_ref(ref)
-                    least = min(sigma[c] for c in el.cycle)
-                keys.append((end, target, least))
-            d2 = lookup2.get(keys[0])
-            if d2 is None:
-                return False
-            if lookup2.get(keys[1]) != reverse_edge(d2):
-                return False
-        return True
+    def key(end: str, v: str, cycle: Optional[Tuple[int, ...]]) -> Tuple[str, str, int]:
+        target, sigma = phi[v]
+        if cycle is None:
+            return (end, target, 0)
+        return (end, target, min(sigma[c] for c in cycle))
 
-    def assign(gi: int, li: int, used: Set[str]) -> bool:
-        if gi == len(groups):
-            return edges_match()
-        b, l1, l2 = groups[gi]
-        if li == len(l1):
-            return assign(gi + 1, 0, set())
-        v = l1[li]
-        kind = m1.total.vertex_kind[v]
-        for w in l2:
+    def pair_matches(fwd_end, bwd_end) -> bool:
+        d2 = lookup2.get(key(*fwd_end))
+        return d2 is not None and lookup2.get(key(*bwd_end)) == reverse_edge(d2)
+
+    def assign(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        free = kinds[v] == "free"
+        for w in candidates[m1.vertex_map[v]]:
             if w in used:
                 continue
-            if kind == "cyclic":
-                if m1.cyclic_index[v] != m2.cyclic_index[w]:
-                    continue
-                phi[v] = (w, None)
-                used.add(w)
-                if assign(gi, li + 1, used):
-                    return True
-                used.remove(w)
-                del phi[v]
+            if free:
+                sigmas = _table_iso_list(m1.vertex_data[v], m2.vertex_data[w])
+            elif m1.cyclic_index[v] == m2.cyclic_index[w]:
+                sigmas = (None,)
             else:
-                for sigma in _table_iso_maps(m1.vertex_data[v], m2.vertex_data[w]):
-                    phi[v] = (w, sigma)
-                    used.add(w)
-                    if assign(gi, li + 1, used):
-                        return True
-                    used.remove(w)
-                    del phi[v]
+                continue
+            used.add(w)
+            for sigma in sigmas:
+                phi[v] = (w, sigma)
+                if all(pair_matches(*ends) for ends in checks[i]) and assign(i + 1):
+                    return True
+            used.remove(w)
+        phi.pop(v, None)
         return False
 
-    return assign(0, 0, set())
+    return assign(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,11 +1104,6 @@ class TorsionPiece:
         return self.morphism.cyclic_index[self.c1]
 
 
-def _ensure_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError("%d is not prime" % p)
-
-
 def _is_cut_vertex(gr: SerreGraph, v: str) -> bool:
     others = [u for u in gr.vertices if u != v]
     if not others:
@@ -1086,7 +1131,7 @@ def find_torsion_piece(
     edges and tests whether killing the two boundary classes leaves
     p-torsion in first homology.  Returns the first hit, or None.
     """
-    _ensure_prime(p)
+    _check_prime(p)
     ensure_valid(g)
     for m in enumerate_covers(g, max_index, cap):
         for v in sorted(m.cyclic_index):
@@ -1581,7 +1626,7 @@ def build_tower(
         raise ValueError("steps must be >= 0")
     primes = tuple(primes)
     for p in primes:
-        _ensure_prime(p)
+        _check_prime(p)
     if len(primes) < steps:
         raise ValueError("need one prime per step")
     if bounds is None:

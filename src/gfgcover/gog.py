@@ -64,6 +64,10 @@ class SerreGraph:
                 raise ValueError("pair name %r may not start with '~'" % name)
             if u not in seen or w not in seen:
                 raise ValueError("pair %r has an unknown end" % name)
+        # Stars are built once; a graph is never changed after construction.
+        self._stars: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        for e in self.oriented_edges():
+            self._stars[self.iota(e)].append(e)
 
     def oriented_edges(self) -> List[str]:
         out = []
@@ -73,14 +77,18 @@ class SerreGraph:
         return out
 
     def iota(self, e: str) -> str:
-        u, w = self.pairs[pair_of(e)]
-        return w if e.startswith("~") else u
+        if e.startswith("~"):
+            return self.pairs[e[1:]][1]
+        return self.pairs[e][0]
 
     def tau(self, e: str) -> str:
-        return self.iota(reverse_edge(e))
+        if e.startswith("~"):
+            return self.pairs[e[1:]][0]
+        return self.pairs[e][1]
 
     def star(self, v: str) -> List[str]:
-        return [e for e in self.oriented_edges() if self.iota(e) == v]
+        """Oriented edges leaving v, in ``oriented_edges`` order."""
+        return list(self._stars.get(v, ()))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -89,7 +97,7 @@ class SerreGraph:
         queue = [self.vertices[0]]
         while queue:
             v = queue.pop()
-            for e in self.star(v):
+            for e in self._stars[v]:
                 w = self.tau(e)
                 if w not in seen:
                     seen.add(w)
@@ -107,7 +115,7 @@ class SerreGraph:
             for x in queue:
                 if x == w:
                     return dist[x]
-                for e in self.star(x):
+                for e in self._stars[x]:
                     y = self.tau(e)
                     if y not in dist:
                         dist[y] = dist[x] + 1
@@ -123,7 +131,7 @@ class SerreGraph:
         while queue:
             nxt = []
             for v in queue:
-                for e in self.star(v):
+                for e in self._stars.get(v, ()):
                     w = self.tau(e)
                     if w not in seen:
                         seen.add(w)

@@ -1,0 +1,128 @@
+"""Slow reference implementations kept as test oracles.
+
+``isomorphic_oracle`` is the unpruned backtracking isomorphism test of
+precover morphisms: it tries every fiberwise assignment of lifts, with
+table isomorphisms regenerated on every branch, and checks the edge
+assignments only once every lift is mapped.  ``gfgcover.covers.isomorphic``
+must give the same yes/no answer on every pair of morphisms.
+"""
+
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+from gfgcover.cosets import CosetTable
+from gfgcover.covers import PrecoverMorphism, _same_base
+from gfgcover.gog import reverse_edge
+
+
+def table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]:
+    """Equivariant coset bijections (not required to fix coset 0)."""
+    if t1.size != t2.size or t1.rank != t2.rank:
+        return
+    n = t1.size
+    letters = [x for i in range(1, t1.rank + 1) for x in (i, -i)]
+    for s0 in range(n):
+        sigma: List[Optional[int]] = [None] * n
+        sigma[0] = s0
+        queue = [0]
+        ok = True
+        while queue and ok:
+            i = queue.pop()
+            for x in letters:
+                j = t1.act(i, x)
+                sj = t2.act(sigma[i], x)
+                if sigma[j] is None:
+                    sigma[j] = sj
+                    queue.append(j)
+                elif sigma[j] != sj:
+                    ok = False
+                    break
+        if ok and len(set(sigma)) == n:
+            yield tuple(sigma)  # type: ignore[arg-type]
+
+
+def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
+    """Whether two morphisms differ only by renaming lifts compatibly.
+
+    Searches for a fiberwise bijection: a table isomorphism per free lift
+    and an index-preserving matching of cyclic lifts, carrying every edge
+    assignment of one morphism onto the other.  Basepoints are ignored.
+    """
+    if m1 is m2:
+        return True
+    if not _same_base(m1.base, m2.base):
+        return False
+    inv1 = sorted((b, m1.total.vertex_kind[v], m1.vertex_index(v)) for v, b in m1.vertex_map.items())
+    inv2 = sorted((b, m2.total.vertex_kind[v], m2.vertex_index(v)) for v, b in m2.vertex_map.items())
+    if inv1 != inv2:
+        return False
+    cnt1 = sorted(bp for bp, _, _ in m1.pair_spec.values())
+    cnt2 = sorted(bp for bp, _, _ in m2.pair_spec.values())
+    if cnt1 != cnt2:
+        return False
+    h1_keys = sorted((s.edge, s.side, s.degree) for s in m1.hanging)
+    h2_keys = sorted((s.edge, s.side, s.degree) for s in m2.hanging)
+    if h1_keys != h2_keys:
+        return False
+
+    base_vs = sorted(m1.base.graph.vertices)
+    groups = [(b, m1.lifts_over(b), m2.lifts_over(b)) for b in base_vs]
+    for b, l1, l2 in groups:
+        if len(l1) != len(l2):
+            return False
+
+    lookup2 = {
+        (m2.edge_map[d], ref.vertex, ref.least): d
+        for d, ref in m2.edge_assignment.items()
+    }
+
+    phi: Dict[str, Tuple[str, Optional[Tuple[int, ...]]]] = {}
+
+    def edges_match() -> bool:
+        for q, (bp, fwd, bwd) in m1.pair_spec.items():
+            keys = []
+            for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
+                target, sigma = phi[ref.vertex]
+                if sigma is None:
+                    least = 0
+                else:
+                    el = m1._elev_by_ref(ref)
+                    least = min(sigma[c] for c in el.cycle)
+                keys.append((end, target, least))
+            d2 = lookup2.get(keys[0])
+            if d2 is None:
+                return False
+            if lookup2.get(keys[1]) != reverse_edge(d2):
+                return False
+        return True
+
+    def assign(gi: int, li: int, used: Set[str]) -> bool:
+        if gi == len(groups):
+            return edges_match()
+        b, l1, l2 = groups[gi]
+        if li == len(l1):
+            return assign(gi + 1, 0, set())
+        v = l1[li]
+        kind = m1.total.vertex_kind[v]
+        for w in l2:
+            if w in used:
+                continue
+            if kind == "cyclic":
+                if m1.cyclic_index[v] != m2.cyclic_index[w]:
+                    continue
+                phi[v] = (w, None)
+                used.add(w)
+                if assign(gi, li + 1, used):
+                    return True
+                used.remove(w)
+                del phi[v]
+            else:
+                for sigma in table_iso_maps(m1.vertex_data[v], m2.vertex_data[w]):
+                    phi[v] = (w, sigma)
+                    used.add(w)
+                    if assign(gi, li + 1, used):
+                        return True
+                    used.remove(w)
+                    del phi[v]
+        return False
+
+    return assign(0, 0, set())

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from _oracles import isomorphic_oracle
 
+from gfgcover.cli import gog_from_payload, load_document
 from gfgcover.cosets import CosetTable, elevations, whole_group_table
 from gfgcover.covers import (
     ElevationRef,
@@ -28,6 +32,7 @@ from gfgcover.covers import (
     validate_cover,
     validate_precover,
     with_basepoint,
+    _candidate_covers,
 )
 from gfgcover.errors import BudgetExceededError
 from gfgcover.gog import (
@@ -100,13 +105,13 @@ def genus2():
 # ---------------------------------------------------------------------------
 # Oracle: brute-force cover census for one-loop bases.  Builds every
 # degree-preserving bijection between the two elevation pools by hand and
-# keeps the connected results, so it exercises none of the matching engine.
+# keeps the connected results, so it exercises none of the matching engine,
+# and dedups them with the unpruned isomorphism oracle.
 
 
-def loop_cover_census(g, max_index):
+def loop_cover_candidates(g, max_index):
     from gfgcover.cosets import enumerate_subgroups
 
-    covers = []
     tables = {1: [whole_group_table(g.rank("v"))]}
     for n in range(2, max_index + 1):
         tables[n] = list(enumerate_subgroups(g.rank("v"), n))
@@ -138,9 +143,15 @@ def loop_cover_census(g, max_index):
             m = PrecoverMorphism(g, {k: "v" for k in lifts}, lifts, {}, pairs)
             if validate_cover(m) or not m.total.graph.is_connected():
                 continue
-            if not any(isomorphic(m, other) for other in covers):
-                covers.append(m)
-    return covers
+            yield m
+
+
+def loop_cover_census(g, max_index):
+    found = []
+    for m in loop_cover_candidates(g, max_index):
+        if not any(isomorphic_oracle(m, other) for other in found):
+            found.append(m)
+    return found
 
 
 def _partitions(total):
@@ -722,3 +733,105 @@ class TestIsomorphic:
             i = next(i for i, s in enumerate(d.hanging) if s.side == "free")
             j = next(i for i, s in enumerate(d.hanging) if s.side == "cyclic")
             assert isomorphic(splice([d], [((0, i), (0, j))]), m)
+
+
+# ---------------------------------------------------------------------------
+# The pruned isomorphism test against the unpruned oracle, and the order in
+# which enumeration yields its representatives.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(name):
+    return gog_from_payload(load_document(str(FIXTURES / (name + ".yaml"))))
+
+
+def candidate_sets():
+    """Connected same-degree covers as they reach enumeration's dedup step,
+    plus the hand-built one-loop censuses before their dedup."""
+    for name in ("seeded_torsion", "hnn_f1", "genus2"):
+        g = fixture(name)
+        for n in range(1, 4):
+            yield "%s/%d" % (name, n), list(_candidate_covers(g, n, [0], None))
+    yield "seeded_torsion/4", list(_candidate_covers(fixture("seeded_torsion"), 4, [0], None))
+    for name, g, top in (("bs11", bs11(), 2), ("bs13", bs13(), 3), ("f2loop", f2loop(), 3)):
+        by_degree = {}
+        for m in loop_cover_candidates(g, top):
+            by_degree.setdefault(next(iter(m.sums.values())), []).append(m)
+        for n, ms in sorted(by_degree.items()):
+            yield "%s/loop%d" % (name, n), ms
+            yield "%s/mixed%d" % (name, n), ms + list(_candidate_covers(g, n, [0], None))
+
+
+# sha1 of each representative enumerate_covers(seeded_torsion, 4) yields,
+# in order; recorded before the isomorphism test was pruned.
+SEEDED_INDEX4_REPRESENTATIVES = [
+    "df476000d03c8b232292a8de88c4f746b43eb671",
+    "46acee3b38117fc7bc1814a21b060d5437fbbbb7",
+    "671e5ae39a0f8c26f9c6dbcd9179a303dfe53d9a",
+    "2412436a68722ded20c4ed60b1b75e1408d0834c",
+    "1efab0df7347bddff8f4092c094cd54755b80e03",
+    "87892f89818841d25ebe4b874d871a4a501cc42e",
+    "6e2e4eb7cbd815477c6b29fc1513d5445d081e13",
+    "efc02f40720fdff456a61885bda690a750aa70cd",
+    "fd46872230b10773a589f2f0dd2373fab723346a",
+    "d936d24d882eb662690b2143e0f49e442dbdb011",
+    "e2996e9b32d5af9cdb55d85873796c618fcb7e5b",
+    "f520de9b73ef40d7d68921decb13fe00d17d93be",
+    "fb54742240715b3dc21a40f68f2bc7dc66eda846",
+    "1efc50a1e956bdf1b1154e3a92e6208fe5d448a7",
+    "924303531a43bee8c049a4783d9800aedb9b3653",
+    "96e9a85b9614fee5e7348a1d914a7328be0d3fdc",
+    "57e4c96ee752586f3c7b9cfff6289302ce6f0923",
+    "394e0fc8f3073f60565c11497a79f8e352f0d978",
+    "385c34ffc9623520507df1b96ccf691dedabb492",
+    "55c1143629a31808a74b4e2491e81ad5dc76bf0c",
+    "8b32db5931480643fa6c997482da0272d4b1856c",
+    "e4aa08caa668bfb8ecadadf331f4ece382e66402",
+    "ce54bb3cc3f3b6d1281f36c33e117e659abce2da",
+    "6d802dd5913bf8a3fb8248d76940721e99362037",
+    "12ab8150c2826eb29716ef24f108b27e75aa17ec",
+    "da8fedbf9d3eb50e3f40b14e2dbb194ffb446b20",
+    "90160d3085d73fa9afd64e463ab854819a8df4ff",
+    "727dc64e0830427c47977456030e3487c3304da5",
+    "c92dcc53b9bf749e7ff727653f12c97ecb0afc35",
+    "83489b6ec4edc0d8ba18e9ff84debc8a1fc75c90",
+    "77ae867ddc426c2273e7966e9d3ac9cc2fd862ba",
+    "18ec61ceb109d73075436be6cef5e50f578b5ec6",
+    "ab68dc73e7e6612774114658c9d8846b0ae37874",
+    "61952bea363dec201a286b6ec87d8677274438ce",
+]
+
+
+def representative_digest(m):
+    spec = (
+        sorted(m.vertex_map.items()),
+        sorted((v, t.action) for v, t in m.vertex_data.items()),
+        sorted(m.cyclic_index.items()),
+        sorted(m.pair_spec.items()),
+    )
+    return hashlib.sha1(repr(spec).encode()).hexdigest()
+
+
+class TestIsomorphicOracle:
+    def test_agrees_with_oracle_on_candidates(self):
+        pairs = trues = 0
+        for label, ms in candidate_sets():
+            for a, b in itertools.combinations(ms, 2):
+                got = isomorphic(a, b)
+                assert got == isomorphic_oracle(a, b), (label, a, b)
+                pairs += 1
+                trues += got
+        assert trues > 0 and pairs > trues
+
+    def test_agrees_with_oracle_on_disconnected_unions(self):
+        ms = list(enumerate_covers(seeded(), 3))
+        for a, b, c in itertools.product(ms[:5], repeat=3):
+            left = splice([a, rename_total(b, "!1")], [])
+            right = splice([rename_total(c, "!2"), rename_total(a, "!3")], [])
+            got = isomorphic(left, right)
+            assert got == isomorphic_oracle(left, right) == (b is c)
+
+    def test_seeded_representatives_in_order(self):
+        got = [representative_digest(m) for m in enumerate_covers(fixture("seeded_torsion"), 4)]
+        assert got == SEEDED_INDEX4_REPRESENTATIVES

@@ -51,7 +51,7 @@ from .gog import (
     reverse_edge,
     validate,
 )
-from .homology import _check_prime, class_image, h1, p_rank, quotient_by
+from .homology import _check_prime, h1, h1_mod_cyclic, p_rank
 from .words import Word
 
 FORMAT_VERSION = 1
@@ -341,9 +341,7 @@ def parse_document(data: dict, path: str):
     incident = [d for d, ref in m.edge_assignment.items() if ref.vertex == c1]
     if len(incident) != 1:
         _fail(path + ".c1", "must carry exactly one incident edge")
-    a = h1(m)
-    cert = quotient_by(a, [class_image(m, c1), class_image(m, c2)])
-    return TorsionPiece(m, c1, c2, prime, cert)
+    return TorsionPiece(m, c1, c2, prime, h1_mod_cyclic(m, [c1, c2]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +488,32 @@ def cmd_complete(args) -> int:
     return 0
 
 
+def _bounds(fields: dict, path: str) -> TowerBounds:
+    """TowerBounds from name -> value overrides, each value an integer."""
+    allowed = set(TowerBounds.__dataclass_fields__)
+    bad = set(fields) - allowed
+    if bad:
+        _fail(path, "unknown fields %s; allowed %s" % (sorted(bad), sorted(allowed)))
+    for key, value in fields.items():
+        _expect(value, int, "%s.%s" % (path, key))
+    return TowerBounds(**fields)
+
+
 def _parse_bounds(raw: Optional[str]) -> Optional[TowerBounds]:
     if raw is None:
         return None
     fields = {}
-    allowed = set(TowerBounds.__dataclass_fields__)
     for part in raw.split(","):
         if not part:
             continue
         key, sep, value = part.partition("=")
-        if not sep or key not in allowed:
-            raise SchemaError("--bounds: expected name=value with names %s" % sorted(allowed))
+        if not sep:
+            _fail("--bounds", "expected comma-separated name=value pairs")
         try:
             fields[key] = int(value)
         except ValueError:
-            raise SchemaError("--bounds: %r is not an integer" % value)
-    return TowerBounds(**fields)
+            fields[key] = value  # rejected by _bounds with the field's name
+    return _bounds(fields, "--bounds")
 
 
 def cmd_tower(args) -> int:
@@ -522,13 +530,10 @@ def cmd_tower(args) -> int:
             steps = _get(data, "steps", int, args.file)
         if primes is None:
             primes = _get(data, "primes", list, args.file)
+            for i, p in enumerate(primes):
+                _expect(p, int, "%s.primes[%d]" % (args.file, i))
         if bounds is None and "bounds" in data:
-            overrides = _expect(data["bounds"], dict, args.file + ".bounds")
-            allowed = set(TowerBounds.__dataclass_fields__)
-            bad = set(overrides) - allowed
-            if bad:
-                _fail(args.file + ".bounds", "unknown fields %s" % sorted(bad))
-            bounds = TowerBounds(**overrides)
+            bounds = _bounds(_get(data, "bounds", dict, args.file), args.file + ".bounds")
         if budget is None:
             budget = _get(data, "budget", int, args.file, default=None)
     if steps is None or primes is None:

@@ -42,7 +42,6 @@ from .gog import (
     enumerate_closed_words,
     ensure_valid,
     euler_characteristic,
-    is_nontrivial,
     pair_of,
     reverse_edge,
 )
@@ -50,12 +49,11 @@ from .homology import (
     AbelianGroup,
     TowerLedger,
     _check_prime,
-    class_image,
     h1,
+    h1_mod_cyclic,
     ledger_check,
     ledger_update,
     p_rank,
-    quotient_by,
     torsion_exponent,
 )
 from .words import Word
@@ -778,43 +776,94 @@ def _vertex_multisets(
     return out
 
 
+def _extensions(
+    g: GraphOfGroups,
+    m: Optional[PrecoverMorphism],
+    target: int,
+    sep: str,
+    counter: List[int],
+    cap: Optional[int],
+) -> Iterator[PrecoverMorphism]:
+    """Every cover of degree ``target`` containing the precover ``m``
+    (None: the empty precover), in matching-engine order.
+
+    New free lifts run over the subgroup catalog, one multiset per free
+    base vertex; then the open ends, hanging slots of ``m`` included, are
+    closed by ``_close_open_ends``.  New free lifts and new pairs are named
+    ``<base><sep><k>``, counting k up and skipping names already in use.
+    """
+    gr = g.graph
+    free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
+    cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
+    if m is None:
+        m_map, m_data, m_index, m_pairs = {}, {}, {}, {}
+        sums, hanging = dict.fromkeys(gr.vertices, 0), ()
+    else:
+        m_map, m_data, m_index, m_pairs = m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec
+        sums, hanging = m.sums, m.hanging
+
+    hang_pool: Dict[str, List[Tuple[ElevationRef, int]]] = {}
+    open_cyclic: Dict[str, List[str]] = {}
+    for s in hanging:
+        if s.side == "free":
+            hang_pool.setdefault(s.edge, []).append((s.ref, s.degree))
+        else:
+            open_cyclic.setdefault(s.vertex, []).append(s.edge)
+    demands = [(v, m_index[v], tuple(ends)) for v, ends in open_cyclic.items()]
+    budgets = {c: target - sums[c] for c in cyclic_vs}
+
+    def name(b: str, k: int) -> str:
+        return "%s%s%d" % (b, sep, k)
+
+    per_vertex = [_vertex_multisets(g.rank(v), target - sums[v]) for v in free_vs]
+    for combo in itertools.product(*per_vertex):
+        _tick(counter, cap)
+        new_free: Dict[str, Tuple[str, CosetTable]] = {}
+        for v, multiset in zip(free_vs, combo):
+            k = 0
+            for _, _, t in multiset:
+                while name(v, k) in m_map:
+                    k += 1
+                new_free[name(v, k)] = (v, t)
+                k += 1
+        pools = _free_pool(g, new_free)
+        for e, entries in hang_pool.items():
+            pools[e] = sorted(
+                pools.get(e, []) + entries, key=lambda rd: (rd[0].vertex, rd[0].least)
+            )
+        taken = set(m_map) | set(new_free)
+        for new_cyclic, triples in _close_open_ends(
+            g, pools, demands, budgets, taken, counter, cap
+        ):
+            vertex_map = dict(m_map)
+            vertex_data = dict(m_data)
+            cyclic_index = dict(m_index)
+            for v, (b, t) in new_free.items():
+                vertex_map[v] = b
+                vertex_data[v] = t
+            for v, (c, d) in new_cyclic.items():
+                vertex_map[v] = c
+                cyclic_index[v] = d
+            pairs = dict(m_pairs)
+            seq: Dict[str, int] = {}
+            for bp, fwd, bwd in triples:
+                k = seq.get(bp, 0)
+                while name(bp, k) in pairs:
+                    k += 1
+                seq[bp] = k + 1
+                pairs[name(bp, k)] = (bp, fwd, bwd)
+            out = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
+            assert not validate_cover(out), validate_cover(out)
+            yield out
+
+
 def _candidate_covers(
     g: GraphOfGroups, n: int, counter: List[int], cap: Optional[int]
 ) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, before any
     isomorphism dedup, so one class may come up many times."""
-    gr = g.graph
-    free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
-    cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
-    per_vertex = [_vertex_multisets(g.rank(v), n) for v in free_vs]
-    for combo in itertools.product(*per_vertex):
-        _tick(counter, cap)
-        lifts: Dict[str, Tuple[str, CosetTable]] = {}
-        for v, multiset in zip(free_vs, combo):
-            for i, (_, _, t) in enumerate(multiset):
-                lifts["%s@%d" % (v, i)] = (v, t)
-        pools = _free_pool(g, lifts)
-        budgets = {c: n for c in cyclic_vs}
-        taken = set(lifts)
-        for new_cyclic, triples in _close_open_ends(
-            g, pools, [], budgets, taken, counter, cap
-        ):
-            vertex_map = {name: b for name, (b, _) in lifts.items()}
-            vertex_data = {name: t for name, (_, t) in lifts.items()}
-            cyclic_index = {}
-            for name, (c, d) in new_cyclic.items():
-                vertex_map[name] = c
-                cyclic_index[name] = d
-            pairs = {}
-            seq: Dict[str, int] = {}
-            for bp, fwd, bwd in triples:
-                k = seq.get(bp, 0)
-                seq[bp] = k + 1
-                pairs["%s@%d" % (bp, k)] = (bp, fwd, bwd)
-            m = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
-            assert not validate_cover(m), validate_cover(m)
-            if not m.total.graph.is_connected():
-                continue
+    for m in _extensions(g, None, n, "@", counter, cap):
+        if m.total.graph.is_connected():
             assert euler_characteristic(m.total) == n * euler_characteristic(g)
             yield m
 
@@ -1007,76 +1056,13 @@ def complete(
     ensure_precover(m)
     if not validate_cover(m):
         return m
-    g = m.base
-    _check_base_shape(g)
-    gr = g.graph
-    free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
-    cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
+    _check_base_shape(m.base)
     counter = [0]
-
-    hang_pool: Dict[str, List[Tuple[ElevationRef, int]]] = {}
-    demands: List[Tuple[str, int, Tuple[str, ...]]] = []
-    open_cyclic: Dict[str, List[str]] = {}
-    for s in m.hanging:
-        if s.side == "free":
-            hang_pool.setdefault(s.edge, []).append((s.ref, s.degree))
-        else:
-            open_cyclic.setdefault(s.vertex, []).append(s.edge)
-    for v in sorted(open_cyclic):
-        demands.append((v, m.cyclic_index[v], tuple(sorted(open_cyclic[v]))))
-
-    def fresh_free(b: str, k: int) -> str:
-        i = k
-        while "%s+%d" % (b, i) in m.vertex_map:
-            i += 1
-        return "%s+%d" % (b, i)
-
-    d0 = max(m.sums.values())
-    for target in itertools.count(d0):
-        added = sum(target - m.sums[b] for b in gr.vertices)
-        if added > bound:
+    for target in itertools.count(max(m.sums.values())):
+        if sum(target - s for s in m.sums.values()) > bound:
             return None
-        per_vertex = [
-            _vertex_multisets(g.rank(v), target - m.sums[v]) for v in free_vs
-        ]
-        for combo in itertools.product(*per_vertex):
-            _tick(counter, cap)
-            new_free: Dict[str, Tuple[str, CosetTable]] = {}
-            for v, multiset in zip(free_vs, combo):
-                for i, (_, _, t) in enumerate(multiset):
-                    new_free[fresh_free(v, i)] = (v, t)
-            pools = _free_pool(g, new_free)
-            for e, entries in hang_pool.items():
-                pools.setdefault(e, [])
-                pools[e] = sorted(
-                    pools[e] + entries, key=lambda rd: (rd[0].vertex, rd[0].least)
-                )
-            budgets = {c: target - m.sums[c] for c in cyclic_vs}
-            taken = set(m.vertex_map) | set(new_free)
-            for new_cyclic, triples in _close_open_ends(
-                g, pools, demands, budgets, taken, counter, cap
-            ):
-                vertex_map = dict(m.vertex_map)
-                vertex_data = dict(m.vertex_data)
-                cyclic_index = dict(m.cyclic_index)
-                for name, (b, t) in new_free.items():
-                    vertex_map[name] = b
-                    vertex_data[name] = t
-                for name, (c, d) in new_cyclic.items():
-                    vertex_map[name] = c
-                    cyclic_index[name] = d
-                pairs = dict(m.pair_spec)
-                seq: Dict[str, int] = {}
-                for bp, fwd, bwd in triples:
-                    k = seq.get(bp, 0)
-                    while "%s+%d" % (bp, k) in pairs:
-                        k += 1
-                    seq[bp] = k + 1
-                    pairs["%s+%d" % (bp, k)] = (bp, fwd, bwd)
-                out = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
-                assert not validate_cover(out), validate_cover(out)
-                return out
-    return None
+        for out in _extensions(m.base, m, target, "+", counter, cap):
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -1144,14 +1130,7 @@ def find_torsion_piece(
                 continue
             for d in incident:
                 piece = split_cyclic(m, v, [d])
-                a = h1(piece)
-                q = quotient_by(
-                    a,
-                    [
-                        class_image(piece, v + ".1"),
-                        class_image(piece, v + ".2"),
-                    ],
-                )
+                q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
                 if p_rank(q, p) >= 1:
                     return TorsionPiece(piece, v + ".1", v + ".2", p, q)
     return None
@@ -1351,13 +1330,7 @@ class _StageFailure(Exception):
 def _nth_nontrivial_word(
     g: GraphOfGroups, n: int, max_length: int
 ) -> Optional[GogWord]:
-    count = 0
-    for gw in enumerate_closed_words(g, max_length):
-        if is_nontrivial(g, gw):
-            count += 1
-            if count == n:
-                return gw
-    return None
+    return next(itertools.islice(enumerate_closed_words(g, max_length), n - 1, None), None)
 
 
 def _build_connector(

@@ -20,7 +20,7 @@ on to produce a deterministic stream of nontrivial elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .homology import IntMatrix
 from .words import (
@@ -423,62 +423,50 @@ def is_nontrivial(g: GraphOfGroups, gw: GogWord) -> bool:
     return not has_pinch(g, gw)
 
 
-def enumerate_closed_words(
-    g: GraphOfGroups, max_length: int, start: Optional[str] = None
-) -> Iterator[GogWord]:
+def enumerate_closed_words(g: GraphOfGroups, max_length: int) -> Iterator[GogWord]:
     """Nontrivial pinch-free closed path words at the base vertex.
 
     Deterministic order: ascending total length; within one length,
     depth-first generation order, where each step first extends the current
     syllable by a letter (letters in integer order) and then tries crossings
-    (oriented edge ids in sorted order).
+    (oriented edge ids in sorted order).  The stream is lazy: each length
+    is one depth-first pass cut off at that length.
     """
-    base = start if start is not None else g.base_vertex
-    found: List[Tuple[int, int, GogWord]] = []
-    counter = [0]
-
-    def emit(syllables, crossings):
-        gw = GogWord(base, tuple(syllables), tuple(crossings))
-        found.append((word_length(gw), counter[0], gw))
-        counter[0] += 1
+    base = g.base_vertex
+    gr = g.graph
+    edges = sorted(gr.oriented_edges())
 
     def letters_at(v):
         r = g.vertex_rank[v]
         return [a for a in range(-r, r + 1) if a != 0]
 
-    def dfs(v, syllables, crossings, cur, used):
-        # cur: letters of the open syllable at v; used: letters spent so far.
-        if used > max_length:
+    def dfs(v, syllables, crossings, cur, left):
+        # cur: letters of the open syllable at v; left: letters still to spend.
+        if left == 0:
+            if v == base:
+                word = Word(tuple(cur), g.vertex_rank[v])
+                gw = GogWord(base, tuple(syllables) + (word,), tuple(crossings))
+                if is_nontrivial(g, gw):
+                    yield gw
             return
-        if v == base and used >= 1:
-            word = Word(tuple(cur), g.vertex_rank[v])
-            gw = GogWord(base, tuple(syllables) + (word,), tuple(crossings))
-            if is_nontrivial(g, gw):
-                emit(list(gw.syllables), list(crossings))
         for a in letters_at(v):
             if cur and cur[-1] == -a:
                 continue
-            if used + 1 > max_length:
-                break
             cur.append(a)
-            dfs(v, syllables, crossings, cur, used + 1)
+            yield from dfs(v, syllables, crossings, cur, left - 1)
             cur.pop()
-        if used + 1 > max_length:
-            return
         word = Word(tuple(cur), g.vertex_rank[v])
-        for e in sorted(g.graph.oriented_edges()):
-            if g.graph.iota(e) != v:
+        for e in edges:
+            if gr.iota(e) != v:
                 continue
             if crossings and e == reverse_edge(crossings[-1]):
                 if power_of(word, g.edge_words[crossings[-1]]) is not None:
                     continue
             syllables.append(word)
             crossings.append(e)
-            dfs(g.graph.tau(e), syllables, crossings, [], used + 1)
+            yield from dfs(gr.tau(e), syllables, crossings, [], left - 1)
             crossings.pop()
             syllables.pop()
 
-    dfs(base, [], [], [], 0)
-    found.sort(key=lambda t: (t[0], t[1]))
-    for _, _, gw in found:
-        yield gw
+    for length in range(1, max_length + 1):
+        yield from dfs(base, [], [], [], length)

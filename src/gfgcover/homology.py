@@ -31,56 +31,38 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 @dataclass(frozen=True)
 class IntMatrix:
     entries: Tuple[Tuple[int, ...], ...]
+    cols: int
 
     def __post_init__(self):
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("matrix rows must all have %d entries" % self.cols)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """Rows of equal width; ``cols`` gives the width of a matrix with no
+        rows and, when given, must match every row."""
         rows = tuple(tuple(int(a) for a in row) for row in rows)
-        if not rows and cols is None:
-            cols = 0
-        if not rows:
-            return cls(((),) * 0) if cols == 0 else cls._empty(cols)
-        return cls(rows)
-
-    @classmethod
-    def _empty(cls, cols: int) -> "IntMatrix":
-        m = cls(())
-        object.__setattr__(m, "_cols_hint", cols)
-        return m
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        if self.entries:
-            return len(self.entries[0])
-        return getattr(self, "_cols_hint", 0)
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else []
+        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
         out = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
             for row in self.entries
         )
-        m = IntMatrix(out)
-        if not out or not ot:
-            object.__setattr__(m, "_cols_hint", other.cols)
-        return m
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
+        return IntMatrix(out, other.cols)
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -209,11 +191,9 @@ def snf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(m):
                 u[k][j] = -u[k][j]
 
-    U = IntMatrix(tuple(tuple(row) for row in u))
-    V = IntMatrix(tuple(tuple(row) for row in v))
-    D = IntMatrix(tuple(tuple(row) for row in w)) if w else IntMatrix(())
-    if not w:
-        object.__setattr__(D, "_cols_hint", n)
+    U = IntMatrix(tuple(tuple(row) for row in u), m)
+    V = IntMatrix(tuple(tuple(row) for row in v), n)
+    D = IntMatrix(tuple(tuple(row) for row in w), n)
     return U, D, V
 
 
@@ -443,6 +423,28 @@ def class_image(g, target) -> Tuple[int, ...]:
             for t, e in enumerate(group.generator_image(col)):
                 out[t] += c * e
     return group.reduce_element(out)
+
+
+def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
+    """H_1 of g (or of a morphism's total) with the generators of the given
+    cyclic vertices killed.
+
+    One Smith form: the presentation of H_1 plus a unit row per killed
+    generator.  Equal, as a group, to ``quotient_by`` of ``h1`` by the
+    ``class_image`` of each vertex.
+    """
+    from . import gog as _gog
+
+    if hasattr(g, "total"):
+        g = g.total
+    roster, matrix = _gog.abelianized_presentation(g)
+    rows = list(matrix.entries)
+    for v in vertices:
+        if g.vertex_kind[v] != "cyclic":
+            raise ValueError("vertex %r is not cyclic" % v)
+        col = roster.index(("vertex", v, 0))
+        rows.append([1 if j == col else 0 for j in range(matrix.cols)])
+    return cokernel(IntMatrix.from_rows(rows, matrix.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ precover morphisms: it tries every fiberwise assignment of lifts, with
 table isomorphisms regenerated on every branch, and checks the edge
 assignments only once every lift is mapped.  ``gfgcover.covers.isomorphic``
 must give the same yes/no answer on every pair of morphisms.
+
+``enumerate_closed_words_oracle`` runs one depth-first pass to the length
+cap and sorts all its words by length; ``gfgcover.gog.enumerate_closed_words``
+must yield the same sequence.
 """
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from gfgcover.cosets import CosetTable
 from gfgcover.covers import PrecoverMorphism, _same_base
-from gfgcover.gog import reverse_edge
+from gfgcover.gog import GogWord, GraphOfGroups, is_nontrivial, reverse_edge, word_length
+from gfgcover.words import Word, power_of
 
 
 def table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]:
@@ -126,3 +131,57 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
         return False
 
     return assign(0, 0, set())
+
+
+def enumerate_closed_words_oracle(g: GraphOfGroups, max_length: int) -> Iterator[GogWord]:
+    """Every closed word up to the length cap, built and sorted before the
+    first is returned: the eager form of ``enumerate_closed_words``."""
+    base = g.base_vertex
+    found: List[Tuple[int, int, GogWord]] = []
+    counter = [0]
+
+    def emit(syllables, crossings):
+        gw = GogWord(base, tuple(syllables), tuple(crossings))
+        found.append((word_length(gw), counter[0], gw))
+        counter[0] += 1
+
+    def letters_at(v):
+        r = g.vertex_rank[v]
+        return [a for a in range(-r, r + 1) if a != 0]
+
+    def dfs(v, syllables, crossings, cur, used):
+        # cur: letters of the open syllable at v; used: letters spent so far.
+        if used > max_length:
+            return
+        if v == base and used >= 1:
+            word = Word(tuple(cur), g.vertex_rank[v])
+            gw = GogWord(base, tuple(syllables) + (word,), tuple(crossings))
+            if is_nontrivial(g, gw):
+                emit(list(gw.syllables), list(crossings))
+        for a in letters_at(v):
+            if cur and cur[-1] == -a:
+                continue
+            if used + 1 > max_length:
+                break
+            cur.append(a)
+            dfs(v, syllables, crossings, cur, used + 1)
+            cur.pop()
+        if used + 1 > max_length:
+            return
+        word = Word(tuple(cur), g.vertex_rank[v])
+        for e in sorted(g.graph.oriented_edges()):
+            if g.graph.iota(e) != v:
+                continue
+            if crossings and e == reverse_edge(crossings[-1]):
+                if power_of(word, g.edge_words[crossings[-1]]) is not None:
+                    continue
+            syllables.append(word)
+            crossings.append(e)
+            dfs(g.graph.tau(e), syllables, crossings, [], used + 1)
+            crossings.pop()
+            syllables.pop()
+
+    dfs(base, [], [], [], 0)
+    found.sort(key=lambda t: (t[0], t[1]))
+    for _, _, gw in found:
+        yield gw

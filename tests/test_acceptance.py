@@ -41,6 +41,7 @@ from gfgcover.homology import (
     class_image,
     cokernel,
     h1,
+    h1_mod_cyclic,
     ledger_check,
     p_rank,
     quotient_by,
@@ -294,19 +295,17 @@ def test_criterion_07_merge_homology_identity():
                     for part in itertools.combinations(incident, size):
                         piece = split_cyclic(m, v, list(part))
                         a = h1(piece)
-                        diff = a.reduce_element(
-                            tuple(
-                                x - y
-                                for x, y in zip(
-                                    class_image(piece, v + ".1"),
-                                    class_image(piece, v + ".2"),
-                                )
-                            )
-                        )
+                        images = [class_image(piece, v + ".1"), class_image(piece, v + ".2")]
+                        diff = a.reduce_element(tuple(x - y for x, y in zip(*images)))
                         rhs = quotient_by(a, [diff])
                         lhs = h1(merge_cyclic(piece, v + ".1", v + ".2"))
                         assert lhs.betti == rhs.betti + 1
                         assert lhs.divisors == rhs.divisors
+                        # The one-Smith-form torsion certificate against
+                        # h1, class_image and quotient_by.
+                        killed = quotient_by(a, images)
+                        cert = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
+                        assert (cert.betti, cert.divisors) == (killed.betti, killed.divisors)
                         checked += 1
     assert checked >= 40
 

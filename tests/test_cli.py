@@ -229,6 +229,25 @@ class TestCommands:
         _, flagged, _ = run(capsys, "tower", SEEDED, "--steps", "1", "--primes", "2")
         assert code == 0 and out == flagged
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("bounds", {"max_cover_index": "4"}, ".bounds.max_cover_index"),
+        ("primes", ["2"], ".primes[0]"),
+    ])
+    def test_tower_config_rejects_non_integers(self, capsys, tmp_path, field, value, where):
+        doc = {
+            "format_version": 1,
+            "kind": "tower-config",
+            "steps": 1,
+            "primes": [2],
+            "base": cli.gog_to_payload(load_gog(SEEDED)),
+            field: value,
+        }
+        path = tmp_path / "tower.yaml"
+        path.write_text(cli.save_document(doc), encoding="utf-8")
+        code, out, err = run(capsys, "tower", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s%s: expected int" % (path, where))
+
     def test_tower_needs_parameters(self, capsys):
         code, _, err = run(capsys, "tower", SEEDED)
         assert code == 1 and "--steps" in err
@@ -237,6 +256,9 @@ class TestCommands:
         code, _, err = run(capsys, "tower", SEEDED, "--steps", "1", "--primes", "2",
                            "--bounds", "max_tower=3")
         assert code == 1 and "--bounds" in err
+        code, _, err = run(capsys, "tower", SEEDED, "--steps", "1", "--primes", "2",
+                           "--bounds", "max_cover_index=four")
+        assert code == 1 and err.startswith("error: --bounds.max_cover_index: expected int")
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "h1", "no-such-file.yaml")

@@ -468,6 +468,19 @@ class TestComplete:
         out = complete(m, 1)
         assert out is not None and degree(out) == 1
 
+    @pytest.mark.parametrize("free_name", ["v@0", "v+0"])
+    def test_new_free_lifts_get_distinct_names(self, free_name):
+        # New lifts are named v+k; one already named so must not make two
+        # new lifts share a name, which would drop one of them.
+        cyclic = {"c@7": 1, "c@8": 1, "c@9": 1}
+        m = PrecoverMorphism(
+            seeded(), {free_name: "v", **dict.fromkeys(cyclic, "c")},
+            {free_name: whole_group_table(2)}, cyclic, {},
+        )
+        out = complete(m, 12)
+        assert out.sums == {"v": 3, "c": 3}
+        assert set(m.vertex_map) < set(out.vertex_map)
+
     def test_result_contains_input(self, seeded_piece):
         m = chain(seeded_piece, 2)
         out = complete(m, 12)

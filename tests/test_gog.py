@@ -1,5 +1,9 @@
-import pytest
+from pathlib import Path
 
+import pytest
+from _oracles import enumerate_closed_words_oracle
+
+from gfgcover.cli import load_document, parse_document
 from gfgcover.gog import (
     GogWord,
     GraphOfGroups,
@@ -259,6 +263,14 @@ class TestEnumerate:
         lengths = [word_length(gw) for gw in words]
         assert lengths == sorted(lengths)
         assert words[0].syllables[0].letters == (-2,)
+
+    @pytest.mark.parametrize("name", ["seeded_torsion", "genus2", "hnn_f1"])
+    def test_matches_eager_oracle(self, name):
+        path = str(Path(__file__).resolve().parent.parent / "fixtures" / (name + ".yaml"))
+        g = parse_document(load_document(path), path)
+        lazy = list(enumerate_closed_words(g, 6))
+        assert lazy == list(enumerate_closed_words_oracle(g, 6))
+        assert lazy
 
     def test_deterministic(self):
         g = amalgam(((1, 1, 2), (2, 2, 1)))

@@ -63,6 +63,22 @@ matrices = st.integers(0, 4).flatmap(
 )
 
 
+class TestIntMatrix:
+    def test_width_must_match_cols(self):
+        with pytest.raises(ValueError, match="3 entries"):
+            IntMatrix.from_rows([[1, 2], [3, 4]], cols=3)
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_empty_shapes(self):
+        a = IntMatrix.from_rows([[], []])
+        b = IntMatrix.from_rows([], cols=3)
+        assert (a.rows, a.cols, b.rows, b.cols) == (2, 0, 0, 3)
+        assert (a * b).entries == ((0, 0, 0), (0, 0, 0))
+        u, d, v = snf(b)
+        assert (u.rows, d.rows, d.cols, v.rows) == (0, 0, 3, 3)
+
+
 class TestSnf:
     def test_frozen_example(self):
         u, d, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))

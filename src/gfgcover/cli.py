@@ -67,7 +67,8 @@ def _fail(path: str, message: str) -> None:
 
 
 def _expect(data, types, path: str):
-    if not isinstance(data, types):
+    # bool subclasses int, but a YAML true/false is never a count or a letter.
+    if not isinstance(data, types) or isinstance(data, bool):
         names = types.__name__ if isinstance(types, type) else "/".join(
             t.__name__ for t in types
         )
@@ -86,7 +87,7 @@ def _get(data: dict, key: str, types, path: str, default=_fail):
 def _word(data, rank: int, path: str) -> Word:
     letters = _expect(data, list, path)
     for i, a in enumerate(letters):
-        if not isinstance(a, int) or a == 0 or abs(a) > rank:
+        if _expect(a, int, "%s[%d]" % (path, i)) == 0 or abs(a) > rank:
             _fail("%s[%d]" % (path, i), "letters must be nonzero, magnitude <= %d" % rank)
     return Word(tuple(letters), rank)
 
@@ -98,8 +99,8 @@ def _table(data, rank: int, path: str) -> CosetTable:
     perms = []
     for i, row in enumerate(rows):
         row = _expect(row, list, "%s[%d]" % (path, i))
-        if not all(isinstance(a, int) for a in row):
-            _fail("%s[%d]" % (path, i), "permutations are integer arrays")
+        for j, a in enumerate(row):
+            _expect(a, int, "%s[%d][%d]" % (path, i, j))
         perms.append(tuple(row))
     try:
         return CosetTable(rank, tuple(perms))

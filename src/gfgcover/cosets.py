@@ -19,18 +19,23 @@ a family of classes to a finite-index subgroup.
 the given index (so 3 classes at index 2 and 7 at index 3 for rank 2, not
 Hall's subgroup counts).  ``prescribe_degrees`` searches small finite
 quotients for a normal subgroup where given words elevate with prescribed
-degrees, all scaled by one common factor.
+degrees, all scaled by one common factor.  It skips every cyclic quotient
+Z/m and product Z/m1 x Z/m2 in which the exponent sums bound some word's
+order by a number its degree does not divide (a commutator has order 1 in
+all of them); no candidate there can pass the degree screen, so the first
+hit is the same as a full scan's.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceededError, PairCollisionError
-from .words import ConjClass, Word, conj_canonical, free_reduce, identity
+from .words import ConjClass, Word, abelianize_word, conj_canonical, free_reduce, identity
 
 Target = Union[Word, ConjClass]
 
@@ -401,8 +406,6 @@ class PrescribeResult:
 
 
 def _perm_order(perm: Tuple[int, ...]) -> int:
-    import math
-
     n = len(perm)
     seen = [False] * n
     out = 1
@@ -473,9 +476,26 @@ def _pair_shift(m1: int, m2: int, c1: int, c2: int) -> Tuple[int, ...]:
 
 
 def _order_mod(val: int, m: int) -> int:
-    import math
-
     return m // math.gcd(val % m, m)
+
+
+def _abelian_degrees_possible(
+    gcds: Sequence[int], degrees: Sequence[int], moduli: Sequence[int]
+) -> bool:
+    """Whether some images of the generators in the product of Z/m over
+    ``moduli`` can give word i an order divisible by degrees[i], for all i.
+
+    ``gcds[i]`` is the gcd of word i's exponent sums (0 for a zero vector).
+    The image of word i in Z/m is a multiple of gcd(g, m), so its order
+    divides m / gcd(g, m); in a product it divides the lcm of these.  The
+    screen wants the order to equal scale * degrees[i], a multiple of
+    degrees[i], so a modulus where some degree does not divide the bound
+    cannot pass it.
+    """
+    return all(
+        math.lcm(*(m // math.gcd(g, m) for m in moduli)) % d == 0
+        for g, d in zip(gcds, degrees)
+    )
 
 
 def prescribe_degrees(
@@ -495,6 +515,12 @@ def prescribe_degrees(
     hit; every elevation of targets[i] in the resulting table has degree
     scale * degrees[i].  With ``within``, only subgroups contained in the
     given one are accepted.  Returns None when the schedule is exhausted.
+
+    The abelian phases skip each modulus, or pair of moduli, in which some
+    word's order is bounded by a number that degrees[i] does not divide
+    (see ``_abelian_degrees_possible``).  Every candidate skipped this way
+    would fail the screen, so the scan order, and with it the first hit
+    (table, scale and quotient name), is that of the full schedule.
     """
     words = []
     for t in targets:
@@ -511,9 +537,8 @@ def prescribe_degrees(
     if within is not None and within.rank != rank:
         raise ValueError("rank mismatch with the ambient subgroup")
 
-    from .words import abelianize_word
-
     ab = [abelianize_word(w) for w in words]
+    gcds = [math.gcd(*v) for v in ab]
 
     def screen(orders: Sequence[int]) -> Optional[int]:
         scale, r0 = divmod(orders[0], degrees[0])
@@ -539,6 +564,8 @@ def prescribe_degrees(
     # Phase A: cyclic quotients.  Orders come from exponent sums, so the
     # screen is a few integer operations per candidate.
     for m in range(2, max_modulus + 1):
+        if not _abelian_degrees_possible(gcds, degrees, (m,)):
+            continue
         for cs in itertools.product(range(m), repeat=rank):
             orders = [
                 _order_mod(sum(a * c for a, c in zip(v, cs)), m) for v in ab
@@ -550,10 +577,10 @@ def prescribe_degrees(
             if res is not None:
                 return res
     # Phase B: products of two cyclic groups.
-    import math
-
     for m1 in range(2, max_pair_modulus + 1):
         for m2 in range(m1, max_pair_modulus + 1):
+            if not _abelian_degrees_possible(gcds, degrees, (m1, m2)):
+                continue
             for cs in itertools.product(range(m1), range(m2), repeat=rank):
                 orders = []
                 for v in ab:

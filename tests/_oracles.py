@@ -9,14 +9,36 @@ must give the same yes/no answer on every pair of morphisms.
 ``enumerate_closed_words_oracle`` runs one depth-first pass to the length
 cap and sorts all its words by length; ``gfgcover.gog.enumerate_closed_words``
 must yield the same sequence.
+
+``prescribe_degrees_oracle`` scans every candidate of the abelian phases,
+including the quotients in which the exponent sums already rule out the
+prescribed degrees; ``gfgcover.cosets.prescribe_degrees`` must return the
+same result, or None, on every input.
 """
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import itertools
+import math
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from gfgcover.cosets import CosetTable
+from gfgcover.cosets import (
+    CosetTable,
+    PrescribeResult,
+    Target,
+    _cyclic_shift,
+    _invert_perm,
+    _order_mod,
+    _pair_shift,
+    _perm_order,
+    _word_perm,
+    elevations,
+    enumerate_subgroups,
+    is_regular,
+    regular_table,
+    subgroup_contains,
+)
 from gfgcover.covers import PrecoverMorphism, _same_base
 from gfgcover.gog import GogWord, GraphOfGroups, is_nontrivial, reverse_edge, word_length
-from gfgcover.words import Word, power_of
+from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, power_of
 
 
 def table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]:
@@ -185,3 +207,93 @@ def enumerate_closed_words_oracle(g: GraphOfGroups, max_length: int) -> Iterator
     found.sort(key=lambda t: (t[0], t[1]))
     for _, _, gw in found:
         yield gw
+
+
+def prescribe_degrees_oracle(
+    rank: int,
+    targets: Sequence[Target],
+    degrees: Sequence[int],
+    within: Optional[CosetTable] = None,
+    max_modulus: int = 60,
+    max_pair_modulus: int = 12,
+    max_perm_index: int = 5,
+) -> Optional[PrescribeResult]:
+    """``prescribe_degrees`` with unpruned abelian phases: every tuple of
+    generator images in every Z/m and Z/m1 x Z/m2 goes through the screen."""
+    words = []
+    for t in targets:
+        cls = t if isinstance(t, ConjClass) else conj_canonical(t)
+        if cls.is_trivial():
+            raise ValueError("cannot prescribe a degree for the trivial class")
+        if cls.rank != rank:
+            raise ValueError("rank mismatch")
+        words.append(cls.canonical)
+    if len(words) != len(degrees) or not words:
+        raise ValueError("need one positive degree per word")
+    if any(d < 1 for d in degrees):
+        raise ValueError("need one positive degree per word")
+    if within is not None and within.rank != rank:
+        raise ValueError("rank mismatch with the ambient subgroup")
+
+    ab = [abelianize_word(w) for w in words]
+
+    def screen(orders: Sequence[int]) -> Optional[int]:
+        scale, r0 = divmod(orders[0], degrees[0])
+        if r0 or scale < 1:
+            return None
+        if any(o != scale * d for o, d in zip(orders, degrees)):
+            return None
+        return scale
+
+    def verify(name: str, perms: List[Tuple[int, ...]], scale: int) -> Optional[PrescribeResult]:
+        table = regular_table(perms, rank)
+        if not is_regular(table):
+            return None
+        for w, d in zip(words, degrees):
+            if any(e.degree != scale * d for e in elevations(table, w)):
+                return None
+        if within is not None and not subgroup_contains(within, table):
+            return None
+        return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
+
+    for m in range(2, max_modulus + 1):
+        for cs in itertools.product(range(m), repeat=rank):
+            orders = [
+                _order_mod(sum(a * c for a, c in zip(v, cs)), m) for v in ab
+            ]
+            scale = screen(orders)
+            if scale is None:
+                continue
+            res = verify("Z/%d" % m, [_cyclic_shift(m, c) for c in cs], scale)
+            if res is not None:
+                return res
+    for m1 in range(2, max_pair_modulus + 1):
+        for m2 in range(m1, max_pair_modulus + 1):
+            for cs in itertools.product(range(m1), range(m2), repeat=rank):
+                orders = []
+                for v in ab:
+                    o1 = _order_mod(sum(a * cs[2 * i] for i, a in enumerate(v)), m1)
+                    o2 = _order_mod(sum(a * cs[2 * i + 1] for i, a in enumerate(v)), m2)
+                    orders.append(o1 * o2 // math.gcd(o1, o2))
+                scale = screen(orders)
+                if scale is None:
+                    continue
+                perms = [
+                    _pair_shift(m1, m2, cs[2 * i], cs[2 * i + 1])
+                    for i in range(rank)
+                ]
+                res = verify("Z/%d x Z/%d" % (m1, m2), perms, scale)
+                if res is not None:
+                    return res
+    for n in range(2, max_perm_index + 1):
+        for t in enumerate_subgroups(rank, n):
+            perms = list(t.action)
+            inv = [_invert_perm(p) for p in perms]
+            orders = [_perm_order(_word_perm(perms, inv, w)) for w in words]
+            scale = screen(orders)
+            if scale is None:
+                continue
+            res = verify("image of an index-%d action" % n, perms, scale)
+            if res is not None:
+                return res
+    return None

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 HNN_F1 = str(FIXTURES / "hnn_f1.yaml")
 GENUS2 = str(FIXTURES / "genus2.yaml")
 SEEDED = str(FIXTURES / "seeded_torsion.yaml")
+
+
+def tower_config(tmp_path, **fields):
+    """Write a one-step tower-config over the seeded fixture, with overrides."""
+    doc = {
+        "format_version": 1,
+        "kind": "tower-config",
+        "steps": 1,
+        "primes": [2],
+        "base": cli.gog_to_payload(load_gog(SEEDED)),
+        **fields,
+    }
+    path = tmp_path / "tower.yaml"
+    path.write_text(cli.save_document(doc), encoding="utf-8")
+    return path
 
 
 def run(capsys, *argv):
@@ -158,6 +174,9 @@ class TestCommands:
     def test_elevations_rejects_bad_table(self, capsys):
         code, _, err = run(capsys, "elevations", SEEDED, "--vertex", "v", "--table", "[[0,1]]")
         assert code == 1 and "--table" in err
+        code, _, err = run(capsys, "elevations", SEEDED, "--vertex", "v",
+                           "--table", "[[1,0],[true,0]]")
+        assert code == 1 and err.startswith("error: --table[1][0]: expected int, got bool")
 
     def test_torsion_piece_emits_document(self, capsys, tmp_path):
         code, out, _ = run(capsys, "torsion-piece", SEEDED, "--prime", "2", "--max-index", "4")
@@ -234,19 +253,29 @@ class TestCommands:
         ("primes", ["2"], ".primes[0]"),
     ])
     def test_tower_config_rejects_non_integers(self, capsys, tmp_path, field, value, where):
-        doc = {
-            "format_version": 1,
-            "kind": "tower-config",
-            "steps": 1,
-            "primes": [2],
-            "base": cli.gog_to_payload(load_gog(SEEDED)),
-            field: value,
-        }
-        path = tmp_path / "tower.yaml"
-        path.write_text(cli.save_document(doc), encoding="utf-8")
+        path = tower_config(tmp_path, **{field: value})
         code, out, err = run(capsys, "tower", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: %s%s: expected int" % (path, where))
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("steps", True, ".steps"),
+        ("bounds", {"max_cover_index": True}, ".bounds.max_cover_index"),
+    ])
+    def test_tower_config_rejects_booleans(self, capsys, tmp_path, field, value, where):
+        path = tower_config(tmp_path, **{field: value})
+        code, out, err = run(capsys, "tower", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s%s: expected int, got bool" % (path, where))
+
+    def test_boolean_word_letter_rejected(self, capsys, tmp_path):
+        data = yaml.safe_load(Path(SEEDED).read_text(encoding="utf-8"))
+        data["edges"][1]["word"] = [True]
+        path = tmp_path / "gog.yaml"
+        path.write_text(cli.save_document(data), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s.edges[1].word[0]: expected int, got bool" % path)
 
     def test_tower_needs_parameters(self, capsys):
         code, _, err = run(capsys, "tower", SEEDED)
@@ -286,15 +315,20 @@ class TestCommands:
 
 class TestConsoleScript:
     def test_subprocess_exit_codes(self, tmp_path):
+        # The child imports the package the tests imported, with or without
+        # PYTHONPATH set by the caller.
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         ok = subprocess.run(
             [sys.executable, "-m", "gfgcover.cli", "h1", HNN_F1],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert ok.returncode == 0 and ok.stdout == "Z ⊕ Z/2\n"
         bad = tmp_path / "bad.yaml"
         bad.write_text("format_version: 2\nkind: gog\n", encoding="utf-8")
         rejected = subprocess.run(
             [sys.executable, "-m", "gfgcover.cli", "validate", str(bad)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert rejected.returncode == 1 and "format_version" in rejected.stderr

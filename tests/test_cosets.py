@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from _oracles import prescribe_degrees_oracle
 
 from gfgcover.cosets import (
     CosetTable,
@@ -307,6 +308,45 @@ class TestPrescribe:
         a = prescribe_degrees(2, [Word((1, 2), 2)], (4,))
         b = prescribe_degrees(2, [Word((1, 2), 2)], (4,))
         assert a == b and a is not None
+
+    def test_matches_unpruned_oracle(self):
+        caps = dict(max_modulus=24, max_pair_modulus=6, max_perm_index=4)
+        words = [
+            Word(letters, 2)
+            for n in range(1, 5)
+            for letters in itertools.product((1, -1, 2, -2), repeat=n)
+            if all(a != -b for a, b in zip(letters, letters[1:]))
+        ]
+        assert len(words) == 160
+        calls = [(2, [w], (d,), None) for w in words for d in range(1, 5)]
+        comm = Word((1, 2, -1, -2), 2)
+        for pair in ([comm, Word((1,), 2)], [Word((1, 2), 2), comm],
+                     [Word((1, 1), 2), Word((2, 2, 2), 2)]):
+            calls += [(2, pair, ds, None) for ds in ((1, 1), (2, 1), (1, 2), (2, 3))]
+        calls += [(1, [Word((1,) * k, 1)], (d,), None) for k in (1, 2) for d in range(1, 5)]
+        within = CosetTable(2, ((1, 0), (1, 0)))
+        calls += [(2, [w], (d,), within) for w in (Word((1,), 2), Word((1, 2), 2), comm)
+                  for d in (1, 2, 3)]
+        found = 0
+        for rank, targets, degrees, inside in calls:
+            got = prescribe_degrees(rank, targets, degrees, within=inside, **caps)
+            want = prescribe_degrees_oracle(rank, targets, degrees, within=inside, **caps)
+            assert got == want, (targets, degrees, inside)
+            found += got is not None
+        assert 0 < found < len(calls)
+        # Order 6 with the cyclic phase stopped at Z/4: only Z/2 x Z/3, whose
+        # bound is lcm(2, 3) = 6, can reach it.
+        caps = dict(max_modulus=4, max_pair_modulus=3, max_perm_index=4)
+        for w in (Word((1,), 2), Word((1, 1, 2), 2)):
+            got = prescribe_degrees(2, [w], (6,), **caps)
+            assert got == prescribe_degrees_oracle(2, [w], (6,), **caps)
+            assert got.quotient == "Z/2 x Z/3 (order 6)"
+
+    def test_rank3_commutator_default_caps(self):
+        w = Word((1, 2, -1, -2), 3)
+        res = prescribe_degrees(3, [w], (2,))
+        assert res is not None and is_regular(res.table)
+        assert all(e.degree == 2 * res.scale for e in elevations(res.table, w))
 
 
 class TestRegularity:

@@ -28,6 +28,11 @@ from typing import Dict, List, Optional
 
 import yaml
 
+try:
+    from yaml import CSafeDumper as _Dumper, CSafeLoader as _Loader
+except ImportError:  # PyYAML built without libyaml
+    from yaml import SafeDumper as _Dumper, SafeLoader as _Loader
+
 from .cosets import CosetTable, elevations
 from .covers import (
     ElevationRef,
@@ -270,7 +275,7 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
     except yaml.YAMLError as exc:
@@ -286,7 +291,7 @@ def load_document(path: str) -> dict:
 
 
 def save_document(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
 def document_for_gog(g: GraphOfGroups) -> dict:
@@ -417,14 +422,12 @@ def cmd_elevations(args) -> int:
     if g.vertex_kind.get(v) != "free":
         raise SchemaError("--vertex: %r is not a free vertex" % v)
     try:
-        rows = yaml.safe_load(args.table)
+        rows = yaml.load(args.table, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError("--table: %s" % exc)
     table = _table(rows, g.rank(v), "--table")
     out = []
-    for e in g.graph.oriented_edges():
-        if g.graph.tau(e) != v:
-            continue
+    for e in g.graph.ends(v):
         for el in elevations(table, g.edge_word(e)):
             out.append(
                 [e, str(el.degree), str(el.cycle[0]), _word_cell(el.rep),

@@ -102,8 +102,10 @@ def whole_group_table(rank: int) -> CosetTable:
     return CosetTable(rank, ((0,),) * rank)
 
 
+@lru_cache(maxsize=None)
 def cyclic_table(n: int) -> CosetTable:
-    """The unique index-n subgroup class of the rank-one free group."""
+    """The unique index-n subgroup class of the rank-one free group
+    (memoised: a table is immutable)."""
     return CosetTable(1, (tuple((i + 1) % n for i in range(n)),))
 
 

@@ -118,9 +118,16 @@ class PrecoverMorphism:
         fwd_ref is the elevation realized at tau of the forward orientation
         and bwd_ref the one at tau of the reverse orientation.
 
-    The total graph of groups, the hanging slots and the per-base-vertex
-    index sums are derived.  Instances are treated as immutable: every
-    operation builds a new morphism.
+    Everything else is derived once, at construction.  ``elevation_of``
+    maps the ref of every elevation at every lift, over every oriented
+    base edge ending at the lift's base vertex, to its ``Elevation``.
+    ``realized`` maps each ref some total edge realizes to the least such
+    edge, ``edge_assignment`` maps each oriented total edge to its ref,
+    and ``hanging`` lists the refs left unrealized as slots.  ``problems``
+    lists the precover defects: degree mismatches across a pair and
+    elevations realized twice.  ``sums`` is the index sum over each base
+    vertex, and ``total`` the total graph of groups.  Instances are
+    treated as immutable: every operation builds a new morphism.
     """
 
     def __init__(
@@ -163,11 +170,19 @@ class PrecoverMorphism:
             if v not in self.vertex_map:
                 raise ValueError("index for unknown lift %r" % v)
 
-        self._elev_cache: Dict[Tuple[str, str], Tuple[Elevation, ...]] = {}
+        names = sorted(self.vertex_map)
+        self.elevation_of: Dict[ElevationRef, Elevation] = {}
+        for v in names:
+            self.elevation_of.update(
+                _lift_elevations(base, v, self.vertex_map[v], self.vertex_table(v))
+            )
+
         total_pairs: Dict[str, Tuple[str, str]] = {}
         edge_words: Dict[str, Word] = {}
-        self.edge_map: Dict[str, str] = {}
         self.edge_assignment: Dict[str, ElevationRef] = {}
+        self.realized: Dict[ElevationRef, str] = {}
+        mismatches: List[str] = []
+        repeats: Dict[ElevationRef, int] = {}
         for q in sorted(self.pair_spec):
             if q.startswith("~"):
                 raise ValueError("pair name %r may not start with '~'" % q)
@@ -177,20 +192,29 @@ class PrecoverMorphism:
             if fwd.edge != bp or bwd.edge != reverse_edge(bp):
                 raise ValueError("ref orientation mismatch at pair %r" % q)
             for ref, d in ((fwd, q), (bwd, "~" + q)):
-                end = ref.edge
                 if ref.vertex not in self.vertex_map:
                     raise ValueError("pair %r realized at unknown lift %r" % (q, ref.vertex))
-                if self.vertex_map[ref.vertex] != gr.tau(end):
-                    raise ValueError("pair %r: lift %r is not over %r" % (q, ref.vertex, gr.tau(end)))
-                el = self._elev_by_ref(ref)
+                if self.vertex_map[ref.vertex] != gr.tau(ref.edge):
+                    raise ValueError("pair %r: lift %r is not over %r" % (q, ref.vertex, gr.tau(ref.edge)))
+                el = self.elevation_of.get(ref)
                 if el is None:
                     raise ValueError("pair %r names a nonexistent elevation %r" % (q, ref))
                 edge_words[d] = el.local.canonical
-                self.edge_map[d] = end
                 self.edge_assignment[d] = ref
+                # All edges that realize one ref share its orientation, so
+                # the first met here is the least by name.
+                if self.realized.setdefault(ref, d) != d:
+                    repeats[ref] = repeats.get(ref, 1) + 1
+            df = self.elevation_of[fwd].degree
+            db = self.elevation_of[bwd].degree
+            if df != db:
+                mismatches.append("degree mismatch at edge %r (%d vs %d)" % (q, df, db))
             total_pairs[q] = (bwd.vertex, fwd.vertex)
+        self.problems: Tuple[str, ...] = tuple(mismatches) + tuple(
+            "elevation %r realized by %d edges" % (ref, repeats[ref])
+            for ref in sorted(repeats, key=self.realized.__getitem__)
+        )
 
-        names = sorted(self.vertex_map)
         graph = SerreGraph(names, total_pairs)
         ranks = {}
         kinds = {}
@@ -208,25 +232,11 @@ class PrecoverMorphism:
             raise ValueError("basepoint %r is not a lift of %r" % (basepoint, base.base_vertex))
         self.total = GraphOfGroups(graph, ranks, kinds, edge_words, basepoint)
 
-        realized: Dict[ElevationRef, List[str]] = {}
-        for d, ref in self.edge_assignment.items():
-            realized.setdefault(ref, []).append(d)
-        self._realized = realized
-        self.realizing: Dict[ElevationRef, str] = {
-            ref: sorted(ds)[0] for ref, ds in realized.items()
-        }
-
-        slots = []
-        for v in names:
-            b = self.vertex_map[v]
-            side = kinds[v]
-            for e in gr.oriented_edges():
-                if gr.tau(e) != b:
-                    continue
-                for el in self.elevs(v, e):
-                    ref = ElevationRef(v, e, el.cycle[0])
-                    if ref not in realized:
-                        slots.append(HangingSlot(v, e, side, el.degree, el.cycle[0]))
+        slots = [
+            HangingSlot(ref.vertex, ref.edge, kinds[ref.vertex], el.degree, ref.least)
+            for ref, el in self.elevation_of.items()
+            if ref not in self.realized
+        ]
         self.hanging: Tuple[HangingSlot, ...] = tuple(
             sorted(slots, key=lambda s: (s.vertex, s.edge, s.least))
         )
@@ -235,7 +245,6 @@ class PrecoverMorphism:
         for v in names:
             sums[self.vertex_map[v]] += self.vertex_index(v)
         self.sums: Dict[str, int] = sums
-        self._precover_problems: Optional[List[str]] = None
         self._iso_key: Optional[tuple] = None
 
     def vertex_table(self, v: str) -> CosetTable:
@@ -253,18 +262,7 @@ class PrecoverMorphism:
         return sorted(v for v in self.vertex_map if self.vertex_map[v] == b)
 
     def elevs(self, v: str, e: str) -> Tuple[Elevation, ...]:
-        key = (v, e)
-        out = self._elev_cache.get(key)
-        if out is None:
-            out = _elevations(self.vertex_table(v), self.base.edge_word(e))
-            self._elev_cache[key] = out
-        return out
-
-    def _elev_by_ref(self, ref: ElevationRef) -> Optional[Elevation]:
-        for el in self.elevs(ref.vertex, ref.edge):
-            if el.cycle[0] == ref.least:
-                return el
-        return None
+        return _elevations(self.vertex_table(v), self.base.edge_word(e))
 
     def __repr__(self):
         return "<PrecoverMorphism %d vertices, %d pairs, %d hanging>" % (
@@ -272,6 +270,16 @@ class PrecoverMorphism:
             len(self.pair_spec),
             len(self.hanging),
         )
+
+
+def _lift_elevations(
+    base: GraphOfGroups, name: str, b: str, table: CosetTable
+) -> Iterator[Tuple[ElevationRef, Elevation]]:
+    """Every elevation at the lift ``name`` of b with the given table: one
+    per cycle of each edge word ending at b, with its ref."""
+    for e in base.graph.ends(b):
+        for el in _elevations(table, base.edge_word(e)):
+            yield ElevationRef(name, e, el.cycle[0]), el
 
 
 def identity_cover(g: GraphOfGroups) -> PrecoverMorphism:
@@ -323,22 +331,7 @@ def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
 
 def validate_precover(m: PrecoverMorphism) -> List[str]:
     """Degree-matched edges, each elevation realized at most once."""
-    if m._precover_problems is not None:
-        return list(m._precover_problems)
-    problems = []
-    for q in sorted(m.pair_spec):
-        bp, fwd, bwd = m.pair_spec[q]
-        df = m._elev_by_ref(fwd).degree
-        db = m._elev_by_ref(bwd).degree
-        if df != db:
-            problems.append("degree mismatch at edge %r (%d vs %d)" % (q, df, db))
-    for ref, ds in sorted(m._realized.items(), key=lambda kv: sorted(kv[1])[0]):
-        if len(ds) > 1:
-            problems.append(
-                "elevation %r realized by %d edges" % (ref, len(ds))
-            )
-    m._precover_problems = list(problems)
-    return problems
+    return list(m.problems)
 
 
 def validate_cover(m: PrecoverMorphism) -> List[str]:
@@ -615,10 +608,7 @@ def _close_open_ends(
     cyclic_vs = sorted(
         v for v in gr.vertices if base.vertex_kind[v] == "cyclic"
     )
-    ends_of = {
-        c: sorted(e for e in gr.oriented_edges() if gr.tau(e) == c)
-        for c in cyclic_vs
-    }
+    ends_of = {c: sorted(gr.ends(c)) for c in cyclic_vs}
     free_pairs = sorted(
         p
         for p in gr.pairs
@@ -736,17 +726,11 @@ def _free_pool(
     lifts: Dict[str, Tuple[str, CosetTable]],
 ) -> Dict[str, List[Tuple[ElevationRef, int]]]:
     """All elevations at the given free lifts, keyed by oriented base edge."""
-    gr = base.graph
     pools: Dict[str, List[Tuple[ElevationRef, int]]] = {}
     for name in sorted(lifts):
         b, table = lifts[name]
-        for e in gr.oriented_edges():
-            if gr.tau(e) != b:
-                continue
-            for el in _elevations(table, base.edge_word(e)):
-                pools.setdefault(e, []).append(
-                    (ElevationRef(name, e, el.cycle[0]), el.degree)
-                )
+        for ref, el in _lift_elevations(base, name, b, table):
+            pools.setdefault(ref.edge, []).append((ref, el.degree))
     return pools
 
 
@@ -990,13 +974,12 @@ def isomorphic(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
         for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
             cycle = None
             if kinds[ref.vertex] == "free":
-                cycle = m1._elev_by_ref(ref).cycle
+                cycle = m1.elevation_of[ref].cycle
             ends.append((end, ref.vertex, cycle))
         checks[max(pos[fwd.vertex], pos[bwd.vertex])].append(tuple(ends))
 
     lookup2 = {
-        (m2.edge_map[d], ref.vertex, ref.least): d
-        for d, ref in m2.edge_assignment.items()
+        (ref.edge, ref.vertex, ref.least): d for d, ref in m2.edge_assignment.items()
     }
     candidates = {b: m2.lifts_over(b) for b in m1.base.graph.vertices}
     phi: Dict[str, Tuple[str, Optional[Tuple[int, ...]]]] = {}
@@ -1207,18 +1190,12 @@ def lift_word(m: PrecoverMorphism, gw: GogWord):
         if i < len(gw.crossings):
             e = gw.crossings[i]
             end = reverse_edge(e)
-            el = None
-            for cand in m.elevs(v, end):
-                if c in cand.cycle:
-                    el = cand
-                    break
-            ref = ElevationRef(v, end, el.cycle[0])
-            d_rev = m.realizing.get(ref)
+            el = next(cand for cand in m.elevs(v, end) if c in cand.cycle)
+            d_rev = m.realized.get(ElevationRef(v, end, el.cycle[0]))
             if d_rev is None:
                 return ExitsAt(position, v, c)
-            d = reverse_edge(d_rev)
-            ref2 = m.edge_assignment[d]
-            el2 = m._elev_by_ref(ref2)
+            ref2 = m.edge_assignment[reverse_edge(d_rev)]
+            el2 = m.elevation_of[ref2]
             pos = el.cycle.index(c)
             v, c = ref2.vertex, el2.cycle[pos]
             position += 1
@@ -1337,20 +1314,14 @@ def _build_connector(
     base: GraphOfGroups, u: str, d: int
 ) -> Optional[PrecoverMorphism]:
     """A single lift of the free vertex u on which every peripheral word
-    elevates with degree exactly d; all its elevations hang."""
-    gr = base.graph
-    targets = []
-    for e in gr.oriented_edges():
-        if gr.tau(e) == u:
-            targets.append(base.edge_word(e))
+    elevates with degree exactly d; all its elevations hang.
+    ``prescribe_degrees`` has read every degree off the table it returns."""
+    targets = [base.edge_word(e) for e in base.graph.ends(u)]
     if not targets:
         return None
     res = prescribe_degrees(base.rank(u), targets, [d] * len(targets))
     if res is None or res.scale != 1:
         return None
-    for w in targets:
-        if any(el.degree != d for el in elevations(res.table, w)):
-            return None
     name = u + "@A"
     return PrecoverMorphism(base, {name: u}, {name: res.table}, {}, {})
 
@@ -1382,7 +1353,7 @@ def _tower_step(
         if ref.vertex == piece.c1
     )
     gr = b.graph
-    ends_c = sorted(e for e in gr.oriented_edges() if gr.tau(e) == c_base)
+    ends_c = sorted(gr.ends(c_base))
     far = {gr.iota(e) for e in ends_c}
     if len(far) != 1:
         raise _StageFailure(

@@ -64,10 +64,13 @@ class SerreGraph:
                 raise ValueError("pair name %r may not start with '~'" % name)
             if u not in seen or w not in seen:
                 raise ValueError("pair %r has an unknown end" % name)
-        # Stars are built once; a graph is never changed after construction.
+        # Stars and ends are built once; a graph never changes once built.
         self._stars: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        ends: Dict[str, List[str]] = {v: [] for v in self.vertices}
         for e in self.oriented_edges():
             self._stars[self.iota(e)].append(e)
+            ends[self.tau(e)].append(e)
+        self._ends = {v: tuple(es) for v, es in ends.items()}
 
     def oriented_edges(self) -> List[str]:
         out = []
@@ -89,6 +92,10 @@ class SerreGraph:
     def star(self, v: str) -> List[str]:
         """Oriented edges leaving v, in ``oriented_edges`` order."""
         return list(self._stars.get(v, ()))
+
+    def ends(self, v: str) -> Tuple[str, ...]:
+        """Oriented edges ending at v, in ``oriented_edges`` order."""
+        return self._ends.get(v, ())
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -142,7 +149,8 @@ class SerreGraph:
 
 
 class GraphOfGroups:
-    """Graph of free groups with cyclic edge groups."""
+    """Graph of free groups with cyclic edge groups, never changed once
+    built."""
 
     def __init__(
         self,
@@ -157,6 +165,7 @@ class GraphOfGroups:
         self.vertex_kind = dict(vertex_kind)
         self.edge_words = dict(edge_words)
         self.base_vertex = base_vertex
+        self._valid = False  # set once ensure_valid has passed
 
     def edge_word(self, e: str) -> Word:
         return self.edge_words[e]
@@ -204,10 +213,15 @@ def validate(g: GraphOfGroups, require_connected: bool = True) -> List[str]:
     return problems
 
 
-def ensure_valid(g: GraphOfGroups, require_connected: bool = True) -> None:
-    problems = validate(g, require_connected)
+def ensure_valid(g: GraphOfGroups) -> None:
+    """Raise on an invalid or disconnected g; a graph of groups that has
+    passed once is not walked again."""
+    if g._valid:
+        return
+    problems = validate(g)
     if problems:
         raise ValueError("; ".join(problems))
+    g._valid = True
 
 
 def euler_characteristic(g: GraphOfGroups) -> int:
@@ -220,10 +234,7 @@ def induced_pair(g: GraphOfGroups, v: str) -> Tuple[int, List[Tuple[str, Word]]]
 
     One entry per oriented edge with terminal vertex v, sorted by edge id.
     """
-    fam = []
-    for e in sorted(g.graph.oriented_edges()):
-        if g.graph.tau(e) == v:
-            fam.append((e, g.edge_words[e]))
+    fam = [(e, g.edge_words[e]) for e in sorted(g.graph.ends(v))]
     return g.vertex_rank[v], fam
 
 
@@ -366,9 +377,6 @@ class GogWord:
 
     def is_closed(self, g: GraphOfGroups) -> bool:
         return self.end_vertex(g) == self.start
-
-    def is_trivial_syllables(self) -> bool:
-        return all(w.is_identity() for w in self.syllables)
 
     def __str__(self):
         bits = []

@@ -385,12 +385,7 @@ def h1(g) -> AbelianGroup:
 
     The input must be connected.
     """
-    from . import gog as _gog
-
-    if hasattr(g, "total"):
-        g = g.total
-    roster, matrix = _gog.abelianized_presentation(g)
-    return cokernel(matrix)
+    return h1_mod_cyclic(g, ())
 
 
 def class_image(g, target) -> Tuple[int, ...]:
@@ -475,9 +470,6 @@ class TowerLedger:
 
     intro: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     rows: List[LedgerRow] = field(default_factory=list)
-
-    def tracked_primes(self) -> List[int]:
-        return sorted(self.intro)
 
 
 def ledger_update(

@@ -98,7 +98,7 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
             return False
 
     lookup2 = {
-        (m2.edge_map[d], ref.vertex, ref.least): d
+        (ref.edge, ref.vertex, ref.least): d
         for d, ref in m2.edge_assignment.items()
     }
 
@@ -112,7 +112,7 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
                 if sigma is None:
                     least = 0
                 else:
-                    el = m1._elev_by_ref(ref)
+                    el = m1.elevation_of[ref]
                     least = min(sigma[c] for c in el.cycle)
                 keys.append((end, target, least))
             d2 = lookup2.get(keys[0])

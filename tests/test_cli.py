@@ -123,6 +123,24 @@ class TestDocuments:
         with pytest.raises(cli.SchemaError, match="prime"):
             cli.parse_document(data, "doc")
 
+    @pytest.mark.parametrize("path", [HNN_F1, GENUS2, SEEDED, "piece"])
+    def test_libyaml_matches_pure_python(self, path, piece_file):
+        path = piece_file if path == "piece" else path
+        text = Path(path).read_text(encoding="utf-8")
+        doc = cli.load_document(path)
+        assert doc == yaml.safe_load(text)
+        assert cli.save_document(doc) == yaml.safe_dump(
+            doc, sort_keys=False, default_flow_style=None
+        )
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("format_version: 1\nkind: [gog\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and out == "" and err.startswith("error: %s: " % bad)
+        code, out, err = run(capsys, "elevations", SEEDED, "--vertex", "v", "--table", "[[0")
+        assert code == 1 and out == "" and err.startswith("error: --table: ")
+
 
 class TestCommands:
     def test_validate_gog(self, capsys):

@@ -209,7 +209,10 @@ class TestConstruction:
         bp, fwd, bwd = pairs["p0@0"]
         pairs["extra"] = (bp, fwd, bwd)
         dup = PrecoverMorphism(g, m.vertex_map, m.vertex_data, m.cyclic_index, pairs)
-        assert any("realized by 2" in p for p in validate_precover(dup))
+        assert validate_precover(dup) == [
+            "elevation %r realized by 2 edges" % (ref,) for ref in (fwd, bwd)
+        ]
+        assert (dup.realized[fwd], dup.realized[bwd]) == ("extra", "~extra")
 
     def test_wrong_orientation_rejected(self):
         g = seeded()
@@ -848,3 +851,83 @@ class TestIsomorphicOracle:
     def test_seeded_representatives_in_order(self):
         got = [representative_digest(m) for m in enumerate_covers(fixture("seeded_torsion"), 4)]
         assert got == SEEDED_INDEX4_REPRESENTATIVES
+
+
+# ---------------------------------------------------------------------------
+# The elevation index a morphism builds once, against uncached elevations.
+
+
+def expected_elevations(m):
+    """Every elevation over every lift and every end at its base vertex,
+    from ``cosets.elevations`` directly."""
+    gr = m.base.graph
+    out = {}
+    for v, b in m.vertex_map.items():
+        for e in gr.oriented_edges():
+            if gr.tau(e) != b:
+                continue
+            for el in elevations(m.vertex_table(v), m.base.edge_word(e)):
+                out[ElevationRef(v, e, el.cycle[0])] = el
+    return out
+
+
+class TestElevationIndex:
+    def check(self, m):
+        expected = expected_elevations(m)
+        assert m.elevation_of == expected
+        first = {}
+        for d in sorted(m.edge_assignment):
+            first.setdefault(m.edge_assignment[d], d)
+        assert m.realized == first
+        open_refs = sorted(
+            set(expected) - set(first), key=lambda r: (r.vertex, r.edge, r.least)
+        )
+        assert [s.ref for s in m.hanging] == open_refs
+        for s in m.hanging:
+            assert s.degree == expected[s.ref].degree
+            assert s.side == m.total.vertex_kind[s.vertex]
+        for v in m.vertex_map:
+            for e in m.base.graph.ends(m.vertex_map[v]):
+                assert m.elevs(v, e) == tuple(elevations(m.vertex_table(v), m.base.edge_word(e)))
+
+    def test_fixture_covers_and_their_detachments(self):
+        # Index <= 4 on seeded_torsion: the 34 representatives.
+        seeded4 = list(enumerate_covers(fixture("seeded_torsion"), 4))
+        assert len(seeded4) == 34
+        covers = seeded4 + [
+            m for name in ("hnn_f1", "genus2") for m in enumerate_covers(fixture(name), 3)
+        ]
+        hanging = 0
+        for m in covers:
+            self.check(m)
+            kinds = m.total.vertex_kind
+            for q in sorted(m.pair_spec):
+                ends = m.total.graph.iota(q), m.total.graph.tau(q)
+                if {kinds[v] for v in ends} != {"cyclic", "free"}:
+                    continue
+                d = detach_edge(m, q)
+                self.check(d)
+                hanging += len(d.hanging)
+        assert hanging > 0
+
+    def test_split_pieces(self, seeded_piece):
+        self.check(seeded_piece.morphism)
+        self.check(chain(seeded_piece, 3))
+
+
+class TestBaseCheckedOnce:
+    def test_invalid_base_still_rejected(self):
+        good = seeded()
+        for _ in range(2):
+            identity_cover(good)
+        trivial = amalgam(((2,), ()))
+        disconnected = GraphOfGroups(
+            SerreGraph(["v", "c"], {}), {"v": 2, "c": 1}, {"v": "free", "c": "cyclic"}, {}, "v"
+        )
+        for bad, why in ((trivial, "trivial word"), (disconnected, "not connected")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=why):
+                    PrecoverMorphism(
+                        bad, {"v@0": "v", "c@0": "c"},
+                        {"v@0": whole_group_table(2)}, {"c@0": 1}, {},
+                    )

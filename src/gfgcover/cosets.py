@@ -310,9 +310,9 @@ def pullback(pair: Pair, table: CosetTable) -> Pair:
 # Enumeration of subgroups up to conjugacy
 
 
-def _bfs_encoding(table: CosetTable, start: int) -> Tuple[int, ...]:
-    # Renumber cosets by first appearance scanning rows in (coset, generator)
-    # order from the given start, then flatten the renumbered action.
+def _bfs_encoding(table: CosetTable, start: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """Renumber cosets by first appearance from ``start``, rows read in
+    (coset, generator) order; returns (flat renumbered action, old -> new)."""
     n, r = table.size, table.rank
     order = [start]
     pos = {start: 0}
@@ -330,13 +330,13 @@ def _bfs_encoding(table: CosetTable, start: int) -> Tuple[int, ...]:
         old = order[i]
         for x in range(r):
             flat.append(pos[table.action[x][old]])
-    return tuple(flat)
+    return tuple(flat), pos
 
 
 def is_class_minimal(table: CosetTable) -> bool:
     """Whether this table is the canonical one in its conjugacy class."""
-    own = _bfs_encoding(table, 0)
-    return all(own <= _bfs_encoding(table, s) for s in range(1, table.size))
+    own = _bfs_encoding(table, 0)[0]
+    return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))
 
 
 def enumerate_subgroups(
@@ -516,7 +516,9 @@ def prescribe_degrees(
     cyclics, then images of small transitive actions) and returns the first
     hit; every elevation of targets[i] in the resulting table has degree
     scale * degrees[i].  With ``within``, only subgroups contained in the
-    given one are accepted.  Returns None when the schedule is exhausted.
+    given one are accepted.  Returns None when the schedule is exhausted,
+    and at once when two targets are one class up to inversion but have
+    different degrees.
 
     The abelian phases skip each modulus, or pair of moduli, in which some
     word's order is bounded by a number that degrees[i] does not divide
@@ -538,6 +540,11 @@ def prescribe_degrees(
         raise ValueError("need one positive degree per word")
     if within is not None and within.rank != rank:
         raise ValueError("rank mismatch with the ambient subgroup")
+    # A class and its inverse have equal orders in every quotient, so two
+    # targets equal up to inversion cannot take different degrees.
+    for (w1, d1), (w2, d2) in itertools.combinations(zip(words, degrees), 2):
+        if d1 != d2 and w2 in (w1, conj_canonical(w1.inverse()).canonical):
+            return None
 
     ab = [abelianize_word(w) for w in words]
     gcds = [math.gcd(*v) for v in ab]

@@ -19,14 +19,15 @@ one cycle with the least coset of the other is used throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .cosets import (
     CosetTable,
     Elevation,
+    _bfs_encoding,
     cyclic_table,
     elevations,
     enumerate_subgroups,
@@ -72,13 +73,12 @@ def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
     return tuple(elevations(table, word))
 
 
-@dataclass(frozen=True)
-class ElevationRef:
+class ElevationRef(NamedTuple):
     """Names one elevation: a total vertex, the tau-oriented base edge whose
     word elevates there, and the least coset of the elevation's cycle.
 
     At cyclic lifts the single elevation of each end is the full cycle, so
-    ``least`` is always 0 there.
+    ``least`` is always 0 there.  A named tuple hashes as fast as a tuple.
     """
 
     vertex: str
@@ -245,7 +245,7 @@ class PrecoverMorphism:
         for v in names:
             sums[self.vertex_map[v]] += self.vertex_index(v)
         self.sums: Dict[str, int] = sums
-        self._iso_key: Optional[tuple] = None
+        self._code: Optional[tuple] = None
 
     def vertex_table(self, v: str) -> CosetTable:
         """Coset table of a lift; cyclic lifts materialize theirs on demand."""
@@ -318,7 +318,7 @@ def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
         return v + suffix
 
     def rr(ref: ElevationRef) -> ElevationRef:
-        return replace(ref, vertex=rv(ref.vertex))
+        return ref._replace(vertex=rv(ref.vertex))
 
     return PrecoverMorphism(
         m.base,
@@ -350,15 +350,11 @@ def ensure_precover(m: PrecoverMorphism) -> None:
         raise ValueError("; ".join(problems))
 
 
-def ensure_cover(m: PrecoverMorphism) -> None:
+def degree(m: PrecoverMorphism) -> int:
+    """Covering degree of a connected cover."""
     problems = validate_cover(m)
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def degree(m: PrecoverMorphism) -> int:
-    """Covering degree of a connected cover."""
-    ensure_cover(m)
     if not m.total.graph.is_connected():
         raise ValueError("degree of a disconnected cover is not defined")
     return next(iter(m.sums.values()))
@@ -463,9 +459,9 @@ def _retarget(
         nf = rename.get((fwd.vertex, q))
         nb = rename.get((bwd.vertex, "~" + q))
         if nf is not None:
-            fwd = replace(fwd, vertex=nf)
+            fwd = fwd._replace(vertex=nf)
         if nb is not None:
-            bwd = replace(bwd, vertex=nb)
+            bwd = bwd._replace(vertex=nb)
         out[q] = (bp, fwd, bwd)
     return out
 
@@ -592,8 +588,8 @@ def _close_open_ends(
     ``pools`` holds the open free-side elevations per oriented base edge
     (keyed by the edge whose tau end they realize).  ``demands`` are
     existing cyclic lifts with unrealized ends; ``budgets`` caps the total
-    index of new cyclic lifts per base cyclic vertex, exactly.  Yields
-    (new cyclic lifts as name -> (base vertex, index), new pair triples).
+    index of new cyclic lifts per base cyclic vertex, exactly.  Yields, in
+    reused containers, (new cyclic lifts: name -> (base, index), new triples).
     """
     gr = base.graph
     consumed: Set[ElevationRef] = set()
@@ -694,7 +690,7 @@ def _close_open_ends(
 
     def do_pairs(pi: int) -> Iterator[None]:
         if pi == len(free_pairs):
-            yield new_cyclic.copy(), list(out_pairs)
+            yield new_cyclic, out_pairs
             return
         p = free_pairs[pi]
         fwd_open = open_entries(p)
@@ -767,23 +763,26 @@ def _extensions(
     sep: str,
     counter: List[int],
     cap: Optional[int],
-) -> Iterator[PrecoverMorphism]:
+) -> Iterator[tuple]:
     """Every cover of degree ``target`` containing the precover ``m``
-    (None: the empty precover), in matching-engine order.
+    (None: the empty precover), in matching-engine order, as the raw data
+    ``_assemble`` turns into a morphism: new free lifts (name -> (base
+    vertex, table)), new cyclic lifts (name -> (base vertex, index)) and
+    new pair triples, in containers the search reuses once resumed.
 
     New free lifts run over the subgroup catalog, one multiset per free
-    base vertex; then the open ends, hanging slots of ``m`` included, are
-    closed by ``_close_open_ends``.  New free lifts and new pairs are named
-    ``<base><sep><k>``, counting k up and skipping names already in use.
+    base vertex, named ``<base><sep><k>`` with k counting up past names
+    already in use; then the open ends, hanging slots of ``m`` included,
+    are closed by ``_close_open_ends``.
     """
     gr = g.graph
     free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
     cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
     if m is None:
-        m_map, m_data, m_index, m_pairs = {}, {}, {}, {}
+        m_map, m_index = {}, {}
         sums, hanging = dict.fromkeys(gr.vertices, 0), ()
     else:
-        m_map, m_data, m_index, m_pairs = m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec
+        m_map, m_index = m.vertex_map, m.cyclic_index
         sums, hanging = m.sums, m.hanging
 
     hang_pool: Dict[str, List[Tuple[ElevationRef, int]]] = {}
@@ -796,9 +795,6 @@ def _extensions(
     demands = [(v, m_index[v], tuple(ends)) for v, ends in open_cyclic.items()]
     budgets = {c: target - sums[c] for c in cyclic_vs}
 
-    def name(b: str, k: int) -> str:
-        return "%s%s%d" % (b, sep, k)
-
     per_vertex = [_vertex_multisets(g.rank(v), target - sums[v]) for v in free_vs]
     for combo in itertools.product(*per_vertex):
         _tick(counter, cap)
@@ -806,9 +802,9 @@ def _extensions(
         for v, multiset in zip(free_vs, combo):
             k = 0
             for _, _, t in multiset:
-                while name(v, k) in m_map:
+                while "%s%s%d" % (v, sep, k) in m_map:
                     k += 1
-                new_free[name(v, k)] = (v, t)
+                new_free["%s%s%d" % (v, sep, k)] = (v, t)
                 k += 1
         pools = _free_pool(g, new_free)
         for e, entries in hang_pool.items():
@@ -819,37 +815,92 @@ def _extensions(
         for new_cyclic, triples in _close_open_ends(
             g, pools, demands, budgets, taken, counter, cap
         ):
-            vertex_map = dict(m_map)
-            vertex_data = dict(m_data)
-            cyclic_index = dict(m_index)
-            for v, (b, t) in new_free.items():
-                vertex_map[v] = b
-                vertex_data[v] = t
-            for v, (c, d) in new_cyclic.items():
-                vertex_map[v] = c
-                cyclic_index[v] = d
-            pairs = dict(m_pairs)
-            seq: Dict[str, int] = {}
-            for bp, fwd, bwd in triples:
-                k = seq.get(bp, 0)
-                while name(bp, k) in pairs:
-                    k += 1
-                seq[bp] = k + 1
-                pairs[name(bp, k)] = (bp, fwd, bwd)
-            out = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
-            assert not validate_cover(out), validate_cover(out)
-            yield out
+            yield new_free, new_cyclic, triples
 
 
-def _candidate_covers(
+def _assemble(
+    g: GraphOfGroups, m: Optional[PrecoverMorphism], sep: str, raw: tuple
+) -> PrecoverMorphism:
+    """The cover ``m`` (None: empty) plus one raw ``_extensions`` result,
+    new pairs named ``<base pair><sep><k>`` with k counting up past names
+    already in use."""
+    new_free, new_cyclic, triples = raw
+    vertex_map = dict(m.vertex_map) if m else {}
+    vertex_data = dict(m.vertex_data) if m else {}
+    cyclic_index = dict(m.cyclic_index) if m else {}
+    pairs = dict(m.pair_spec) if m else {}
+    for v, (b, t) in new_free.items():
+        vertex_map[v] = b
+        vertex_data[v] = t
+    for v, (c, d) in new_cyclic.items():
+        vertex_map[v] = c
+        cyclic_index[v] = d
+    seq: Dict[str, int] = {}
+    for bp, fwd, bwd in triples:
+        k = seq.get(bp, 0)
+        while "%s%s%d" % (bp, sep, k) in pairs:
+            k += 1
+        seq[bp] = k + 1
+        pairs["%s%s%d" % (bp, sep, k)] = (bp, fwd, bwd)
+    out = PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
+    assert not validate_cover(out), validate_cover(out)
+    return out
+
+
+def _degree_covers(
     g: GraphOfGroups, n: int, counter: List[int], cap: Optional[int]
 ) -> Iterator[PrecoverMorphism]:
-    """Connected covers of degree n in matching-engine order, before any
-    isomorphism dedup, so one class may come up many times."""
-    for m in _extensions(g, None, n, "@", counter, cap):
-        if m.total.graph.is_connected():
-            assert euler_characteristic(m.total) == n * euler_characteristic(g)
-            yield m
+    """Connected covers of degree n in matching-engine order, a candidate
+    built only when its canonical code is new (the first of its class)."""
+    seen: Set[tuple] = set()
+    for raw in _extensions(g, None, n, "@", counter, cap):
+        new_free, new_cyclic, triples = raw
+        lifts = itertools.chain(new_free.items(), new_cyclic.items())
+        code = _code(g, lifts, triples, connected_only=True)
+        if code is None or code in seen:
+            continue
+        seen.add(code)
+        m = _assemble(g, None, "@", raw)
+        assert euler_characteristic(m.total) == n * euler_characteristic(g)
+        m._code = code
+        yield m
+
+
+class CoverCensus:
+    """The connected covers of one base, enumerated once and replayed:
+    ``covers(max_index)`` yields what ``enumerate_covers(g, max_index,
+    cap)`` yields.  Each degree is searched once, as far as some caller has
+    read.  One node counter serves all callers, so the budget runs out at
+    the same cover as in a fresh enumeration, and stays spent."""
+
+    def __init__(self, g: GraphOfGroups, cap: Optional[int] = None):
+        ensure_valid(g)
+        _check_base_shape(g)
+        self.base, self._cap, self._counter = g, cap, [0]
+        self._degrees: Dict[int, Tuple[List[PrecoverMorphism], Optional[Iterator]]] = {}
+        self._failure: Optional[BudgetExceededError] = None
+
+    def covers(self, max_index: int) -> Iterator[PrecoverMorphism]:
+        for n in range(1, max_index + 1):
+            if n not in self._degrees:
+                self._degrees[n] = ([], _degree_covers(self.base, n, self._counter, self._cap))
+            found, search = self._degrees[n]
+            for i in itertools.count():
+                if i == len(found):
+                    if search is None:
+                        break
+                    if self._failure is not None:
+                        raise BudgetExceededError(str(self._failure))
+                    try:
+                        m = next(search, None)
+                    except BudgetExceededError as exc:
+                        self._failure = exc
+                        raise
+                    if m is None:
+                        self._degrees[n] = (found, None)
+                        break
+                    found.append(m)
+                yield found[i]
 
 
 def enumerate_covers(
@@ -859,166 +910,190 @@ def enumerate_covers(
     class, in ascending degree.
 
     Free lifts run over the subgroup catalog; cyclic lifts are created to
-    order while matching elevation ends.  Each candidate is kept when it is
-    isomorphic to no cover found so far with the same ``_iso_invariant``;
-    the first candidate of a class is its representative.  Elevations of
-    catalog tables and table isomorphisms are memoised for the life of the
-    process.  Raises BudgetExceededError when the search exceeds ``cap``
-    nodes.
+    order while matching elevation ends.  A candidate whose
+    ``canonical_code`` was already seen is dropped before any morphism is
+    built, so the first candidate of each class represents it.  Raises
+    BudgetExceededError when the search exceeds ``cap`` nodes.
     """
-    ensure_valid(g)
-    _check_base_shape(g)
-    counter = [0]
-    for n in range(1, max_index + 1):
-        found: Dict[tuple, List[PrecoverMorphism]] = {}
-        for m in _candidate_covers(g, n, counter, cap):
-            bucket = found.setdefault(_iso_invariant(m), [])
-            if any(isomorphic(m, other) for other in bucket):
-                continue
-            bucket.append(m)
-            yield m
+    yield from CoverCensus(g, cap).covers(max_index)
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism of morphisms over a common base.
+# Canonical codes of morphisms over a common base.
 
 
 @lru_cache(maxsize=None)
-def _table_iso_list(t1: CosetTable, t2: CosetTable) -> Tuple[Tuple[int, ...], ...]:
-    """Equivariant coset bijections (not required to fix coset 0)."""
-    if t1.size != t2.size or t1.rank != t2.rank:
-        return ()
-    n = t1.size
-    letters = [x for i in range(1, t1.rank + 1) for x in (i, -i)]
-    out = []
-    for s0 in range(n):
-        sigma: List[Optional[int]] = [None] * n
-        sigma[0] = s0
-        queue = [0]
-        ok = True
-        while queue and ok:
-            i = queue.pop()
-            for x in letters:
-                j = t1.act(i, x)
-                sj = t2.act(sigma[i], x)
-                if sigma[j] is None:
-                    sigma[j] = sj
-                    queue.append(j)
-                elif sigma[j] != sj:
-                    ok = False
-                    break
-        if ok and len(set(sigma)) == n:
-            out.append(tuple(sigma))
-    return tuple(out)  # type: ignore[arg-type]
+def _lift_code(g: GraphOfGroups, b: str, data) -> tuple:
+    """(descriptor, choices, starts, arrivals) of a lift of b with coset
+    table ``data``, or with index ``data`` at a cyclic vertex; memoised.
+
+    The descriptor is b with the table's class-minimal encoding (least
+    ``cosets._bfs_encoding``) or the index.  Each renumbering rho attaining
+    that encoding (an isomorphism onto the class-minimal table) gives one
+    choice (ports, labels): ``labels`` maps each elevation, keyed (edge,
+    least coset), to its least coset under rho, and ``ports`` lists (edge,
+    label, least coset) in order.  ``starts`` are the choices with the
+    least port list, and ``arrivals`` maps each elevation to its least
+    label and the choices of least port list among those giving it.
+    """
+    ends = sorted(g.graph.ends(b))
+    if isinstance(data, int):
+        key, choices = data, [(tuple((e, 0, 0) for e in ends), {(e, 0): 0 for e in ends})]
+    else:
+        encodings = [_bfs_encoding(data, s) for s in range(data.size)]
+        key = min(enc for enc, _ in encodings)
+        choices = []
+        for rho in (rho for enc, rho in encodings if enc == key):
+            labels = {
+                (e, el.cycle[0]): min(rho[c] for c in el.cycle)
+                for e in ends
+                for el in _elevations(data, g.edge_word(e))
+            }
+            choices.append((tuple(sorted((e, lab, c) for (e, c), lab in labels.items())), labels))
+    lists = sorted({tuple(p[:2] for p in ports) for ports, _ in choices})
+    rank = [lists.index(tuple(p[:2] for p in ports)) for ports, _ in choices]
+    arrivals = {}
+    for end in choices[0][1]:
+        keys = [(labels[end], r) for (_, labels), r in zip(choices, rank)]
+        low = min(keys)
+        arrivals[end] = (low[0], tuple(k for k, x in enumerate(keys) if x == low))
+    starts = tuple(k for k, r in enumerate(rank) if r == 0)
+    return (b, key), tuple(choices), starts, arrivals
 
 
-def _iso_invariant(m: PrecoverMorphism) -> tuple:
-    """Lifts, pairs and hanging slots counted per base object: equal for
-    isomorphic morphisms over one base."""
-    if m._iso_key is None:
-        m._iso_key = (
-            tuple(sorted(
-                (b, m.total.vertex_kind[v], m.vertex_index(v))
-                for v, b in m.vertex_map.items()
-            )),
-            tuple(sorted(bp for bp, _, _ in m.pair_spec.values())),
-            tuple(sorted((s.edge, s.side, s.degree) for s in m.hanging)),
-        )
-    return m._iso_key
+def _component_code(
+    lifts: Sequence[str], info: Dict[str, tuple], partner: Dict[ElevationRef, ElevationRef]
+) -> Optional[tuple]:
+    """The least breadth-first code of a component, or None when a walk
+    from one of its roots reaches fewer than all of ``lifts``.
+
+    The roots are the lifts of the descriptor with the fewest starting
+    choices (lifts times ``starts``; the least descriptor on a tie).  A
+    walk starts at a root with one of its ``starts``, numbers lifts as it
+    reaches them and lists, per lift, its descriptor and then its ports in
+    (edge, label) order, each with its partner's number and label, or
+    (-1, -1) when it hangs.  A newly reached lift takes the ``arrivals``
+    choices of its arrival port; more than one forks the walk.  A walk is
+    dropped once its code exceeds the least so far.
+    """
+    by_desc: Dict[tuple, List[str]] = {}
+    for v in lifts:
+        by_desc.setdefault(info[v][0], []).append(v)
+    roots = by_desc[min(by_desc, key=lambda d: (len(by_desc[d]) * len(info[by_desc[d][0]][2]), d))]
+    best: Optional[list] = None
+    pending = [([r], {r: 0}, [k], [], 0, 0) for r in roots for k in info[r][2]]
+    while pending:
+        # Walks pop last in, first out, and fork only after their last token
+        # is level with or below the least code, which then shares their
+        # prefix: a popped walk's code so far is a prefix of the least code.
+        order, num, sig, code, i, p = pending.pop()
+        less = best is None
+        dead = False
+        while i < len(order) and not dead:
+            v = order[i]
+            desc, choices = info[v][:2]
+            ports = choices[sig[i]][0]
+            while p <= len(ports):
+                ks = ()
+                if p == 0:
+                    tok = desc
+                else:
+                    e, lab, least = ports[p - 1]
+                    far = partner.get((v, e, least))
+                    if far is None:
+                        tok = (e, lab, -1, -1)
+                    else:
+                        w, fe, fl = far
+                        j = num.get(w)
+                        if j is not None:
+                            tok = (e, lab, j, info[w][1][sig[j]][1][fe, fl])
+                        else:
+                            low, ks = info[w][3][fe, fl]
+                            j = num[w] = len(order)
+                            order.append(w)
+                            sig.append(ks[0])
+                            tok = (e, lab, j, low)
+                p += 1
+                if not less:
+                    old = best[len(code)]
+                    if tok != old:
+                        if tok > old:
+                            dead = True
+                            break
+                        less = True
+                for k in ks[1:]:
+                    pending.append((order.copy(), num.copy(), sig[:j] + [k], code + [tok], i, p))
+                code.append(tok)
+            i += 1
+            p = 0
+        if dead:
+            continue
+        if best is None and len(order) < len(lifts):
+            return None
+        if less:
+            best = code
+    return tuple(best)
+
+
+def _code(g: GraphOfGroups, lifts, triples, connected_only: bool = False) -> Optional[tuple]:
+    """The sorted tuple of component codes of the lifts (name -> (base
+    vertex, table or cyclic index)) joined by the pair triples; None for a
+    disconnected total when ``connected_only``."""
+    info = {v: _lift_code(g, b, data) for v, (b, data) in lifts}
+    partner: Dict[ElevationRef, ElevationRef] = {}
+    for _, f, b in triples:
+        if f in partner or b in partner:
+            raise ValueError("canonical codes need each elevation realized at most once")
+        partner[f] = b
+        partner[b] = f
+    code = _component_code(list(info), info, partner)
+    if code is not None:
+        return (code,)
+    if connected_only:
+        return None
+    codes = []
+    left = set(info)
+    while left:
+        comp = [min(left)]
+        left.remove(comp[0])
+        for v in comp:
+            for e, _, least in info[v][1][0][0]:
+                far = partner.get((v, e, least))
+                if far is not None and far[0] in left:
+                    left.remove(far[0])
+                    comp.append(far[0])
+        codes.append(_component_code(comp, info, partner))
+    return tuple(sorted(codes))
+
+
+def canonical_code(m: PrecoverMorphism) -> tuple:
+    """A code two morphisms over one base share exactly when they are
+    ``isomorphic``; cached on m, which must realize each elevation at most
+    once (as every precover does).
+
+    Each component is coded by breadth-first walks over its lifts, in the
+    style of Sims' standard coset tables: free lifts' cosets are renumbered
+    onto the class-minimal table, elevations are labelled by their least
+    renumbered coset, and each port records its partner's walk number and
+    label (``_component_code``).
+    """
+    if m._code is None:
+        data = itertools.chain(m.vertex_data.items(), m.cyclic_index.items())
+        lifts = ((v, (m.vertex_map[v], d)) for v, d in data)
+        m._code = _code(m.base, lifts, m.pair_spec.values())
+    return m._code
 
 
 def isomorphic(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
-    """Whether two morphisms differ only by renaming lifts compatibly.
-
-    Searches for a fiberwise bijection: a table isomorphism per free lift
-    and an index-preserving matching of cyclic lifts, carrying every edge
-    assignment of one morphism onto the other.  Basepoints are ignored and
-    the totals may be disconnected.
-
-    Lifts of m1 are assigned in breadth-first order over its total graph,
-    each component rooted at its least name.  Each total pair is checked
-    as soon as both of its ends are mapped, so a wrong branch fails at its
-    first mismatched edge, not after a full assignment.  Table
-    isomorphisms are memoised per table pair.
+    """Whether two morphisms differ only by renaming lifts compatibly: a
+    fiberwise bijection of lifts, with a table isomorphism per free lift
+    and equal indices at cyclic lifts, carrying every edge assignment of
+    one onto the other.  Basepoints are ignored and the totals may be
+    disconnected.  Decided as equal bases and equal ``canonical_code``s.
     """
     if m1 is m2:
         return True
-    if not _same_base(m1.base, m2.base):
-        return False
-    if _iso_invariant(m1) != _iso_invariant(m2):
-        return False
-
-    gr1 = m1.total.graph
-    order: List[str] = []
-    pos: Dict[str, int] = {}
-    for root in sorted(m1.vertex_map):
-        if root in pos:
-            continue
-        i = len(order)
-        pos[root] = i
-        order.append(root)
-        while i < len(order):
-            for e in gr1.star(order[i]):
-                w = gr1.tau(e)
-                if w not in pos:
-                    pos[w] = len(order)
-                    order.append(w)
-            i += 1
-
-    # Each end of a pair is (oriented base edge, m1 lift, elevation cycle
-    # or None at a cyclic lift); the pair is checked at its later end.
-    checks: List[list] = [[] for _ in order]
-    kinds = m1.total.vertex_kind
-    for bp, fwd, bwd in m1.pair_spec.values():
-        ends = []
-        for ref, end in ((fwd, bp), (bwd, reverse_edge(bp))):
-            cycle = None
-            if kinds[ref.vertex] == "free":
-                cycle = m1.elevation_of[ref].cycle
-            ends.append((end, ref.vertex, cycle))
-        checks[max(pos[fwd.vertex], pos[bwd.vertex])].append(tuple(ends))
-
-    lookup2 = {
-        (ref.edge, ref.vertex, ref.least): d for d, ref in m2.edge_assignment.items()
-    }
-    candidates = {b: m2.lifts_over(b) for b in m1.base.graph.vertices}
-    phi: Dict[str, Tuple[str, Optional[Tuple[int, ...]]]] = {}
-    used: Set[str] = set()
-
-    def key(end: str, v: str, cycle: Optional[Tuple[int, ...]]) -> Tuple[str, str, int]:
-        target, sigma = phi[v]
-        if cycle is None:
-            return (end, target, 0)
-        return (end, target, min(sigma[c] for c in cycle))
-
-    def pair_matches(fwd_end, bwd_end) -> bool:
-        d2 = lookup2.get(key(*fwd_end))
-        return d2 is not None and lookup2.get(key(*bwd_end)) == reverse_edge(d2)
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        free = kinds[v] == "free"
-        for w in candidates[m1.vertex_map[v]]:
-            if w in used:
-                continue
-            if free:
-                sigmas = _table_iso_list(m1.vertex_data[v], m2.vertex_data[w])
-            elif m1.cyclic_index[v] == m2.cyclic_index[w]:
-                sigmas = (None,)
-            else:
-                continue
-            used.add(w)
-            for sigma in sigmas:
-                phi[v] = (w, sigma)
-                if all(pair_matches(*ends) for ends in checks[i]) and assign(i + 1):
-                    return True
-            used.remove(w)
-        phi.pop(v, None)
-        return False
-
-    return assign(0)
+    return _same_base(m1.base, m2.base) and canonical_code(m1) == canonical_code(m2)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,8 +1119,8 @@ def complete(
     for target in itertools.count(max(m.sums.values())):
         if sum(target - s for s in m.sums.values()) > bound:
             return None
-        for out in _extensions(m.base, m, target, "+", counter, cap):
-            return out
+        for raw in _extensions(m.base, m, target, "+", counter, cap):
+            return _assemble(m.base, m, "+", raw)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,8 +1176,11 @@ def find_torsion_piece(
     p-torsion in first homology.  Returns the first hit, or None.
     """
     _check_prime(p)
-    ensure_valid(g)
-    for m in enumerate_covers(g, max_index, cap):
+    return _torsion_piece_in(CoverCensus(g, cap).covers(max_index), p)
+
+
+def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
+    for m in covers:
         for v in sorted(m.cyclic_index):
             incident = sorted(
                 d for d, ref in m.edge_assignment.items() if ref.vertex == v
@@ -1338,7 +1416,8 @@ def _tower_step(
 ) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
     word = _nth_nontrivial_word(b, n, bounds.max_word_length)
 
-    piece = find_torsion_piece(b, p, bounds.max_piece_index, cap=budget)
+    census = CoverCensus(b, budget)
+    piece = _torsion_piece_in(census.covers(bounds.max_piece_index), p)
     if piece is None:
         raise _StageFailure(
             "piece", "no p=%d torsion piece within index %d" % (p, bounds.max_piece_index)
@@ -1363,7 +1442,7 @@ def _tower_step(
 
     chosen = None
     fallback = None
-    for cover in enumerate_covers(b, bounds.max_cover_index, cap=budget):
+    for cover in census.covers(bounds.max_cover_index):
         sites = []
         for q, (bp, fwd, bwd) in sorted(cover.pair_spec.items()):
             if bp != pair_of(e1):

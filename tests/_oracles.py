@@ -4,7 +4,14 @@
 precover morphisms: it tries every fiberwise assignment of lifts, with
 table isomorphisms regenerated on every branch, and checks the edge
 assignments only once every lift is mapped.  ``gfgcover.covers.isomorphic``
-must give the same yes/no answer on every pair of morphisms.
+(equal canonical codes) must give the same yes/no answer on every pair of
+morphisms.
+
+``candidate_covers`` builds every connected cover the matching engine
+finds, before any dedup; ``enumerate_covers_oracle`` dedups them by
+``isomorphic_oracle`` within buckets of equal lift, pair and slot counts,
+keeping the first of each class.  ``gfgcover.covers.enumerate_covers`` must
+yield the same representatives in the same order.
 
 ``enumerate_closed_words_oracle`` runs one depth-first pass to the length
 cap and sorts all its words by length; ``gfgcover.gog.enumerate_closed_words``
@@ -36,8 +43,10 @@ from gfgcover.cosets import (
     regular_table,
     subgroup_contains,
 )
-from gfgcover.covers import PrecoverMorphism, _same_base
-from gfgcover.gog import GogWord, GraphOfGroups, is_nontrivial, reverse_edge, word_length
+from gfgcover.covers import PrecoverMorphism, _assemble, _extensions, _same_base
+from gfgcover.gog import (
+    GogWord, GraphOfGroups, euler_characteristic, is_nontrivial, reverse_edge, word_length,
+)
 from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, power_of
 
 
@@ -153,6 +162,46 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
         return False
 
     return assign(0, 0, set())
+
+
+def candidate_covers(
+    g: GraphOfGroups, n: int, counter: Optional[List[int]] = None, cap: Optional[int] = None
+) -> Iterator[PrecoverMorphism]:
+    """Connected covers of degree n in matching-engine order, before any
+    isomorphism dedup, so one class may come up many times."""
+    for raw in _extensions(g, None, n, "@", [0] if counter is None else counter, cap):
+        m = _assemble(g, None, "@", raw)
+        if m.total.graph.is_connected():
+            assert euler_characteristic(m.total) == n * euler_characteristic(g)
+            yield m
+
+
+def _invariant(m: PrecoverMorphism) -> tuple:
+    """Lifts, pairs and hanging slots counted per base object: equal for
+    isomorphic morphisms over one base."""
+    return (
+        tuple(sorted(
+            (b, m.total.vertex_kind[v], m.vertex_index(v)) for v, b in m.vertex_map.items()
+        )),
+        tuple(sorted(bp for bp, _, _ in m.pair_spec.values())),
+        tuple(sorted((s.edge, s.side, s.degree) for s in m.hanging)),
+    )
+
+
+def enumerate_covers_oracle(
+    g: GraphOfGroups, max_index: int, cap: Optional[int] = None
+) -> Iterator[PrecoverMorphism]:
+    """Every candidate, kept when ``isomorphic_oracle`` finds it isomorphic
+    to no earlier one of its bucket; one node counter for all degrees."""
+    counter = [0]
+    for n in range(1, max_index + 1):
+        found: Dict[tuple, List[PrecoverMorphism]] = {}
+        for m in candidate_covers(g, n, counter, cap):
+            bucket = found.setdefault(_invariant(m), [])
+            if any(isomorphic_oracle(m, other) for other in bucket):
+                continue
+            bucket.append(m)
+            yield m
 
 
 def enumerate_closed_words_oracle(g: GraphOfGroups, max_length: int) -> Iterator[GogWord]:
@@ -297,3 +346,4 @@ def prescribe_degrees_oracle(
             if res is not None:
                 return res
     return None
+

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -341,6 +342,31 @@ class TestPrescribe:
             got = prescribe_degrees(2, [w], (6,), **caps)
             assert got == prescribe_degrees_oracle(2, [w], (6,), **caps)
             assert got.quotient == "Z/2 x Z/3 (order 6)"
+
+    def test_targets_equal_up_to_inversion(self):
+        a, b = Word((1,), 2), Word((2,), 2)
+        comm = Word((1, 2, -1, -2), 2)
+        caps = dict(max_modulus=12, max_pair_modulus=4, max_perm_index=4)
+        same = [
+            [a, a], [a, a.inverse()], [a * b, b * a], [a * b, (b * a).inverse()],
+            [comm, comm.inverse()], [a, b, a.inverse()],
+        ]
+        for targets in same:
+            for degrees in itertools.product((1, 2, 3), repeat=len(targets)):
+                got = prescribe_degrees(2, targets, degrees, **caps)
+                assert got == prescribe_degrees_oracle(2, targets, degrees, **caps)
+                if len(set(degrees)) == 1:
+                    assert got is not None, (targets, degrees)
+
+    def test_contradictory_degrees_fail_fast(self):
+        a = Word((1,), 2)
+        for targets in ([a, a], [a, a.inverse()]):
+            start = time.perf_counter()
+            assert prescribe_degrees(2, targets, (2, 3)) is None
+            assert time.perf_counter() - start < 0.01
+        # The check comes after the input checks.
+        with pytest.raises(ValueError):
+            prescribe_degrees(2, [a, a], (2, 0))
 
     def test_rank3_commutator_default_caps(self):
         w = Word((1, 2, -1, -2), 3)

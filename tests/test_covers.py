@@ -4,17 +4,20 @@ import random
 from pathlib import Path
 
 import pytest
-from _oracles import isomorphic_oracle
+from _oracles import candidate_covers, enumerate_covers_oracle, isomorphic_oracle
 
+import gfgcover.covers as covers_module
 from gfgcover.cli import gog_from_payload, load_document
 from gfgcover.cosets import CosetTable, elevations, whole_group_table
 from gfgcover.covers import (
+    CoverCensus,
     ElevationRef,
     ExitsAt,
     InSubgroup,
     PrecoverMorphism,
     TowerBounds,
     build_tower,
+    canonical_code,
     chain,
     complete,
     degree,
@@ -32,7 +35,6 @@ from gfgcover.covers import (
     validate_cover,
     validate_precover,
     with_basepoint,
-    _candidate_covers,
 )
 from gfgcover.errors import BudgetExceededError
 from gfgcover.gog import (
@@ -752,8 +754,8 @@ class TestIsomorphic:
 
 
 # ---------------------------------------------------------------------------
-# The pruned isomorphism test against the unpruned oracle, and the order in
-# which enumeration yields its representatives.
+# The code-based isomorphism test against the unpruned oracle, and the order
+# in which enumeration yields its representatives.
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -764,19 +766,23 @@ def fixture(name):
 
 def candidate_sets():
     """Connected same-degree covers as they reach enumeration's dedup step,
-    plus the hand-built one-loop censuses before their dedup."""
+    alone and with copies whose tables are off the catalog, plus the
+    hand-built one-loop censuses before their dedup."""
     for name in ("seeded_torsion", "hnn_f1", "genus2"):
         g = fixture(name)
         for n in range(1, 4):
-            yield "%s/%d" % (name, n), list(_candidate_covers(g, n, [0], None))
-    yield "seeded_torsion/4", list(_candidate_covers(fixture("seeded_torsion"), 4, [0], None))
+            yield "%s/%d" % (name, n), list(candidate_covers(g, n))
+    yield "seeded_torsion/4", list(candidate_covers(fixture("seeded_torsion"), 4))
+    for name, n in (("seeded_torsion", 4), ("genus2", 2)):
+        ms = list(candidate_covers(fixture(name), n))
+        yield "%s/relabelled%d" % (name, n), ms + [relabelled(m, i) for i, m in enumerate(ms)]
     for name, g, top in (("bs11", bs11(), 2), ("bs13", bs13(), 3), ("f2loop", f2loop(), 3)):
         by_degree = {}
         for m in loop_cover_candidates(g, top):
             by_degree.setdefault(next(iter(m.sums.values())), []).append(m)
         for n, ms in sorted(by_degree.items()):
             yield "%s/loop%d" % (name, n), ms
-            yield "%s/mixed%d" % (name, n), ms + list(_candidate_covers(g, n, [0], None))
+            yield "%s/mixed%d" % (name, n), ms + list(candidate_covers(g, n))
 
 
 # sha1 of each representative enumerate_covers(seeded_torsion, 4) yields,
@@ -851,6 +857,181 @@ class TestIsomorphicOracle:
     def test_seeded_representatives_in_order(self):
         got = [representative_digest(m) for m in enumerate_covers(fixture("seeded_torsion"), 4)]
         assert got == SEEDED_INDEX4_REPRESENTATIVES
+
+
+def relabelled(m, seed):
+    """m with every free lift's cosets renumbered by a random permutation,
+    so its tables leave the catalog; refs follow their cycles."""
+    rng = random.Random(seed)
+    perms = {}
+    for v, t in m.vertex_data.items():
+        pi = list(range(t.size))
+        rng.shuffle(pi)
+        perms[v] = pi
+    tables = {}
+    for v, t in m.vertex_data.items():
+        pi = perms[v]
+        rows = []
+        for row in t.action:
+            moved = [0] * t.size
+            for i, j in enumerate(row):
+                moved[pi[i]] = pi[j]
+            rows.append(tuple(moved))
+        tables[v] = CosetTable(t.rank, tuple(rows))
+
+    def move(ref):
+        if ref.vertex not in perms:
+            return ref
+        return ref._replace(least=min(perms[ref.vertex][c] for c in m.elevation_of[ref].cycle))
+
+    pairs = {q: (bp, move(f), move(b)) for q, (bp, f, b) in m.pair_spec.items()}
+    return PrecoverMorphism(m.base, m.vertex_map, tables, m.cyclic_index, pairs)
+
+
+class TestCanonicalCode:
+    def test_enumeration_matches_oracle(self):
+        for name, top in (("seeded_torsion", 3), ("hnn_f1", 3), ("genus2", 3),
+                          ("seeded_torsion", 4)):
+            g = fixture(name)
+            got = [representative_digest(m) for m in enumerate_covers(g, top)]
+            assert got == [representative_digest(m) for m in enumerate_covers_oracle(g, top)]
+
+    def test_one_morphism_built_per_cover(self, monkeypatch):
+        built = []
+        init = PrecoverMorphism.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrecoverMorphism, "__init__", counting)
+        for name, top in (("seeded_torsion", 4), ("genus2", 3)):
+            built.clear()
+            covers = list(enumerate_covers(fixture(name), top))
+            assert len(built) == len(covers) and all(a is b for a, b in zip(built, covers))
+
+    def test_names_basepoints_and_labels_do_not_count(self):
+        off_catalog = 0
+        for i, m in enumerate(enumerate_covers(seeded(), 3)):
+            code = canonical_code(m)
+            assert canonical_code(rename_total(m, "!r")) == code
+            for v in m.lifts_over(m.base.base_vertex):
+                assert canonical_code(with_basepoint(m, v)) == code
+            other = relabelled(m, i)
+            off_catalog += other.vertex_data != m.vertex_data
+            assert canonical_code(other) == code and isomorphic_oracle(other, m)
+        assert off_catalog > 5
+
+    def test_disconnected_code_sorts_components(self):
+        ms = list(enumerate_covers(seeded(), 2))
+        a, b = ms[0], ms[-1]
+        ab = splice([a, rename_total(b, "!b")], [])
+        ba = splice([b, rename_total(a, "!a")], [])
+        assert canonical_code(ab) == canonical_code(ba)
+        assert canonical_code(ab) == tuple(sorted(canonical_code(a) + canonical_code(b)))
+
+    def test_walk_that_loses_at_a_fork_is_dropped_with_its_forks(self):
+        # Lifts r1, r2 of one vertex (ports a, b) and x, y of another, whose
+        # three elevations "~a" 0, 1, 2 have two automorphisms, the identity
+        # and the swap of 0 and 1.  Arriving at elevation 2 forks the walk.
+        # From r1: x arrives at 0, y at 0, then r2.  From r2: y arrives at 2
+        # (a fork) and loses to r1's walk there, so r2's forks must lose
+        # too, although r2's hanging port b reads less than r1's port b.
+        def lift(desc, perms):
+            ends = sorted({end for perm in perms for end in perm})
+            choices = tuple(
+                (tuple(sorted((e, perm[e, c], c) for e, c in ends)), perm) for perm in perms
+            )
+            arrivals = {}
+            for end in ends:
+                low = min(perm[end] for perm in perms)
+                arrivals[end] = (low, tuple(k for k, perm in enumerate(perms) if perm[end] == low))
+            return desc, choices, tuple(range(len(perms))), arrivals
+
+        r = lift(("r", 0), [{("a", 0): 0, ("b", 0): 0}])
+        x = lift(("x", 0), [{("~a", c): c for c in range(3)},
+                            {("~a", 0): 1, ("~a", 1): 0, ("~a", 2): 2}])
+        info = {"r1": r, "r2": r, "x": x, "y": x}
+        partner = {}
+        for one, two in ((("r1", "a", 0), ("x", "~a", 0)), (("r1", "b", 0), ("y", "~a", 0)),
+                         (("r2", "a", 0), ("y", "~a", 2))):
+            partner[ElevationRef(*one)] = ElevationRef(*two)
+            partner[ElevationRef(*two)] = ElevationRef(*one)
+        from_r1 = (
+            ("r", 0), ("a", 0, 1, 0), ("b", 0, 2, 0),
+            ("x", 0), ("~a", 0, 0, 0), ("~a", 1, -1, -1), ("~a", 2, -1, -1),
+            ("x", 0), ("~a", 0, 0, 0), ("~a", 1, -1, -1), ("~a", 2, 3, 0),
+            ("r", 0), ("a", 0, 2, 2), ("b", 0, -1, -1),
+        )
+        for order in itertools.permutations(info):
+            assert covers_module._component_code(order, info, partner) == from_r1
+
+    def test_repeated_realization_refused(self):
+        g = seeded()
+        m = identity_cover(g)
+        pairs = dict(m.pair_spec)
+        pairs["extra"] = pairs["p0@0"]
+        dup = PrecoverMorphism(g, m.vertex_map, m.vertex_data, m.cyclic_index, pairs)
+        with pytest.raises(ValueError, match="at most once"):
+            isomorphic(dup, m)
+
+
+def count_until_budget(covers):
+    """Covers read before the budget ran out, and whether it did."""
+    got = []
+    try:
+        for m in covers:
+            got.append(m)
+    except BudgetExceededError:
+        return got, True
+    return got, False
+
+
+class TestCoverCensus:
+    def test_replays_what_enumeration_yields(self):
+        g = seeded()
+        census = CoverCensus(g)
+        head = list(itertools.islice(census.covers(4), 5))
+        full = list(census.covers(4))
+        assert all(a is b for a, b in zip(head, full))
+        assert [representative_digest(m) for m in full] == [
+            representative_digest(m) for m in enumerate_covers(g, 4)
+        ]
+        low = list(census.covers(2))
+        assert low == [m for m in full if degree(m) <= 2]
+
+    def test_budget_runs_out_at_the_same_cover(self):
+        g = seeded()
+        raised = 0
+        for cap in range(1, 330, 9):
+            want, want_raised = count_until_budget(enumerate_covers_oracle(g, 4, cap))
+            census = CoverCensus(g, cap)
+            count_until_budget(itertools.islice(census.covers(3), 4))
+            for covers in (enumerate_covers(g, 4, cap), census.covers(4)):
+                got, got_raised = count_until_budget(covers)
+                assert got_raised == want_raised
+                assert list(map(representative_digest, got)) == list(
+                    map(representative_digest, want)
+                )
+            if got_raised:
+                raised += 1
+                with pytest.raises(BudgetExceededError):
+                    list(census.covers(4))
+        assert 0 < raised < len(range(1, 330, 9))
+
+    def test_tower_step_enumerates_each_degree_once(self, monkeypatch):
+        searched = []
+        real = covers_module._degree_covers
+
+        def counting(g, n, counter, cap):
+            searched.append((id(g), n))
+            return real(g, n, counter, cap)
+
+        monkeypatch.setattr(covers_module, "_degree_covers", counting)
+        rep = build_tower(seeded(), [2], 1)
+        assert rep.status == "ok"
+        assert len(searched) == len(set(searched))
+        assert sorted(n for _, n in searched) == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

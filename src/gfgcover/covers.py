@@ -40,6 +40,7 @@ from .gog import (
     GogWord,
     GraphOfGroups,
     SerreGraph,
+    abelianized_presentation,
     enumerate_closed_words,
     ensure_valid,
     euler_characteristic,
@@ -50,6 +51,8 @@ from .homology import (
     AbelianGroup,
     TowerLedger,
     _check_prime,
+    cokernel_invariants,
+    cyclic_column,
     h1,
     h1_mod_cyclic,
     ledger_check,
@@ -1170,10 +1173,20 @@ def find_torsion_piece(
     """Search small covers for a cyclic lift whose splitting certifies
     p-torsion.
 
-    Scans covers in enumeration order; in each, splits every non-cut
-    cyclic lift along every one-against-the-rest partition of its incident
-    edges and tests whether killing the two boundary classes leaves
-    p-torsion in first homology.  Returns the first hit, or None.
+    Scans covers in enumeration order and, in each, the non-cut cyclic
+    lifts with at least two incident edges in name order.  The first lift
+    v that passes is split as ``split_cyclic(m, v, [d])``, d its least
+    incident edge, and returned with its certificate; None if no lift
+    passes.
+
+    No split is built to test a lift.  A row of the abelianized
+    presentation touches vertex columns only, so splitting v keeps every
+    row and moves v's column to v.1 or v.2, and killing both deletes the
+    columns that killing v deletes in the unsplit cover; the split has one
+    vertex more and the same pairs, hence one stable column fewer.  So for
+    every incident edge d, ``h1_mod_cyclic(split_cyclic(m, v, [d]), [v.1,
+    v.2])`` has the divisors of ``h1_mod_cyclic(m, [v])`` and betti one
+    less, and v passes exactly when the latter has p-torsion.
     """
     _check_prime(p)
     return _torsion_piece_in(CoverCensus(g, cap).covers(max_index), p)
@@ -1181,19 +1194,24 @@ def find_torsion_piece(
 
 def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
     for m in covers:
+        presentation = None
         for v in sorted(m.cyclic_index):
             incident = sorted(
                 d for d, ref in m.edge_assignment.items() if ref.vertex == v
             )
-            if len(incident) < 2:
+            if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):
                 continue
-            if _is_cut_vertex(m.total.graph, v):
+            if presentation is None:
+                presentation = abelianized_presentation(m.total)
+            roster, matrix = presentation
+            col = cyclic_column(m.total, roster, v)
+            if p_rank(cokernel_invariants(matrix.without_columns([col])), p) == 0:
                 continue
-            for d in incident:
-                piece = split_cyclic(m, v, [d])
-                q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
-                if p_rank(q, p) >= 1:
-                    return TorsionPiece(piece, v + ".1", v + ".2", p, q)
+            piece = split_cyclic(m, v, [incident[0]])
+            q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
+            if p_rank(q, p) == 0:
+                raise RuntimeError("split of %r lost the %d-torsion of its cover" % (v, p))
+            return TorsionPiece(piece, v + ".1", v + ".2", p, q)
     return None
 
 

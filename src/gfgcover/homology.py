@@ -3,14 +3,17 @@
 All arithmetic is on Python ints, so entries may grow without overflow.  The
 Smith normal form follows a fixed pivot rule (smallest nonzero absolute
 value, ties broken row-major) so that every run of the workbench produces
-identical transforms, and it returns the full (U, D, V) with U, V unimodular
-and U * A * V = D.
+identical transforms.  ``snf`` returns the full (U, D, V) with U, V
+unimodular and U * A * V = D; ``cokernel_invariants`` runs the same
+elimination without U and V when only the invariant factors are wanted.
 
 Finitely generated abelian groups are stored as (betti, divisors) with each
 divisor >= 2 and a divisibility chain, plus an optional basis_map recording
-where the original presentation generators land.  Group elements are integer
-vectors in these normalized coordinates: torsion coordinates first (mod the
-matching divisor), then free coordinates.
+where the original presentation generators land.  Only ``cokernel`` (and
+``class_image`` and ``quotient_by``, which go through it) fills in the
+basis_map; ``h1`` and ``h1_mod_cyclic`` results carry none.  Group elements
+are integer vectors in these normalized coordinates: torsion coordinates
+first (mod the matching divisor), then free coordinates.
 
 The tower ledger at the bottom tracks per-prime torsion exponents against
 cover degrees in exact rational arithmetic (the ratio uses the base-p
@@ -67,6 +70,11 @@ class IntMatrix:
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
+    def without_columns(self, drop: Iterable[int]) -> "IntMatrix":
+        drop = set(drop)
+        keep = [j for j in range(self.cols) if j not in drop]
+        return IntMatrix(tuple(tuple(row[j] for j in keep) for row in self.entries), len(keep))
+
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -112,11 +120,93 @@ def _find_pivot(a: List[List[int]], k: int) -> Optional[Tuple[int, int]]:
     return best
 
 
+def _smith(w: List[List[int]], n: int, u=None, v=None) -> None:
+    """Reduce the rows ``w`` (each of width n) to Smith form in place.
+
+    Row operations are mirrored on ``u`` and column operations on ``v``
+    when they are given; without them the elimination keeps only what the
+    invariant factors need.  Every step keeps rows and columns before the
+    current one zero off the diagonal, so a row operation starts at the
+    current column and clearing the pivot row touches that row alone.
+    """
+    m = len(w)
+    for k in range(min(m, n)):
+        while True:
+            piv = _find_pivot(w, k)
+            if piv is None:
+                return
+            pi, pj = piv
+            if pi != k:
+                w[k], w[pi] = w[pi], w[k]
+                if u is not None:
+                    u[k], u[pi] = u[pi], u[k]
+            if pj != k:
+                for row in w:
+                    row[k], row[pj] = row[pj], row[k]
+                if v is not None:
+                    for row in v:
+                        row[k], row[pj] = row[pj], row[k]
+            wk = w[k]
+            p = wk[k]
+            dirty = False
+            for i in range(k + 1, m):
+                wi = w[i]
+                if wi[k]:
+                    q = wi[k] // p
+                    if q:
+                        for j in range(k, n):
+                            wi[j] -= q * wk[j]
+                        if u is not None:
+                            ui, uk = u[i], u[k]
+                            for j in range(m):
+                                ui[j] -= q * uk[j]
+                    if wi[k]:
+                        dirty = True
+            if dirty:
+                continue
+            # Column k is now zero off the pivot, so a column operation
+            # against it changes only the pivot row.
+            for j in range(k + 1, n):
+                if wk[j]:
+                    q = wk[j] // p
+                    if q:
+                        wk[j] -= q * p
+                        if v is not None:
+                            for row in v:
+                                row[j] -= q * row[k]
+                    if wk[j]:
+                        dirty = True
+            if dirty:
+                continue
+            if p == 1 or p == -1:
+                break
+            bad_row = None
+            for i in range(k + 1, m):
+                wi = w[i]
+                if any(wi[j] % p for j in range(k + 1, n)):
+                    bad_row = i
+                    break
+            if bad_row is None:
+                break
+            wb = w[bad_row]
+            for j in range(k, n):
+                wk[j] += wb[j]
+            if u is not None:
+                uk, ub = u[k], u[bad_row]
+                for j in range(m):
+                    uk[j] += ub[j]
+        if w[k][k] < 0:
+            w[k][k] = -w[k][k]
+            if u is not None:
+                u[k] = [-x for x in u[k]]
+
+
 def snf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (U, D, V) with U*a*V = D.
 
     D is diagonal with non-negative entries in a divisibility chain
-    (d_1 | d_2 | ...), and U, V are unimodular.
+    (d_1 | d_2 | ...), and U, V are unimodular.  The oracle for
+    ``cokernel_invariants``, which runs the same elimination without U and V.
 
     >>> u, d, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> d.diagonal()
@@ -126,71 +216,7 @@ def snf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     w = [list(row) for row in a.entries]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src, mirrored on u
-        wd, ws = w[dst], w[src]
-        for j in range(n):
-            wd[j] += c * ws[j]
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            ud[j] += c * us[j]
-
-    def add_col(dst, src, c):
-        for i in range(m):
-            w[i][dst] += c * w[i][src]
-        for i in range(n):
-            v[i][dst] += c * v[i][src]
-
-    for k in range(min(m, n)):
-        while True:
-            piv = _find_pivot(w, k)
-            if piv is None:
-                break
-            pi, pj = piv
-            if pi != k:
-                w[k], w[pi] = w[pi], w[k]
-                u[k], u[pi] = u[pi], u[k]
-            if pj != k:
-                for row in w:
-                    row[k], row[pj] = row[pj], row[k]
-                for row in v:
-                    row[k], row[pj] = row[pj], row[k]
-            p = w[k][k]
-            dirty = False
-            for i in range(k + 1, m):
-                if w[i][k]:
-                    q = w[i][k] // p
-                    if q:
-                        add_row(i, k, -q)
-                    if w[i][k]:
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(k + 1, n):
-                if w[k][j]:
-                    q = w[k][j] // p
-                    if q:
-                        add_col(j, k, -q)
-                    if w[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            bad_row = None
-            for i in range(k + 1, m):
-                wi = w[i]
-                if any(wi[j] % p for j in range(k + 1, n)):
-                    bad_row = i
-                    break
-            if bad_row is None:
-                break
-            add_row(k, bad_row, 1)
-        if k < min(m, n) and w and w[k][k] < 0:
-            for j in range(n):
-                w[k][j] = -w[k][j]
-            for j in range(m):
-                u[k][j] = -u[k][j]
-
+    _smith(w, n, u, v)
     U = IntMatrix(tuple(tuple(row) for row in u), m)
     V = IntMatrix(tuple(tuple(row) for row in v), n)
     D = IntMatrix(tuple(tuple(row) for row in w), n)
@@ -292,6 +318,22 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     return AbelianGroup(len(free), divisors, tuple(rows))
 
 
+def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
+    """Z^cols modulo the row space of a, as betti and divisors only.
+
+    The Smith elimination of ``snf`` with no transforms kept; the result
+    has no basis_map.
+
+    >>> str(cokernel_invariants(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])))
+    'Z ⊕ Z/6'
+    """
+    w = [list(row) for row in a.entries]
+    _smith(w, a.cols)
+    diag = [w[i][i] for i in range(min(a.rows, a.cols))]
+    rank = sum(1 for d in diag if d)
+    return AbelianGroup(a.cols - rank, tuple(d for d in diag if d >= 2))
+
+
 def betti(a: AbelianGroup) -> int:
     return a.betti
 
@@ -381,11 +423,19 @@ def element_image(quotient: AbelianGroup, vec: Sequence[int]) -> Tuple[int, ...]
 
 
 def h1(g) -> AbelianGroup:
-    """H_1 of a graph of groups (or of a morphism's total).
+    """H_1 of a graph of groups (or of a morphism's total), without a
+    basis_map.
 
     The input must be connected.
     """
     return h1_mod_cyclic(g, ())
+
+
+def cyclic_column(g, roster, v: str) -> int:
+    """Column of cyclic vertex v's generator in ``abelianized_presentation(g)``."""
+    if g.vertex_kind[v] != "cyclic":
+        raise ValueError("vertex %r is not cyclic" % v)
+    return roster.index(("vertex", v, 0))
 
 
 def class_image(g, target) -> Tuple[int, ...]:
@@ -401,10 +451,7 @@ def class_image(g, target) -> Tuple[int, ...]:
     roster, matrix = _gog.abelianized_presentation(g)
     group = cokernel(matrix)
     if isinstance(target, str):
-        if g.vertex_kind[target] != "cyclic":
-            raise ValueError("vertex %r is not cyclic" % target)
-        col = roster.index(("vertex", target, 0))
-        return group.generator_image(col)
+        return group.generator_image(cyclic_column(g, roster, target))
     vertex, word = target
     from .words import abelianize_word
 
@@ -422,10 +469,11 @@ def class_image(g, target) -> Tuple[int, ...]:
 
 def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
     """H_1 of g (or of a morphism's total) with the generators of the given
-    cyclic vertices killed.
+    cyclic vertices killed, as betti and divisors with no basis_map.
 
-    One Smith form: the presentation of H_1 plus a unit row per killed
-    generator.  Equal, as a group, to ``quotient_by`` of ``h1`` by the
+    Killing a generator deletes its column from the presentation of H_1,
+    and ``cokernel_invariants`` reads the group off the rest.  Equal, as a
+    group, to ``quotient_by`` of ``cokernel`` of the presentation by the
     ``class_image`` of each vertex.
     """
     from . import gog as _gog
@@ -433,13 +481,8 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
     if hasattr(g, "total"):
         g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
-    rows = list(matrix.entries)
-    for v in vertices:
-        if g.vertex_kind[v] != "cyclic":
-            raise ValueError("vertex %r is not cyclic" % v)
-        col = roster.index(("vertex", v, 0))
-        rows.append([1 if j == col else 0 for j in range(matrix.cols)])
-    return cokernel(IntMatrix.from_rows(rows, matrix.cols))
+    drop = [cyclic_column(g, roster, v) for v in vertices]
+    return cokernel_invariants(matrix.without_columns(drop))
 
 
 # ---------------------------------------------------------------------------

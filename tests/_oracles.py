@@ -21,6 +21,13 @@ must yield the same sequence.
 including the quotients in which the exponent sums already rule out the
 prescribed degrees; ``gfgcover.cosets.prescribe_degrees`` must return the
 same result, or None, on every input.
+
+``torsion_piece_oracle`` is the torsion-piece search that splits every
+candidate cyclic lift along every one-against-the-rest partition of its
+edges and reads each split's certificate off a full Smith form, with a unit
+row per killed generator.  ``gfgcover.covers.find_torsion_piece``, which
+tests each lift on its unsplit cover and splits only the hit, must return
+the same piece, or None, and run out of budget exactly where it does.
 """
 
 import itertools
@@ -43,10 +50,15 @@ from gfgcover.cosets import (
     regular_table,
     subgroup_contains,
 )
-from gfgcover.covers import PrecoverMorphism, _assemble, _extensions, _same_base
-from gfgcover.gog import (
-    GogWord, GraphOfGroups, euler_characteristic, is_nontrivial, reverse_edge, word_length,
+from gfgcover.covers import (
+    CoverCensus, PrecoverMorphism, TorsionPiece, _assemble, _extensions, _is_cut_vertex,
+    _same_base, split_cyclic,
 )
+from gfgcover.gog import (
+    GogWord, GraphOfGroups, abelianized_presentation, euler_characteristic, is_nontrivial,
+    reverse_edge, word_length,
+)
+from gfgcover.homology import IntMatrix, _check_prime, cokernel, p_rank
 from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, power_of
 
 
@@ -347,3 +359,26 @@ def prescribe_degrees_oracle(
                 return res
     return None
 
+
+def torsion_piece_oracle(
+    g: GraphOfGroups, p: int, max_index: int, cap: Optional[int] = None
+) -> Optional[TorsionPiece]:
+    """First split, over covers, lifts and incident edges in order, whose
+    certificate has p-torsion."""
+    _check_prime(p)
+    for m in CoverCensus(g, cap).covers(max_index):
+        for v in sorted(m.cyclic_index):
+            incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
+            if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):
+                continue
+            for d in incident:
+                piece = split_cyclic(m, v, [d])
+                roster, matrix = abelianized_presentation(piece.total)
+                rows = list(matrix.entries)
+                for c in (v + ".1", v + ".2"):
+                    col = roster.index(("vertex", c, 0))
+                    rows.append([1 if j == col else 0 for j in range(matrix.cols)])
+                q = cokernel(IntMatrix.from_rows(rows, matrix.cols))
+                if p_rank(q, p) >= 1:
+                    return TorsionPiece(piece, v + ".1", v + ".2", p, q)
+    return None

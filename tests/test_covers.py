@@ -4,7 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
-from _oracles import candidate_covers, enumerate_covers_oracle, isomorphic_oracle
+from _oracles import (
+    candidate_covers,
+    enumerate_covers_oracle,
+    isomorphic_oracle,
+    torsion_piece_oracle,
+)
 
 import gfgcover.covers as covers_module
 from gfgcover.cli import gog_from_payload, load_document
@@ -41,12 +46,22 @@ from gfgcover.gog import (
     GogWord,
     GraphOfGroups,
     SerreGraph,
+    abelianized_presentation,
     enumerate_closed_words,
     euler_characteristic,
     gog_word_power,
     is_nontrivial,
 )
-from gfgcover.homology import class_image, h1, p_rank, quotient_by, torsion_exponent
+from gfgcover.homology import (
+    IntMatrix,
+    class_image,
+    cokernel,
+    h1,
+    h1_mod_cyclic,
+    p_rank,
+    quotient_by,
+    torsion_exponent,
+)
 from gfgcover.words import Word
 
 
@@ -70,6 +85,20 @@ def seeded():
     homology, which is what makes the torsion-piece search succeed.
     """
     return amalgam(((2,), (1, 1, 1, -2)))
+
+
+# Free-side words (w0, w1) of seven amalgams with distinct torsion-piece
+# behaviour over p in {2, 3, 5, 7} at index <= 4: early and late hits, and
+# misses that scan every cover.
+AMALGAMS = {
+    "A": ((1,), (-1, -2, 1, -2)),
+    "B": ((-2, -2), (2, -1, 2)),
+    "C": ((2,), (1, 1, -2)),
+    "D": ((2,), (1, 2, 1, -2)),
+    "E": ((1, 2), (1, -2)),
+    "F": ((1, 1), (2, 2, 2)),
+    "G": ((2,), (1, 1, 1, 1, -2)),
+}
 
 
 def loop_hnn(fwd, bwd, rank=1):
@@ -537,6 +566,105 @@ class TestTorsionPiece:
             find_torsion_piece(seeded(), 4, 2)
 
 
+def same_piece(a, b):
+    if a is None or b is None:
+        return a is b
+    return (
+        a.morphism.vertex_map == b.morphism.vertex_map
+        and a.morphism.pair_spec == b.morphism.pair_spec
+        and (a.c1, a.c2, a.prime) == (b.c1, b.c2, b.prime)
+        and (a.certificate.betti, a.certificate.divisors)
+        == (b.certificate.betti, b.certificate.divisors)
+    )
+
+
+def piece_candidates(m):
+    """(lift, incident edges) for each cyclic lift the piece search tests."""
+    for v in sorted(m.cyclic_index):
+        incident = sorted(d for d, r in m.edge_assignment.items() if r.vertex == v)
+        if len(incident) >= 2 and not covers_module._is_cut_vertex(m.total.graph, v):
+            yield v, incident
+
+
+class TestTorsionPieceSearch:
+    @pytest.mark.parametrize(
+        "name", ["seeded_torsion", "hnn_f1", "genus2"] + sorted(AMALGAMS)
+    )
+    def test_agrees_with_per_edge_oracle(self, name):
+        # genus2 has no cyclic vertex; index 3 keeps its empty scan short.
+        if name in AMALGAMS:
+            g, top = amalgam(AMALGAMS[name]), 4
+        else:
+            g, top = fixture(name), 3 if name == "genus2" else 4
+        for p in (2, 3, 5, 7):
+            assert same_piece(find_torsion_piece(g, p, top), torsion_piece_oracle(g, p, top))
+
+    def test_budget_runs_out_where_the_oracle_does(self):
+        def outcome(search, g, p, cap):
+            try:
+                return search(g, p, 4, cap)
+            except BudgetExceededError:
+                return "budget"
+
+        raised = found = 0
+        for g, p in ((seeded(), 2), (seeded(), 5), (amalgam(AMALGAMS["G"]), 3)):
+            for cap in range(1, 460, 23):
+                got = outcome(find_torsion_piece, g, p, cap)
+                want = outcome(torsion_piece_oracle, g, p, cap)
+                if want == "budget":
+                    assert got == "budget"
+                    raised += 1
+                else:
+                    assert same_piece(got, want)
+                    found += want is not None
+        assert raised and found
+
+    def test_split_lemma(self):
+        # Splitting a lift keeps the divisors of its cover with the lift's
+        # generator killed and lowers betti by exactly one, whichever edge
+        # the first copy keeps.
+        checked = 0
+        for g, top in ((seeded(), 3), (amalgam(AMALGAMS["A"]), 4)):
+            for m in enumerate_covers(g, top):
+                for v, incident in piece_candidates(m):
+                    killed = h1_mod_cyclic(m, [v])
+                    for d in incident:
+                        split = h1_mod_cyclic(split_cyclic(m, v, [d]), [v + ".1", v + ".2"])
+                        assert split.divisors == killed.divisors
+                        assert split.betti == killed.betti - 1
+                        checked += 1
+        assert checked >= 100
+
+    def test_homology_matches_cokernel(self):
+        for name in ("seeded_torsion", "hnn_f1", "genus2"):
+            for m in enumerate_covers(fixture(name), 3):
+                roster, matrix = abelianized_presentation(m.total)
+                got = h1(m)
+                want = cokernel(matrix)
+                assert got.basis_map is None
+                assert (got.betti, got.divisors) == (want.betti, want.divisors)
+                for v in sorted(m.cyclic_index):
+                    col = roster.index(("vertex", v, 0))
+                    unit = [1 if j == col else 0 for j in range(matrix.cols)]
+                    want = cokernel(IntMatrix.from_rows(list(matrix.entries) + [unit], matrix.cols))
+                    got = h1_mod_cyclic(m, [v])
+                    assert (got.betti, got.divisors) == (want.betti, want.divisors)
+
+    @pytest.mark.parametrize("p, splits", [(5, 0), (2, 1)])
+    def test_splits_only_the_hit(self, monkeypatch, p, splits):
+        calls = []
+        real = covers_module.split_cyclic
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(covers_module, "split_cyclic", counting)
+        piece = find_torsion_piece(seeded(), p, 4)
+        assert (piece is not None) == bool(splits)
+        assert len(calls) == splits
+
+
 class TestChain:
     def test_one_copy_is_the_piece(self, seeded_piece):
         assert chain(seeded_piece, 1) is seeded_piece.morphism
@@ -571,17 +699,10 @@ class TestHNNIdentity:
         assert lhs.divisors == rhs.divisors
 
     def test_on_enumerated_covers(self):
-        from gfgcover.covers import _is_cut_vertex
-
         checked = 0
         for g in (seeded(), amalgam(((1, 1, 2), (2, 2, 1)))):
             for m in enumerate_covers(g, 3):
-                for v in sorted(m.cyclic_index):
-                    incident = sorted(
-                        d for d, r in m.edge_assignment.items() if r.vertex == v
-                    )
-                    if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):
-                        continue
+                for v, incident in piece_candidates(m):
                     for edge in incident:
                         self.assert_identity(m, v, edge)
                         checked += 1

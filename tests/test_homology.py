@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfgcover.homology import (
@@ -11,6 +11,7 @@ from gfgcover.homology import (
     IntMatrix,
     TowerLedger,
     cokernel,
+    cokernel_invariants,
     determinant,
     dim_mod_p,
     element_image,
@@ -120,6 +121,36 @@ class TestSnf:
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
             a = IntMatrix.from_rows(rows)
             assert snf(a) == snf(a)
+
+
+# Up to 7 x 7, so wide and tall shapes come up, and sparse enough that
+# unit pivots and zero rows and columns do too.
+shaped = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6, -9]), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0],
+        max_size=mn[0],
+    ).map(lambda rows: IntMatrix.from_rows(rows, cols=mn[1]))
+)
+
+
+class TestCokernelInvariants:
+    @given(shaped)
+    @example(IntMatrix.from_rows([], cols=0))
+    @example(IntMatrix.from_rows([], cols=3))
+    @example(IntMatrix.from_rows([[], [], []]))
+    @example(IntMatrix.from_rows([[2, 0, 4, 0, 6, 0, 8], [0, 3, 0, 9, 0, 0, 0]]))
+    @example(IntMatrix.from_rows([[2, 4], [6, 8], [0, 0], [4, -2], [6, 6], [2, 2], [0, 8]]))
+    @settings(max_examples=300, deadline=None)
+    def test_against_snf(self, a):
+        _, d, _ = snf(a)
+        diag = d.diagonal()
+        got = cokernel_invariants(a)
+        assert got.basis_map is None
+        assert got.betti == a.cols - sum(1 for x in diag if x)
+        assert got.divisors == tuple(x for x in diag if x >= 2)
+        full = cokernel(a)
+        assert (got.betti, got.divisors) == (full.betti, full.divisors)
 
 
 class TestDeterminant:

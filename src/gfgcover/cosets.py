@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import BudgetExceededError, PairCollisionError
+from .errors import PairCollisionError
 from .words import ConjClass, Word, abelianize_word, conj_canonical, free_reduce, identity
 
 Target = Union[Word, ConjClass]
@@ -107,10 +107,6 @@ def cyclic_table(n: int) -> CosetTable:
     """The unique index-n subgroup class of the rank-one free group
     (memoised: a table is immutable)."""
     return CosetTable(1, (tuple((i + 1) % n for i in range(n)),))
-
-
-def index(table: CosetTable) -> int:
-    return table.size
 
 
 def subgroup_rank(table: CosetTable) -> int:
@@ -196,18 +192,6 @@ def rewrite(table: CosetTable, w: Word) -> Word:
     if cur != 0:
         raise ValueError("word does not lie in the subgroup")
     return free_reduce(out, len(sd.basis))
-
-
-def evaluate(table: CosetTable, w: Word) -> Word:
-    """Inverse of ``rewrite``: expand a basis word into the ambient group."""
-    sd = schreier(table)
-    if w.rank != len(sd.basis):
-        raise ValueError("word is not in the subgroup basis")
-    out = identity(table.rank)
-    for letter in w.letters:
-        g = sd.basis[abs(letter) - 1]
-        out = out * (g if letter > 0 else g.inverse())
-    return out
 
 
 def subgroup_contains(big: CosetTable, small: CosetTable) -> bool:
@@ -339,13 +323,10 @@ def is_class_minimal(table: CosetTable) -> bool:
     return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))
 
 
-def enumerate_subgroups(
-    rank: int, idx: int, cap: Optional[int] = None
-) -> Iterator[CosetTable]:
+def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:
     """One table per conjugacy class of subgroups of the exact given index.
 
-    Tables come out in a fixed depth-first order.  ``cap`` bounds the number
-    of search nodes visited; exceeding it raises BudgetExceededError.
+    Tables come out in a fixed depth-first order.
     """
     if rank < 1 or idx < 1:
         raise ValueError("rank and index must be positive")
@@ -356,14 +337,8 @@ def enumerate_subgroups(
     fwd = [[-1] * n for _ in range(r)]
     bwd = [[-1] * n for _ in range(r)]
     slots = [(a, x) for a in range(n) for x in range(r)]
-    nodes = [0]
 
     def rec(si: int, used: int) -> Iterator[CosetTable]:
-        nodes[0] += 1
-        if cap is not None and nodes[0] > cap:
-            raise BudgetExceededError(
-                "subgroup enumeration exceeded %d search nodes" % cap
-            )
         if si == len(slots):
             if used == n:
                 t = CosetTable(rank, tuple(tuple(row) for row in fwd))

@@ -51,7 +51,7 @@ from .homology import (
     AbelianGroup,
     TowerLedger,
     _check_prime,
-    cokernel_invariants,
+    cokernel,
     cyclic_column,
     h1,
     h1_mod_cyclic,
@@ -260,9 +260,6 @@ class PrecoverMorphism:
     def vertex_index(self, v: str) -> int:
         t = self.vertex_data.get(v)
         return t.size if t is not None else self.cyclic_index[v]
-
-    def lifts_over(self, b: str) -> List[str]:
-        return sorted(v for v in self.vertex_map if self.vertex_map[v] == b)
 
     def elevs(self, v: str, e: str) -> Tuple[Elevation, ...]:
         return _elevations(self.vertex_table(v), self.base.edge_word(e))
@@ -1205,7 +1202,7 @@ def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[To
                 presentation = abelianized_presentation(m.total)
             roster, matrix = presentation
             col = cyclic_column(m.total, roster, v)
-            if p_rank(cokernel_invariants(matrix.without_columns([col])), p) == 0:
+            if p_rank(cokernel(matrix.without_columns([col])), p) == 0:
                 continue
             piece = split_cyclic(m, v, [incident[0]])
             q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])

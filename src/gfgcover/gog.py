@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .homology import IntMatrix
 from .words import (
-    ConjClass,
     Word,
     conj_canonical,
     power_of,
@@ -386,26 +385,6 @@ class GogWord:
             if i < len(self.crossings):
                 bits.append(self.crossings[i])
         return "(%s)@%s" % (" ".join(bits) or "1", self.start)
-
-
-def word_length(gw: GogWord) -> int:
-    """Total letter count: syllable letters plus one per crossing."""
-    return sum(len(w) for w in gw.syllables) + len(gw.crossings)
-
-
-def gog_word_power(g: GraphOfGroups, gw: GogWord, k: int) -> GogWord:
-    """k-th power of a closed path word, merging the seam syllables."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    if not gw.is_closed(g):
-        raise ValueError("only closed path words have powers")
-    syllables = list(gw.syllables)
-    crossings = list(gw.crossings)
-    for _ in range(k - 1):
-        syllables[-1] = syllables[-1] * gw.syllables[0]
-        syllables.extend(gw.syllables[1:])
-        crossings.extend(gw.crossings)
-    return GogWord(gw.start, tuple(syllables), tuple(crossings))
 
 
 def has_pinch(g: GraphOfGroups, gw: GogWord) -> bool:

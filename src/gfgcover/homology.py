@@ -4,16 +4,14 @@ All arithmetic is on Python ints, so entries may grow without overflow.  The
 Smith normal form follows a fixed pivot rule (smallest nonzero absolute
 value, ties broken row-major) so that every run of the workbench produces
 identical transforms.  ``snf`` returns the full (U, D, V) with U, V
-unimodular and U * A * V = D; ``cokernel_invariants`` runs the same
-elimination without U and V when only the invariant factors are wanted.
+unimodular and U * A * V = D; ``cokernel`` runs the same elimination
+without U and V and returns the group's invariants only.
 
 Finitely generated abelian groups are stored as (betti, divisors) with each
-divisor >= 2 and a divisibility chain, plus an optional basis_map recording
-where the original presentation generators land.  Only ``cokernel`` (and
-``class_image`` and ``quotient_by``, which go through it) fills in the
-basis_map; ``h1`` and ``h1_mod_cyclic`` results carry none.  Group elements
-are integer vectors in these normalized coordinates: torsion coordinates
-first (mod the matching divisor), then free coordinates.
+divisor >= 2 and a divisibility chain.  Group elements are integer vectors
+in the normalized coordinates of a Smith form: torsion coordinates first
+(mod the matching divisor), then free coordinates.  ``class_image`` is the
+one function that needs coordinates, and it reads them off ``snf``'s V.
 
 The tower ledger at the bottom tracks per-prime torsion exponents against
 cover degrees in exact rational arithmetic (the ratio uses the base-p
@@ -48,10 +46,6 @@ class IntMatrix:
         if cols is None:
             cols = len(rows[0]) if rows else 0
         return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @property
     def rows(self) -> int:
@@ -206,7 +200,7 @@ def snf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with non-negative entries in a divisibility chain
     (d_1 | d_2 | ...), and U, V are unimodular.  The oracle for
-    ``cokernel_invariants``, which runs the same elimination without U and V.
+    ``cokernel``, which runs the same elimination without U and V.
 
     >>> u, d, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> d.diagonal()
@@ -232,13 +226,11 @@ class AbelianGroup:
     """Z^betti plus cyclic factors Z/d_1 + ... + Z/d_k, d_1 | d_2 | ...
 
     Elements are integer vectors of length k + betti, torsion coordinates
-    first.  basis_map (optional) has one row per generator of the
-    presentation this group was computed from.
+    first.
     """
 
     betti: int
     divisors: Tuple[int, ...]
-    basis_map: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         for d in self.divisors:
@@ -247,10 +239,6 @@ class AbelianGroup:
         for a, b in zip(self.divisors, self.divisors[1:]):
             if b % a:
                 raise ValueError("divisors must form a divisibility chain")
-        if self.basis_map is not None:
-            width = len(self.divisors) + self.betti
-            if any(len(row) != width for row in self.basis_map):
-                raise ValueError("basis_map width mismatch")
 
     @property
     def coords(self) -> int:
@@ -279,11 +267,6 @@ class AbelianGroup:
         out.extend(int(a) for a in vec[len(self.divisors):])
         return tuple(out)
 
-    def generator_image(self, j: int) -> Tuple[int, ...]:
-        if self.basis_map is None:
-            raise ValueError("group has no basis_map")
-        return self.basis_map[j]
-
     def __str__(self):
         parts = []
         if self.betti == 1:
@@ -295,36 +278,11 @@ class AbelianGroup:
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
-    """Z^cols modulo the row space of a.
+    """Z^cols modulo the row space of a, as betti and divisors.
 
-    >>> str(cokernel(IntMatrix.from_rows([[2, 0], [0, 3]])))
-    'Z/6'
-    """
-    n = a.cols
-    if a.rows == 0:
-        return AbelianGroup(n, (), IntMatrix.identity(n).entries)
-    _, d, v = snf(a)
-    diag = list(d.diagonal()) + [0] * (n - min(a.rows, n))
-    torsion = [i for i, e in enumerate(diag) if e >= 2]
-    free = [i for i, e in enumerate(diag) if e == 0]
-    divisors = tuple(diag[i] for i in torsion)
-    keep = torsion + free
-    rows = []
-    for j in range(n):
-        vec = [v.entries[j][i] for i in keep]
-        for t, i in enumerate(torsion):
-            vec[t] %= diag[i]
-        rows.append(tuple(vec))
-    return AbelianGroup(len(free), divisors, tuple(rows))
+    The Smith elimination of ``snf`` with no transforms kept.
 
-
-def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
-    """Z^cols modulo the row space of a, as betti and divisors only.
-
-    The Smith elimination of ``snf`` with no transforms kept; the result
-    has no basis_map.
-
-    >>> str(cokernel_invariants(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])))
+    >>> str(cokernel(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])))
     'Z ⊕ Z/6'
     """
     w = [list(row) for row in a.entries]
@@ -332,10 +290,6 @@ def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
     diag = [w[i][i] for i in range(min(a.rows, a.cols))]
     rank = sum(1 for d in diag if d)
     return AbelianGroup(a.cols - rank, tuple(d for d in diag if d >= 2))
-
-
-def betti(a: AbelianGroup) -> int:
-    return a.betti
 
 
 def p_rank(a: AbelianGroup, p: int) -> int:
@@ -346,26 +300,6 @@ def p_rank(a: AbelianGroup, p: int) -> int:
     """
     _check_prime(p)
     return sum(1 for d in a.divisors if d % p == 0)
-
-
-def dim_mod_p(a: AbelianGroup, p: int) -> int:
-    """dim_Fp(A/pA), computed independently of the divisor list.
-
-    Builds the presentation of A/pA (the divisor relations plus p times
-    every generator) and reads the dimension off a fresh Smith form; used as
-    the cross-check dim(A/pA) - betti == p_rank.
-    """
-    _check_prime(p)
-    k = len(a.divisors)
-    width = a.coords
-    rows = []
-    for i, d in enumerate(a.divisors):
-        rows.append([d if j == i else 0 for j in range(width)])
-    for j in range(width):
-        rows.append([p if i == j else 0 for i in range(width)])
-    q = cokernel(IntMatrix.from_rows(rows, cols=width))
-    assert q.betti == 0
-    return sum(1 for d in q.divisors if d == p)
 
 
 def torsion_exponent(a: AbelianGroup, p: int) -> int:
@@ -380,42 +314,45 @@ def torsion_exponent(a: AbelianGroup, p: int) -> int:
     return total
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 2**64 (indeed below 3.3 * 10**24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise ValueError("%d is not prime" % p)
+    """Raise ValueError unless p is a prime below 2**64.
 
+    Deterministic Miller-Rabin, so a 64-bit prime costs a dozen modular
+    exponentiations instead of a trial division up to its square root.
 
-def quotient_by(a: AbelianGroup, xs: Iterable[Sequence[int]]) -> AbelianGroup:
-    """Quotient of a by the subgroup generated by the given elements.
-
-    Elements are vectors in a's normalized coordinates.  The result's
-    basis_map expresses a's coordinates in the quotient.
-
-    >>> str(quotient_by(AbelianGroup(0, (2, 4)), [(1, 2)]))
-    'Z/4'
+    >>> _check_prime(2 ** 61 - 1)
+    >>> _check_prime(561)
+    Traceback (most recent call last):
+    ...
+    ValueError: 561 is not prime
     """
-    width = a.coords
-    rows = []
-    for i, d in enumerate(a.divisors):
-        rows.append([d if j == i else 0 for j in range(width)])
-    for x in xs:
-        rows.append(list(a.reduce_element(x)))
-    return cokernel(IntMatrix.from_rows(rows, cols=width))
-
-
-def element_image(quotient: AbelianGroup, vec: Sequence[int]) -> Tuple[int, ...]:
-    """Push a vector through a quotient_by result's basis_map."""
-    if quotient.basis_map is None:
-        raise ValueError("quotient has no basis_map")
-    width = len(quotient.basis_map)
-    if len(vec) != width:
-        raise ValueError("element has wrong width")
-    out = [0] * quotient.coords
-    for j, c in enumerate(vec):
-        if c:
-            for i, e in enumerate(quotient.basis_map[j]):
-                out[i] += c * e
-    return quotient.reduce_element(out)
+    if p >= 2 ** 64:
+        raise ValueError("primes must be below 2**64")
+    if p < 2:
+        raise ValueError("%d is not prime" % p)
+    for q in _MR_BASES:
+        if p % q == 0:
+            if p == q:
+                return
+            raise ValueError("%d is not prime" % p)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError("%d is not prime" % p)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +360,7 @@ def element_image(quotient: AbelianGroup, vec: Sequence[int]) -> Tuple[int, ...]
 
 
 def h1(g) -> AbelianGroup:
-    """H_1 of a graph of groups (or of a morphism's total), without a
-    basis_map.
+    """H_1 of a graph of groups (or of a morphism's total).
 
     The input must be connected.
     """
@@ -442,39 +378,42 @@ def class_image(g, target) -> Tuple[int, ...]:
     """Image in H_1(g) of a cyclic vertex generator or of a class at a vertex.
 
     ``target`` is either the name of a cyclic vertex, or a pair
-    (vertex_name, word) with the word in that vertex group's basis.
+    (vertex_name, word) with the word in that vertex group's basis.  The
+    image is read off ``snf`` of the presentation: V carries the
+    presentation's generators to the Smith coordinates, torsion ones first.
     """
     from . import gog as _gog
+    from .words import abelianize_word
 
     if hasattr(g, "total"):
         g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
-    group = cokernel(matrix)
+    vec = [0] * matrix.cols
     if isinstance(target, str):
-        return group.generator_image(cyclic_column(g, roster, target))
-    vertex, word = target
-    from .words import abelianize_word
-
-    if hasattr(word, "canonical"):
-        word = word.canonical
-    vec = abelianize_word(word)
-    out = [0] * group.coords
-    for i, c in enumerate(vec):
-        if c:
-            col = roster.index(("vertex", vertex, i))
-            for t, e in enumerate(group.generator_image(col)):
-                out[t] += c * e
-    return group.reduce_element(out)
+        vec[cyclic_column(g, roster, target)] = 1
+    else:
+        vertex, word = target
+        if hasattr(word, "canonical"):
+            word = word.canonical
+        for i, c in enumerate(abelianize_word(word)):
+            vec[roster.index(("vertex", vertex, i))] += c
+    _, d, v = snf(matrix)
+    diag = d.diagonal() + (0,) * (matrix.cols - min(matrix.rows, matrix.cols))
+    keep = [i for i, e in enumerate(diag) if e >= 2] + [i for i, e in enumerate(diag) if e == 0]
+    out = []
+    for i in keep:
+        x = sum(c * v.entries[j][i] for j, c in enumerate(vec) if c)
+        out.append(x % diag[i] if diag[i] else x)
+    return tuple(out)
 
 
 def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
     """H_1 of g (or of a morphism's total) with the generators of the given
-    cyclic vertices killed, as betti and divisors with no basis_map.
+    cyclic vertices killed.
 
     Killing a generator deletes its column from the presentation of H_1,
-    and ``cokernel_invariants`` reads the group off the rest.  Equal, as a
-    group, to ``quotient_by`` of ``cokernel`` of the presentation by the
-    ``class_image`` of each vertex.
+    and ``cokernel`` reads the group off the rest: the quotient of ``h1(g)``
+    by the ``class_image`` of each vertex.
     """
     from . import gog as _gog
 
@@ -482,7 +421,7 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
         g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
     drop = [cyclic_column(g, roster, v) for v in vertices]
-    return cokernel_invariants(matrix.without_columns(drop))
+    return cokernel(matrix.without_columns(drop))
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ def identity(rank: int) -> Word:
     return Word((), rank)
 
 
-def generator(i: int, rank: int) -> Word:
-    return Word((i,), rank)
-
-
 def free_reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a letter sequence.
 

@@ -28,11 +28,25 @@ edges and reads each split's certificate off a full Smith form, with a unit
 row per killed generator.  ``gfgcover.covers.find_torsion_piece``, which
 tests each lift on its unsplit cover and splits only the hit, must return
 the same piece, or None, and run out of budget exactly where it does.
+
+``smith_group`` reads a presentation's group off the diagonal of ``snf``,
+and ``cokernel_basis`` also reads, off ``snf``'s V, where each generator of
+the presentation lands: torsion coordinates first, each mod its divisor,
+then free ones.  ``class_image_oracle`` sums those generator images and
+reduces; ``gfgcover.homology.class_image`` must return the same vector.
+``quotient_by`` and ``dim_mod_p`` build a new presentation for a quotient
+of a group given by its invariants and read it off ``smith_group``; they
+check ``h1_mod_cyclic`` and ``p_rank`` from outside.
+
+``evaluate`` expands a word in a subgroup's Schreier basis into the ambient
+free group, the inverse of ``gfgcover.cosets.rewrite``.
 """
 
 import itertools
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from _helpers import lifts_over, word_length
 
 from gfgcover.cosets import (
     CosetTable,
@@ -48,6 +62,7 @@ from gfgcover.cosets import (
     enumerate_subgroups,
     is_regular,
     regular_table,
+    schreier,
     subgroup_contains,
 )
 from gfgcover.covers import (
@@ -56,10 +71,12 @@ from gfgcover.covers import (
 )
 from gfgcover.gog import (
     GogWord, GraphOfGroups, abelianized_presentation, euler_characteristic, is_nontrivial,
-    reverse_edge, word_length,
+    reverse_edge,
 )
-from gfgcover.homology import IntMatrix, _check_prime, cokernel, p_rank
-from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, power_of
+from gfgcover.homology import (
+    AbelianGroup, IntMatrix, _check_prime, cyclic_column, p_rank, snf,
+)
+from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, identity, power_of
 
 
 def table_iso_maps(t1: CosetTable, t2: CosetTable) -> Iterator[Tuple[int, ...]]:
@@ -113,7 +130,7 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
         return False
 
     base_vs = sorted(m1.base.graph.vertices)
-    groups = [(b, m1.lifts_over(b), m2.lifts_over(b)) for b in base_vs]
+    groups = [(b, lifts_over(m1, b), lifts_over(m2, b)) for b in base_vs]
     for b, l1, l2 in groups:
         if len(l1) != len(l2):
             return False
@@ -378,7 +395,82 @@ def torsion_piece_oracle(
                 for c in (v + ".1", v + ".2"):
                     col = roster.index(("vertex", c, 0))
                     rows.append([1 if j == col else 0 for j in range(matrix.cols)])
-                q = cokernel(IntMatrix.from_rows(rows, matrix.cols))
+                q = smith_group(IntMatrix.from_rows(rows, matrix.cols))
                 if p_rank(q, p) >= 1:
                     return TorsionPiece(piece, v + ".1", v + ".2", p, q)
     return None
+
+
+def smith_group(a: IntMatrix) -> AbelianGroup:
+    """Z^cols modulo the row space of a, off the diagonal of ``snf``."""
+    return cokernel_basis(a)[0]
+
+
+def cokernel_basis(a: IntMatrix) -> Tuple[AbelianGroup, Tuple[Tuple[int, ...], ...]]:
+    """The group and, per generator of the presentation, its image."""
+    n = a.cols
+    _, d, v = snf(a)
+    diag = list(d.diagonal()) + [0] * (n - min(a.rows, n))
+    torsion = [i for i, e in enumerate(diag) if e >= 2]
+    free = [i for i, e in enumerate(diag) if e == 0]
+    rows = []
+    for j in range(n):
+        vec = [v.entries[j][i] for i in torsion + free]
+        for t, i in enumerate(torsion):
+            vec[t] %= diag[i]
+        rows.append(tuple(vec))
+    return AbelianGroup(len(free), tuple(diag[i] for i in torsion)), tuple(rows)
+
+
+def class_image_oracle(g, target) -> Tuple[int, ...]:
+    """``class_image`` as the sum of the generator images of
+    ``cokernel_basis``."""
+    if hasattr(g, "total"):
+        g = g.total
+    roster, matrix = abelianized_presentation(g)
+    group, basis = cokernel_basis(matrix)
+    if isinstance(target, str):
+        return basis[cyclic_column(g, roster, target)]
+    vertex, word = target
+    if hasattr(word, "canonical"):
+        word = word.canonical
+    out = [0] * group.coords
+    for i, c in enumerate(abelianize_word(word)):
+        for t, e in enumerate(basis[roster.index(("vertex", vertex, i))]):
+            out[t] += c * e
+    return group.reduce_element(out)
+
+
+def _relations(a: AbelianGroup) -> List[List[int]]:
+    width = a.coords
+    return [[d if j == i else 0 for j in range(width)] for i, d in enumerate(a.divisors)]
+
+
+def quotient_by(a: AbelianGroup, xs) -> AbelianGroup:
+    """Quotient of a by the subgroup generated by the given elements, which
+    are vectors in a's coordinates."""
+    rows = _relations(a) + [list(a.reduce_element(x)) for x in xs]
+    return smith_group(IntMatrix.from_rows(rows, cols=a.coords))
+
+
+def dim_mod_p(a: AbelianGroup, p: int) -> int:
+    """dim_Fp(A/pA), from a presentation of A/pA (the divisor relations
+    plus p times every generator) rather than from the divisor list."""
+    _check_prime(p)
+    width = a.coords
+    rows = _relations(a) + [[p if i == j else 0 for i in range(width)] for j in range(width)]
+    q = smith_group(IntMatrix.from_rows(rows, cols=width))
+    assert q.betti == 0
+    return sum(1 for d in q.divisors if d == p)
+
+
+def evaluate(table: CosetTable, w: Word) -> Word:
+    """Inverse of ``rewrite``: expand a basis word into the ambient group."""
+    sd = schreier(table)
+    if w.rank != len(sd.basis):
+        raise ValueError("word is not in the subgroup basis")
+    out = identity(table.rank)
+    for letter in w.letters:
+        g = sd.basis[abs(letter) - 1]
+        out = out * (g if letter > 0 else g.inverse())
+    return out

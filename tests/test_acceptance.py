@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+from _oracles import quotient_by
+
 from gfgcover.cosets import CosetTable, elevations, enumerate_subgroups
 from gfgcover.covers import (
     chain,
@@ -44,7 +46,6 @@ from gfgcover.homology import (
     h1_mod_cyclic,
     ledger_check,
     p_rank,
-    quotient_by,
     snf,
     torsion_exponent,
 )

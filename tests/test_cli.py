@@ -324,6 +324,18 @@ class TestCommands:
         code, _, err = run(capsys, "enumerate-covers", SEEDED, "--max-index", "1")
         assert code == 1 and cli.BUDGET_VAR in err
 
+    @pytest.mark.parametrize("argv", [
+        ("torsion-piece", SEEDED, "--max-index", "2", "--prime"),
+        ("tower", SEEDED, "--steps", "1", "--primes"),
+    ])
+    @pytest.mark.parametrize("prime, reason", [
+        (10 ** 400 + 1, "below 2**64"), (3215031751, "not prime"),
+    ])
+    def test_prime_checked_before_search(self, capsys, argv, prime, reason):
+        code, out, err = run(capsys, *argv, str(prime))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and reason in err and err.count("\n") == 1
+
     def test_deterministic_bytes(self, capsys):
         argv = ["torsion-piece", SEEDED, "--prime", "2", "--max-index", "4"]
         first = run(capsys, *argv)

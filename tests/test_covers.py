@@ -4,10 +4,14 @@ import random
 from pathlib import Path
 
 import pytest
+from _helpers import gog_word_power, lifts_over
 from _oracles import (
     candidate_covers,
+    class_image_oracle,
     enumerate_covers_oracle,
     isomorphic_oracle,
+    quotient_by,
+    smith_group,
     torsion_piece_oracle,
 )
 
@@ -49,20 +53,17 @@ from gfgcover.gog import (
     abelianized_presentation,
     enumerate_closed_words,
     euler_characteristic,
-    gog_word_power,
     is_nontrivial,
 )
 from gfgcover.homology import (
     IntMatrix,
     class_image,
-    cokernel,
     h1,
     h1_mod_cyclic,
     p_rank,
-    quotient_by,
     torsion_exponent,
 )
-from gfgcover.words import Word
+from gfgcover.words import Word, conj_canonical
 
 
 def amalgam(words=((1, 1, 2),)):
@@ -636,19 +637,33 @@ class TestTorsionPieceSearch:
         assert checked >= 100
 
     def test_homology_matches_cokernel(self):
+        # Against the diagonal of the full Smith form, not against the
+        # transform-free elimination that h1 runs.
         for name in ("seeded_torsion", "hnn_f1", "genus2"):
             for m in enumerate_covers(fixture(name), 3):
                 roster, matrix = abelianized_presentation(m.total)
-                got = h1(m)
-                want = cokernel(matrix)
-                assert got.basis_map is None
-                assert (got.betti, got.divisors) == (want.betti, want.divisors)
+                assert h1(m) == smith_group(matrix)
                 for v in sorted(m.cyclic_index):
                     col = roster.index(("vertex", v, 0))
                     unit = [1 if j == col else 0 for j in range(matrix.cols)]
-                    want = cokernel(IntMatrix.from_rows(list(matrix.entries) + [unit], matrix.cols))
-                    got = h1_mod_cyclic(m, [v])
-                    assert (got.betti, got.divisors) == (want.betti, want.divisors)
+                    want = smith_group(IntMatrix.from_rows(list(matrix.entries) + [unit], matrix.cols))
+                    assert h1_mod_cyclic(m, [v]) == want
+
+    def test_class_image_matches_coordinate_oracle(self):
+        checked = 0
+        for name in ("seeded_torsion", "hnn_f1", "genus2"):
+            for m in enumerate_covers(fixture(name), 3):
+                g = m.total
+                targets = sorted(m.cyclic_index)
+                for v in sorted(g.graph.vertices):
+                    r = g.vertex_rank[v]
+                    for letters in [(i,) for i in range(1, r + 1)] + [(1, 1, r), (-r, -r, -1)]:
+                        targets.append((v, Word(letters, r)))
+                    targets.append((v, conj_canonical(Word((r, 1, 1), r))))
+                for t in targets:
+                    assert class_image(m, t) == class_image_oracle(m, t)
+                    checked += 1
+        assert checked >= 200
 
     @pytest.mark.parametrize("p, splits", [(5, 0), (2, 1)])
     def test_splits_only_the_hit(self, monkeypatch, p, splits):
@@ -1036,7 +1051,7 @@ class TestCanonicalCode:
         for i, m in enumerate(enumerate_covers(seeded(), 3)):
             code = canonical_code(m)
             assert canonical_code(rename_total(m, "!r")) == code
-            for v in m.lifts_over(m.base.base_vertex):
+            for v in lifts_over(m, m.base.base_vertex):
                 assert canonical_code(with_basepoint(m, v)) == code
             other = relabelled(m, i)
             off_catalog += other.vertex_data != m.vertex_data

@@ -1,11 +1,16 @@
 import doctest
+import importlib
+import pkgutil
 
-import gfgcover.gog
-import gfgcover.homology
-import gfgcover.words
+import gfgcover
+
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(gfgcover.__path__, gfgcover.__name__ + ".")
+)
 
 
 def test_doctests():
-    for mod in (gfgcover.words, gfgcover.homology, gfgcover.gog):
-        failures, _ = doctest.testmod(mod)
-        assert failures == 0, mod.__name__
+    assert "gfgcover.homology" in MODULES
+    for name in MODULES:
+        failures, _ = doctest.testmod(importlib.import_module(name))
+        assert failures == 0, name

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from _helpers import word_length
 from _oracles import enumerate_closed_words_oracle
 
 from gfgcover.cli import load_document, parse_document
@@ -18,7 +19,6 @@ from gfgcover.gog import (
     malnormal_family_problems,
     reverse_edge,
     validate,
-    word_length,
 )
 from gfgcover.homology import class_image, h1
 from gfgcover.words import Word

@@ -1,34 +1,36 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from _oracles import dim_mod_p, quotient_by
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfgcover.gog import GraphOfGroups, SerreGraph
 from gfgcover.homology import (
     AbelianGroup,
     IntMatrix,
     TowerLedger,
+    _check_prime,
+    class_image,
     cokernel,
-    cokernel_invariants,
     determinant,
-    dim_mod_p,
-    element_image,
+    h1,
     ledger_bound,
     ledger_check,
     ledger_update,
     p_rank,
-    quotient_by,
     snf,
     torsion_exponent,
 )
+from gfgcover.words import Word
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:
     """Oracle: gcd of all k x k minors (0 when there are none nonzero)."""
-    import math
-
     g = 0
     for rows in itertools.combinations(range(a.rows), k):
         for cols in itertools.combinations(range(a.cols), k):
@@ -145,12 +147,12 @@ class TestCokernelInvariants:
     def test_against_snf(self, a):
         _, d, _ = snf(a)
         diag = d.diagonal()
-        got = cokernel_invariants(a)
-        assert got.basis_map is None
+        got = cokernel(a)
         assert got.betti == a.cols - sum(1 for x in diag if x)
         assert got.divisors == tuple(x for x in diag if x >= 2)
-        full = cokernel(a)
-        assert (got.betti, got.divisors) == (full.betti, full.divisors)
+        factors = invariant_factors_via_minors(a)
+        assert got.betti == a.cols - len(factors)
+        assert got.divisors == tuple(x for x in factors if x >= 2)
 
 
 class TestDeterminant:
@@ -171,30 +173,45 @@ class TestDeterminant:
         assert determinant(IntMatrix.from_rows([])) == 1
 
 
+def loops(rank, rows):
+    """One free vertex of the given rank with one loop per row.  A loop's
+    words abelianize to the positive and the negative part of its row, so
+    H_1 is the cokernel of the rows plus one free stable letter per loop."""
+    pairs, words = {}, {}
+    for k, row in enumerate(rows):
+        pairs["p%d" % k] = ("v", "v")
+        for name, sign in (("p%d" % k, 1), ("~p%d" % k, -1)):
+            letters = [i + 1 for i, c in enumerate(row) for _ in range(max(0, sign * c))]
+            words[name] = Word(tuple(letters), rank)
+    return GraphOfGroups(SerreGraph(["v"], pairs), {"v": rank}, {"v": "free"}, words, "v")
+
+
 class TestCokernel:
     def test_diag_2_3_gives_z6(self):
         g = cokernel(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert g.betti == 0 and g.divisors == (6,)
 
     def test_free_quotient_basis_map(self):
-        g = cokernel(IntMatrix.from_rows([[1, -1]]))
-        assert g.betti == 1 and g.divisors == ()
-        # Both generators land on the same generator of Z.
-        assert g.basis_map[0] == g.basis_map[1]
+        g = loops(2, [[1, -1]])
+        assert (h1(g).betti, h1(g).divisors) == (2, ())
+        # Both generators land on the same element of Z^2.
+        assert class_image(g, ("v", Word((1,), 2))) == class_image(g, ("v", Word((2,), 2)))
 
     def test_zero_rows(self):
         g = cokernel(IntMatrix.from_rows([], cols=3))
         assert g.betti == 3 and g.divisors == ()
 
     def test_relations_die(self):
-        a = IntMatrix.from_rows([[2, 0, 4], [0, 0, 6]])
-        g = cokernel(a)
-        for row in a.entries:
-            img = [0] * g.coords
-            for j, c in enumerate(row):
-                for i, e in enumerate(g.basis_map[j]):
-                    img[i] += c * e
-            assert g.reduce_element(img) == (0,) * g.coords
+        rows = [[2, 0, 4], [0, 0, 6]]
+        g = loops(3, rows)
+        group = h1(g)
+        assert (group.betti, group.divisors) == (3, (2, 6))
+        images = [class_image(g, ("v", Word((j + 1,), 3))) for j in range(3)]
+        for k, row in enumerate(rows):
+            img = [sum(c * x[i] for c, x in zip(row, images)) for i in range(group.coords)]
+            assert group.reduce_element(img) == (0,) * group.coords
+            fwd, bwd = g.edge_words["p%d" % k], g.edge_words["~p%d" % k]
+            assert class_image(g, ("v", fwd)) == class_image(g, ("v", bwd))
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
@@ -261,12 +278,6 @@ class TestQuotient:
         q = quotient_by(g, [(1, 2)])
         assert q.betti == 0 and q.divisors == (4,)
 
-    def test_killed_element_maps_to_zero(self):
-        g = AbelianGroup(1, (2, 4))
-        x = (1, 2, 3)
-        q = quotient_by(g, [x])
-        assert element_image(q, x) == (0,) * q.coords
-
     def test_quotient_by_nothing(self):
         g = AbelianGroup(2, (3,))
         assert quotient_by(g, []).isomorphic(g)
@@ -291,6 +302,45 @@ class TestQuotient:
                 cur = g.reduce_element(tuple(a + b for a, b in zip(cur, x)))
             q = quotient_by(g, [x])
             assert q.order() == g.order() // len(seen)
+
+
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+class TestCheckPrime:
+    def test_agrees_with_trial_division_below_10000(self):
+        for n in range(-3, 10 ** 4):
+            try:
+                _check_prime(n)
+                got = True
+            except ValueError:
+                got = False
+            assert got == is_prime_by_trial_division(n), n
+
+    @pytest.mark.parametrize("n, prime", [
+        (561, False),  # Carmichael number
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (2 ** 61 - 1, True),
+        (2 ** 64 - 59, True),  # the largest prime below 2**64
+        (2 ** 61 + 1, False),
+    ])
+    def test_known_cases(self, n, prime):
+        if prime:
+            _check_prime(n)
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                _check_prime(n)
+
+    def test_fast_on_a_61_bit_prime(self):
+        started = time.perf_counter()
+        _check_prime(2 ** 61 - 1)
+        assert time.perf_counter() - started < 0.01
+
+    @pytest.mark.parametrize("n", [2 ** 64, 2 ** 89 - 1, 10 ** 400 + 1])
+    def test_refuses_large_input(self, n):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            _check_prime(n)
 
 
 class TestLedger:

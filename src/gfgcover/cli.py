@@ -15,8 +15,9 @@ Subcommands print either CSV (fixed column order, LF, UTF-8) or a new
 document; both are byte-deterministic for fixed inputs and flags.
 
 Exit codes: 0 success, 1 invalid input, 2 a bounded search found nothing.
-``GFGCOVER_BUDGET`` sets the default node budget for the searching
-subcommands; an explicit ``--cap``/``--budget`` flag wins.
+A searching subcommand's run draws from one node budget: ``--budget``, else
+a tower-config's ``budget``, else ``GFGCOVER_BUDGET``, else the library's
+default; a budget below 1 is invalid input.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .covers import (
     validate_cover,
     validate_precover,
 )
-from .errors import BudgetExceededError
+from .errors import Budget, BudgetExceededError
 from .gog import (
     GraphOfGroups,
     SerreGraph,
@@ -354,18 +355,27 @@ def parse_document(data: dict, path: str):
 # subcommands
 
 
-def _default_budget() -> Optional[int]:
-    raw = os.environ.get(BUDGET_VAR)
-    if raw is None:
+def _budget(
+    flag: Optional[int], config: Optional[dict] = None, path: str = ""
+) -> Optional[Budget]:
+    """The budget set by ``--budget``, else by the tower-config's ``budget``,
+    else by ``GFGCOVER_BUDGET``; None when none of them is set."""
+    if flag is not None:
+        cap, source = flag, "--budget"
+    elif config is not None and "budget" in config:
+        cap, source = _get(config, "budget", int, path), path + ".budget"
+    elif BUDGET_VAR in os.environ:
+        raw, source = os.environ[BUDGET_VAR], BUDGET_VAR
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise SchemaError("%s: expected an integer, got %r" % (source, raw))
+    else:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("%s: expected an integer, got %r" % (BUDGET_VAR, raw))
-
-
-def _budget(flag: Optional[int]) -> Optional[int]:
-    return flag if flag is not None else _default_budget()
+        return Budget(cap)
+    except ValueError as exc:
+        raise SchemaError("%s: %s" % (source, exc))
 
 
 def _print_csv(header: List[str], rows: List[List[str]]) -> None:
@@ -443,7 +453,7 @@ def cmd_enumerate_covers(args) -> int:
     if not isinstance(g, GraphOfGroups):
         raise SchemaError("%s: enumerate-covers needs a gog document" % args.file)
     rows = []
-    for m in enumerate_covers(g, args.max_index, cap=_budget(args.cap)):
+    for m in enumerate_covers(g, args.max_index, _budget(args.budget)):
         problems = validate_cover(m)
         if problems:
             raise AssertionError("enumerated cover failed validation: %s" % problems)
@@ -459,7 +469,7 @@ def cmd_torsion_piece(args) -> int:
     g = parse_document(data, args.file)
     if not isinstance(g, GraphOfGroups):
         raise SchemaError("%s: torsion-piece needs a gog document" % args.file)
-    piece = find_torsion_piece(g, args.prime, args.max_index, cap=_budget(args.cap))
+    piece = find_torsion_piece(g, args.prime, args.max_index, _budget(args.budget))
     if piece is None:
         print("no torsion piece within index %d" % args.max_index, file=sys.stderr)
         return 2
@@ -484,7 +494,7 @@ def cmd_complete(args) -> int:
         m = m.morphism
     if not isinstance(m, PrecoverMorphism):
         raise SchemaError("%s: complete needs a morphism document" % args.file)
-    out = complete(m, args.bound, cap=_budget(args.cap))
+    out = complete(m, args.bound, _budget(args.budget))
     if out is None:
         print("no completion within added index %d" % args.bound, file=sys.stderr)
         return 2
@@ -528,8 +538,9 @@ def cmd_tower(args) -> int:
     steps = args.steps
     primes = args.primes
     bounds = _parse_bounds(args.bounds)
-    budget = _budget(args.budget)
-    if data["kind"] == "tower-config":
+    config = data if data["kind"] == "tower-config" else None
+    budget = _budget(args.budget, config, args.file)
+    if config is not None:
         if steps is None:
             steps = _get(data, "steps", int, args.file)
         if primes is None:
@@ -538,8 +549,6 @@ def cmd_tower(args) -> int:
                 _expect(p, int, "%s.primes[%d]" % (args.file, i))
         if bounds is None and "bounds" in data:
             bounds = _bounds(_get(data, "bounds", dict, args.file), args.file + ".bounds")
-        if budget is None:
-            budget = _get(data, "budget", int, args.file, default=None)
     if steps is None or primes is None:
         raise SchemaError("tower needs --steps and --primes (or a tower-config document)")
     report = build_tower(g, primes, steps, bounds=bounds, budget=budget)
@@ -576,19 +585,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate-covers", cmd_enumerate_covers, help="CSV census of covers")
     p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--budget", type=int)
 
     p = add("torsion-piece", cmd_torsion_piece, help="search covers for a torsion piece")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--budget", type=int)
 
     p = add("chain", cmd_chain, help="concatenate copies of a torsion piece")
     p.add_argument("--copies", type=int, required=True)
 
     p = add("complete", cmd_complete, help="extend a precover to a cover")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--budget", type=int)
 
     p = add("tower", cmd_tower, help="run the tower builder, print its CSV report")
     p.add_argument("--steps", type=int)

@@ -479,7 +479,6 @@ def prescribe_degrees(
     rank: int,
     targets: Sequence[Target],
     degrees: Sequence[int],
-    within: Optional[CosetTable] = None,
     max_modulus: int = 60,
     max_pair_modulus: int = 12,
     max_perm_index: int = 5,
@@ -490,8 +489,7 @@ def prescribe_degrees(
     Scans a fixed schedule of finite quotients (cyclic, products of two
     cyclics, then images of small transitive actions) and returns the first
     hit; every elevation of targets[i] in the resulting table has degree
-    scale * degrees[i].  With ``within``, only subgroups contained in the
-    given one are accepted.  Returns None when the schedule is exhausted,
+    scale * degrees[i].  Returns None when the schedule is exhausted,
     and at once when two targets are one class up to inversion but have
     different degrees.
 
@@ -513,8 +511,6 @@ def prescribe_degrees(
         raise ValueError("need one positive degree per word")
     if any(d < 1 for d in degrees):
         raise ValueError("need one positive degree per word")
-    if within is not None and within.rank != rank:
-        raise ValueError("rank mismatch with the ambient subgroup")
     # A class and its inverse have equal orders in every quotient, so two
     # targets equal up to inversion cannot take different degrees.
     for (w1, d1), (w2, d2) in itertools.combinations(zip(words, degrees), 2):
@@ -541,8 +537,6 @@ def prescribe_degrees(
         for w, d in zip(words, degrees):
             if any(e.degree != scale * d for e in elevations(table, w)):
                 return None
-        if within is not None and not subgroup_contains(within, table):
-            return None
         return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
 
     # Phase A: cyclic quotients.  Orders come from exponent sums, so the

@@ -35,7 +35,7 @@ from .cosets import (
     subgroup_rank,
     whole_group_table,
 )
-from .errors import BudgetExceededError
+from .errors import Budget, BudgetExceededError
 from .gog import (
     GogWord,
     GraphOfGroups,
@@ -63,6 +63,8 @@ from .homology import (
 from .words import Word
 
 DEFAULT_BUDGET = 200_000
+MAX_BETA = 16  # detached-copy counts tried per tower step; only 1 is supported
+MAX_ALPHA_RETRIES = 4  # chain lengths tried past the least one
 
 
 @lru_cache(maxsize=None)
@@ -560,12 +562,6 @@ def _tables(rank: int, idx: int) -> Tuple[CosetTable, ...]:
     return tuple(enumerate_subgroups(rank, idx))
 
 
-def _tick(counter: List[int], cap: Optional[int]) -> None:
-    counter[0] += 1
-    if cap is not None and counter[0] > cap:
-        raise BudgetExceededError("search budget exceeded (%d nodes)" % cap)
-
-
 def _check_base_shape(g: GraphOfGroups) -> None:
     gr = g.graph
     for p in gr.pairs:
@@ -578,16 +574,15 @@ def _close_open_ends(
     base: GraphOfGroups,
     pools: Dict[str, List[Tuple[ElevationRef, int]]],
     demands: Sequence[Tuple[str, int, Tuple[str, ...]]],
-    budgets: Dict[str, int],
+    room: Dict[str, int],
     taken_names: Set[str],
-    counter: List[int],
-    cap: Optional[int],
+    budget: Budget,
 ) -> Iterator[Tuple[Dict[str, Tuple[str, int]], List[Tuple[str, ElevationRef, ElevationRef]]]]:
     """Yield every way to close all open elevation ends.
 
     ``pools`` holds the open free-side elevations per oriented base edge
     (keyed by the edge whose tau end they realize).  ``demands`` are
-    existing cyclic lifts with unrealized ends; ``budgets`` caps the total
+    existing cyclic lifts with unrealized ends; ``room`` is the total
     index of new cyclic lifts per base cyclic vertex, exactly.  Yields, in
     reused containers, (new cyclic lifts: name -> (base, index), new triples).
     """
@@ -620,8 +615,9 @@ def _close_open_ends(
                 return name
             i += 1
 
-    def open_entries(e: str) -> List[Tuple[ElevationRef, int]]:
-        return [(r, d) for (r, d) in pools.get(e, []) if r not in consumed]
+    # Pools are scanned in place; each loop restores ``consumed`` per entry.
+    def first_open(e: str) -> Optional[Tuple[ElevationRef, int]]:
+        return next((rd for rd in pools.get(e, ()) if rd[0] not in consumed), None)
 
     def emit(bp: str, cyc_end: str, cyc_ref: ElevationRef, far_ref: ElevationRef):
         if cyc_end == bp:
@@ -634,11 +630,10 @@ def _close_open_ends(
             yield from do_cyclic(0, 0)
             return
         lift, d, e = demand_steps[i]
-        far = open_entries(reverse_edge(e))
-        for ref, dd in far:
-            if dd != d:
+        for ref, dd in pools.get(reverse_edge(e), ()):
+            if dd != d or ref in consumed:
                 continue
-            _tick(counter, cap)
+            budget.tick()
             consumed.add(ref)
             emit(pair_of(e), e, ElevationRef(lift, e, 0), ref)
             yield from do_demands(i + 1)
@@ -651,17 +646,17 @@ def _close_open_ends(
             return
         c = cyclic_vs[ci]
         ends = ends_of[c]
-        anchor_pool = open_entries(reverse_edge(ends[0])) if ends else []
-        if not anchor_pool:
-            if spent != budgets.get(c, 0):
+        anchor = first_open(reverse_edge(ends[0])) if ends else None
+        if anchor is None:
+            if spent != room.get(c, 0):
                 return
             for e in ends[1:]:
-                if open_entries(reverse_edge(e)):
+                if first_open(reverse_edge(e)) is not None:
                     return
             yield from do_cyclic(ci + 1, 0)
             return
-        ref0, d = anchor_pool[0]
-        if spent + d > budgets.get(c, 0):
+        ref0, d = anchor
+        if spent + d > room.get(c, 0):
             return
         name = fresh_name(c)
         consumed.add(ref0)
@@ -673,10 +668,10 @@ def _close_open_ends(
                 yield from do_cyclic(ci, spent + d)
                 return
             e = ends[j]
-            for ref, dd in open_entries(reverse_edge(e)):
-                if dd != d:
+            for ref, dd in pools.get(reverse_edge(e), ()):
+                if dd != d or ref in consumed:
                     continue
-                _tick(counter, cap)
+                budget.tick()
                 consumed.add(ref)
                 emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
                 yield from fill(j + 1)
@@ -693,18 +688,17 @@ def _close_open_ends(
             yield new_cyclic, out_pairs
             return
         p = free_pairs[pi]
-        fwd_open = open_entries(p)
-        bwd_open = open_entries(reverse_edge(p))
-        if not fwd_open:
-            if bwd_open:
+        first = first_open(p)
+        if first is None:
+            if first_open(reverse_edge(p)) is not None:
                 return
             yield from do_pairs(pi + 1)
             return
-        x, dx = fwd_open[0]
-        for y, dy in bwd_open:
-            if dy != dx:
+        x, dx = first
+        for y, dy in pools.get(reverse_edge(p), ()):
+            if dy != dx or y in consumed:
                 continue
-            _tick(counter, cap)
+            budget.tick()
             consumed.add(x)
             if y != x:
                 consumed.add(y)
@@ -761,8 +755,7 @@ def _extensions(
     m: Optional[PrecoverMorphism],
     target: int,
     sep: str,
-    counter: List[int],
-    cap: Optional[int],
+    budget: Budget,
 ) -> Iterator[tuple]:
     """Every cover of degree ``target`` containing the precover ``m``
     (None: the empty precover), in matching-engine order, as the raw data
@@ -793,11 +786,11 @@ def _extensions(
         else:
             open_cyclic.setdefault(s.vertex, []).append(s.edge)
     demands = [(v, m_index[v], tuple(ends)) for v, ends in open_cyclic.items()]
-    budgets = {c: target - sums[c] for c in cyclic_vs}
+    room = {c: target - sums[c] for c in cyclic_vs}
 
     per_vertex = [_vertex_multisets(g.rank(v), target - sums[v]) for v in free_vs]
     for combo in itertools.product(*per_vertex):
-        _tick(counter, cap)
+        budget.tick()
         new_free: Dict[str, Tuple[str, CosetTable]] = {}
         for v, multiset in zip(free_vs, combo):
             k = 0
@@ -813,7 +806,7 @@ def _extensions(
             )
         taken = set(m_map) | set(new_free)
         for new_cyclic, triples in _close_open_ends(
-            g, pools, demands, budgets, taken, counter, cap
+            g, pools, demands, room, taken, budget
         ):
             yield new_free, new_cyclic, triples
 
@@ -847,13 +840,11 @@ def _assemble(
     return out
 
 
-def _degree_covers(
-    g: GraphOfGroups, n: int, counter: List[int], cap: Optional[int]
-) -> Iterator[PrecoverMorphism]:
+def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, a candidate
     built only when its canonical code is new (the first of its class)."""
     seen: Set[tuple] = set()
-    for raw in _extensions(g, None, n, "@", counter, cap):
+    for raw in _extensions(g, None, n, "@", budget):
         new_free, new_cyclic, triples = raw
         lifts = itertools.chain(new_free.items(), new_cyclic.items())
         code = _code(g, lifts, triples, connected_only=True)
@@ -869,33 +860,27 @@ def _degree_covers(
 class CoverCensus:
     """The connected covers of one base, enumerated once and replayed:
     ``covers(max_index)`` yields what ``enumerate_covers(g, max_index,
-    cap)`` yields.  Each degree is searched once, as far as some caller has
-    read.  One node counter serves all callers, so the budget runs out at
-    the same cover as in a fresh enumeration, and stays spent."""
+    budget)`` yields.  Each degree is searched once, as far as some caller
+    has read, all from ``budget``: it runs out at the same cover as in a
+    fresh enumeration, and once it is spent, by any search, none resumes."""
 
-    def __init__(self, g: GraphOfGroups, cap: Optional[int] = None):
+    def __init__(self, g: GraphOfGroups, budget: Optional[Budget] = None):
         ensure_valid(g)
         _check_base_shape(g)
-        self.base, self._cap, self._counter = g, cap, [0]
+        self.base, self.budget = g, budget or Budget()
         self._degrees: Dict[int, Tuple[List[PrecoverMorphism], Optional[Iterator]]] = {}
-        self._failure: Optional[BudgetExceededError] = None
 
     def covers(self, max_index: int) -> Iterator[PrecoverMorphism]:
         for n in range(1, max_index + 1):
             if n not in self._degrees:
-                self._degrees[n] = ([], _degree_covers(self.base, n, self._counter, self._cap))
+                self._degrees[n] = ([], _degree_covers(self.base, n, self.budget))
             found, search = self._degrees[n]
             for i in itertools.count():
                 if i == len(found):
                     if search is None:
                         break
-                    if self._failure is not None:
-                        raise BudgetExceededError(str(self._failure))
-                    try:
-                        m = next(search, None)
-                    except BudgetExceededError as exc:
-                        self._failure = exc
-                        raise
+                    self.budget.check()  # a search that raised cannot resume
+                    m = next(search, None)
                     if m is None:
                         self._degrees[n] = (found, None)
                         break
@@ -904,7 +889,7 @@ class CoverCensus:
 
 
 def enumerate_covers(
-    g: GraphOfGroups, max_index: int, cap: Optional[int] = None
+    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None
 ) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree at most max_index, one per isomorphism
     class, in ascending degree.
@@ -913,9 +898,9 @@ def enumerate_covers(
     order while matching elevation ends.  A candidate whose
     ``canonical_code`` was already seen is dropped before any morphism is
     built, so the first candidate of each class represents it.  Raises
-    BudgetExceededError when the search exceeds ``cap`` nodes.
+    BudgetExceededError when the search exceeds ``budget``.
     """
-    yield from CoverCensus(g, cap).covers(max_index)
+    yield from CoverCensus(g, budget).covers(max_index)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1086,7 @@ def isomorphic(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
 
 
 def complete(
-    m: PrecoverMorphism, bound: int, cap: Optional[int] = None
+    m: PrecoverMorphism, bound: int, budget: Optional[Budget] = None
 ) -> Optional[PrecoverMorphism]:
     """Extend a precover to a cover by adding at most ``bound`` total index.
 
@@ -1109,17 +1094,18 @@ def complete(
     run over the subgroup catalog and open ends are matched exactly as in
     cover enumeration.  Hanging slots of the input may be glued to each
     other, to new lifts, or to new cyclic vertices.  Returns None when no
-    completion exists within the bound.
+    completion exists within the bound.  Raises BudgetExceededError when
+    the search exceeds ``budget``.
     """
     ensure_precover(m)
     if not validate_cover(m):
         return m
     _check_base_shape(m.base)
-    counter = [0]
+    budget = budget or Budget()
     for target in itertools.count(max(m.sums.values())):
         if sum(target - s for s in m.sums.values()) > bound:
             return None
-        for raw in _extensions(m.base, m, target, "+", counter, cap):
+        for raw in _extensions(m.base, m, target, "+", budget):
             return _assemble(m.base, m, "+", raw)
 
 
@@ -1165,7 +1151,7 @@ def _is_cut_vertex(gr: SerreGraph, v: str) -> bool:
 
 
 def find_torsion_piece(
-    g: GraphOfGroups, p: int, max_index: int, cap: Optional[int] = None
+    g: GraphOfGroups, p: int, max_index: int, budget: Optional[Budget] = None
 ) -> Optional[TorsionPiece]:
     """Search small covers for a cyclic lift whose splitting certifies
     p-torsion.
@@ -1186,7 +1172,7 @@ def find_torsion_piece(
     less, and v passes exactly when the latter has p-torsion.
     """
     _check_prime(p)
-    return _torsion_piece_in(CoverCensus(g, cap).covers(max_index), p)
+    return _torsion_piece_in(CoverCensus(g, budget).covers(max_index), p)
 
 
 def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
@@ -1309,8 +1295,6 @@ class TowerBounds:
     max_piece_index: int = 4
     complete_bound: int = 24
     max_word_length: int = 6
-    max_beta: int = 16
-    max_alpha_retries: int = 4
 
 
 @dataclass(frozen=True)
@@ -1425,7 +1409,7 @@ def _tower_step(
     p: int,
     tracked: Sequence[int],
     bounds: TowerBounds,
-    budget: Optional[int],
+    budget: Budget,
     ledger: TowerLedger,
     degree_so_far: int,
 ) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
@@ -1503,21 +1487,13 @@ def _tower_step(
     if growth <= 0:
         raise _StageFailure("assembly", "piece predegree too small to meet the bound")
 
-    beta = None
-    alpha0 = None
-    for cand in range(1, bounds.max_beta + 1):
-        a0 = max(1, -(-(cand * ell + n_a) // (cand * growth)))
-        if n == 1:
-            beta, alpha0 = cand, a0
+    for beta in range(1, MAX_BETA + 1):
+        alpha0 = max(1, -(-(beta * ell + n_a) // (beta * growth)))
+        d_pred = beta * ell + beta * alpha0 * k_p + n_a
+        if n == 1 or Fraction(beta * ell, d_pred) >= 1 - Fraction(1, 2**n):
             break
-        d_pred = cand * ell + cand * a0 * k_p + n_a
-        if Fraction(cand * ell, d_pred) >= 1 - Fraction(1, 2**n):
-            beta, alpha0 = cand, a0
-            break
-    if beta is None:
-        raise _StageFailure(
-            "assembly", "no copy count keeps enough of the previous cover"
-        )
+    else:
+        raise _StageFailure("assembly", "no copy count keeps enough of the previous cover")
     if beta > 1:
         raise _StageFailure(
             "assembly", "step needs %d detached copies; only one is supported" % beta
@@ -1525,7 +1501,7 @@ def _tower_step(
 
     detached = rename_total(detach_edge(cover, site), "!L")
     last_error = None
-    for alpha in range(alpha0, alpha0 + bounds.max_alpha_retries + 1):
+    for alpha in range(alpha0, alpha0 + MAX_ALPHA_RETRIES + 1):
         body = rename_total(chain(piece, alpha), "!K")
         conn = rename_total(connector, "!C")
         tail_c2 = (piece.c2 + ("#1" if alpha > 1 else "")) + "!K"
@@ -1583,7 +1559,7 @@ def _tower_step(
         except ValueError as exc:
             last_error = str(exc)
             continue
-        cover_n = complete(asm, bounds.complete_bound, cap=budget)
+        cover_n = complete(asm, bounds.complete_bound, budget)
         if cover_n is None:
             last_error = "no completion within added index %d" % bounds.complete_bound
             continue
@@ -1648,7 +1624,7 @@ def build_tower(
     primes: Sequence[int],
     steps: int,
     bounds: Optional[TowerBounds] = None,
-    budget: Optional[int] = None,
+    budget: Optional[Budget] = None,
 ) -> TowerReport:
     """Grow a tower of covers, one new prime per step, ledgered throughout.
 
@@ -1657,7 +1633,8 @@ def build_tower(
     cover through a prescribed-degree connector, completes, measures the
     torsion exponents and updates the ledger.  Stops early with a
     "failed:<stage>:<reason>" status when any stage finds nothing within
-    its bounds; completed steps stay in the report.
+    its bounds; completed steps stay in the report.  Every census and
+    completion draws from ``budget``, by default ``Budget(DEFAULT_BUDGET)``.
     """
     ensure_valid(g)
     if steps < 0:
@@ -1667,10 +1644,8 @@ def build_tower(
         _check_prime(p)
     if len(primes) < steps:
         raise ValueError("need one prime per step")
-    if bounds is None:
-        bounds = TowerBounds()
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    bounds = bounds or TowerBounds()
+    budget = budget or Budget(DEFAULT_BUDGET)
 
     base_h1 = h1(g)
     base_exps = {p: torsion_exponent(base_h1, p) for p in primes}

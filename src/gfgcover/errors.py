@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the search budget."""
+
+from typing import Optional
 
 
 class BudgetExceededError(RuntimeError):
@@ -7,3 +9,21 @@ class BudgetExceededError(RuntimeError):
 
 class PairCollisionError(ValueError):
     """Two formally distinct inputs became equal after rewriting."""
+
+
+class Budget:
+    """The node budget all searches of one run draw from (``cap`` None:
+    unbounded).  Past the cap, ``tick`` and ``check`` raise for good."""
+
+    def __init__(self, cap: Optional[int] = None):
+        if cap is not None and cap < 1:
+            raise ValueError("node budget must be at least 1, got %d" % cap)
+        self.cap, self.nodes = cap, 0
+
+    def check(self) -> None:
+        if self.cap is not None and self.nodes > self.cap:
+            raise BudgetExceededError("search budget exceeded (%d nodes)" % self.cap)
+
+    def tick(self) -> None:
+        self.nodes += 1
+        self.check()

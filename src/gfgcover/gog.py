@@ -173,7 +173,7 @@ class GraphOfGroups:
         return self.vertex_rank[v]
 
 
-def validate(g: GraphOfGroups, require_connected: bool = True) -> List[str]:
+def validate(g: GraphOfGroups) -> List[str]:
     """Structural checks; returns a list of problems (empty when valid)."""
     problems = []
     gr = g.graph
@@ -207,7 +207,7 @@ def validate(g: GraphOfGroups, require_connected: bool = True) -> List[str]:
             problems.append("word given for unknown edge %r" % e)
     if g.base_vertex not in gr.vertices:
         problems.append("base vertex %r is not a vertex" % g.base_vertex)
-    if require_connected and gr.vertices and not gr.is_connected():
+    if gr.vertices and not gr.is_connected():
         problems.append("graph is not connected")
     return problems
 

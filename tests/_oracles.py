@@ -63,12 +63,12 @@ from gfgcover.cosets import (
     is_regular,
     regular_table,
     schreier,
-    subgroup_contains,
 )
 from gfgcover.covers import (
     CoverCensus, PrecoverMorphism, TorsionPiece, _assemble, _extensions, _is_cut_vertex,
     _same_base, split_cyclic,
 )
+from gfgcover.errors import Budget
 from gfgcover.gog import (
     GogWord, GraphOfGroups, abelianized_presentation, euler_characteristic, is_nontrivial,
     reverse_edge,
@@ -194,11 +194,11 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
 
 
 def candidate_covers(
-    g: GraphOfGroups, n: int, counter: Optional[List[int]] = None, cap: Optional[int] = None
+    g: GraphOfGroups, n: int, budget: Optional[Budget] = None
 ) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, before any
     isomorphism dedup, so one class may come up many times."""
-    for raw in _extensions(g, None, n, "@", [0] if counter is None else counter, cap):
+    for raw in _extensions(g, None, n, "@", budget or Budget()):
         m = _assemble(g, None, "@", raw)
         if m.total.graph.is_connected():
             assert euler_characteristic(m.total) == n * euler_characteristic(g)
@@ -218,14 +218,14 @@ def _invariant(m: PrecoverMorphism) -> tuple:
 
 
 def enumerate_covers_oracle(
-    g: GraphOfGroups, max_index: int, cap: Optional[int] = None
+    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None
 ) -> Iterator[PrecoverMorphism]:
     """Every candidate, kept when ``isomorphic_oracle`` finds it isomorphic
-    to no earlier one of its bucket; one node counter for all degrees."""
-    counter = [0]
+    to no earlier one of its bucket; one budget for all degrees."""
+    budget = budget or Budget()
     for n in range(1, max_index + 1):
         found: Dict[tuple, List[PrecoverMorphism]] = {}
-        for m in candidate_covers(g, n, counter, cap):
+        for m in candidate_covers(g, n, budget):
             bucket = found.setdefault(_invariant(m), [])
             if any(isomorphic_oracle(m, other) for other in bucket):
                 continue
@@ -291,7 +291,6 @@ def prescribe_degrees_oracle(
     rank: int,
     targets: Sequence[Target],
     degrees: Sequence[int],
-    within: Optional[CosetTable] = None,
     max_modulus: int = 60,
     max_pair_modulus: int = 12,
     max_perm_index: int = 5,
@@ -310,8 +309,6 @@ def prescribe_degrees_oracle(
         raise ValueError("need one positive degree per word")
     if any(d < 1 for d in degrees):
         raise ValueError("need one positive degree per word")
-    if within is not None and within.rank != rank:
-        raise ValueError("rank mismatch with the ambient subgroup")
 
     ab = [abelianize_word(w) for w in words]
 
@@ -330,8 +327,6 @@ def prescribe_degrees_oracle(
         for w, d in zip(words, degrees):
             if any(e.degree != scale * d for e in elevations(table, w)):
                 return None
-        if within is not None and not subgroup_contains(within, table):
-            return None
         return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
 
     for m in range(2, max_modulus + 1):
@@ -378,12 +373,12 @@ def prescribe_degrees_oracle(
 
 
 def torsion_piece_oracle(
-    g: GraphOfGroups, p: int, max_index: int, cap: Optional[int] = None
+    g: GraphOfGroups, p: int, max_index: int, budget: Optional[Budget] = None
 ) -> Optional[TorsionPiece]:
     """First split, over covers, lifts and incident edges in order, whose
     certificate has p-torsion."""
     _check_prime(p)
-    for m in CoverCensus(g, cap).covers(max_index):
+    for m in CoverCensus(g, budget).covers(max_index):
         for v in sorted(m.cyclic_index):
             incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
             if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):

@@ -316,13 +316,59 @@ class TestCommands:
         code, _, err = run(capsys, "enumerate-covers", SEEDED, "--max-index", "3")
         assert code == 2 and "budget" in err
         code, out, _ = run(capsys, "enumerate-covers", SEEDED, "--max-index", "1",
-                           "--cap", "100000")
+                           "--budget", "100000")
         assert code == 0 and out.splitlines()[1].startswith("1,")
 
     def test_bad_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.BUDGET_VAR, "lots")
         code, _, err = run(capsys, "enumerate-covers", SEEDED, "--max-index", "1")
         assert code == 1 and cli.BUDGET_VAR in err
+
+    def test_tower_budget_precedence(self, capsys, monkeypatch, tmp_path):
+        # --budget, else the document's budget, else GFGCOVER_BUDGET, else
+        # DEFAULT_BUDGET.
+        def status(path, *flags):
+            code, out, _ = run(capsys, "tower", str(path), *flags)
+            return code, out.splitlines()[-1].split(",")[-1]
+
+        spent = "failed:budget:search budget exceeded (%d nodes)"
+        monkeypatch.setenv(cli.BUDGET_VAR, "5")
+        roomy = tower_config(tmp_path, budget=200000)
+        assert status(roomy) == (0, "ok")
+        assert status(roomy, "--budget", "6") == (2, spent % 6)
+        plain = tower_config(tmp_path)
+        assert status(plain) == (2, spent % 5)
+        monkeypatch.delenv(cli.BUDGET_VAR)
+        assert status(plain) == (0, "ok")
+
+    @pytest.mark.parametrize("source", ["--budget", cli.BUDGET_VAR, ".budget"])
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_budget_below_one_rejected(self, capsys, monkeypatch, tmp_path, source, cap):
+        path = tower_config(tmp_path, **({"budget": cap} if source == ".budget" else {}))
+        argv = ["tower", str(path)]
+        if source == "--budget":
+            argv += ["--budget", str(cap)]
+        elif source == cli.BUDGET_VAR:
+            monkeypatch.setenv(cli.BUDGET_VAR, str(cap))
+        where = str(path) + source if source == ".budget" else source
+        assert run(capsys, *argv) == (
+            1, "", "error: %s: node budget must be at least 1, got %d\n" % (where, cap)
+        )
+
+    @pytest.mark.parametrize("command, flags", [
+        ("enumerate-covers", ["--max-index", "1"]),
+        ("torsion-piece", ["--prime", "2", "--max-index", "1"]),
+        ("complete", ["--bound", "0"]),
+        ("tower", ["--steps", "1", "--primes", "2"]),
+    ])
+    def test_one_budget_flag(self, capsys, piece_file, command, flags):
+        argv = [command, piece_file if command == "complete" else SEEDED] + flags
+        assert run(capsys, *argv, "--budget", "0") == (
+            1, "", "error: --budget: node budget must be at least 1, got 0\n"
+        )
+        assert run(capsys, *argv, "--budget", "200000")[0] in (0, 2)
+        with pytest.raises(SystemExit):
+            run(capsys, *argv, "--cap", "200000")
 
     @pytest.mark.parametrize("argv", [
         ("torsion-piece", SEEDED, "--max-index", "2", "--prime"),

@@ -45,7 +45,7 @@ from gfgcover.covers import (
     validate_precover,
     with_basepoint,
 )
-from gfgcover.errors import BudgetExceededError
+from gfgcover.errors import Budget, BudgetExceededError
 from gfgcover.gog import (
     GogWord,
     GraphOfGroups,
@@ -475,7 +475,7 @@ class TestEnumerate:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            list(enumerate_covers(seeded(), 4, cap=10))
+            list(enumerate_covers(seeded(), 4, Budget(10)))
 
     def test_determinism(self):
         a = [repr(sorted(m.vertex_map.items())) for m in enumerate_covers(seeded(), 3)]
@@ -603,7 +603,7 @@ class TestTorsionPieceSearch:
     def test_budget_runs_out_where_the_oracle_does(self):
         def outcome(search, g, p, cap):
             try:
-                return search(g, p, 4, cap)
+                return search(g, p, 4, Budget(cap))
             except BudgetExceededError:
                 return "budget"
 
@@ -829,7 +829,7 @@ class TestTower:
         assert rep.to_csv().splitlines()[-1].startswith("1,,,")
 
     def test_budget_failure(self):
-        rep = build_tower(seeded(), [2], 1, budget=10)
+        rep = build_tower(seeded(), [2], 1, budget=Budget(10))
         assert rep.status.startswith("failed:budget:")
 
     def test_argument_checks(self):
@@ -1140,10 +1140,10 @@ class TestCoverCensus:
         g = seeded()
         raised = 0
         for cap in range(1, 330, 9):
-            want, want_raised = count_until_budget(enumerate_covers_oracle(g, 4, cap))
-            census = CoverCensus(g, cap)
+            want, want_raised = count_until_budget(enumerate_covers_oracle(g, 4, Budget(cap)))
+            census = CoverCensus(g, Budget(cap))
             count_until_budget(itertools.islice(census.covers(3), 4))
-            for covers in (enumerate_covers(g, 4, cap), census.covers(4)):
+            for covers in (enumerate_covers(g, 4, Budget(cap)), census.covers(4)):
                 got, got_raised = count_until_budget(covers)
                 assert got_raised == want_raised
                 assert list(map(representative_digest, got)) == list(
@@ -1159,15 +1159,130 @@ class TestCoverCensus:
         searched = []
         real = covers_module._degree_covers
 
-        def counting(g, n, counter, cap):
+        def counting(g, n, budget):
             searched.append((id(g), n))
-            return real(g, n, counter, cap)
+            return real(g, n, budget)
 
         monkeypatch.setattr(covers_module, "_degree_covers", counting)
         rep = build_tower(seeded(), [2], 1)
         assert rep.status == "ok"
         assert len(searched) == len(set(searched))
         assert sorted(n for _, n in searched) == [1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# One node budget per run: each search, fed the node count N it takes
+# unbounded, gives the same result at Budget(N) and runs out at Budget(N - 1).
+
+
+def piece_digest(piece):
+    if piece is None:
+        return None
+    cert = piece.certificate
+    return representative_digest(piece.morphism), piece.c1, piece.c2, cert.betti, cert.divisors
+
+
+SEARCHES = {
+    "enumerate_covers/seeded": lambda b: [
+        representative_digest(m) for m in enumerate_covers(seeded(), 4, b)
+    ],
+    "enumerate_covers/G": lambda b: [
+        representative_digest(m) for m in enumerate_covers(amalgam(AMALGAMS["G"]), 4, b)
+    ],
+    "find_torsion_piece/hit": lambda b: piece_digest(find_torsion_piece(seeded(), 2, 4, b)),
+    "find_torsion_piece/miss": lambda b: piece_digest(find_torsion_piece(seeded(), 5, 4, b)),
+    "complete/seeded": lambda b: representative_digest(
+        complete(chain(find_torsion_piece(seeded(), 2, 4), 3), 24, b)
+    ),
+    "complete/G": lambda b: representative_digest(
+        complete(chain(find_torsion_piece(amalgam(AMALGAMS["G"]), 3, 4), 2), 8, b)
+    ),
+}
+
+
+class TestBudget:
+    def test_counts_and_stays_spent(self):
+        budget = Budget(2)
+        budget.tick()
+        budget.tick()
+        for spend in (budget.tick, budget.check, budget.tick):
+            with pytest.raises(BudgetExceededError, match=r"^search budget exceeded \(2 nodes\)$"):
+                spend()
+        unbounded = Budget()
+        for _ in range(1000):
+            unbounded.tick()
+        unbounded.check()
+        assert unbounded.nodes == 1000
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_refuses_a_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+            Budget(cap)
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_exact_budget(self, name):
+        search = SEARCHES[name]
+        free = Budget()
+        want = search(free)
+        n = free.nodes
+        assert n > 0
+        assert search(Budget(n)) == want
+        with pytest.raises(BudgetExceededError, match=r"\(%d nodes\)" % (n - 1)):
+            search(Budget(n - 1))
+
+    def test_exact_budget_tower(self):
+        free = Budget()
+        want = build_tower(seeded(), [2], 1, budget=free).to_csv()
+        n = free.nodes
+        assert want.endswith(",ok\n")
+        assert build_tower(seeded(), [2], 1, budget=Budget(n)).to_csv() == want
+        rep = build_tower(seeded(), [2], 1, budget=Budget(n - 1))
+        assert rep.status == "failed:budget:search budget exceeded (%d nodes)" % (n - 1)
+
+    def test_completion_leaves_the_census_spent(self):
+        g = seeded()
+        chained = chain(find_torsion_piece(g, 2, 4), 3)
+
+        def head(census):
+            return [representative_digest(m) for m in itertools.islice(census.covers(4), 20)]
+
+        free = Budget()
+        want = head(CoverCensus(g, free)), representative_digest(complete(chained, 24, free))
+        budget = Budget(free.nodes)
+        census = CoverCensus(g, budget)
+        assert (head(census), representative_digest(complete(chained, 24, budget))) == want
+
+        budget = Budget(free.nodes - 1)
+        census = CoverCensus(g, budget)
+        assert head(census) == want[0]
+        with pytest.raises(BudgetExceededError):
+            complete(chained, 24, budget)
+        with pytest.raises(BudgetExceededError):
+            list(census.covers(4))
+
+    def test_completion_spends_the_census_budget(self, monkeypatch):
+        # A one-step tower here assembles a cover that needs no completion
+        # node, so its completion is replaced by one that searches until it
+        # has spent 2,000 nodes or its budget.
+        censuses = []
+
+        class Recorded(CoverCensus):
+            def __init__(self, g, budget=None):
+                super().__init__(g, budget)
+                censuses.append(self)
+
+        def spending(m, bound, budget):
+            for _ in range(2000):
+                budget.tick()
+
+        monkeypatch.setattr(covers_module, "CoverCensus", Recorded)
+        monkeypatch.setattr(covers_module, "complete", spending)
+        rep = build_tower(seeded(), [2], 1, budget=Budget(1000))
+        assert rep.status == "failed:budget:search budget exceeded (1000 nodes)"
+        (census,) = censuses
+        assert census._degrees[4][1] is not None  # degree 4 was read part way
+        with pytest.raises(BudgetExceededError, match=r"\(1000 nodes\)"):
+            list(census.covers(4))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import PairCollisionError
@@ -194,13 +194,6 @@ def rewrite(table: CosetTable, w: Word) -> Word:
     return free_reduce(out, len(sd.basis))
 
 
-def subgroup_contains(big: CosetTable, small: CosetTable) -> bool:
-    """Whether the subgroup of ``small`` lies inside the subgroup of ``big``."""
-    if big.rank != small.rank:
-        raise ValueError("rank mismatch")
-    return all(contains(big, g) for g in schreier(small).basis)
-
-
 # ---------------------------------------------------------------------------
 # Elevations
 
@@ -210,18 +203,27 @@ class Elevation:
     """One cycle of the permutation a cyclically reduced word induces.
 
     ``cycle`` starts at the least coset it contains and follows the action
-    of the word; ``rep`` is rep(m) * w**degree * rep(m)**-1 at that least
-    coset m, and ``local`` is its class written in the subgroup basis.
+    of the word on ``table``.  ``rep`` is rep(m) * w**degree * rep(m)**-1
+    at that least coset m, and ``local`` is its class written in the
+    subgroup basis; both are computed when first read.
     """
 
     base: ConjClass
     cycle: Tuple[int, ...]
-    rep: Word
-    local: ConjClass
+    table: CosetTable
 
     @property
     def degree(self) -> int:
         return len(self.cycle)
+
+    @cached_property
+    def rep(self) -> Word:
+        r = schreier(self.table).reps[self.cycle[0]]
+        return r * self.base.canonical.power(self.degree) * r.inverse()
+
+    @cached_property
+    def local(self) -> ConjClass:
+        return conj_canonical(rewrite(self.table, self.rep))
 
 
 def elevations(table: CosetTable, target: Target) -> List[Elevation]:
@@ -231,7 +233,6 @@ def elevations(table: CosetTable, target: Target) -> List[Elevation]:
     if cls.rank != table.rank:
         raise ValueError("rank mismatch")
     w = cls.canonical
-    sd = schreier(table)
     n = table.size
     seen = [False] * n
     out: List[Elevation] = []
@@ -245,9 +246,7 @@ def elevations(table: CosetTable, target: Target) -> List[Elevation]:
             seen[cur] = True
             cycle.append(cur)
             cur = table.act_word(cur, w)
-        rep = sd.reps[start] * w.power(len(cycle)) * sd.reps[start].inverse()
-        local = conj_canonical(rewrite(table, rep))
-        out.append(Elevation(cls, tuple(cycle), rep, local))
+        out.append(Elevation(cls, tuple(cycle), table))
     return out
 
 
@@ -294,33 +293,43 @@ def pullback(pair: Pair, table: CosetTable) -> Pair:
 # Enumeration of subgroups up to conjugacy
 
 
+def _bfs_entries(table: CosetTable, start: int, pos: Dict[int, int]) -> Iterator[int]:
+    """The flat renumbered action from ``start``, one entry at a time:
+    cosets are renumbered by first appearance, rows read in (coset,
+    generator) order.  Fills ``pos`` (old -> new) as it goes."""
+    order = [start]
+    pos[start] = 0
+    for old in order:
+        for row in table.action:
+            new = pos.get(row[old])
+            if new is None:
+                new = pos[row[old]] = len(order)
+                order.append(row[old])
+            yield new
+
+
 def _bfs_encoding(table: CosetTable, start: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
     """Renumber cosets by first appearance from ``start``, rows read in
     (coset, generator) order; returns (flat renumbered action, old -> new)."""
-    n, r = table.size, table.rank
-    order = [start]
-    pos = {start: 0}
-    i = 0
-    while i < len(order):
-        old = order[i]
-        for x in range(r):
-            val = table.action[x][old]
-            if val not in pos:
-                pos[val] = len(order)
-                order.append(val)
-        i += 1
-    flat = []
-    for i in range(n):
-        old = order[i]
-        for x in range(r):
-            flat.append(pos[table.action[x][old]])
-    return tuple(flat), pos
+    pos: Dict[int, int] = {}
+    return tuple(_bfs_entries(table, start, pos)), pos
 
 
 def is_class_minimal(table: CosetTable) -> bool:
-    """Whether this table is the canonical one in its conjugacy class."""
+    """Whether this table is the canonical one in its conjugacy class.
+
+    The renumbering from each other start is compared with the table's own
+    encoding entry by entry and dropped at the first entry that differs,
+    as in the canonicity test of Sims' low-index algorithm.
+    """
     own = _bfs_encoding(table, 0)[0]
-    return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))
+    for s in range(1, table.size):
+        for mine, theirs in zip(own, _bfs_entries(table, s, {})):
+            if mine != theirs:
+                if theirs < mine:
+                    return False
+                break
+    return True
 
 
 def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:

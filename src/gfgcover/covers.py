@@ -570,6 +570,81 @@ def _check_base_shape(g: GraphOfGroups) -> None:
             raise ValueError("unsupported base: pair %r joins two cyclic vertices" % p)
 
 
+class _AnyComponents:
+    """Lets every branch of ``_close_open_ends`` through."""
+
+    def join(self, a: ElevationRef, b: ElevationRef, used: int) -> tuple:
+        return ()
+
+    def split(self, undo: tuple) -> None:
+        pass
+
+    def cut(self, undo: tuple) -> bool:
+        return False
+
+    def cut_at_start(self) -> bool:
+        return False
+
+
+class _Components(_AnyComponents):
+    """Components of the given free lifts under the joins so far, with the
+    open elevation ends of each: a union-find by size, without path
+    compression, whose joins ``split`` undoes in reverse order.
+
+    A component with no open end can never grow, once the cyclic lift that
+    joined it last is filled: cyclic lifts are created and filled only at
+    open ends, and pairs only join open ends.  So a branch is cut as soon
+    as such a component holds fewer than all the lifts.  This needs every
+    open end to lie at one of the lifts, with no existing cyclic lift left
+    to fill.
+    """
+
+    def __init__(self, lifts: Sequence[str], pools: Dict[str, List[Tuple[ElevationRef, int]]]):
+        self.number = {v: i for i, v in enumerate(lifts)}
+        self.parent = list(range(len(lifts)))
+        self.size = [1] * len(lifts)
+        self.opens = [0] * len(lifts)
+        for entries in pools.values():
+            for ref, _ in entries:
+                self.opens[self.number[ref.vertex]] += 1
+
+    def _find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def join(self, a: ElevationRef, b: ElevationRef, used: int) -> tuple:
+        """Join the components of the lifts of a and b, which spend
+        ``used`` open ends; returns the record ``split`` undoes."""
+        ra, rb = self._find(self.number[a.vertex]), self._find(self.number[b.vertex])
+        size, opens = self.size, self.opens
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        undo = (ra, rb, size[ra], opens[ra])
+        if ra != rb:
+            self.parent[rb] = ra
+            size[ra] += size[rb]
+            opens[ra] += opens[rb]
+        opens[ra] -= used
+        return undo
+
+    def split(self, undo: tuple) -> None:
+        ra, rb, size, opens = undo
+        self.parent[rb] = rb
+        self.size[ra] = size
+        self.opens[ra] = opens
+
+    def cut(self, undo: tuple) -> bool:
+        """Whether the component a join made is closed and misses a lift."""
+        ra = undo[0]
+        return self.opens[ra] == 0 and self.size[ra] < len(self.parent)
+
+    def cut_at_start(self) -> bool:
+        """Whether some lift has no open end but is not the only lift."""
+        return len(self.parent) > 1 and 0 in self.opens
+
+
 def _close_open_ends(
     base: GraphOfGroups,
     pools: Dict[str, List[Tuple[ElevationRef, int]]],
@@ -577,6 +652,7 @@ def _close_open_ends(
     room: Dict[str, int],
     taken_names: Set[str],
     budget: Budget,
+    components: _AnyComponents,
 ) -> Iterator[Tuple[Dict[str, Tuple[str, int]], List[Tuple[str, ElevationRef, ElevationRef]]]]:
     """Yield every way to close all open elevation ends.
 
@@ -585,6 +661,10 @@ def _close_open_ends(
     existing cyclic lifts with unrealized ends; ``room`` is the total
     index of new cyclic lifts per base cyclic vertex, exactly.  Yields, in
     reused containers, (new cyclic lifts: name -> (base, index), new triples).
+
+    ``components`` is told of every join of free lifts and may cut the
+    branch a join leads to; ``_Components`` cuts those that can only give
+    a disconnected total.
     """
     gr = base.graph
     consumed: Set[ElevationRef] = set()
@@ -662,10 +742,12 @@ def _close_open_ends(
         consumed.add(ref0)
         new_cyclic[name] = (c, d)
         emit(pair_of(ends[0]), ends[0], ElevationRef(name, ends[0], 0), ref0)
+        anchored = components.join(ref0, ref0, 1)
 
         def fill(j: int) -> Iterator[None]:
             if j == len(ends):
-                yield from do_cyclic(ci, spent + d)
+                if not components.cut(anchored):
+                    yield from do_cyclic(ci, spent + d)
                 return
             e = ends[j]
             for ref, dd in pools.get(reverse_edge(e), ()):
@@ -674,11 +756,14 @@ def _close_open_ends(
                 budget.tick()
                 consumed.add(ref)
                 emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
+                undo = components.join(ref0, ref, 1)
                 yield from fill(j + 1)
+                components.split(undo)
                 out_pairs.pop()
                 consumed.remove(ref)
 
         yield from fill(1)
+        components.split(anchored)
         out_pairs.pop()
         del new_cyclic[name]
         consumed.remove(ref0)
@@ -703,12 +788,16 @@ def _close_open_ends(
             if y != x:
                 consumed.add(y)
             out_pairs.append((p, x, y))
-            yield from do_pairs(pi)
+            undo = components.join(x, y, 1 if y == x else 2)
+            if not components.cut(undo):
+                yield from do_pairs(pi)
+            components.split(undo)
             out_pairs.pop()
             consumed.discard(y)
             consumed.discard(x)
 
-    yield from do_demands(0)
+    if not components.cut_at_start():
+        yield from do_demands(0)
 
 
 def _free_pool(
@@ -756,6 +845,7 @@ def _extensions(
     target: int,
     sep: str,
     budget: Budget,
+    connected: bool = False,
 ) -> Iterator[tuple]:
     """Every cover of degree ``target`` containing the precover ``m``
     (None: the empty precover), in matching-engine order, as the raw data
@@ -766,8 +856,12 @@ def _extensions(
     New free lifts run over the subgroup catalog, one multiset per free
     base vertex, named ``<base><sep><k>`` with k counting up past names
     already in use; then the open ends, hanging slots of ``m`` included,
-    are closed by ``_close_open_ends``.
+    are closed by ``_close_open_ends``.  With ``connected`` (and m None)
+    only the covers with a connected total come out, the others in order:
+    the search cuts every branch that can no longer give one.
     """
+    if connected and m is not None:
+        raise ValueError("the connected search starts from the empty precover")
     gr = g.graph
     free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
     cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
@@ -805,8 +899,9 @@ def _extensions(
                 pools.get(e, []) + entries, key=lambda rd: (rd[0].vertex, rd[0].least)
             )
         taken = set(m_map) | set(new_free)
+        components = _Components(sorted(new_free), pools) if connected else _AnyComponents()
         for new_cyclic, triples in _close_open_ends(
-            g, pools, demands, room, taken, budget
+            g, pools, demands, room, taken, budget, components
         ):
             yield new_free, new_cyclic, triples
 
@@ -844,11 +939,11 @@ def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[Precove
     """Connected covers of degree n in matching-engine order, a candidate
     built only when its canonical code is new (the first of its class)."""
     seen: Set[tuple] = set()
-    for raw in _extensions(g, None, n, "@", budget):
+    for raw in _extensions(g, None, n, "@", budget, connected=True):
         new_free, new_cyclic, triples = raw
         lifts = itertools.chain(new_free.items(), new_cyclic.items())
-        code = _code(g, lifts, triples, connected_only=True)
-        if code is None or code in seen:
+        code = _code(g, lifts, triples)
+        if code in seen:
             continue
         seen.add(code)
         m = _assemble(g, None, "@", raw)
@@ -1020,10 +1115,9 @@ def _component_code(
     return tuple(best)
 
 
-def _code(g: GraphOfGroups, lifts, triples, connected_only: bool = False) -> Optional[tuple]:
+def _code(g: GraphOfGroups, lifts, triples) -> tuple:
     """The sorted tuple of component codes of the lifts (name -> (base
-    vertex, table or cyclic index)) joined by the pair triples; None for a
-    disconnected total when ``connected_only``."""
+    vertex, table or cyclic index)) joined by the pair triples."""
     info = {v: _lift_code(g, b, data) for v, (b, data) in lifts}
     partner: Dict[ElevationRef, ElevationRef] = {}
     for _, f, b in triples:
@@ -1034,8 +1128,6 @@ def _code(g: GraphOfGroups, lifts, triples, connected_only: bool = False) -> Opt
     code = _component_code(list(info), info, partner)
     if code is not None:
         return (code,)
-    if connected_only:
-        return None
     codes = []
     left = set(info)
     while left:

@@ -2,11 +2,13 @@
 
 ``word_length`` and ``gog_word_power`` make and measure path words for the
 closed-word and lifting tests; ``lifts_over`` lists a morphism's lifts of a
-base vertex in name order.
+base vertex in name order.  ``subgroup_contains`` tests inclusion of
+finite-index subgroups on their Schreier bases.
 """
 
 from typing import List
 
+from gfgcover.cosets import CosetTable, contains, schreier
 from gfgcover.covers import PrecoverMorphism
 from gfgcover.gog import GogWord, GraphOfGroups
 
@@ -33,3 +35,10 @@ def gog_word_power(g: GraphOfGroups, gw: GogWord, k: int) -> GogWord:
 
 def lifts_over(m: PrecoverMorphism, b: str) -> List[str]:
     return sorted(v for v in m.vertex_map if m.vertex_map[v] == b)
+
+
+def subgroup_contains(big: CosetTable, small: CosetTable) -> bool:
+    """Whether the subgroup of ``small`` lies inside the subgroup of ``big``."""
+    if big.rank != small.rank:
+        raise ValueError("rank mismatch")
+    return all(contains(big, g) for g in schreier(small).basis)

@@ -40,11 +40,19 @@ check ``h1_mod_cyclic`` and ``p_rank`` from outside.
 
 ``evaluate`` expands a word in a subgroup's Schreier basis into the ambient
 free group, the inverse of ``gfgcover.cosets.rewrite``.
+
+``elevations_oracle`` builds every elevation's word and local class as it
+walks the cycles; ``gfgcover.cosets.elevations``, which builds them when
+first read, must give the same cycles, words and classes.
+
+``is_class_minimal_oracle`` compares the table's full encoding with the
+full encoding from every other start; ``gfgcover.cosets.is_class_minimal``,
+which stops at the first entry that differs, must give the same answer.
 """
 
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from _helpers import lifts_over, word_length
 
@@ -52,6 +60,7 @@ from gfgcover.cosets import (
     CosetTable,
     PrescribeResult,
     Target,
+    _bfs_encoding,
     _cyclic_shift,
     _invert_perm,
     _order_mod,
@@ -62,6 +71,7 @@ from gfgcover.cosets import (
     enumerate_subgroups,
     is_regular,
     regular_table,
+    rewrite,
     schreier,
 )
 from gfgcover.covers import (
@@ -194,11 +204,13 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
 
 
 def candidate_covers(
-    g: GraphOfGroups, n: int, budget: Optional[Budget] = None
+    g: GraphOfGroups, n: int, budget: Optional[Budget] = None, connected: bool = False
 ) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, before any
-    isomorphism dedup, so one class may come up many times."""
-    for raw in _extensions(g, None, n, "@", budget or Budget()):
+    isomorphism dedup, so one class may come up many times.  The unpruned
+    engine builds every candidate and drops the disconnected ones here;
+    ``connected`` asks the pruned engine of the census instead."""
+    for raw in _extensions(g, None, n, "@", budget or Budget(), connected):
         m = _assemble(g, None, "@", raw)
         if m.total.graph.is_connected():
             assert euler_characteristic(m.total) == n * euler_characteristic(g)
@@ -218,14 +230,15 @@ def _invariant(m: PrecoverMorphism) -> tuple:
 
 
 def enumerate_covers_oracle(
-    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None
+    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None, connected: bool = False
 ) -> Iterator[PrecoverMorphism]:
     """Every candidate, kept when ``isomorphic_oracle`` finds it isomorphic
-    to no earlier one of its bucket; one budget for all degrees."""
+    to no earlier one of its bucket; one budget for all degrees, spent by
+    the pruned engine when ``connected``."""
     budget = budget or Budget()
     for n in range(1, max_index + 1):
         found: Dict[tuple, List[PrecoverMorphism]] = {}
-        for m in candidate_covers(g, n, budget):
+        for m in candidate_covers(g, n, budget, connected):
             bucket = found.setdefault(_invariant(m), [])
             if any(isomorphic_oracle(m, other) for other in bucket):
                 continue
@@ -469,3 +482,42 @@ def evaluate(table: CosetTable, w: Word) -> Word:
         g = sd.basis[abs(letter) - 1]
         out = out * (g if letter > 0 else g.inverse())
     return out
+
+
+class EagerElevation(NamedTuple):
+    base: ConjClass
+    cycle: Tuple[int, ...]
+    rep: Word
+    local: ConjClass
+
+
+def elevations_oracle(table: CosetTable, target: Target) -> List[EagerElevation]:
+    """Every cycle of the word's permutation by least coset, each with its
+    word rep(m) * w**d * rep(m)**-1 and that word's class in the subgroup
+    basis, all built at once."""
+    cls = target if isinstance(target, ConjClass) else conj_canonical(target)
+    w = cls.canonical
+    sd = schreier(table)
+    n = table.size
+    seen = [False] * n
+    out: List[EagerElevation] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        cur = table.act_word(start, w)
+        while cur != start:
+            seen[cur] = True
+            cycle.append(cur)
+            cur = table.act_word(cur, w)
+        rep = sd.reps[start] * w.power(len(cycle)) * sd.reps[start].inverse()
+        local = conj_canonical(rewrite(table, rep))
+        out.append(EagerElevation(cls, tuple(cycle), rep, local))
+    return out
+
+
+def is_class_minimal_oracle(table: CosetTable) -> bool:
+    """Whether no other start gives a smaller full encoding."""
+    own = _bfs_encoding(table, 0)[0]
+    return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))

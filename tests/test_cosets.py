@@ -4,8 +4,10 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from _oracles import evaluate, prescribe_degrees_oracle
+from _helpers import subgroup_contains
+from _oracles import evaluate, is_class_minimal_oracle, prescribe_degrees_oracle
 
+import gfgcover.cosets as cosets_module
 from gfgcover.cosets import (
     CosetTable,
     Pair,
@@ -19,7 +21,6 @@ from gfgcover.cosets import (
     pullback,
     rewrite,
     schreier,
-    subgroup_contains,
     subgroup_rank,
     whole_group_table,
 )
@@ -243,6 +244,25 @@ class TestEnumerate:
 
     def test_deterministic(self):
         assert list(enumerate_subgroups(2, 3)) == list(enumerate_subgroups(2, 3))
+
+    @pytest.mark.parametrize("rank,top", [(2, 6), (3, 4)])
+    def test_early_exit_matches_full_encodings(self, monkeypatch, rank, top):
+        want = {}
+        checked = []
+
+        def oracle(t):
+            answer = is_class_minimal_oracle(t)
+            assert is_class_minimal(t) == answer
+            checked.append(answer)
+            return answer
+
+        monkeypatch.setattr(cosets_module, "is_class_minimal", oracle)
+        for n in range(1, top + 1):
+            want[n] = list(enumerate_subgroups(rank, n))
+        monkeypatch.undo()
+        assert not all(checked) and any(checked)
+        for n in range(1, top + 1):
+            assert list(enumerate_subgroups(rank, n)) == want[n]
 
     def test_index_one(self):
         assert list(enumerate_subgroups(3, 1)) == [whole_group_table(3)]

@@ -8,6 +8,7 @@ from _helpers import gog_word_power, lifts_over
 from _oracles import (
     candidate_covers,
     class_image_oracle,
+    elevations_oracle,
     enumerate_covers_oracle,
     isomorphic_oracle,
     quotient_by,
@@ -17,7 +18,9 @@ from _oracles import (
 
 import gfgcover.covers as covers_module
 from gfgcover.cli import gog_from_payload, load_document
-from gfgcover.cosets import CosetTable, elevations, whole_group_table
+from gfgcover.cosets import (
+    CosetTable, cyclic_table, elevations, enumerate_subgroups, whole_group_table,
+)
 from gfgcover.covers import (
     CoverCensus,
     ElevationRef,
@@ -1140,7 +1143,9 @@ class TestCoverCensus:
         g = seeded()
         raised = 0
         for cap in range(1, 330, 9):
-            want, want_raised = count_until_budget(enumerate_covers_oracle(g, 4, Budget(cap)))
+            want, want_raised = count_until_budget(
+                enumerate_covers_oracle(g, 4, Budget(cap), connected=True)
+            )
             census = CoverCensus(g, Budget(cap))
             count_until_budget(itertools.islice(census.covers(3), 4))
             for covers in (enumerate_covers(g, 4, Budget(cap)), census.covers(4)):
@@ -1168,6 +1173,59 @@ class TestCoverCensus:
         assert rep.status == "ok"
         assert len(searched) == len(set(searched))
         assert sorted(n for _, n in searched) == [1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# The census engine cuts every branch that can only give a disconnected
+# total; the unpruned engine, filtered to connected totals, is its oracle.
+
+
+def two_vertex(wu, ww):
+    """Rank-2 free vertices u and w joined by one pair, words wu at u and
+    ww at w."""
+    graph = SerreGraph(["u", "w"], {"p": ("u", "w")})
+    return GraphOfGroups(
+        graph, {"u": 2, "w": 2}, {"u": "free", "w": "free"},
+        {"p": Word(tuple(ww), 2), "~p": Word(tuple(wu), 2)}, "u",
+    )
+
+
+# The census shapes of the benchmark: base and largest index.
+CENSUS_BASES = {
+    "seeded_torsion": (lambda: fixture("seeded_torsion"), 5),
+    "hnn_f1": (lambda: fixture("hnn_f1"), 6),
+    "genus2": (lambda: fixture("genus2"), 3),
+    **{name: (lambda w=words: amalgam(w), 4) for name, words in AMALGAMS.items()},
+    "H12": (lambda: loop_hnn((1,), (1, 1)), 6),
+    "H23": (lambda: loop_hnn((1, 1), (1, 1, 1)), 6),
+    "H14": (lambda: loop_hnn((1,), (1, 1, 1, 1)), 6),
+    "T1": (lambda: two_vertex((1, 2), (1, 2)), 3),
+    "T2": (lambda: two_vertex((1, 1, 2), (2, 2, 1)), 3),
+    "T3": (lambda: two_vertex((1, 2, -1, -2), (1, 1, 2)), 3),
+}
+
+
+class TestConnectedPrune:
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_pruned_stream_is_the_connected_part(self, name):
+        build, top = CENSUS_BASES[name]
+        g = build()
+        pruned_nodes, unpruned_nodes = Budget(), Budget()
+        for n in range(1, top + 1):
+            pruned = [
+                covers_module._assemble(g, None, "@", raw)
+                for raw in covers_module._extensions(g, None, n, "@", pruned_nodes, connected=True)
+            ]
+            assert all(m.total.graph.is_connected() for m in pruned)
+            oracle = candidate_covers(g, n, unpruned_nodes)
+            assert list(map(representative_digest, pruned)) == list(
+                map(representative_digest, oracle)
+            )
+        assert pruned_nodes.nodes < unpruned_nodes.nodes
+
+    def test_connected_search_refuses_a_precover(self):
+        with pytest.raises(ValueError, match="empty precover"):
+            next(covers_module._extensions(seeded(), identity_cover(seeded()), 2, "+", Budget(), True))
 
 
 # ---------------------------------------------------------------------------
@@ -1345,6 +1403,34 @@ class TestElevationIndex:
     def test_split_pieces(self, seeded_piece):
         self.check(seeded_piece.morphism)
         self.check(chain(seeded_piece, 3))
+
+
+class TestLazyElevations:
+    def test_words_match_the_eager_oracle(self):
+        """Every catalog table of rank 2 and index <= 4 and every cyclic
+        table of index <= 6, against the edge words of the fixtures and
+        amalgams A-G."""
+        words = {
+            w
+            for g in [fixture(n) for n in ("seeded_torsion", "hnn_f1", "genus2")]
+            + [amalgam(ws) for ws in AMALGAMS.values()]
+            for w in g.edge_words.values()
+        }
+        tables = {
+            1: [cyclic_table(n) for n in range(1, 7)],
+            2: [t for n in range(1, 5) for t in enumerate_subgroups(2, n)],
+        }
+        checked = 0
+        for w in sorted(words, key=lambda w: (w.rank, w.letters)):
+            for t in tables[w.rank]:
+                got = elevations(t, w)
+                assert all("rep" not in el.__dict__ and "local" not in el.__dict__ for el in got)
+                assert [(el.base, el.cycle, el.degree, el.rep, el.local) for el in got] == [
+                    (el.base, el.cycle, len(el.cycle), el.rep, el.local)
+                    for el in elevations_oracle(t, w)
+                ]
+                checked += len(got)
+        assert checked > 1000
 
 
 class TestBaseCheckedOnce:

@@ -636,8 +636,9 @@ class _Components(_AnyComponents):
         self.opens[ra] = opens
 
     def cut(self, undo: tuple) -> bool:
-        """Whether the component a join made is closed and misses a lift."""
-        ra = undo[0]
+        """Whether the component a join made, as later joins grew it, is
+        closed and misses a lift."""
+        ra = self._find(undo[0])
         return self.opens[ra] == 0 and self.size[ra] < len(self.parent)
 
     def cut_at_start(self) -> bool:
@@ -839,29 +840,15 @@ def _vertex_multisets(
     return out
 
 
-def _extensions(
+def _lift_choices(
     g: GraphOfGroups,
     m: Optional[PrecoverMorphism],
     target: int,
     sep: str,
     budget: Budget,
-    connected: bool = False,
 ) -> Iterator[tuple]:
-    """Every cover of degree ``target`` containing the precover ``m``
-    (None: the empty precover), in matching-engine order, as the raw data
-    ``_assemble`` turns into a morphism: new free lifts (name -> (base
-    vertex, table)), new cyclic lifts (name -> (base vertex, index)) and
-    new pair triples, in containers the search reuses once resumed.
-
-    New free lifts run over the subgroup catalog, one multiset per free
-    base vertex, named ``<base><sep><k>`` with k counting up past names
-    already in use; then the open ends, hanging slots of ``m`` included,
-    are closed by ``_close_open_ends``.  With ``connected`` (and m None)
-    only the covers with a connected total come out, the others in order:
-    the search cuts every branch that can no longer give one.
-    """
-    if connected and m is not None:
-        raise ValueError("the connected search starts from the empty precover")
+    """The choices of new free lifts in ``_extensions``, each as (new free
+    lifts, pools, demands, room, taken names) for ``_close_open_ends``."""
     gr = g.graph
     free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
     cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
@@ -898,8 +885,32 @@ def _extensions(
             pools[e] = sorted(
                 pools.get(e, []) + entries, key=lambda rd: (rd[0].vertex, rd[0].least)
             )
-        taken = set(m_map) | set(new_free)
-        components = _Components(sorted(new_free), pools) if connected else _AnyComponents()
+        yield new_free, pools, demands, room, set(m_map) | set(new_free)
+
+
+def _extensions(
+    g: GraphOfGroups,
+    m: Optional[PrecoverMorphism],
+    target: int,
+    sep: str,
+    budget: Budget,
+) -> Iterator[tuple]:
+    """Every cover of degree ``target`` containing the precover ``m``
+    (None: the empty precover), in matching-engine order, as the raw data
+    ``_assemble`` turns into a morphism: new free lifts (name -> (base
+    vertex, table)), new cyclic lifts (name -> (base vertex, index)) and
+    new pair triples, in containers the search reuses once resumed.
+
+    New free lifts run over the subgroup catalog, one multiset per free
+    base vertex, named ``<base><sep><k>`` with k counting up past names
+    already in use; then the open ends, hanging slots of ``m`` included,
+    are closed by ``_close_open_ends``.  From the empty precover, which
+    only the census starts from, only the covers with a connected total
+    come out, the others in order: the search cuts every branch that can
+    no longer give one.
+    """
+    for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget):
+        components = _Components(sorted(new_free), pools) if m is None else _AnyComponents()
         for new_cyclic, triples in _close_open_ends(
             g, pools, demands, room, taken, budget, components
         ):
@@ -939,10 +950,11 @@ def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[Precove
     """Connected covers of degree n in matching-engine order, a candidate
     built only when its canonical code is new (the first of its class)."""
     seen: Set[tuple] = set()
-    for raw in _extensions(g, None, n, "@", budget, connected=True):
+    for raw in _extensions(g, None, n, "@", budget):
         new_free, new_cyclic, triples = raw
         lifts = itertools.chain(new_free.items(), new_cyclic.items())
         code = _code(g, lifts, triples)
+        assert len(code) == 1, "census candidate with a disconnected total"
         if code in seen:
             continue
         seen.add(code)

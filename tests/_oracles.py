@@ -7,8 +7,10 @@ assignments only once every lift is mapped.  ``gfgcover.covers.isomorphic``
 (equal canonical codes) must give the same yes/no answer on every pair of
 morphisms.
 
-``candidate_covers`` builds every connected cover the matching engine
-finds, before any dedup; ``enumerate_covers_oracle`` dedups them by
+``unpruned_extensions`` is the matching engine without the census's cut of
+branches that can only give a disconnected total.  ``candidate_covers``
+builds every connected cover it finds, before any dedup;
+``enumerate_covers_oracle`` dedups them by
 ``isomorphic_oracle`` within buckets of equal lift, pair and slot counts,
 keeping the first of each class.  ``gfgcover.covers.enumerate_covers`` must
 yield the same representatives in the same order.
@@ -75,8 +77,8 @@ from gfgcover.cosets import (
     schreier,
 )
 from gfgcover.covers import (
-    CoverCensus, PrecoverMorphism, TorsionPiece, _assemble, _extensions, _is_cut_vertex,
-    _same_base, split_cyclic,
+    CoverCensus, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble, _close_open_ends,
+    _extensions, _is_cut_vertex, _lift_choices, _same_base, split_cyclic,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
@@ -203,14 +205,26 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
     return assign(0, 0, set())
 
 
+def unpruned_extensions(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[tuple]:
+    """``_extensions(g, None, n, "@", budget)`` without the census's cut of
+    disconnected branches: every candidate of the matching engine."""
+    for new_free, pools, demands, room, taken in _lift_choices(g, None, n, "@", budget):
+        for new_cyclic, triples in _close_open_ends(
+            g, pools, demands, room, taken, budget, _AnyComponents()
+        ):
+            yield new_free, new_cyclic, triples
+
+
 def candidate_covers(
-    g: GraphOfGroups, n: int, budget: Optional[Budget] = None, connected: bool = False
+    g: GraphOfGroups, n: int, budget: Optional[Budget] = None, pruned: bool = False
 ) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, before any
     isomorphism dedup, so one class may come up many times.  The unpruned
     engine builds every candidate and drops the disconnected ones here;
-    ``connected`` asks the pruned engine of the census instead."""
-    for raw in _extensions(g, None, n, "@", budget or Budget(), connected):
+    ``pruned`` asks the census engine instead."""
+    budget = budget or Budget()
+    raws = _extensions(g, None, n, "@", budget) if pruned else unpruned_extensions(g, n, budget)
+    for raw in raws:
         m = _assemble(g, None, "@", raw)
         if m.total.graph.is_connected():
             assert euler_characteristic(m.total) == n * euler_characteristic(g)
@@ -230,15 +244,15 @@ def _invariant(m: PrecoverMorphism) -> tuple:
 
 
 def enumerate_covers_oracle(
-    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None, connected: bool = False
+    g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None, pruned: bool = False
 ) -> Iterator[PrecoverMorphism]:
     """Every candidate, kept when ``isomorphic_oracle`` finds it isomorphic
     to no earlier one of its bucket; one budget for all degrees, spent by
-    the pruned engine when ``connected``."""
+    the census engine when ``pruned``."""
     budget = budget or Budget()
     for n in range(1, max_index + 1):
         found: Dict[tuple, List[PrecoverMorphism]] = {}
-        for m in candidate_covers(g, n, budget, connected):
+        for m in candidate_covers(g, n, budget, pruned):
             bucket = found.setdefault(_invariant(m), [])
             if any(isomorphic_oracle(m, other) for other in bucket):
                 continue

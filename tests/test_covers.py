@@ -1144,7 +1144,7 @@ class TestCoverCensus:
         raised = 0
         for cap in range(1, 330, 9):
             want, want_raised = count_until_budget(
-                enumerate_covers_oracle(g, 4, Budget(cap), connected=True)
+                enumerate_covers_oracle(g, 4, Budget(cap), pruned=True)
             )
             census = CoverCensus(g, Budget(cap))
             count_until_budget(itertools.islice(census.covers(3), 4))
@@ -1190,7 +1190,47 @@ def two_vertex(wu, ww):
     )
 
 
-# The census shapes of the benchmark: base and largest index.
+def cyclic_between(*words):
+    """One cyclic vertex c joined to free vertices u, w, x, ... by one pair
+    each; ``words`` gives each free vertex's (rank, word)."""
+    names = ["u", "w", "x", "y"][: len(words)]
+    pairs = {"p" + v: (v, "c") for v in names}
+    edge_words = {}
+    for v, (rank, letters) in zip(names, words):
+        edge_words["p" + v] = Word((1,), 1)
+        edge_words["~p" + v] = Word(tuple(letters), rank)
+    return GraphOfGroups(
+        SerreGraph(names + ["c"], pairs),
+        {**{v: rank for v, (rank, _) in zip(names, words)}, "c": 1},
+        {**dict.fromkeys(names, "free"), "c": "cyclic"},
+        edge_words, "u",
+    )
+
+
+def two_cyclic(wu, ww):
+    """Rank-1 free vertices u and w, each joined to both cyclic vertices c
+    and d, by the words wu at u and ww at w."""
+    pairs = {"a": ("u", "c"), "b": ("w", "c"), "e": ("u", "d"), "f": ("w", "d")}
+    edge_words = {}
+    for p, (v, _) in pairs.items():
+        edge_words[p] = Word((1,), 1)
+        edge_words["~" + p] = Word(tuple(wu if v == "u" else ww), 1)
+    return GraphOfGroups(
+        SerreGraph(["u", "w", "c", "d"], pairs),
+        {"u": 1, "w": 1, "c": 1, "d": 1},
+        {"u": "free", "w": "free", "c": "cyclic", "d": "cyclic"},
+        edge_words, "u",
+    )
+
+
+def last_total(g, n):
+    """The total of the last degree-n cover of g, as a census base."""
+    return [m for m in enumerate_covers(g, n) if degree(m) == n][-1].total
+
+
+# Census bases and largest index: the shapes of the benchmark, and shapes
+# where a cyclic lift joins different free lifts, as in a tower step, whose
+# census base is the previous cover's total.
 CENSUS_BASES = {
     "seeded_torsion": (lambda: fixture("seeded_torsion"), 5),
     "hnn_f1": (lambda: fixture("hnn_f1"), 6),
@@ -1202,6 +1242,12 @@ CENSUS_BASES = {
     "T1": (lambda: two_vertex((1, 2), (1, 2)), 3),
     "T2": (lambda: two_vertex((1, 1, 2), (2, 2, 1)), 3),
     "T3": (lambda: two_vertex((1, 2, -1, -2), (1, 1, 2)), 3),
+    "UCW": (lambda: cyclic_between((1, (1,)), (2, (1,))), 4),
+    "UCW2": (lambda: cyclic_between((1, (1, 1)), (1, (1, 1, 1))), 4),
+    "UCWX": (lambda: cyclic_between((1, (1,)), (2, (1, 1, 2)), (1, (1, 1))), 3),
+    "UCDW": (lambda: two_cyclic((1,), (1, 1)), 4),
+    "seeded_total": (lambda: last_total(seeded(), 3), 3),
+    "hnn_f1_total": (lambda: last_total(fixture("hnn_f1"), 3), 3),
 }
 
 
@@ -1214,7 +1260,7 @@ class TestConnectedPrune:
         for n in range(1, top + 1):
             pruned = [
                 covers_module._assemble(g, None, "@", raw)
-                for raw in covers_module._extensions(g, None, n, "@", pruned_nodes, connected=True)
+                for raw in covers_module._extensions(g, None, n, "@", pruned_nodes)
             ]
             assert all(m.total.graph.is_connected() for m in pruned)
             oracle = candidate_covers(g, n, unpruned_nodes)
@@ -1223,9 +1269,19 @@ class TestConnectedPrune:
             )
         assert pruned_nodes.nodes < unpruned_nodes.nodes
 
-    def test_connected_search_refuses_a_precover(self):
-        with pytest.raises(ValueError, match="empty precover"):
-            next(covers_module._extensions(seeded(), identity_cover(seeded()), 2, "+", Budget(), True))
+    def test_cyclic_lift_between_two_free_lifts(self):
+        """At degree 2 over u - c - w, with lifts U0, U1 of u and one lift
+        W0 of w, the cyclic lift anchored at U1 joins it to the component
+        of U0 and W0, which is then the larger: the cover U0 - C - W0 - C -
+        U1 must still come out."""
+        g = cyclic_between((1, (1,)), (2, (1,)))
+        got = [
+            covers_module._assemble(g, None, "@", raw)
+            for raw in covers_module._extensions(g, None, 2, "@", Budget())
+        ]
+        assert any(
+            len(lifts_over(m, "u")) == 2 and len(lifts_over(m, "w")) == 1 for m in got
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -295,12 +295,6 @@ def save_document(data: dict) -> str:
     return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
-def document_for_gog(g: GraphOfGroups) -> dict:
-    out = {"format_version": FORMAT_VERSION, "kind": "gog"}
-    out.update(gog_to_payload(g))
-    return out
-
-
 def document_for_morphism(m: PrecoverMorphism) -> dict:
     return {
         "format_version": FORMAT_VERSION,

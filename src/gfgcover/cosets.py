@@ -114,12 +114,6 @@ def subgroup_rank(table: CosetTable) -> int:
     return table.size * (table.rank - 1) + 1
 
 
-def contains(table: CosetTable, w: Word) -> bool:
-    if w.rank != table.rank:
-        raise ValueError("rank mismatch")
-    return table.act_word(0, w) == 0
-
-
 # ---------------------------------------------------------------------------
 # Schreier representatives, basis and rewriting
 

@@ -22,7 +22,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .cosets import (
     CosetTable,
@@ -33,7 +35,6 @@ from .cosets import (
     enumerate_subgroups,
     prescribe_degrees,
     subgroup_rank,
-    whole_group_table,
 )
 from .errors import Budget, BudgetExceededError
 from .gog import (
@@ -282,26 +283,6 @@ def _lift_elevations(
     for e in base.graph.ends(b):
         for el in _elevations(table, base.edge_word(e)):
             yield ElevationRef(name, e, el.cycle[0]), el
-
-
-def identity_cover(g: GraphOfGroups) -> PrecoverMorphism:
-    """The degree-one cover: one lift of everything."""
-    vertex_map = {}
-    vertex_data = {}
-    cyclic_index = {}
-    for v in g.graph.vertices:
-        name = v + "@0"
-        vertex_map[name] = v
-        if g.vertex_kind[v] == "free":
-            vertex_data[name] = whole_group_table(g.rank(v))
-        else:
-            cyclic_index[name] = 1
-    pairs = {}
-    for p in sorted(g.graph.pairs):
-        fwd = ElevationRef(g.graph.tau(p) + "@0", p, 0)
-        bwd = ElevationRef(g.graph.iota(p) + "@0", reverse_edge(p), 0)
-        pairs[p + "@0"] = (p, fwd, bwd)
-    return PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
 
 
 def with_basepoint(m: PrecoverMorphism, v: str) -> PrecoverMorphism:
@@ -585,6 +566,33 @@ class _AnyComponents:
     def cut_at_start(self) -> bool:
         return False
 
+    def skip(self, by: ElevationRef, ref: ElevationRef) -> bool:
+        return False
+
+
+@lru_cache(maxsize=None)
+def _orbit_firsts(g: GraphOfGroups, b: str, table: CosetTable) -> FrozenSet[Tuple[str, int]]:
+    """The elevations, as (edge, least coset), at a lift of b with this
+    table that come first in their edge's pool among their orbit under the
+    table's automorphisms; memoised.
+
+    An automorphism tau renumbers the table onto itself, so the
+    renumberings rho of ``_lift_code`` are rho_0 composed with each tau,
+    and an elevation's least label over them is the least rho_0-label of
+    its orbit: equal within an orbit, and distinct across the orbits of one
+    edge, whose cycles are disjoint.
+    """
+    arrivals = _lift_code(g, b, table)[3]
+    firsts = set()
+    for e in g.graph.ends(b):
+        seen = set()
+        for el in _elevations(table, g.edge_word(e)):
+            key = arrivals[e, el.cycle[0]][0]
+            if key not in seen:
+                seen.add(key)
+                firsts.add((e, el.cycle[0]))
+    return frozenset(firsts)
+
 
 class _Components(_AnyComponents):
     """Components of the given free lifts under the joins so far, with the
@@ -597,16 +605,40 @@ class _Components(_AnyComponents):
     as such a component holds fewer than all the lifts.  This needs every
     open end to lie at one of the lifts, with no existing cyclic lift left
     to fill.
+
+    It also counts the consumed ends of each lift, and ``skip`` drops a
+    partner choice that a symmetry maps onto an earlier sibling.  Say the
+    engine, at a state whose joins so far touch neither lift L nor L', is
+    to choose the partner of ``by`` (not at L or L') and takes r at L.
+    Twin lifts: if L' comes before L in pool order, over the same base
+    vertex with the same table, swapping L and L' fixes the joins so far
+    and ``by``.  Table automorphisms: an automorphism of L's table, on L
+    alone, fixes them too.  Either map carries a cover of the branch of r
+    to an isomorphic cover whose engine path makes the same choices up to
+    here and then takes the image of r: at L', or at L on r's edge, which
+    comes earlier in the pool.  So with an untouched twin before L, or
+    with r not first of its orbit (``_orbit_firsts``), every candidate
+    under r has an isomorphic candidate earlier in the order of the engine
+    without skips.  So the first candidate of each class, which represents
+    it, is never skipped, and the census yields the same covers in the
+    same order.
     """
 
-    def __init__(self, lifts: Sequence[str], pools: Dict[str, List[Tuple[ElevationRef, int]]]):
-        self.number = {v: i for i, v in enumerate(lifts)}
-        self.parent = list(range(len(lifts)))
-        self.size = [1] * len(lifts)
-        self.opens = [0] * len(lifts)
+    def __init__(self, g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]],
+                 pools: Dict[str, List[Tuple[ElevationRef, int]]]):
+        names = sorted(lifts)
+        self.number = {v: i for i, v in enumerate(names)}
+        self.parent = list(range(len(names)))
+        self.size = [1] * len(names)
+        self.opens = [0] * len(names)
+        self.consumed = [0] * len(names)
         for entries in pools.values():
             for ref, _ in entries:
                 self.opens[self.number[ref.vertex]] += 1
+        self.firsts = [_orbit_firsts(g, *lifts[v]) for v in names]
+        self.twins = [
+            [j for j in range(i) if lifts[names[j]] == lifts[v]] for i, v in enumerate(names)
+        ]
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -616,24 +648,31 @@ class _Components(_AnyComponents):
 
     def join(self, a: ElevationRef, b: ElevationRef, used: int) -> tuple:
         """Join the components of the lifts of a and b, which spend
-        ``used`` open ends; returns the record ``split`` undoes."""
-        ra, rb = self._find(self.number[a.vertex]), self._find(self.number[b.vertex])
+        ``used`` open ends (b, and a too when two); returns the record
+        ``split`` undoes."""
+        ia, ib = self.number[a.vertex], self.number[b.vertex]
+        ra, rb = self._find(ia), self._find(ib)
         size, opens = self.size, self.opens
         if size[ra] < size[rb]:
             ra, rb = rb, ra
-        undo = (ra, rb, size[ra], opens[ra])
+        spent = (ia, ib) if used == 2 else (ib,)
+        undo = (ra, rb, size[ra], opens[ra], spent)
         if ra != rb:
             self.parent[rb] = ra
             size[ra] += size[rb]
             opens[ra] += opens[rb]
         opens[ra] -= used
+        for i in spent:
+            self.consumed[i] += 1
         return undo
 
     def split(self, undo: tuple) -> None:
-        ra, rb, size, opens = undo
+        ra, rb, size, opens, spent = undo
         self.parent[rb] = rb
         self.size[ra] = size
         self.opens[ra] = opens
+        for i in spent:
+            self.consumed[i] -= 1
 
     def cut(self, undo: tuple) -> bool:
         """Whether the component a join made, as later joins grew it, is
@@ -644,6 +683,19 @@ class _Components(_AnyComponents):
     def cut_at_start(self) -> bool:
         """Whether some lift has no open end but is not the only lift."""
         return len(self.parent) > 1 and 0 in self.opens
+
+    def skip(self, by: ElevationRef, ref: ElevationRef) -> bool:
+        """Whether a symmetry maps ``ref``, as the partner of ``by``, onto
+        an earlier choice: ref's lift and ``by``'s differ, ref's has no
+        consumed end, and ref is not first of its orbit or an earlier twin
+        other than ``by``'s lift has no consumed end either."""
+        i, k = self.number[ref.vertex], self.number[by.vertex]
+        consumed = self.consumed
+        if consumed[i] or i == k:
+            return False
+        if (ref.edge, ref.least) not in self.firsts[i]:
+            return True
+        return any(not consumed[j] and j != k for j in self.twins[i])
 
 
 def _close_open_ends(
@@ -752,7 +804,7 @@ def _close_open_ends(
                 return
             e = ends[j]
             for ref, dd in pools.get(reverse_edge(e), ()):
-                if dd != d or ref in consumed:
+                if dd != d or ref in consumed or components.skip(ref0, ref):
                     continue
                 budget.tick()
                 consumed.add(ref)
@@ -782,7 +834,7 @@ def _close_open_ends(
             return
         x, dx = first
         for y, dy in pools.get(reverse_edge(p), ()):
-            if dy != dx or y in consumed:
+            if dy != dx or y in consumed or components.skip(x, y):
                 continue
             budget.tick()
             consumed.add(x)
@@ -910,7 +962,7 @@ def _extensions(
     no longer give one.
     """
     for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget):
-        components = _Components(sorted(new_free), pools) if m is None else _AnyComponents()
+        components = _Components(g, new_free, pools) if m is None else _AnyComponents()
         for new_cyclic, triples in _close_open_ends(
             g, pools, demands, room, taken, budget, components
         ):
@@ -1238,20 +1290,42 @@ class TorsionPiece:
         return self.morphism.cyclic_index[self.c1]
 
 
-def _is_cut_vertex(gr: SerreGraph, v: str) -> bool:
-    others = [u for u in gr.vertices if u != v]
-    if not others:
-        return True
-    seen = {others[0]}
-    queue = [others[0]]
-    while queue:
-        u = queue.pop()
-        for e in gr.star(u):
-            w = gr.tau(e)
-            if w != v and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) != len(others)
+def _cut_vertices(gr: SerreGraph) -> Set[str]:
+    """The vertices whose removal disconnects the connected graph gr, from
+    one depth-first search (Hopcroft and Tarjan, CACM 16, 1973).
+
+    ``low[v]`` is the least discovery number reachable from v's subtree by
+    one edge that leaves it.  A vertex other than the root is a cut vertex
+    exactly when some child's ``low`` reaches no higher than the vertex
+    itself; the root is one exactly when it has two children or more.
+    """
+    root = gr.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
+    cut: Set[str] = set()
+    root_children = 0
+    stack = [(root, iter(gr.ends(root)))]
+    while stack:
+        v, edges = stack[-1]
+        for e in edges:
+            w = gr.iota(e)
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, iter(gr.ends(w))))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if u == root:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    cut.add(u)
+    if root_children > 1:
+        cut.add(root)
+    return cut
 
 
 def find_torsion_piece(
@@ -1281,12 +1355,16 @@ def find_torsion_piece(
 
 def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
     for m in covers:
-        presentation = None
+        presentation = cut = None
         for v in sorted(m.cyclic_index):
             incident = sorted(
                 d for d, ref in m.edge_assignment.items() if ref.vertex == v
             )
-            if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):
+            if len(incident) < 2:
+                continue
+            if cut is None:
+                cut = _cut_vertices(m.total.graph)
+            if v in cut:
                 continue
             if presentation is None:
                 presentation = abelianized_presentation(m.total)
@@ -1432,10 +1510,6 @@ class TowerReport:
     ledger: TowerLedger
     base_exponents: Dict[int, int]
     status: str
-
-    @property
-    def completed_steps(self) -> int:
-        return len(self.steps)
 
     def to_csv(self) -> str:
         cols = ["step", "prime", "degree"]

@@ -20,14 +20,12 @@ on to produce a deterministic stream of nontrivial elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .homology import IntMatrix
 from .words import (
     Word,
-    conj_canonical,
     power_of,
-    primitive_root,
     abelianize_word,
 )
 
@@ -226,66 +224,6 @@ def ensure_valid(g: GraphOfGroups) -> None:
 def euler_characteristic(g: GraphOfGroups) -> int:
     """Sum over vertices of 1 - rank; cyclic edge groups contribute zero."""
     return sum(1 - g.vertex_rank[v] for v in g.graph.vertices)
-
-
-def induced_pair(g: GraphOfGroups, v: str) -> Tuple[int, List[Tuple[str, Word]]]:
-    """The vertex group's rank and the incident edge words living at v.
-
-    One entry per oriented edge with terminal vertex v, sorted by edge id.
-    """
-    fam = [(e, g.edge_words[e]) for e in sorted(g.graph.ends(v))]
-    return g.vertex_rank[v], fam
-
-
-def malnormal_family_problems(words: Sequence[Word]) -> List[str]:
-    """Emptiness means the words generate a malnormal family of cyclic
-    subgroups: each word primitive, and no two roots conjugate even up to
-    inverse."""
-    problems = []
-    roots = []
-    for i, w in enumerate(words):
-        if w.is_identity():
-            problems.append("word %d is trivial" % i)
-            continue
-        root, exp = primitive_root(w)
-        if exp != 1:
-            problems.append("word %d is a proper power (exponent %d)" % (i, exp))
-        roots.append((i, conj_canonical(root)))
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            i, ca = roots[a]
-            j, cb = roots[b]
-            if ca == cb or ca == cb.inverse():
-                problems.append("words %d and %d share a conjugate root" % (i, j))
-    return problems
-
-
-def check_normal_form(g: GraphOfGroups) -> List[str]:
-    """Check the bipartite normal form; returns problems (empty when ok).
-
-    Requires: kinds split every edge between a free and a cyclic vertex;
-    words at cyclic ends are single letters; at each free vertex the
-    incident words form a malnormal family.
-    """
-    problems = list(validate(g))
-    gr = g.graph
-    for name, (u, w) in sorted(gr.pairs.items()):
-        ku = g.vertex_kind.get(u)
-        kw = g.vertex_kind.get(w)
-        if ku == kw:
-            problems.append("pair %r joins two %s vertices" % (name, ku))
-    for e in sorted(gr.oriented_edges()):
-        if g.vertex_kind.get(gr.tau(e)) == "cyclic":
-            word = g.edge_words.get(e)
-            if word is not None and word.letters not in ((1,), (-1,)):
-                problems.append("edge %r enters a cyclic vertex with a non-generator word" % e)
-    for v in gr.vertices:
-        if g.vertex_kind.get(v) != "free":
-            continue
-        _, fam = induced_pair(g, v)
-        for msg in malnormal_family_problems([w for _, w in fam]):
-            problems.append("at vertex %r: %s" % (v, msg))
-    return problems
 
 
 def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:

@@ -258,15 +258,6 @@ class AbelianGroup:
     def isomorphic(self, other: "AbelianGroup") -> bool:
         return self.betti == other.betti and self.divisors == other.divisors
 
-    def reduce_element(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        if len(vec) != self.coords:
-            raise ValueError("element has %d coordinates, expected %d" % (len(vec), self.coords))
-        out = []
-        for i, d in enumerate(self.divisors):
-            out.append(vec[i] % d)
-        out.extend(int(a) for a in vec[len(self.divisors):])
-        return tuple(out)
-
     def __str__(self):
         parts = []
         if self.betti == 1:

@@ -2,15 +2,23 @@
 
 ``word_length`` and ``gog_word_power`` make and measure path words for the
 closed-word and lifting tests; ``lifts_over`` lists a morphism's lifts of a
-base vertex in name order.  ``subgroup_contains`` tests inclusion of
-finite-index subgroups on their Schreier bases.
+base vertex in name order.  ``contains`` and ``subgroup_contains`` test
+membership and inclusion of finite-index subgroups on their Schreier
+bases.  ``identity_cover`` builds the degree-one cover, ``document_for_gog``
+the gog document of a graph of groups, and ``reduce_element`` reduces an
+element of an abelian group to its torsion residues.  ``check_normal_form``
+checks the bipartite normal form, with ``induced_pair`` and
+``malnormal_family_problems`` for its per-vertex part.
 """
 
-from typing import List
+from typing import List, Sequence, Tuple
 
-from gfgcover.cosets import CosetTable, contains, schreier
-from gfgcover.covers import PrecoverMorphism
-from gfgcover.gog import GogWord, GraphOfGroups
+from gfgcover.cli import FORMAT_VERSION, gog_to_payload
+from gfgcover.cosets import CosetTable, schreier, whole_group_table
+from gfgcover.covers import ElevationRef, PrecoverMorphism
+from gfgcover.gog import GogWord, GraphOfGroups, reverse_edge, validate
+from gfgcover.homology import AbelianGroup
+from gfgcover.words import Word, conj_canonical, primitive_root
 
 
 def word_length(gw: GogWord) -> int:
@@ -37,8 +45,111 @@ def lifts_over(m: PrecoverMorphism, b: str) -> List[str]:
     return sorted(v for v in m.vertex_map if m.vertex_map[v] == b)
 
 
+def contains(table: CosetTable, w: Word) -> bool:
+    if w.rank != table.rank:
+        raise ValueError("rank mismatch")
+    return table.act_word(0, w) == 0
+
+
 def subgroup_contains(big: CosetTable, small: CosetTable) -> bool:
     """Whether the subgroup of ``small`` lies inside the subgroup of ``big``."""
     if big.rank != small.rank:
         raise ValueError("rank mismatch")
     return all(contains(big, g) for g in schreier(small).basis)
+
+
+def identity_cover(g: GraphOfGroups) -> PrecoverMorphism:
+    """The degree-one cover: one lift of everything."""
+    vertex_map = {}
+    vertex_data = {}
+    cyclic_index = {}
+    for v in g.graph.vertices:
+        name = v + "@0"
+        vertex_map[name] = v
+        if g.vertex_kind[v] == "free":
+            vertex_data[name] = whole_group_table(g.rank(v))
+        else:
+            cyclic_index[name] = 1
+    pairs = {}
+    for p in sorted(g.graph.pairs):
+        fwd = ElevationRef(g.graph.tau(p) + "@0", p, 0)
+        bwd = ElevationRef(g.graph.iota(p) + "@0", reverse_edge(p), 0)
+        pairs[p + "@0"] = (p, fwd, bwd)
+    return PrecoverMorphism(g, vertex_map, vertex_data, cyclic_index, pairs)
+
+
+def document_for_gog(g: GraphOfGroups) -> dict:
+    out = {"format_version": FORMAT_VERSION, "kind": "gog"}
+    out.update(gog_to_payload(g))
+    return out
+
+
+def reduce_element(group: AbelianGroup, vec: Sequence[int]) -> Tuple[int, ...]:
+    """vec with each torsion coordinate reduced mod its divisor."""
+    if len(vec) != group.coords:
+        raise ValueError("element has %d coordinates, expected %d" % (len(vec), group.coords))
+    out = []
+    for i, d in enumerate(group.divisors):
+        out.append(vec[i] % d)
+    out.extend(int(a) for a in vec[len(group.divisors):])
+    return tuple(out)
+
+
+def induced_pair(g: GraphOfGroups, v: str) -> Tuple[int, List[Tuple[str, Word]]]:
+    """The vertex group's rank and the incident edge words living at v.
+
+    One entry per oriented edge with terminal vertex v, sorted by edge id.
+    """
+    fam = [(e, g.edge_words[e]) for e in sorted(g.graph.ends(v))]
+    return g.vertex_rank[v], fam
+
+
+def malnormal_family_problems(words: Sequence[Word]) -> List[str]:
+    """Emptiness means the words generate a malnormal family of cyclic
+    subgroups: each word primitive, and no two roots conjugate even up to
+    inverse."""
+    problems = []
+    roots = []
+    for i, w in enumerate(words):
+        if w.is_identity():
+            problems.append("word %d is trivial" % i)
+            continue
+        root, exp = primitive_root(w)
+        if exp != 1:
+            problems.append("word %d is a proper power (exponent %d)" % (i, exp))
+        roots.append((i, conj_canonical(root)))
+    for a in range(len(roots)):
+        for b in range(a + 1, len(roots)):
+            i, ca = roots[a]
+            j, cb = roots[b]
+            if ca == cb or ca == cb.inverse():
+                problems.append("words %d and %d share a conjugate root" % (i, j))
+    return problems
+
+
+def check_normal_form(g: GraphOfGroups) -> List[str]:
+    """Check the bipartite normal form; returns problems (empty when ok).
+
+    Requires: kinds split every edge between a free and a cyclic vertex;
+    words at cyclic ends are single letters; at each free vertex the
+    incident words form a malnormal family.
+    """
+    problems = list(validate(g))
+    gr = g.graph
+    for name, (u, w) in sorted(gr.pairs.items()):
+        ku = g.vertex_kind.get(u)
+        kw = g.vertex_kind.get(w)
+        if ku == kw:
+            problems.append("pair %r joins two %s vertices" % (name, ku))
+    for e in sorted(gr.oriented_edges()):
+        if g.vertex_kind.get(gr.tau(e)) == "cyclic":
+            word = g.edge_words.get(e)
+            if word is not None and word.letters not in ((1,), (-1,)):
+                problems.append("edge %r enters a cyclic vertex with a non-generator word" % e)
+    for v in gr.vertices:
+        if g.vertex_kind.get(v) != "free":
+            continue
+        _, fam = induced_pair(g, v)
+        for msg in malnormal_family_problems([w for _, w in fam]):
+            problems.append("at vertex %r: %s" % (v, msg))
+    return problems

@@ -31,6 +31,10 @@ row per killed generator.  ``gfgcover.covers.find_torsion_piece``, which
 tests each lift on its unsplit cover and splits only the hit, must return
 the same piece, or None, and run out of budget exactly where it does.
 
+``is_cut_vertex`` walks the graph once per vertex asked;
+``gfgcover.covers._cut_vertices``, one depth-first search per graph, must
+find the same cut vertices on every cover total.
+
 ``smith_group`` reads a presentation's group off the diagonal of ``snf``,
 and ``cokernel_basis`` also reads, off ``snf``'s V, where each generator of
 the presentation lands: torsion coordinates first, each mod its divisor,
@@ -56,7 +60,7 @@ import itertools
 import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from _helpers import lifts_over, word_length
+from _helpers import lifts_over, reduce_element, word_length
 
 from gfgcover.cosets import (
     CosetTable,
@@ -78,12 +82,12 @@ from gfgcover.cosets import (
 )
 from gfgcover.covers import (
     CoverCensus, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble, _close_open_ends,
-    _extensions, _is_cut_vertex, _lift_choices, _same_base, split_cyclic,
+    _extensions, _lift_choices, _same_base, split_cyclic,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
-    GogWord, GraphOfGroups, abelianized_presentation, euler_characteristic, is_nontrivial,
-    reverse_edge,
+    GogWord, GraphOfGroups, SerreGraph, abelianized_presentation, euler_characteristic,
+    is_nontrivial, reverse_edge,
 )
 from gfgcover.homology import (
     AbelianGroup, IntMatrix, _check_prime, cyclic_column, p_rank, snf,
@@ -399,6 +403,24 @@ def prescribe_degrees_oracle(
     return None
 
 
+def is_cut_vertex(gr: SerreGraph, v: str) -> bool:
+    """Whether removing v disconnects gr (or leaves nothing): one walk
+    over the other vertices."""
+    others = [u for u in gr.vertices if u != v]
+    if not others:
+        return True
+    seen = {others[0]}
+    queue = [others[0]]
+    while queue:
+        u = queue.pop()
+        for e in gr.star(u):
+            w = gr.tau(e)
+            if w != v and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) != len(others)
+
+
 def torsion_piece_oracle(
     g: GraphOfGroups, p: int, max_index: int, budget: Optional[Budget] = None
 ) -> Optional[TorsionPiece]:
@@ -408,7 +430,7 @@ def torsion_piece_oracle(
     for m in CoverCensus(g, budget).covers(max_index):
         for v in sorted(m.cyclic_index):
             incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
-            if len(incident) < 2 or _is_cut_vertex(m.total.graph, v):
+            if len(incident) < 2 or is_cut_vertex(m.total.graph, v):
                 continue
             for d in incident:
                 piece = split_cyclic(m, v, [d])
@@ -460,7 +482,7 @@ def class_image_oracle(g, target) -> Tuple[int, ...]:
     for i, c in enumerate(abelianize_word(word)):
         for t, e in enumerate(basis[roster.index(("vertex", vertex, i))]):
             out[t] += c * e
-    return group.reduce_element(out)
+    return reduce_element(group, out)
 
 
 def _relations(a: AbelianGroup) -> List[List[int]]:
@@ -471,7 +493,7 @@ def _relations(a: AbelianGroup) -> List[List[int]]:
 def quotient_by(a: AbelianGroup, xs) -> AbelianGroup:
     """Quotient of a by the subgroup generated by the given elements, which
     are vectors in a's coordinates."""
-    rows = _relations(a) + [list(a.reduce_element(x)) for x in xs]
+    rows = _relations(a) + [list(reduce_element(a, x)) for x in xs]
     return smith_group(IntMatrix.from_rows(rows, cols=a.coords))
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from _helpers import document_for_gog, identity_cover
 
 from gfgcover import cli
-from gfgcover.covers import find_torsion_piece, identity_cover, isomorphic
+from gfgcover.covers import find_torsion_piece, isomorphic
 from gfgcover.gog import GraphOfGroups
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -54,7 +55,7 @@ class TestDocuments:
     @pytest.mark.parametrize("path", [HNN_F1, GENUS2, SEEDED])
     def test_gog_round_trip(self, path):
         g = load_gog(path)
-        saved = cli.save_document(cli.document_for_gog(g))
+        saved = cli.save_document(document_for_gog(g))
         original = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         assert yaml.safe_load(saved) == original
 

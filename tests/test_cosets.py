@@ -4,14 +4,13 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from _helpers import subgroup_contains
+from _helpers import contains, subgroup_contains
 from _oracles import evaluate, is_class_minimal_oracle, prescribe_degrees_oracle
 
 import gfgcover.cosets as cosets_module
 from gfgcover.cosets import (
     CosetTable,
     Pair,
-    contains,
     cyclic_table,
     elevations,
     enumerate_subgroups,

@@ -4,12 +4,13 @@ import random
 from pathlib import Path
 
 import pytest
-from _helpers import gog_word_power, lifts_over
+from _helpers import gog_word_power, identity_cover, lifts_over, reduce_element
 from _oracles import (
     candidate_covers,
     class_image_oracle,
     elevations_oracle,
     enumerate_covers_oracle,
+    is_cut_vertex,
     isomorphic_oracle,
     quotient_by,
     smith_group,
@@ -36,7 +37,6 @@ from gfgcover.covers import (
     detach_edge,
     enumerate_covers,
     find_torsion_piece,
-    identity_cover,
     isomorphic,
     lift_word,
     merge_cyclic,
@@ -586,7 +586,7 @@ def piece_candidates(m):
     """(lift, incident edges) for each cyclic lift the piece search tests."""
     for v in sorted(m.cyclic_index):
         incident = sorted(d for d, r in m.edge_assignment.items() if r.vertex == v)
-        if len(incident) >= 2 and not covers_module._is_cut_vertex(m.total.graph, v):
+        if len(incident) >= 2 and not is_cut_vertex(m.total.graph, v):
             yield v, incident
 
 
@@ -710,7 +710,7 @@ class TestHNNIdentity:
         a = h1(piece)
         x = class_image(piece, v + ".1")
         y = class_image(piece, v + ".2")
-        diff = a.reduce_element(tuple(xi - yi for xi, yi in zip(x, y)))
+        diff = reduce_element(a, tuple(xi - yi for xi, yi in zip(x, y)))
         rhs = quotient_by(a, [diff])
         lhs = h1(merge_cyclic(piece, v + ".1", v + ".2"))
         assert lhs.betti == rhs.betti + 1
@@ -798,7 +798,7 @@ class TestTower:
     def test_zero_steps(self):
         rep = build_tower(seeded(), [2], 0)
         assert rep.status == "ok"
-        assert rep.completed_steps == 0
+        assert rep.steps == ()
         assert rep.to_csv() == "step,prime,degree,e_2,ratio_2,status\n0,,1,0,0/1,base\n"
 
     def test_seeded_one_step(self):
@@ -828,7 +828,7 @@ class TestTower:
         bounds = TowerBounds(max_cover_index=2, max_piece_index=2)
         rep = build_tower(genus2(), [2], 1, bounds=bounds)
         assert rep.status.startswith("failed:piece:")
-        assert rep.completed_steps == 0
+        assert rep.steps == ()
         assert rep.to_csv().splitlines()[-1].startswith("1,,,")
 
     def test_budget_failure(self):
@@ -1254,6 +1254,10 @@ CENSUS_BASES = {
 class TestConnectedPrune:
     @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
     def test_pruned_stream_is_the_connected_part(self, name):
+        """The census engine, which cuts disconnected and symmetric
+        branches, yields part of the unpruned engine's connected stream, in
+        its order, with the same first candidate of every class, for fewer
+        nodes."""
         build, top = CENSUS_BASES[name]
         g = build()
         pruned_nodes, unpruned_nodes = Budget(), Budget()
@@ -1263,9 +1267,11 @@ class TestConnectedPrune:
                 for raw in covers_module._extensions(g, None, n, "@", pruned_nodes)
             ]
             assert all(m.total.graph.is_connected() for m in pruned)
-            oracle = candidate_covers(g, n, unpruned_nodes)
-            assert list(map(representative_digest, pruned)) == list(
-                map(representative_digest, oracle)
+            oracle = list(candidate_covers(g, n, unpruned_nodes))
+            digests = iter(map(representative_digest, oracle))  # each `in` reads on
+            assert all(d in digests for d in map(representative_digest, pruned))
+            assert list(map(representative_digest, first_of_each_class(pruned))) == list(
+                map(representative_digest, first_of_each_class(oracle))
             )
         assert pruned_nodes.nodes < unpruned_nodes.nodes
 
@@ -1282,6 +1288,134 @@ class TestConnectedPrune:
         assert any(
             len(lifts_over(m, "u")) == 2 and len(lifts_over(m, "w")) == 1 for m in got
         )
+
+
+def first_of_each_class(ms):
+    seen = set()
+    for m in ms:
+        if canonical_code(m) not in seen:
+            seen.add(canonical_code(m))
+            yield m
+
+
+# ---------------------------------------------------------------------------
+# The census engine skips a partner choice that swapping twin lifts, or an
+# automorphism of a lift's table, maps onto an earlier one.  Nothing in the
+# output shows the cut, so its work is pinned: per census base, the census
+# may code no more candidates and spend no more nodes than below.
+
+CENSUS_WORK = {
+    "A": (36, 224), "B": (32, 187), "C": (59, 222), "D": (36, 216), "E": (59, 218),
+    "F": (112, 409), "G": (88, 297), "H12": (9, 202), "H14": (9, 209), "H23": (7, 149),
+    "T1": (48, 252), "T2": (48, 256), "T3": (60, 307), "UCDW": (159, 641),
+    "UCW": (46, 490), "UCW2": (19, 116), "UCWX": (22, 318), "genus2": (147, 517),
+    "hnn_f1": (11, 150), "hnn_f1_total": (5, 114), "seeded_torsion": (105, 669),
+    "seeded_total": (212, 744),
+}
+
+
+def census_work(g, top):
+    """Candidates the census codes, nodes it spends and classes it finds,
+    up to index top."""
+    budget = Budget()
+    candidates = classes = 0
+    for n in range(1, top + 1):
+        codes = set()
+        for new_free, new_cyclic, triples in covers_module._extensions(g, None, n, "@", budget):
+            candidates += 1
+            lifts = list(new_free.items()) + list(new_cyclic.items())
+            codes.add(covers_module._code(g, lifts, triples))
+        classes += len(codes)
+    return candidates, budget.nodes, classes
+
+
+class _NoTwins(covers_module._Components):
+    """The census hook with the twin-lift rule off."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.twins = [()] * len(self.twins)
+
+
+def _every_elevation_first(g, b, table):
+    """``_orbit_firsts`` with the table-automorphism rule off."""
+    return frozenset(covers_module._lift_code(g, b, table)[3])
+
+
+def rule_work(monkeypatch, work, twins, orbits):
+    """``work()`` with the chosen symmetry rules on."""
+    with monkeypatch.context() as patch:
+        if not twins:
+            patch.setattr(covers_module, "_Components", _NoTwins)
+        if not orbits:
+            patch.setattr(covers_module, "_orbit_firsts", _every_elevation_first)
+        return work()
+
+
+class TestSymmetryCut:
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_work_stays_within_bounds(self, name):
+        build, top = CENSUS_BASES[name]
+        candidates, nodes, classes = census_work(build(), top)
+        most_candidates, most_nodes = CENSUS_WORK[name]
+        assert candidates <= most_candidates and nodes <= most_nodes
+        if name in ("H12", "H23", "H14", "hnn_f1"):
+            assert candidates == classes
+
+    def test_only_twins_fire_on_bs11(self, monkeypatch):
+        """Over one loop with the word x on both sides every table is
+        cyclic and has one elevation per edge, so no automorphism moves
+        one; three lifts of index 1 give twins."""
+        def work():
+            return census_work(bs11(), 3)
+
+        neither = rule_work(monkeypatch, work, False, False)
+        assert rule_work(monkeypatch, work, False, True) == neither
+        twins = rule_work(monkeypatch, work, True, False)
+        assert twins[1] < neither[1] and twins[2] == neither[2]
+        assert rule_work(monkeypatch, work, True, True) == twins
+
+    def test_only_orbits_fire_on_one_lift_choice(self, monkeypatch):
+        """Over the loop x = y^2, lifts v@0, v@1 of index 1 and v@2 of
+        index 2: the partner of v@0's end is chosen first, so its twin v@1
+        is never skipped, while y^2 has two elevations at v@2 that the
+        table's automorphism swaps."""
+        g = loop_hnn((1,), (1, 1))
+        one, two = whole_group_table(1), cyclic_table(2)
+        lifts = {"v@0": ("v", one), "v@1": ("v", one), "v@2": ("v", two)}
+
+        def work():
+            pools = covers_module._free_pool(g, lifts)
+            budget = Budget()
+            components = covers_module._Components(g, lifts, pools)
+            codes = [
+                covers_module._code(g, lifts.items(), triples)
+                for _, triples in covers_module._close_open_ends(
+                    g, pools, [], {}, set(lifts), budget, components
+                )
+            ]
+            return len(codes), budget.nodes, len(set(codes))
+
+        neither = rule_work(monkeypatch, work, False, False)
+        assert rule_work(monkeypatch, work, True, False) == neither
+        orbits = rule_work(monkeypatch, work, False, True)
+        assert orbits[1] < neither[1] and orbits[2] == neither[2]
+        assert rule_work(monkeypatch, work, True, True) == orbits
+
+
+class TestCutVertices:
+    def test_one_search_finds_what_the_walks_find(self):
+        totals = cuts = 0
+        for build, top in CENSUS_BASES.values():
+            for m in enumerate_covers(build(), top):
+                gr = m.total.graph
+                if len(gr.vertices) < 2:
+                    continue  # the walk calls a lone vertex a cut vertex
+                want = {v for v in gr.vertices if is_cut_vertex(gr, v)}
+                assert covers_module._cut_vertices(gr) == want
+                totals += 1
+                cuts += len(want)
+        assert totals > 900 and cuts > 700
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from pathlib import Path
 
 import pytest
-from _helpers import word_length
+from _helpers import (
+    check_normal_form, induced_pair, malnormal_family_problems, word_length,
+)
 from _oracles import enumerate_closed_words_oracle
 
 from gfgcover.cli import load_document, parse_document
@@ -10,13 +12,10 @@ from gfgcover.gog import (
     GraphOfGroups,
     SerreGraph,
     abelianized_presentation,
-    check_normal_form,
     enumerate_closed_words,
     euler_characteristic,
     has_pinch,
-    induced_pair,
     is_nontrivial,
-    malnormal_family_problems,
     reverse_edge,
     validate,
 )

@@ -497,13 +497,18 @@ def cmd_complete(args) -> int:
 
 
 def _bounds(fields: dict, path: str) -> TowerBounds:
-    """TowerBounds from name -> value overrides, each value an integer."""
+    """TowerBounds from name -> value overrides, each value an integer in
+    the field's range."""
     allowed = set(TowerBounds.__dataclass_fields__)
     bad = set(fields) - allowed
     if bad:
         _fail(path, "unknown fields %s; allowed %s" % (sorted(bad), sorted(allowed)))
     for key, value in fields.items():
         _expect(value, int, "%s.%s" % (path, key))
+        try:
+            TowerBounds(**{key: value})
+        except ValueError as exc:
+            _fail("%s.%s" % (path, key), str(exc))
     return TowerBounds(**fields)
 
 

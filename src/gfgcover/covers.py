@@ -1471,12 +1471,24 @@ def lift_word(m: PrecoverMorphism, gw: GogWord):
 
 @dataclass(frozen=True)
 class TowerBounds:
-    """Search limits for tower construction, all small by design."""
+    """Search limits for tower construction, all small by design.
+
+    Both index bounds are at least 1; ``complete_bound`` and
+    ``max_word_length`` are at least 0.  Construction raises ValueError on
+    a value out of range, so a run never starts a search with one.
+    """
 
     max_cover_index: int = 4
     max_piece_index: int = 4
     complete_bound: int = 24
     max_word_length: int = 6
+
+    def __post_init__(self):
+        for name, least in (("max_cover_index", 1), ("max_piece_index", 1),
+                            ("complete_bound", 0), ("max_word_length", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
 @dataclass(frozen=True)
@@ -1512,159 +1524,112 @@ class TowerReport:
     status: str
 
     def to_csv(self) -> str:
-        cols = ["step", "prime", "degree"]
-        for p in self.primes:
-            cols.append("e_%d" % p)
-        for p in self.primes:
-            cols.append("ratio_%d" % p)
-        cols.append("status")
-        lines = [",".join(cols)]
+        def row(lead: Sequence[str], exps: Dict[int, int], deg: int, status: str) -> str:
+            ratios = [Fraction(exps[p], deg) if p in exps else None for p in self.primes]
+            cells = [str(exps[p]) if p in exps else "" for p in self.primes]
+            cells += ["" if r is None else "%d/%d" % (r.numerator, r.denominator) for r in ratios]
+            return ",".join(list(lead) + cells + [status])
 
-        def fmt_ratio(e: int, deg: int) -> str:
-            fr = Fraction(e, deg)
-            return "%d/%d" % (fr.numerator, fr.denominator)
-
-        row = ["0", "", "1"]
-        for p in self.primes:
-            row.append(str(self.base_exponents.get(p, 0)))
-        for p in self.primes:
-            row.append(fmt_ratio(self.base_exponents.get(p, 0), 1))
-        row.append("base")
-        lines.append(",".join(row))
-
+        header = ["e_%d" % p for p in self.primes] + ["ratio_%d" % p for p in self.primes]
+        base = {p: self.base_exponents.get(p, 0) for p in self.primes}
+        lines = [",".join(["step", "prime", "degree"] + header + ["status"])]
+        lines.append(row(("0", "", "1"), base, 1, "base"))
         for st in self.steps:
-            row = [str(st.step), str(st.prime), str(st.total_degree)]
-            for p in self.primes:
-                row.append(str(st.exponents[p]) if p in st.exponents else "")
-            for p in self.primes:
-                if p in st.exponents:
-                    row.append(fmt_ratio(st.exponents[p], st.total_degree))
-                else:
-                    row.append("")
-            row.append("ok")
-            lines.append(",".join(row))
-
+            lead = (str(st.step), str(st.prime), str(st.total_degree))
+            lines.append(row(lead, st.exponents, st.total_degree, "ok"))
         if self.status != "ok":
-            row = [str(len(self.steps) + 1), "", ""]
-            row.extend([""] * (2 * len(self.primes)))
-            row.append(self.status.replace(",", ";"))
-            lines.append(",".join(row))
+            lead = (str(len(self.steps) + 1), "", "")
+            lines.append(row(lead, {}, 1, self.status.replace(",", ";")))
         return "\n".join(lines) + "\n"
 
 
 class _StageFailure(Exception):
+    """A tower step stopped at ``stage`` for ``reason``."""
+
     def __init__(self, stage: str, reason: str):
         super().__init__("%s: %s" % (stage, reason))
-        self.stage = stage
-        self.reason = reason
+        self.stage, self.reason = stage, reason
 
 
-def _nth_nontrivial_word(
-    g: GraphOfGroups, n: int, max_length: int
-) -> Optional[GogWord]:
-    return next(itertools.islice(enumerate_closed_words(g, max_length), n - 1, None), None)
+def _slot(m: PrecoverMorphism, vertex: str, edge: str) -> Optional[int]:
+    """Index of the first hanging slot of m at ``vertex`` over ``edge``."""
+    return next(
+        (i for i, s in enumerate(m.hanging) if s.vertex == vertex and s.edge == edge), None
+    )
 
 
-def _build_connector(
-    base: GraphOfGroups, u: str, d: int
-) -> Optional[PrecoverMorphism]:
+def _site_stage(
+    census: CoverCensus, n: int, piece: TorsionPiece, e1: str, bounds: TowerBounds
+) -> Tuple[PrecoverMorphism, str, int, Optional[GogWord], str]:
+    """The cover a step detaches, its site, and the step's word.
+
+    A site is a total edge over e1's pair whose cyclic end has the piece's
+    boundary index; each cover offers its site farthest from the basepoint,
+    the least by name among ties.  The word is the n-th closed word within
+    ``max_word_length``.  The first cover of index <= ``max_cover_index``
+    with a site that the word exits is taken, else the first with a site.
+    Returns (cover, site, distance, word, note), where note is the
+    exclusion note that stands if the word does not exit the step's cover.
+    """
+    words = enumerate_closed_words(census.base, bounds.max_word_length)
+    word = next(itertools.islice(words, n - 1, None), None)
+    first = None
+    for cover in census.covers(bounds.max_cover_index):
+        sites = []
+        for q, (bp, fwd, bwd) in cover.pair_spec.items():
+            if bp != pair_of(e1):
+                continue
+            cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
+            if cover.cyclic_index[cyc.vertex] == piece.boundary_index:
+                dist = cover.total.graph.distance(cover.total.base_vertex, free.vertex)
+                sites.append((dist, q))
+        if not sites:
+            continue
+        dist, site = min(sites, key=lambda s: (-s[0], s[1]))
+        if word is not None and isinstance(lift_word(cover, word), ExitsAt):
+            return cover, site, dist, word, "word re-enters after assembly"
+        if first is None:
+            first = (cover, site, dist)
+    if first is None:
+        raise _StageFailure(
+            "site",
+            "no cover of index <= %d detaches at a cyclic lift of index %d over %r"
+            % (bounds.max_cover_index, piece.boundary_index, piece.morphism.vertex_map[piece.c1]),
+        )
+    if word is None:
+        note = "no nontrivial closed word within length %d" % bounds.max_word_length
+    else:
+        note = "word lifts into every candidate cover of index <= %d" % bounds.max_cover_index
+    return first + (word, note)
+
+
+def _build_connector(base: GraphOfGroups, u: str, d: int) -> PrecoverMorphism:
     """A single lift of the free vertex u on which every peripheral word
     elevates with degree exactly d; all its elevations hang.
     ``prescribe_degrees`` has read every degree off the table it returns."""
     targets = [base.edge_word(e) for e in base.graph.ends(u)]
-    if not targets:
-        return None
     res = prescribe_degrees(base.rank(u), targets, [d] * len(targets))
     if res is None or res.scale != 1:
-        return None
+        raise _StageFailure(
+            "connector",
+            "no finite quotient gives every peripheral word at %r degree %d" % (u, d),
+        )
     name = u + "@A"
     return PrecoverMorphism(base, {name: u}, {name: res.table}, {}, {})
 
 
-def _tower_step(
-    b: GraphOfGroups,
-    n: int,
-    p: int,
-    tracked: Sequence[int],
-    bounds: TowerBounds,
-    budget: Budget,
-    ledger: TowerLedger,
-    degree_so_far: int,
-) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
-    word = _nth_nontrivial_word(b, n, bounds.max_word_length)
+def _copy_count(n: int, h: int, k_p: int, ell: int, n_a: int) -> Tuple[int, int]:
+    """(β, α0) for step n, from the piece's predegree h and least index sum
+    k_p, the site cover's degree ell and the connector's index n_a.
 
-    census = CoverCensus(b, budget)
-    piece = _torsion_piece_in(census.covers(bounds.max_piece_index), p)
-    if piece is None:
-        raise _StageFailure(
-            "piece", "no p=%d torsion piece within index %d" % (p, bounds.max_piece_index)
-        )
-    d_p = piece.boundary_index
-    h = predegree(piece.morphism)
-    k_p = min(piece.morphism.sums.values())
-    c_base = piece.morphism.vertex_map[piece.c1]
-    e1 = next(
-        ref.edge
-        for ref in piece.morphism.edge_assignment.values()
-        if ref.vertex == piece.c1
-    )
-    gr = b.graph
-    ends_c = sorted(gr.ends(c_base))
-    far = {gr.iota(e) for e in ends_c}
-    if len(far) != 1:
-        raise _StageFailure(
-            "assembly", "boundary vertex %r meets several free vertices" % c_base
-        )
-    u = far.pop()
-
-    chosen = None
-    fallback = None
-    for cover in census.covers(bounds.max_cover_index):
-        sites = []
-        for q, (bp, fwd, bwd) in sorted(cover.pair_spec.items()):
-            if bp != pair_of(e1):
-                continue
-            cyc_ref = fwd if cover.total.vertex_kind[fwd.vertex] == "cyclic" else bwd
-            if cover.cyclic_index.get(cyc_ref.vertex) != d_p:
-                continue
-            free_ref = bwd if cyc_ref is fwd else fwd
-            dist = cover.total.graph.distance(
-                cover.total.base_vertex, free_ref.vertex
-            )
-            sites.append((-dist, q))
-        if not sites:
-            continue
-        sites.sort()
-        site = sites[0][1]
-        dist = -sites[0][0]
-        if word is not None and isinstance(lift_word(cover, word), ExitsAt):
-            chosen = (cover, site, dist, True)
-            break
-        if fallback is None:
-            fallback = (cover, site, dist, False)
-    if chosen is None:
-        chosen = fallback
-    if chosen is None:
-        raise _StageFailure(
-            "site",
-            "no cover of index <= %d detaches at a cyclic lift of index %d over %r"
-            % (bounds.max_cover_index, d_p, c_base),
-        )
-    cover, site, site_distance, excluded_in_l = chosen
-    ell = degree(cover)
-
-    connector = _build_connector(b, u, d_p)
-    if connector is None:
-        raise _StageFailure(
-            "connector",
-            "no finite quotient gives every peripheral word at %r degree %d" % (u, d_p),
-        )
-    n_a = connector.vertex_data[u + "@A"].size
-
+    β is the least count of detached site covers, up to ``MAX_BETA``, whose
+    share β·ell of the predegree β·ell + β·α0·k_p + n_a is at least
+    1 - 2^-n (β = 1 at step 1); α0 >= 1 is the least chain length with
+    α0·β·(2^(n+1)·h - k_p) >= β·ell + n_a.  Only β = 1 is built.
+    """
     growth = 2 ** (n + 1) * h - k_p
     if growth <= 0:
         raise _StageFailure("assembly", "piece predegree too small to meet the bound")
-
     for beta in range(1, MAX_BETA + 1):
         alpha0 = max(1, -(-(beta * ell + n_a) // (beta * growth)))
         d_pred = beta * ell + beta * alpha0 * k_p + n_a
@@ -1676,125 +1641,138 @@ def _tower_step(
         raise _StageFailure(
             "assembly", "step needs %d detached copies; only one is supported" % beta
         )
+    return beta, alpha0
 
+
+# detached cover, connector, its free and cyclic slots, connector slot per boundary end
+_Glue = Tuple[PrecoverMorphism, PrecoverMorphism, int, int, Dict[str, int]]
+
+
+def _glue_stage(
+    piece: TorsionPiece, e1: str, cover: PrecoverMorphism, site: str, connector: PrecoverMorphism
+) -> _Glue:
+    """The parts a step splices around its chain, found once per step.
+
+    Returns the detached cover and the connector, renamed apart from the
+    chain; the detached site's free and cyclic slots, read off
+    ``cover.pair_spec[site]``; and, for each end e of the boundary vertex,
+    the connector slot over e's reverse.  The chain's tail and head carry
+    the hanging ends of the piece's c2 and c1 whatever its length, so a slot
+    missing here is missing for every chain length.
+    """
     detached = rename_total(detach_edge(cover, site), "!L")
-    last_error = None
+    conn = rename_total(connector, "!C")
+    _, fwd, bwd = cover.pair_spec[site]
+    cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
+    i_free = _slot(detached, free.vertex + "!L", free.edge)
+    i_cyc = _slot(detached, cyc.vertex + "!L", cyc.edge)
+    if None in (i_free, i_cyc, _slot(piece.morphism, piece.c2, e1)):
+        raise _StageFailure("completion", "detached slots not found")
+    (a,) = conn.vertex_map
+    gr = cover.base.graph
+    ends = {e: _slot(conn, a, reverse_edge(e)) for e in sorted(gr.ends(gr.tau(e1)))}
+    if ends[e1] is None:
+        raise _StageFailure("completion", "connector lacks a boundary elevation")
+    for e, j in ends.items():
+        if e != e1 and None in (j, _slot(piece.morphism, piece.c1, e)):
+            raise _StageFailure("completion", "chain head slots not found")
+    return detached, conn, i_free, i_cyc, ends
+
+
+def _completion_stage(
+    piece: TorsionPiece, alpha: int, e1: str, glue: _Glue, bounds: TowerBounds, budget: Budget
+) -> PrecoverMorphism:
+    """The chain of alpha pieces spliced into the detached cover through
+    the connector, then completed within ``complete_bound``.
+
+    ``complete`` searches only when the splice leaves a slot hanging: when
+    the connector's index n_a exceeds the boundary index d_p, when the
+    connector's vertex has ends away from the boundary vertex, or, once
+    β > 1 is built, at the further detached copies.  Otherwise, as on every
+    one-step tower measured, it returns the splice itself.
+    """
+    detached, conn, i_free, i_cyc, ends = glue
+    body = rename_total(chain(piece, alpha), "!K")
+    tail = piece.c2 + ("#1" if alpha > 1 else "") + "!K"
+    head = piece.c1 + ("#%d" % alpha if alpha > 1 else "") + "!K"
+    matches = [((0, i_free), (1, _slot(body, tail, e1))), ((0, i_cyc), (2, ends[e1]))]
+    matches += [((1, _slot(body, head, e)), (2, j)) for e, j in ends.items() if e != e1]
+    try:
+        asm = splice([detached, body, conn], matches)
+    except ValueError as exc:
+        raise _StageFailure("completion", str(exc))
+    cover_n = complete(asm, bounds.complete_bound, budget)
+    if cover_n is None:
+        raise _StageFailure(
+            "completion", "no completion within added index %d" % bounds.complete_bound
+        )
+    if not cover_n.total.graph.is_connected():
+        raise _StageFailure("completion", "assembled cover is disconnected")
+    return cover_n
+
+
+def _ledger_stage(
+    cover_n: PrecoverMorphism, tracked: Sequence[int], ledger: TowerLedger,
+    n: int, p: int, total: int, h: int,
+) -> Tuple[Dict[int, int], TowerLedger]:
+    """The tracked exponents of the step-n cover of total degree ``total``,
+    and a copy of the ledger with its row added and checked."""
+    a = h1(cover_n)
+    exps = {q: torsion_exponent(a, q) for q in tracked}
+    trial = TowerLedger(intro=dict(ledger.intro), rows=list(ledger.rows))
+    try:
+        ledger_update(trial, step=n, prime=p, degree=total, exponents=exps, piece_predegree=h)
+    except ValueError as exc:
+        raise _StageFailure("completion", str(exc))
+    problems = ledger_check(trial)
+    if problems:
+        raise _StageFailure("completion", problems[0])
+    return exps, trial
+
+
+def _tower_step(
+    b: GraphOfGroups, n: int, p: int, tracked: Sequence[int], bounds: TowerBounds,
+    budget: Budget, ledger: TowerLedger, degree_so_far: int,
+) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
+    """Step n over the base b, stage by stage; a stage that finds nothing
+    raises ``_StageFailure``.  Chain lengths from α0 on are tried up to
+    ``MAX_ALPHA_RETRIES`` more times, and the last one's failure stands."""
+    census = CoverCensus(b, budget)
+    piece = _torsion_piece_in(census.covers(bounds.max_piece_index), p)
+    if piece is None:
+        raise _StageFailure(
+            "piece", "no p=%d torsion piece within index %d" % (p, bounds.max_piece_index)
+        )
+    c_base = piece.morphism.vertex_map[piece.c1]
+    far = {b.graph.iota(e) for e in b.graph.ends(c_base)}
+    if len(far) != 1:
+        raise _StageFailure("assembly", "boundary vertex %r meets several free vertices" % c_base)
+    (u,) = far
+    e1 = next(r.edge for r in piece.morphism.edge_assignment.values() if r.vertex == piece.c1)
+    cover, site, site_distance, word, note = _site_stage(census, n, piece, e1, bounds)
+    connector = _build_connector(b, u, piece.boundary_index)
+    h = predegree(piece.morphism)
+    n_a = connector.vertex_data[u + "@A"].size
+    beta, alpha0 = _copy_count(n, h, min(piece.morphism.sums.values()), degree(cover), n_a)
+    glue = _glue_stage(piece, e1, cover, site, connector)
     for alpha in range(alpha0, alpha0 + MAX_ALPHA_RETRIES + 1):
-        body = rename_total(chain(piece, alpha), "!K")
-        conn = rename_total(connector, "!C")
-        tail_c2 = (piece.c2 + ("#1" if alpha > 1 else "")) + "!K"
-        head_c1 = (piece.c1 + ("#%d" % alpha if alpha > 1 else "")) + "!K"
-        parts = [detached, body, conn]
-
-        def slot_index(part: int, vertex_pred, edge: str) -> Optional[int]:
-            for i, s in enumerate(parts[part].hanging):
-                if s.edge == edge and vertex_pred(s.vertex):
-                    return i
-            return None
-
-        matches = []
-        i_free = slot_index(
-            0, lambda v: detached.total.vertex_kind[v] == "free", reverse_edge(e1)
-        )
-        i_cyc = slot_index(
-            0, lambda v: detached.total.vertex_kind[v] == "cyclic", e1
-        )
-        j_tail = slot_index(1, lambda v: v == tail_c2, e1)
-        if i_free is None or i_cyc is None or j_tail is None:
-            last_error = "detached slots not found"
-            continue
-        matches.append(((0, i_free), (1, j_tail)))
-        used_conn = set()
-
-        def conn_slot(edge: str) -> Optional[int]:
-            for i, s in enumerate(parts[2].hanging):
-                if s.edge == edge and i not in used_conn:
-                    used_conn.add(i)
-                    return i
-            return None
-
-        j_conn = conn_slot(reverse_edge(e1))
-        if j_conn is None:
-            last_error = "connector lacks a boundary elevation"
-            continue
-        matches.append(((0, i_cyc), (2, j_conn)))
-        ok = True
-        for e in ends_c:
-            if e == e1:
-                continue
-            j_head = slot_index(1, lambda v: v == head_c1, e)
-            j_c = conn_slot(reverse_edge(e))
-            if j_head is None or j_c is None:
-                ok = False
-                last_error = "chain head slots not found"
-                break
-            matches.append(((1, j_head), (2, j_c)))
-        if not ok:
-            continue
-
         try:
-            asm = splice(parts, matches)
-        except ValueError as exc:
-            last_error = str(exc)
+            cover_n = _completion_stage(piece, alpha, e1, glue, bounds, budget)
+            cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
+            rel = degree(cover_n)
+            exps, trial = _ledger_stage(cover_n, tracked, ledger, n, p, degree_so_far * rel, h)
+        except _StageFailure as exc:
+            failure = exc
             continue
-        cover_n = complete(asm, bounds.complete_bound, budget)
-        if cover_n is None:
-            last_error = "no completion within added index %d" % bounds.complete_bound
-            continue
-        if not cover_n.total.graph.is_connected():
-            last_error = "assembled cover is disconnected"
-            continue
-        cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
-        rel = degree(cover_n)
-        a = h1(cover_n)
-        exps = {q: torsion_exponent(a, q) for q in tracked}
-        trial = TowerLedger(intro=dict(ledger.intro), rows=list(ledger.rows))
-        try:
-            ledger_update(
-                trial,
-                step=n,
-                prime=p,
-                degree=degree_so_far * rel,
-                exponents=exps,
-                piece_predegree=h,
-            )
-        except ValueError as exc:
-            last_error = str(exc)
-            continue
-        problems = ledger_check(trial)
-        if problems:
-            last_error = problems[0]
-            continue
-        excluded = False
-        note = ""
-        if word is None:
-            note = "no nontrivial closed word within length %d" % bounds.max_word_length
-        else:
-            res = lift_word(cover_n, word)
-            excluded = isinstance(res, ExitsAt)
-            if not excluded:
-                if excluded_in_l:
-                    note = "word re-enters after assembly"
-                else:
-                    note = "word lifts into every candidate cover of index <= %d" % (
-                        bounds.max_cover_index
-                    )
+        excluded = word is not None and isinstance(lift_word(cover_n, word), ExitsAt)
         step = TowerStep(
-            step=n,
-            prime=p,
-            relative_degree=rel,
-            total_degree=degree_so_far * rel,
-            alpha=alpha,
-            beta=beta,
-            piece_predegree=h,
-            exponents=exps,
-            excluded_word=str(word) if word is not None else "",
-            excluded=excluded,
-            exclusion_note=note,
-            site_distance=site_distance,
+            step=n, prime=p, relative_degree=rel, total_degree=degree_so_far * rel,
+            alpha=alpha, beta=beta, piece_predegree=h, exponents=exps,
+            excluded_word=str(word) if word is not None else "", excluded=excluded,
+            exclusion_note="" if excluded else note, site_distance=site_distance,
         )
         return step, cover_n, trial
-    raise _StageFailure("completion", last_error or "assembly failed")
+    raise failure
 
 
 def build_tower(

@@ -308,6 +308,25 @@ class TestCommands:
                            "--bounds", "max_cover_index=four")
         assert code == 1 and err.startswith("error: --bounds.max_cover_index: expected int")
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_cover_index", -3),
+        ("max_cover_index", 0),
+        ("max_piece_index", 0),
+        ("complete_bound", -1),
+        ("max_word_length", -2),
+    ])
+    def test_bounds_out_of_range(self, capsys, tmp_path, field, value):
+        code, out, err = run(capsys, "tower", SEEDED, "--steps", "1", "--primes", "2",
+                             "--bounds", "%s=%d" % (field, value))
+        assert code == 1 and out == ""
+        assert err.startswith("error: --bounds.%s: %s must be at least" % (field, field))
+        assert len(err.splitlines()) == 1
+        path = tower_config(tmp_path, bounds={field: value})
+        code, out, err = run(capsys, "tower", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s.bounds.%s: %s must be at least" % (path, field, field))
+        assert len(err.splitlines()) == 1
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "h1", "no-such-file.yaml")
         assert code == 1 and err.startswith("error:")

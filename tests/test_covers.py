@@ -848,6 +848,247 @@ class TestTower:
         rep = build_tower(seeded(), [2], 1, bounds=bounds)
         assert rep.status.startswith("failed:piece:")
 
+    def test_site_is_farthest_then_least_by_name(self):
+        # Both p0@1 and p0@2 of the chosen cover are sites at distance 0.
+        census = covers_module.CoverCensus(seeded(), Budget())
+        piece = covers_module._torsion_piece_in(census.covers(4), 2)
+        e1 = next(r.edge for r in piece.morphism.edge_assignment.values() if r.vertex == piece.c1)
+        cover, site, dist, word, note = covers_module._site_stage(
+            census, 1, piece, e1, TowerBounds()
+        )
+        assert (site, dist, str(word)) == ("p0@1", 0, "(-2)@v")
+        assert note == "word re-enters after assembly"
+        assert "p0@2" in cover.pair_spec
+
+    def test_next_chain_length_tried_after_a_failure(self, monkeypatch):
+        real, calls = covers_module.complete, []
+
+        def first_fails(m, bound, budget=None):
+            calls.append(m)
+            return None if len(calls) == 1 else real(m, bound, budget)
+
+        monkeypatch.setattr(covers_module, "complete", first_fails)
+        rep = build_tower(seeded(), [2], 1)
+        assert len(calls) == 2
+        assert (rep.status, rep.steps[0].alpha) == ("ok", 2)
+
+    def test_last_chain_length_failure_stands(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            covers_module, "complete", lambda m, bound, budget=None: calls.append(m)
+        )
+        rep = build_tower(seeded(), [2], 1)
+        assert len(calls) == covers_module.MAX_ALPHA_RETRIES + 1
+        assert rep.status == "failed:completion:no completion within added index 24"
+
+    def test_piece_failure_enumerates_no_word(self, monkeypatch):
+        def no_words(*args):
+            raise AssertionError("closed words enumerated")
+
+        monkeypatch.setattr(covers_module, "enumerate_closed_words", no_words)
+        rep = build_tower(seeded(), [2], 1, bounds=TowerBounds(max_piece_index=1))
+        assert rep.status.startswith("failed:piece:")
+
+    @pytest.mark.parametrize("field, least", [
+        ("max_cover_index", 1),
+        ("max_piece_index", 1),
+        ("complete_bound", 0),
+        ("max_word_length", 0),
+    ])
+    def test_bounds_out_of_range_rejected(self, field, least):
+        TowerBounds(**{field: least})
+        with pytest.raises(ValueError, match="%s must be at least %d, got %d"
+                           % (field, least, least - 1)):
+            TowerBounds(**{field: least - 1})
+
+
+# The full report of every one-step tower of seeded and amalgams A-G at
+# p in {2, 3, 5, 7}, and of two two-step towers on seeded: 5 end ok,
+# 10 failed:completion, 17 failed:piece, 2 failed:assembly.
+TOWER_OUTCOMES = {
+    ("seeded", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,2,8,1,1/8,ok\n"
+    ),
+    ("seeded", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 3: ratio 0 below bound 1/8\n"
+    ),
+    ("seeded", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("seeded", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("A", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 2: ratio 0 below bound 1/8\n"
+    ),
+    ("A", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 3: ratio 0 below bound 1/12\n"
+    ),
+    ("A", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 5: ratio 0 below bound 1/20\n"
+    ),
+    ("A", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("B", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 2: ratio 0 below bound 1/8\n"
+    ),
+    ("B", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=3 torsion piece within index 4\n"
+    ),
+    ("B", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("B", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("C", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,1,1/1,base\n"
+        "1,2,5,1,1/5,ok\n"
+    ),
+    ("C", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=3 torsion piece within index 4\n"
+    ),
+    ("C", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("C", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("D", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 2: ratio 0 below bound 1/8\n"
+    ),
+    ("D", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 3: ratio 0 below bound 1/12\n"
+    ),
+    ("D", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 5: ratio 0 below bound 1/20\n"
+    ),
+    ("D", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("E", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,1,1/1,base\n"
+        "1,2,4,1,1/4,ok\n"
+    ),
+    ("E", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=3 torsion piece within index 4\n"
+    ),
+    ("E", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("E", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("F", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,2,5,2,2/5,ok\n"
+    ),
+    ("F", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 3: ratio 0 below bound 1/8\n"
+    ),
+    ("F", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("F", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("G", (2,)): (
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,1,1/1,base\n"
+        "1,2,5,2,2/5,ok\n"
+    ),
+    ("G", (3,)): (
+        "step,prime,degree,e_3,ratio_3,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:completion:step 1 prime 3: ratio 0 below bound 1/28\n"
+    ),
+    ("G", (5,)): (
+        "step,prime,degree,e_5,ratio_5,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=5 torsion piece within index 4\n"
+    ),
+    ("G", (7,)): (
+        "step,prime,degree,e_7,ratio_7,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:piece:no p=7 torsion piece within index 4\n"
+    ),
+    ("seeded", (2, 3)): (
+        "step,prime,degree,e_2,e_3,ratio_2,ratio_3,status\n"
+        "0,,1,0,0,0/1,0/1,base\n"
+        "1,2,8,1,,1/8,,ok\n"
+        "2,,,,,,,failed:assembly:no copy count keeps enough of the previous cover\n"
+    ),
+    ("seeded", (2, 2)): (
+        "step,prime,degree,e_2,e_2,ratio_2,ratio_2,status\n"
+        "0,,1,0,0,0/1,0/1,base\n"
+        "1,2,8,1,1,1/8,1/8,ok\n"
+        "2,,,,,,,failed:assembly:no copy count keeps enough of the previous cover\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, primes", sorted(TOWER_OUTCOMES),
+    ids=["%s-%s" % (name, ",".join(map(str, primes))) for name, primes in sorted(TOWER_OUTCOMES)],
+)
+def test_tower_outcome(name, primes):
+    g = seeded() if name == "seeded" else amalgam(AMALGAMS[name])
+    assert build_tower(g, primes, len(primes)).to_csv() == TOWER_OUTCOMES[name, primes]
+
 
 class TestIsomorphic:
     def test_rename_invariance(self):

@@ -23,11 +23,15 @@ default; a budget below 1 is invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import re
 import sys
 from typing import Dict, List, Optional
 
 import yaml
+from yaml.nodes import ScalarNode
+from yaml.resolver import Resolver
 
 try:
     from yaml import CSafeDumper as _Dumper, CSafeLoader as _Loader
@@ -272,11 +276,57 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 # ---------------------------------------------------------------------------
 # documents
 
+_STR_TAG = "tag:yaml.org,2002:str"
+_INT_TAG = "tag:yaml.org,2002:int"
+_DECIMAL = re.compile(r"-?[1-9][0-9]*|0").fullmatch
+
+
+@functools.lru_cache(maxsize=4096)
+def _plain_tag(value: str) -> str:
+    # The safe resolver has no path resolvers, so the tag of a plain scalar
+    # depends on its text alone.
+    return Resolver().resolve(ScalarNode, value, (True, False))
+
+
+class _Lean:
+    """Hooks mixed into PyYAML's safe loader and dumper that build or read
+    plain ``str`` and decimal ``int`` scalars directly, skipping PyYAML's
+    per-object dispatch.  Every other node goes through PyYAML's own code,
+    so the values read and the node tree written are the stock ones."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is ScalarNode and implicit[0]:
+            return _plain_tag(value)
+        return super().resolve(kind, value, implicit)
+
+    def construct_object(self, node, deep=False):
+        if node.__class__ is ScalarNode:
+            if node.tag == _STR_TAG:
+                return node.value
+            if node.tag == _INT_TAG and _DECIMAL(node.value):
+                return int(node.value)
+        return super().construct_object(node, deep)
+
+    def represent_data(self, data):
+        if data.__class__ is str:
+            return ScalarNode(_STR_TAG, data, style=self.default_style)
+        if data.__class__ is int:
+            return ScalarNode(_INT_TAG, str(data), style=self.default_style)
+        return super().represent_data(data)
+
+
+class _LeanLoader(_Lean, _Loader):
+    pass
+
+
+class _LeanDumper(_Lean, _Dumper):
+    pass
+
 
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_Loader)
+            data = yaml.load(fh, Loader=_LeanLoader)
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
     except yaml.YAMLError as exc:
@@ -292,7 +342,7 @@ def load_document(path: str) -> dict:
 
 
 def save_document(data: dict) -> str:
-    return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
+    return yaml.dump(data, Dumper=_LeanDumper, sort_keys=False, default_flow_style=None)
 
 
 def document_for_morphism(m: PrecoverMorphism) -> dict:
@@ -372,6 +422,13 @@ def _budget(
         raise SchemaError("%s: %s" % (source, exc))
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    """Reject a search-bound flag below ``least``: 1 for an index, 0 for an
+    added index, the ranges of ``TowerBounds``."""
+    if value < least:
+        raise SchemaError("%s: must be at least %d, got %d" % (flag, least, value))
+
+
 def _print_csv(header: List[str], rows: List[List[str]]) -> None:
     out = sys.stdout
     out.write(",".join(header) + "\n")
@@ -426,7 +483,7 @@ def cmd_elevations(args) -> int:
     if g.vertex_kind.get(v) != "free":
         raise SchemaError("--vertex: %r is not a free vertex" % v)
     try:
-        rows = yaml.load(args.table, Loader=_Loader)
+        rows = yaml.load(args.table, Loader=_LeanLoader)
     except yaml.YAMLError as exc:
         raise SchemaError("--table: %s" % exc)
     table = _table(rows, g.rank(v), "--table")
@@ -442,6 +499,7 @@ def cmd_elevations(args) -> int:
 
 
 def cmd_enumerate_covers(args) -> int:
+    _at_least("--max-index", args.max_index, 1)
     data = load_document(args.file)
     g = parse_document(data, args.file)
     if not isinstance(g, GraphOfGroups):
@@ -459,6 +517,7 @@ def cmd_enumerate_covers(args) -> int:
 
 
 def cmd_torsion_piece(args) -> int:
+    _at_least("--max-index", args.max_index, 1)
     data = load_document(args.file)
     g = parse_document(data, args.file)
     if not isinstance(g, GraphOfGroups):
@@ -482,6 +541,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    _at_least("--bound", args.bound, 0)
     data = load_document(args.file)
     m = parse_document(data, args.file)
     if isinstance(m, TorsionPiece):
@@ -562,7 +622,10 @@ def _primes_flag(raw: str) -> List[int]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process and reused by ``main``:
+    building it costs far more than parsing an argv."""
     parser = argparse.ArgumentParser(
         prog="gfgcover",
         description="Covers, torsion pieces and tower reports for graphs of free groups with cyclic edges.",

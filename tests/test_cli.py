@@ -327,6 +327,19 @@ class TestCommands:
         assert err.startswith("error: %s.bounds.%s: %s must be at least" % (path, field, field))
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, error", [
+        (["enumerate-covers", SEEDED, "--max-index", "-2"], "--max-index: must be at least 1, got -2"),
+        (["enumerate-covers", SEEDED, "--max-index", "0"], "--max-index: must be at least 1, got 0"),
+        (["torsion-piece", SEEDED, "--prime", "2", "--max-index", "0"],
+         "--max-index: must be at least 1, got 0"),
+        (["complete", "piece", "--bound", "-1"], "--bound: must be at least 0, got -1"),
+    ])
+    def test_search_bound_flags_out_of_range(self, capsys, monkeypatch, piece_file, argv, error):
+        for search in ("enumerate_covers", "find_torsion_piece", "complete"):
+            monkeypatch.setattr(cli, search, None)  # calling it would raise TypeError
+        argv = [piece_file if a == "piece" else a for a in argv]
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % error)
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "h1", "no-such-file.yaml")
         assert code == 1 and err.startswith("error:")
@@ -407,6 +420,32 @@ class TestCommands:
         first = run(capsys, *argv)
         assert first[0] == 0
         assert run(capsys, *argv) == first
+
+
+class TestInProcess:
+    def test_main_reuses_one_parser(self, capsys):
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        sequence = [
+            ["h1", HNN_F1],
+            ["enumerate-covers", HNN_F1, "--max-index", "2"],
+            ["enumerate-covers", HNN_F1, "--max-idx", "2"],
+            ["torsion-piece", SEEDED, "--prime", "2", "--max-index", "4"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+        cli.build_parser.cache_clear()
+        assert [outcome(argv) for argv in sequence] == fresh
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestConsoleScript:

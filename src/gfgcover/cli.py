@@ -46,6 +46,7 @@ from .covers import (
     TowerBounds,
     build_tower,
     chain,
+    check_bounds,
     complete,
     degree,
     enumerate_covers,
@@ -422,11 +423,14 @@ def _budget(
         raise SchemaError("%s: %s" % (source, exc))
 
 
-def _at_least(flag: str, value: int, least: int) -> None:
-    """Reject a search-bound flag below ``least``: 1 for an index, 0 for an
-    added index, the ranges of ``TowerBounds``."""
-    if value < least:
-        raise SchemaError("%s: must be at least %d, got %d" % (flag, least, value))
+def _bound_flag(flag: str, value: int) -> None:
+    """Reject a search-bound flag before the document is read, with the
+    range ``check_bounds`` gives the parameter (``--max-index`` is
+    ``max_index``)."""
+    try:
+        check_bounds(**{flag[2:].replace("-", "_"): value})
+    except ValueError as exc:
+        raise SchemaError("%s: %s" % (flag, exc))
 
 
 def _print_csv(header: List[str], rows: List[List[str]]) -> None:
@@ -499,7 +503,7 @@ def cmd_elevations(args) -> int:
 
 
 def cmd_enumerate_covers(args) -> int:
-    _at_least("--max-index", args.max_index, 1)
+    _bound_flag("--max-index", args.max_index)
     data = load_document(args.file)
     g = parse_document(data, args.file)
     if not isinstance(g, GraphOfGroups):
@@ -517,7 +521,7 @@ def cmd_enumerate_covers(args) -> int:
 
 
 def cmd_torsion_piece(args) -> int:
-    _at_least("--max-index", args.max_index, 1)
+    _bound_flag("--max-index", args.max_index)
     data = load_document(args.file)
     g = parse_document(data, args.file)
     if not isinstance(g, GraphOfGroups):
@@ -541,7 +545,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    _at_least("--bound", args.bound, 0)
+    _bound_flag("--bound", args.bound)
     data = load_document(args.file)
     m = parse_document(data, args.file)
     if isinstance(m, TorsionPiece):
@@ -622,56 +626,63 @@ def _primes_flag(raw: str) -> List[int]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built once per process and reused by ``main``:
-    building it costs far more than parsing an argv."""
+# name -> (handler, summary, arguments after the input document)
+_SUBCOMMANDS = {
+    "validate": (cmd_validate, "check a gog or morphism document", []),
+    "h1": (cmd_h1, "print first homology", []),
+    "elevations": (cmd_elevations, "CSV of elevations at a free vertex", [
+        ("--vertex", dict(required=True)),
+        ("--table", dict(required=True, help="permutation rows, e.g. '[[1,0],[0,1]]'")),
+    ]),
+    "enumerate-covers": (cmd_enumerate_covers, "CSV census of covers", [
+        ("--max-index", dict(type=int, required=True)),
+        ("--budget", dict(type=int)),
+    ]),
+    "torsion-piece": (cmd_torsion_piece, "search covers for a torsion piece", [
+        ("--prime", dict(type=int, required=True)),
+        ("--max-index", dict(type=int, required=True)),
+        ("--budget", dict(type=int)),
+    ]),
+    "chain": (cmd_chain, "concatenate copies of a torsion piece", [
+        ("--copies", dict(type=int, required=True)),
+    ]),
+    "complete": (cmd_complete, "extend a precover to a cover", [
+        ("--bound", dict(type=int, required=True)),
+        ("--budget", dict(type=int)),
+    ]),
+    "tower": (cmd_tower, "run the tower builder, print its CSV report", [
+        ("--steps", dict(type=int)),
+        ("--primes", dict(type=_primes_flag)),
+        ("--bounds", dict(help="comma-separated name=value TowerBounds overrides")),
+        ("--budget", dict(type=int)),
+    ]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command's parser.  Given the name of a subcommand, only that
+    subcommand gets its arguments: an argv that starts with the name is
+    parsed by that subcommand alone, and adding every subcommand's
+    arguments costs more than parsing the argv."""
     parser = argparse.ArgumentParser(
         prog="gfgcover",
         description="Covers, torsion pieces and tower reports for graphs of free groups with cyclic edges.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("file", help="input document")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, help="check a gog or morphism document")
-    add("h1", cmd_h1, help="print first homology")
-
-    p = add("elevations", cmd_elevations, help="CSV of elevations at a free vertex")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--table", required=True, help="permutation rows, e.g. '[[1,0],[0,1]]'")
-
-    p = add("enumerate-covers", cmd_enumerate_covers, help="CSV census of covers")
-    p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--budget", type=int)
-
-    p = add("torsion-piece", cmd_torsion_piece, help="search covers for a torsion piece")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--budget", type=int)
-
-    p = add("chain", cmd_chain, help="concatenate copies of a torsion piece")
-    p.add_argument("--copies", type=int, required=True)
-
-    p = add("complete", cmd_complete, help="extend a precover to a cover")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--budget", type=int)
-
-    p = add("tower", cmd_tower, help="run the tower builder, print its CSV report")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--primes", type=_primes_flag)
-    p.add_argument("--bounds", help="comma-separated name=value TowerBounds overrides")
-    p.add_argument("--budget", type=int)
-
+    for name, (fn, summary, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            p.add_argument("file", help="input document")
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as exc:

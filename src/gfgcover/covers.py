@@ -67,6 +67,22 @@ DEFAULT_BUDGET = 200_000
 MAX_BETA = 16  # detached-copy counts tried per tower step; only 1 is supported
 MAX_ALPHA_RETRIES = 4  # chain lengths tried past the least one
 
+# The least value of each search bound: an index counts at least one sheet,
+# while an added index or a word length may be 0.
+_LEAST_BOUND = {
+    "max_index": 1, "max_cover_index": 1, "max_piece_index": 1,
+    "bound": 0, "complete_bound": 0, "max_word_length": 0,
+}
+
+
+def check_bounds(**bounds: int) -> None:
+    """Raise ValueError naming the first search bound below its range, the
+    check every search entry point makes before it searches."""
+    for name, value in bounds.items():
+        least = _LEAST_BOUND[name]
+        if value < least:
+            raise ValueError("%s must be at least %d, got %d" % (name, least, value))
+
 
 @lru_cache(maxsize=None)
 def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
@@ -1057,8 +1073,10 @@ def enumerate_covers(
     order while matching elevation ends.  A candidate whose
     ``canonical_code`` was already seen is dropped before any morphism is
     built, so the first candidate of each class represents it.  Raises
+    ValueError, before any search, if max_index is below 1, and
     BudgetExceededError when the search exceeds ``budget``.
     """
+    check_bounds(max_index=max_index)
     yield from CoverCensus(g, budget).covers(max_index)
 
 
@@ -1251,8 +1269,9 @@ def complete(
     cover enumeration.  Hanging slots of the input may be glued to each
     other, to new lifts, or to new cyclic vertices.  Returns None when no
     completion exists within the bound.  Raises BudgetExceededError when
-    the search exceeds ``budget``.
+    the search exceeds ``budget``; ValueError if bound is below 0.
     """
+    check_bounds(bound=bound)
     ensure_precover(m)
     if not validate_cover(m):
         return m
@@ -1347,8 +1366,10 @@ def find_torsion_piece(
     vertex more and the same pairs, hence one stable column fewer.  So for
     every incident edge d, ``h1_mod_cyclic(split_cyclic(m, v, [d]), [v.1,
     v.2])`` has the divisors of ``h1_mod_cyclic(m, [v])`` and betti one
-    less, and v passes exactly when the latter has p-torsion.
+    less, and v passes exactly when the latter has p-torsion.  Raises
+    ValueError if max_index is below 1.
     """
+    check_bounds(max_index=max_index)
     _check_prime(p)
     return _torsion_piece_in(CoverCensus(g, budget).covers(max_index), p)
 
@@ -1484,11 +1505,7 @@ class TowerBounds:
     max_word_length: int = 6
 
     def __post_init__(self):
-        for name, least in (("max_cover_index", 1), ("max_piece_index", 1),
-                            ("complete_bound", 0), ("max_word_length", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError("%s must be at least %d, got %d" % (name, least, value))
+        check_bounds(**{name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 @dataclass(frozen=True)

@@ -328,11 +328,13 @@ class TestCommands:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv, error", [
-        (["enumerate-covers", SEEDED, "--max-index", "-2"], "--max-index: must be at least 1, got -2"),
-        (["enumerate-covers", SEEDED, "--max-index", "0"], "--max-index: must be at least 1, got 0"),
+        (["enumerate-covers", SEEDED, "--max-index", "-2"],
+         "--max-index: max_index must be at least 1, got -2"),
+        (["enumerate-covers", SEEDED, "--max-index", "0"],
+         "--max-index: max_index must be at least 1, got 0"),
         (["torsion-piece", SEEDED, "--prime", "2", "--max-index", "0"],
-         "--max-index: must be at least 1, got 0"),
-        (["complete", "piece", "--bound", "-1"], "--bound: must be at least 0, got -1"),
+         "--max-index: max_index must be at least 1, got 0"),
+        (["complete", "piece", "--bound", "-1"], "--bound: bound must be at least 0, got -1"),
     ])
     def test_search_bound_flags_out_of_range(self, capsys, monkeypatch, piece_file, argv, error):
         for search in ("enumerate_covers", "find_torsion_piece", "complete"):
@@ -422,30 +424,39 @@ class TestCommands:
         assert run(capsys, *argv) == first
 
 
-class TestInProcess:
-    def test_main_reuses_one_parser(self, capsys):
-        def outcome(argv):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
+# One well-formed argv tail per subcommand.
+SUBCOMMAND_ARGS = {
+    "validate": ["f.yaml"],
+    "h1": ["f.yaml"],
+    "elevations": ["f.yaml", "--vertex", "u", "--table", "[[0]]"],
+    "enumerate-covers": ["f.yaml", "--max-index", "3", "--budget", "9"],
+    "torsion-piece": ["f.yaml", "--prime", "2", "--max-index", "3"],
+    "chain": ["f.yaml", "--copies", "2"],
+    "complete": ["f.yaml", "--bound", "1"],
+    "tower": ["f.yaml", "--steps", "1", "--primes", "2,3", "--bounds", "x=1", "--budget", "9"],
+}
 
-        sequence = [
-            ["h1", HNN_F1],
-            ["enumerate-covers", HNN_F1, "--max-index", "2"],
-            ["enumerate-covers", HNN_F1, "--max-idx", "2"],
-            ["torsion-piece", SEEDED, "--prime", "2", "--max-index", "4"],
+
+class TestParser:
+    @pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
+    def test_one_subcommand_parser_parses_like_the_full_one(self, capsys, name):
+        def outcome(parser, argv):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        assert set(SUBCOMMAND_ARGS) == set(cli._SUBCOMMANDS)
+        args = SUBCOMMAND_ARGS[name]
+        argvs = [
+            [name, *args], [name, "--help"], [name], [name, *args, "--bogus"],
+            [name, *args, "extra"], [name, "f.yaml", "--budget", "x"], [name, *args[:-1]],
         ]
-        fresh = []
-        for argv in sequence:
-            cli.build_parser.cache_clear()
-            fresh.append(outcome(argv))
-        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
-        cli.build_parser.cache_clear()
-        assert [outcome(argv) for argv in sequence] == fresh
-        assert cli.build_parser.cache_info().misses == 1
+        for argv in argvs:
+            assert outcome(cli.build_parser(name), argv) == outcome(cli.build_parser(), argv), argv
+        assert outcome(cli.build_parser(), [name, *args])[0]["fn"] is cli._SUBCOMMANDS[name][0]
 
 
 class TestConsoleScript:

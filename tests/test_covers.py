@@ -901,6 +901,19 @@ class TestTower:
                            % (field, least, least - 1)):
             TowerBounds(**{field: least - 1})
 
+    @pytest.mark.parametrize("search, error", [
+        (lambda b: next(enumerate_covers(seeded(), 0, b)), "max_index must be at least 1, got 0"),
+        (lambda b: next(enumerate_covers(seeded(), -2, b)), "max_index must be at least 1, got -2"),
+        (lambda b: find_torsion_piece(seeded(), 2, 0, b), "max_index must be at least 1, got 0"),
+        (lambda b: complete(detach_edge(identity_cover(seeded()), "p0@0"), -1, b),
+         "bound must be at least 0, got -1"),
+    ])
+    def test_search_bounds_out_of_range_rejected_before_search(self, search, error):
+        budget = Budget()
+        with pytest.raises(ValueError, match=error):
+            search(budget)
+        assert budget.nodes == 0
+
 
 # The full report of every one-step tower of seeded and amalgams A-G at
 # p in {2, 3, 5, 7}, and of two two-step towers on seeded: 5 end ok,

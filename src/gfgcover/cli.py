@@ -660,18 +660,21 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command's parser.  Given the name of a subcommand, only that
-    subcommand gets its arguments: an argv that starts with the name is
-    parsed by that subcommand alone, and adding every subcommand's
-    arguments costs more than parsing the argv."""
+    """The command's parser.  Given the name of a subcommand, it holds that
+    subcommand alone: an argv that starts with the name is parsed by that
+    subparser only, and building the others costs more than parsing the
+    argv.  That parser's metavar spells every subcommand in the top-level
+    usage line, as the full parser's choices do; the full parser sets none,
+    since its errors name the argument ``command``."""
     parser = argparse.ArgumentParser(
         prog="gfgcover",
         description="Covers, torsion pieces and tower reports for graphs of free groups with cyclic edges.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (fn, summary, arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=summary)
         if command in (None, name):
+            p = sub.add_parser(name, help=summary)
             p.add_argument("file", help="input document")
             for flag, kwargs in arguments:
                 p.add_argument(flag, **kwargs)

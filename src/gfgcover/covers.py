@@ -560,15 +560,53 @@ def _tables(rank: int, idx: int) -> Tuple[CosetTable, ...]:
 
 
 def _check_base_shape(g: GraphOfGroups) -> None:
+    """Reject the bases the matching engine cannot cover: it creates cyclic
+    lifts only at open ends of free lifts, so a cyclic vertex must meet a
+    free one by every edge and have at least one edge."""
     gr = g.graph
     for p in gr.pairs:
         kinds = {g.vertex_kind[gr.iota(p)], g.vertex_kind[gr.tau(p)]}
         if kinds == {"cyclic"}:
             raise ValueError("unsupported base: pair %r joins two cyclic vertices" % p)
+    for v in sorted(gr.vertices):
+        if g.vertex_kind[v] == "cyclic" and not gr.ends(v):
+            raise ValueError(
+                "unsupported base: cyclic vertex %r has no edges "
+                "(give it as a free vertex of rank 1)" % v
+            )
+
+
+@lru_cache(maxsize=None)
+def _degrees(table: CosetTable, word: Word) -> Tuple[int, ...]:
+    """The degrees of the elevations of word at a lift with this table;
+    memoised."""
+    return tuple(el.degree for el in _elevations(table, word))
+
+
+@lru_cache(maxsize=None)
+def _pooled_edges(g: GraphOfGroups) -> Tuple[Tuple[str, ...], ...]:
+    """Groups of oriented edges whose pools a cover empties together: the
+    free sides of the ends of each cyclic vertex, and the two sides of each
+    free–free pair; memoised."""
+    gr = g.graph
+    groups = [
+        tuple(reverse_edge(e) for e in sorted(gr.ends(c)))
+        for c in sorted(gr.vertices) if g.vertex_kind[c] == "cyclic"
+    ]
+    groups += [
+        (p, reverse_edge(p)) for p in sorted(gr.pairs)
+        if g.vertex_kind[gr.iota(p)] == g.vertex_kind[gr.tau(p)] == "free"
+    ]
+    return tuple(groups)
 
 
 class _AnyComponents:
-    """Lets every branch of ``_close_open_ends`` through."""
+    """Lets every lift choice and every branch of ``_close_open_ends``
+    through."""
+
+    @staticmethod
+    def admits(g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
+        return True
 
     def join(self, a: ElevationRef, b: ElevationRef, used: int) -> tuple:
         return ()
@@ -655,6 +693,36 @@ class _Components(_AnyComponents):
         self.twins = [
             [j for j in range(i) if lifts[names[j]] == lifts[v]] for i, v in enumerate(names)
         ]
+
+    @staticmethod
+    def admits(g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
+        """Whether the elevation degrees at these free lifts can pair up:
+        in each group of ``_pooled_edges``, every pool holds the same
+        multiset of degrees.
+
+        Lemma: in a cover built on exactly these free lifts, a cyclic lift
+        of index d over c realizes exactly one elevation of degree d in
+        pool(reverse(e)) for each end e of c, and a free–free pair p joins
+        one elevation of pool(p) to one of pool(~p) of the same degree.
+        Every elevation is realized once and nothing hangs, so the pools of
+        a group are emptied by equal multisets: they held equal ones.  A
+        choice that fails therefore yields no candidate, and dropping it
+        before its pools are built leaves the census's output unchanged.
+        """
+        tables: Dict[str, List[CosetTable]] = {}
+        for b, t in lifts.values():
+            tables.setdefault(b, []).append(t)
+        tau = g.graph.tau
+
+        def pool(e: str) -> List[int]:
+            word = g.edge_word(e)
+            return sorted(d for t in tables[tau(e)] for d in _degrees(t, word))
+
+        for first, *rest in _pooled_edges(g):
+            degrees = pool(first)
+            if any(pool(e) != degrees for e in rest):
+                return False
+        return True
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -914,9 +982,11 @@ def _lift_choices(
     target: int,
     sep: str,
     budget: Budget,
+    rules: type = _AnyComponents,
 ) -> Iterator[tuple]:
-    """The choices of new free lifts in ``_extensions``, each as (new free
-    lifts, pools, demands, room, taken names) for ``_close_open_ends``."""
+    """The choices of new free lifts in ``_extensions`` that ``rules``
+    admits, each as (new free lifts, pools, demands, room, taken names) for
+    ``_close_open_ends``.  Every choice costs one node, admitted or not."""
     gr = g.graph
     free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
     cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
@@ -948,6 +1018,8 @@ def _lift_choices(
                     k += 1
                 new_free["%s%s%d" % (v, sep, k)] = (v, t)
                 k += 1
+        if not rules.admits(g, new_free):
+            continue
         pools = _free_pool(g, new_free)
         for e, entries in hang_pool.items():
             pools[e] = sorted(
@@ -974,10 +1046,12 @@ def _extensions(
     already in use; then the open ends, hanging slots of ``m`` included,
     are closed by ``_close_open_ends``.  From the empty precover, which
     only the census starts from, only the covers with a connected total
-    come out, the others in order: the search cuts every branch that can
-    no longer give one.
+    come out, the others in order: the search skips every lift choice
+    whose elevation degrees cannot pair up and cuts every branch that can
+    no longer give a connected total.
     """
-    for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget):
+    rules = _Components if m is None else _AnyComponents
+    for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget, rules):
         components = _Components(g, new_free, pools) if m is None else _AnyComponents()
         for new_cyclic, triples in _close_open_ends(
             g, pools, demands, room, taken, budget, components
@@ -1810,6 +1884,7 @@ def build_tower(
     completion draws from ``budget``, by default ``Budget(DEFAULT_BUDGET)``.
     """
     ensure_valid(g)
+    _check_base_shape(g)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     primes = tuple(primes)

@@ -7,8 +7,9 @@ assignments only once every lift is mapped.  ``gfgcover.covers.isomorphic``
 (equal canonical codes) must give the same yes/no answer on every pair of
 morphisms.
 
-``unpruned_extensions`` is the matching engine without the census's cut of
-branches that can only give a disconnected total.  ``candidate_covers``
+``unpruned_extensions`` is the matching engine without the census's cuts:
+it screens out no lift choice and cuts no branch, not even those that can
+only give a disconnected total.  ``candidate_covers``
 builds every connected cover it finds, before any dedup;
 ``enumerate_covers_oracle`` dedups them by
 ``isomorphic_oracle`` within buckets of equal lift, pair and slot counts,
@@ -210,8 +211,9 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
 
 
 def unpruned_extensions(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[tuple]:
-    """``_extensions(g, None, n, "@", budget)`` without the census's cut of
-    disconnected branches: every candidate of the matching engine."""
+    """``_extensions(g, None, n, "@", budget)`` without the census's cuts:
+    every lift choice, closed by ``_AnyComponents``, so every candidate of
+    the matching engine."""
     for new_free, pools, demands, room, taken in _lift_choices(g, None, n, "@", budget):
         for new_cyclic, triples in _close_open_ends(
             g, pools, demands, room, taken, budget, _AnyComponents()

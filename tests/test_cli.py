@@ -7,7 +7,7 @@ import pytest
 import yaml
 from _helpers import document_for_gog, identity_cover
 
-from gfgcover import cli
+from gfgcover import cli, covers
 from gfgcover.covers import find_torsion_piece, isomorphic
 from gfgcover.gog import GraphOfGroups
 
@@ -341,6 +341,36 @@ class TestCommands:
             monkeypatch.setattr(cli, search, None)  # calling it would raise TypeError
         argv = [piece_file if a == "piece" else a for a in argv]
         assert run(capsys, *argv) == (1, "", "error: %s\n" % error)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("enumerate-covers", ["--max-index", "3"]),
+        ("torsion-piece", ["--prime", "2", "--max-index", "3"]),
+        ("tower", ["--steps", "1", "--primes", "2"]),
+    ])
+    @pytest.mark.parametrize("vertices, edges, reason", [
+        ("  - {name: c, kind: cyclic}\n", "[]\n",
+         "cyclic vertex 'c' has no edges (give it as a free vertex of rank 1)"),
+        ("  - {name: c, kind: cyclic}\n  - {name: d, kind: cyclic}\n",
+         "\n  - {name: p, to: d, word: [1]}\n  - {name: '~p', to: c, word: [1]}\n",
+         "pair 'p' joins two cyclic vertices"),
+    ], ids=["edgeless-cyclic-vertex", "cyclic-pair"])
+    def test_unsupported_base_rejected(
+        self, capsys, monkeypatch, tmp_path, command, flags, vertices, edges, reason
+    ):
+        """Both bases are valid gogs with H_1 = Z, but the engine creates
+        cyclic lifts only at open ends of free lifts, so no search can
+        cover them: each search command fails before searching."""
+        path = tmp_path / "base.yaml"
+        path.write_text(
+            "format_version: 1\nkind: gog\nvertices:\n%sbase_vertex: c\nedges: %s"
+            % (vertices, edges),
+            encoding="utf-8",
+        )
+        assert run(capsys, "h1", str(path)) == (0, "Z\n", "")
+        monkeypatch.setattr(covers, "_lift_choices", None)  # a search would raise TypeError
+        assert run(capsys, command, str(path), *flags) == (
+            1, "", "error: unsupported base: %s\n" % reason
+        )
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "h1", "no-such-file.yaml")

@@ -387,6 +387,8 @@ def parse_document(data: dict, path: str):
         _fail(path + ".prime", str(exc))
     c1 = _get(data, "c1", str, path)
     c2 = _get(data, "c2", str, path)
+    if c2 == c1:
+        _fail(path + ".c2", "must differ from c1 (both are %r)" % c1)
     for v in (c1, c2):
         if v not in m.cyclic_index:
             _fail(path, "boundary vertex %r is not a cyclic lift" % v)

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import PairCollisionError
-from .words import ConjClass, Word, abelianize_word, conj_canonical, free_reduce, identity
+from .words import ConjClass, Word, abelianize_word, conj_canonical, identity
 
 Target = Union[Word, ConjClass]
 
@@ -120,13 +120,66 @@ def subgroup_rank(table: CosetTable) -> int:
 
 @dataclass(frozen=True)
 class SchreierData:
+    """The breadth-first Schreier tree of a table and the basis it gives.
+
+    ``tree`` lists the tree edges (a, letter, a.letter) in the order the
+    search found them, and ``edge_basis`` the non-tree positive edges, each
+    naming one basis letter.  The words ``reps`` and ``basis`` are built
+    when first read: rewriting needs only the edges.
+    """
+
     table: CosetTable
-    reps: Tuple[Word, ...]
-    basis: Tuple[Word, ...]
+    tree: Tuple[Tuple[int, int, int], ...]
     edge_basis: Tuple[Tuple[int, int, int], ...]  # (coset, generator, 1-based index)
 
-    def edge_map(self) -> Dict[Tuple[int, int], int]:
-        return {(a, x): k for a, x, k in self.edge_basis}
+    @cached_property
+    def reps(self) -> Tuple[Word, ...]:
+        r = self.table.rank
+        reps = [identity(r)] * self.table.size
+        for a, letter, b in self.tree:
+            reps[b] = reps[a] * Word((letter,), r)
+        return tuple(reps)
+
+    @cached_property
+    def basis(self) -> Tuple[Word, ...]:
+        reps, r = self.reps, self.table.rank
+        return tuple(
+            reps[a] * Word((x,), r) * reps[self.table.act(a, x)].inverse()
+            for a, x, _ in self.edge_basis
+        )
+
+    @cached_property
+    def steps(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """For each letter x (either sign) and coset a: a.x, and the basis
+        letter crossing that edge writes, 0 on a tree edge (built once)."""
+        table = self.table
+        emit = {(a, x): k for a, x, k in self.edge_basis}
+        out: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        for x in range(1, table.rank + 1):
+            fwd, bwd = table.action[x - 1], table._inverse[x - 1]
+            out[x] = tuple((b, emit.get((a, x), 0)) for a, b in enumerate(fwd))
+            out[-x] = tuple((b, -emit.get((b, x), 0)) for b in bwd)
+        return out
+
+    def walk(self, letters: Sequence[int], start: int) -> Tuple[List[int], int]:
+        """Follow the letters from coset ``start``; returns the basis letters
+        the walk writes, and the coset it ends at.  Tree edges write nothing
+        (Reidemeister-Schreier rewriting).
+
+        Freely reduced letters write a freely reduced word: adjacent
+        letters k, -k would cross one non-tree edge there and back with a
+        closed walk on tree edges between.  That walk is empty or, being a
+        closed walk in a tree, turns back on some edge; either way two
+        adjacent letters cancel, which reduced letters never do.
+        """
+        steps = self.steps
+        out: List[int] = []
+        cur = start
+        for letter in letters:
+            cur, k = steps[letter][cur]
+            if k:
+                out.append(k)
+        return out, cur
 
 
 @lru_cache(maxsize=None)
@@ -136,56 +189,36 @@ def schreier(table: CosetTable) -> SchreierData:
     letters = []
     for x in range(1, r + 1):
         letters.extend((x, -x))
-    reps: List[Optional[Word]] = [None] * n
-    reps[0] = identity(r)
-    tree: set = set()
+    seen = [True] + [False] * (n - 1)
+    tree: List[Tuple[int, int, int]] = []
+    positive: set = set()
     queue = [0]
     while queue:
         nxt = []
         for a in queue:
             for letter in letters:
                 b = table.act(a, letter)
-                if reps[b] is None:
-                    reps[b] = reps[a] * Word((letter,), r)
-                    if letter > 0:
-                        tree.add((a, letter))
-                    else:
-                        tree.add((b, -letter))
+                if not seen[b]:
+                    seen[b] = True
+                    tree.append((a, letter, b))
+                    positive.add((a, letter) if letter > 0 else (b, -letter))
                     nxt.append(b)
         queue = nxt
-    basis: List[Word] = []
     edge_basis: List[Tuple[int, int, int]] = []
     for a in range(n):
         for x in range(1, r + 1):
-            if (a, x) in tree:
-                continue
-            b = table.act(a, x)
-            basis.append(reps[a] * Word((x,), r) * reps[b].inverse())
-            edge_basis.append((a, x, len(basis)))
-    return SchreierData(table, tuple(reps), tuple(basis), tuple(edge_basis))
+            if (a, x) not in positive:
+                edge_basis.append((a, x, len(edge_basis) + 1))
+    return SchreierData(table, tuple(tree), tuple(edge_basis))
 
 
 def rewrite(table: CosetTable, w: Word) -> Word:
     """Express a subgroup element in the Schreier basis of the subgroup."""
     sd = schreier(table)
-    edges = sd.edge_map()
-    out: List[int] = []
-    cur = 0
-    for letter in w.letters:
-        if letter > 0:
-            k = edges.get((cur, letter))
-            if k is not None:
-                out.append(k)
-            cur = table.act(cur, letter)
-        else:
-            nxt = table.act(cur, letter)
-            k = edges.get((nxt, -letter))
-            if k is not None:
-                out.append(-k)
-            cur = nxt
+    out, cur = sd.walk(w.letters, 0)
     if cur != 0:
         raise ValueError("word does not lie in the subgroup")
-    return free_reduce(out, len(sd.basis))
+    return Word(tuple(out), len(sd.edge_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +232,9 @@ class Elevation:
     ``cycle`` starts at the least coset it contains and follows the action
     of the word on ``table``.  ``rep`` is rep(m) * w**degree * rep(m)**-1
     at that least coset m, and ``local`` is its class written in the
-    subgroup basis; both are computed when first read.
+    subgroup basis; both are computed when first read.  rep(m) runs along
+    Schreier tree edges only, which write no basis letter, so ``local``
+    walks w**degree once around the cycle from m and never builds ``rep``.
     """
 
     base: ConjClass
@@ -217,7 +252,9 @@ class Elevation:
 
     @cached_property
     def local(self) -> ConjClass:
-        return conj_canonical(rewrite(self.table, self.rep))
+        sd = schreier(self.table)
+        out, _ = sd.walk(self.base.canonical.letters * self.degree, self.cycle[0])
+        return conj_canonical(Word(tuple(out), len(sd.edge_basis)))
 
 
 def elevations(table: CosetTable, target: Target) -> List[Elevation]:
@@ -280,7 +317,7 @@ def pullback(pair: Pair, table: CosetTable) -> Pair:
                 raise PairCollisionError(
                     "elevation classes %d and %d coincide up to inverse" % (i, j)
                 )
-    return Pair(len(schreier(table).basis), tuple(locals_))
+    return Pair(subgroup_rank(table), tuple(locals_))
 
 
 # ---------------------------------------------------------------------------

@@ -302,30 +302,46 @@ def _lift_elevations(
 
 
 def with_basepoint(m: PrecoverMorphism, v: str) -> PrecoverMorphism:
-    """The same morphism with a chosen lift of the base vertex marked."""
+    """The same morphism with a chosen lift of the base vertex marked; m
+    itself when that lift is already its basepoint."""
+    if v == m.total.base_vertex and m.vertex_map.get(v) == m.base.base_vertex:
+        return m
     return PrecoverMorphism(
         m.base, m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec, basepoint=v
     )
+
+
+# The lift and pair dicts a morphism is built from, in constructor order.
+_Parts = Tuple[
+    Dict[str, str], Dict[str, CosetTable], Dict[str, int],
+    Dict[str, Tuple[str, ElevationRef, ElevationRef]],
+]
+
+
+def _renamed(parts: _Parts, suffix: str) -> _Parts:
+    """The dicts with a suffix appended to every total vertex and pair name."""
+    vertex_map, vertex_data, cyclic_index, pairs = parts
+
+    def rr(ref: ElevationRef) -> ElevationRef:
+        return ref._replace(vertex=ref.vertex + suffix)
+
+    return (
+        {v + suffix: b for v, b in vertex_map.items()},
+        {v + suffix: t for v, t in vertex_data.items()},
+        {v + suffix: d for v, d in cyclic_index.items()},
+        {q + suffix: (bp, rr(f), rr(b)) for q, (bp, f, b) in pairs.items()},
+    )
+
+
+def _parts(m: PrecoverMorphism) -> _Parts:
+    return m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec
 
 
 def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
     """Append a suffix to every total vertex and pair name."""
     if not suffix:
         raise ValueError("empty suffix")
-
-    def rv(v: str) -> str:
-        return v + suffix
-
-    def rr(ref: ElevationRef) -> ElevationRef:
-        return ref._replace(vertex=rv(ref.vertex))
-
-    return PrecoverMorphism(
-        m.base,
-        {rv(v): b for v, b in m.vertex_map.items()},
-        {rv(v): t for v, t in m.vertex_data.items()},
-        {rv(v): d for v, d in m.cyclic_index.items()},
-        {q + suffix: (bp, rr(f), rr(b)) for q, (bp, f, b) in m.pair_spec.items()},
-    )
+    return PrecoverMorphism(m.base, *_renamed(_parts(m), suffix))
 
 
 def validate_precover(m: PrecoverMorphism) -> List[str]:
@@ -503,23 +519,30 @@ def split_cyclic(
     return PrecoverMorphism(m.base, vertex_map, m.vertex_data, cyclic_index, pairs)
 
 
+def _check_merge(
+    base: GraphOfGroups, vertex_map: Dict[str, str], cyclic_index: Dict[str, int],
+    v1: str, v2: str,
+) -> None:
+    """Raise ValueError unless v1 and v2 are two cyclic lifts of equal index
+    over the same base vertex."""
+    for v in (v1, v2):
+        if v not in vertex_map or base.vertex_kind[vertex_map[v]] != "cyclic":
+            raise ValueError("merge of a non-cyclic vertex %r" % v)
+    if v1 == v2:
+        raise ValueError("merge needs two distinct vertices")
+    if vertex_map[v1] != vertex_map[v2]:
+        raise ValueError("merge of lifts over different base vertices")
+    if cyclic_index[v1] != cyclic_index[v2]:
+        raise ValueError("index mismatch: %d vs %d" % (cyclic_index[v1], cyclic_index[v2]))
+
+
 def merge_cyclic(m: PrecoverMorphism, v1: str, v2: str) -> PrecoverMorphism:
     """Merge two cyclic lifts of equal index over the same base vertex.
 
     The merged vertex keeps the first name and both edge sets.  Inverse to
     ``split_cyclic`` along the partition the two vertices record.
     """
-    for v in (v1, v2):
-        if m.total.vertex_kind.get(v) != "cyclic":
-            raise ValueError("merge of a non-cyclic vertex %r" % v)
-    if v1 == v2:
-        raise ValueError("merge needs two distinct vertices")
-    if m.vertex_map[v1] != m.vertex_map[v2]:
-        raise ValueError("merge of lifts over different base vertices")
-    if m.cyclic_index[v1] != m.cyclic_index[v2]:
-        raise ValueError(
-            "index mismatch: %d vs %d" % (m.cyclic_index[v1], m.cyclic_index[v2])
-        )
+    _check_merge(m.base, m.vertex_map, m.cyclic_index, v1, v2)
     vertex_map = dict(m.vertex_map)
     vertex_map.pop(v2)
     cyclic_index = dict(m.cyclic_index)
@@ -1475,6 +1498,41 @@ def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[To
     return None
 
 
+def _chain_parts(piece: TorsionPiece, copies: int) -> _Parts:
+    """The lift and pair dicts of ``chain(piece, copies)``.
+
+    For two copies or more, copy i's lifts and pairs carry the suffix "#i",
+    and copy i+1's c2 is merged into copy i's c1 with ``merge_cyclic``'s
+    checks: the dicts of the splice of renamed copies and its merges,
+    written directly, so the chain is built with one construction.
+    """
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    m = piece.morphism
+    if copies == 1:
+        return _parts(m)
+    if m.problems:
+        ensure_precover(rename_total(m, "#1"))  # name the defects as copy 1's
+    vertex_map: Dict[str, str] = {}
+    vertex_data: Dict[str, CosetTable] = {}
+    cyclic_index: Dict[str, int] = {}
+    pairs: Dict[str, Tuple[str, ElevationRef, ElevationRef]] = {}
+    for i in range(1, copies + 1):
+        copy_map, copy_data, copy_index, copy_pairs = _renamed(_parts(m), "#%d" % i)
+        vertex_map.update(copy_map)
+        vertex_data.update(copy_data)
+        cyclic_index.update(copy_index)
+        pairs.update(copy_pairs)
+    incident = [d for d, ref in m.edge_assignment.items() if ref.vertex == piece.c2]
+    rename: Dict[Tuple[str, str], str] = {}
+    for i in range(1, copies):
+        v1, v2 = "%s#%d" % (piece.c1, i), "%s#%d" % (piece.c2, i + 1)
+        _check_merge(m.base, vertex_map, cyclic_index, v1, v2)
+        del vertex_map[v2], cyclic_index[v2]
+        rename.update(((v2, "%s#%d" % (d, i + 1)), v1) for d in incident)
+    return vertex_map, vertex_data, cyclic_index, _retarget(pairs, rename)
+
+
 def chain(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
     """Concatenate copies of a torsion piece end to end.
 
@@ -1482,15 +1540,9 @@ def chain(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
     boundary vertex, leaving one open boundary on each end of the chain.
     One copy is the piece itself.
     """
-    if copies < 1:
-        raise ValueError("need at least one copy")
     if copies == 1:
         return piece.morphism
-    parts = [rename_total(piece.morphism, "#%d" % i) for i in range(1, copies + 1)]
-    out = splice(parts, [])
-    for i in range(1, copies):
-        out = merge_cyclic(out, "%s#%d" % (piece.c1, i), "%s#%d" % (piece.c2, i + 1))
-    return out
+    return PrecoverMorphism(piece.morphism.base, *_chain_parts(piece, copies))
 
 
 # ---------------------------------------------------------------------------
@@ -1783,7 +1835,7 @@ def _completion_stage(
     one-step tower measured, it returns the splice itself.
     """
     detached, conn, i_free, i_cyc, ends = glue
-    body = rename_total(chain(piece, alpha), "!K")
+    body = PrecoverMorphism(piece.morphism.base, *_renamed(_chain_parts(piece, alpha), "!K"))
     tail = piece.c2 + ("#1" if alpha > 1 else "") + "!K"
     head = piece.c1 + ("#%d" % alpha if alpha > 1 else "") + "!K"
     matches = [((0, i_free), (1, _slot(body, tail, e1))), ((0, i_cyc), (2, ends[e1]))]

@@ -57,10 +57,7 @@ class Word:
     def power(self, n: int) -> "Word":
         if n < 0:
             return self.inverse().power(-n)
-        out = identity(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
+        return free_reduce(self.letters * n, self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters

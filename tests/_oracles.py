@@ -52,6 +52,13 @@ free group, the inverse of ``gfgcover.cosets.rewrite``.
 walks the cycles; ``gfgcover.cosets.elevations``, which builds them when
 first read, must give the same cycles, words and classes.
 
+``chain_oracle`` concatenates a torsion piece's copies the way the
+morphism operations compose: each copy renamed by ``rename_total``, all of
+them joined by ``splice``, then one ``merge_cyclic`` per seam, each step a
+full morphism construction.  ``gfgcover.covers.chain``, which writes the
+chain's dicts directly and constructs once, must build the same morphism
+and raise the same error.
+
 ``is_class_minimal_oracle`` compares the table's full encoding with the
 full encoding from every other start; ``gfgcover.cosets.is_class_minimal``,
 which stops at the first entry that differs, must give the same answer.
@@ -83,7 +90,7 @@ from gfgcover.cosets import (
 )
 from gfgcover.covers import (
     CoverCensus, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble, _close_open_ends,
-    _extensions, _lift_choices, _same_base, split_cyclic,
+    _extensions, _lift_choices, _same_base, merge_cyclic, rename_total, splice, split_cyclic,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
@@ -559,3 +566,17 @@ def is_class_minimal_oracle(table: CosetTable) -> bool:
     """Whether no other start gives a smaller full encoding."""
     own = _bfs_encoding(table, 0)[0]
     return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))
+
+
+def chain_oracle(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
+    """Copies of the piece renamed "#i", spliced, and copy i+1's c2 merged
+    into copy i's c1, one morphism operation at a time."""
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    if copies == 1:
+        return piece.morphism
+    parts = [rename_total(piece.morphism, "#%d" % i) for i in range(1, copies + 1)]
+    out = splice(parts, [])
+    for i in range(1, copies):
+        out = merge_cyclic(out, "%s#%d" % (piece.c1, i), "%s#%d" % (piece.c2, i + 1))
+    return out

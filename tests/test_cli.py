@@ -118,6 +118,17 @@ class TestDocuments:
         with pytest.raises(cli.SchemaError, match="exactly one incident edge"):
             cli.parse_document(data, "doc")
 
+    def test_piece_document_rejects_equal_boundaries(self, piece_file, tmp_path, capsys):
+        data = cli.load_document(piece_file)
+        data["c2"] = data["c1"]
+        with pytest.raises(cli.SchemaError, match=r"^doc\.c2: must differ from c1"):
+            cli.parse_document(data, "doc")
+        bad = tmp_path / "same.yaml"
+        bad.write_text(cli.save_document(data), encoding="utf-8")
+        code, out, err = run(capsys, "chain", str(bad), "--copies", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: %s.c2: must differ from c1 (both are 'c@0.1')\n" % bad
+
     def test_piece_document_rejects_composite_prime(self, piece_file):
         data = cli.load_document(piece_file)
         data["prime"] = 6

@@ -7,6 +7,7 @@ import pytest
 from _helpers import gog_word_power, identity_cover, lifts_over, reduce_element
 from _oracles import (
     candidate_covers,
+    chain_oracle,
     class_image_oracle,
     elevations_oracle,
     enumerate_covers_oracle,
@@ -18,7 +19,7 @@ from _oracles import (
 )
 
 import gfgcover.covers as covers_module
-from gfgcover.cli import gog_from_payload, load_document
+from gfgcover.cli import document_for_morphism, gog_from_payload, load_document, save_document
 from gfgcover.cosets import (
     CosetTable, cyclic_table, elevations, enumerate_subgroups, whole_group_table,
 )
@@ -28,7 +29,10 @@ from gfgcover.covers import (
     ExitsAt,
     InSubgroup,
     PrecoverMorphism,
+    TorsionPiece,
     TowerBounds,
+    _chain_parts,
+    _renamed,
     build_tower,
     canonical_code,
     chain,
@@ -218,8 +222,15 @@ class TestIdentityCover:
     def test_basepoint_lift(self):
         m = identity_cover(seeded())
         assert m.total.base_vertex == "v@0"
+        assert with_basepoint(m, "v@0") is m
         with pytest.raises(ValueError):
             with_basepoint(m, "c@0")
+        # With no lift over the base vertex, the default basepoint is no
+        # lift of it either, and cannot be chosen.
+        bare = PrecoverMorphism(m.base, {"c@0": "c"}, {}, {"c@0": 1}, {})
+        assert bare.total.base_vertex == "c@0"
+        with pytest.raises(ValueError, match="not a lift"):
+            with_basepoint(bare, "c@0")
 
     def test_total_ranks_follow_tables(self):
         m = identity_cover(seeded())
@@ -702,6 +713,78 @@ class TestChain:
     def test_copy_count_checked(self, seeded_piece):
         with pytest.raises(ValueError):
             chain(seeded_piece, 0)
+
+
+def _chain_fields(m):
+    return (
+        m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec,
+        save_document(document_for_morphism(m)),
+    )
+
+
+def _chain_error(build, piece, copies):
+    with pytest.raises(ValueError) as info:
+        build(piece, copies)
+    return str(info.value)
+
+
+class TestChainOneBuild:
+    def test_matches_the_composed_chain(self):
+        """Every piece found at p in {2, 3, 5} and index <= 4 on seeded and
+        amalgams A-G, chained 1 to 5 times, alone and as a tower body."""
+        pieces = [
+            piece
+            for g in [seeded()] + [amalgam(ws) for ws in AMALGAMS.values()]
+            for piece in (find_torsion_piece(g, p, 4) for p in (2, 3, 5))
+            if piece is not None
+        ]
+        assert len(pieces) >= 10
+        for piece in pieces:
+            for alpha in range(1, 6):
+                want = chain_oracle(piece, alpha)
+                assert _chain_fields(chain(piece, alpha)) == _chain_fields(want)
+                body = PrecoverMorphism(want.base, *_renamed(_chain_parts(piece, alpha), "!K"))
+                assert _chain_fields(body) == _chain_fields(rename_total(want, "!K"))
+
+    def test_bad_boundaries_raise_the_composed_chain_errors(self, seeded_piece):
+        uneven = next(
+            m for m in enumerate_covers(seeded(), 3) if len(set(m.cyclic_index.values())) > 1
+        )
+        two_cyclic = GraphOfGroups(
+            SerreGraph(["v", "c", "d"], {"p": ("v", "c"), "q": ("v", "d")}),
+            {"v": 2, "c": 1, "d": 1},
+            {"v": "free", "c": "cyclic", "d": "cyclic"},
+            {"p": Word((1,), 1), "~p": Word((2,), 2), "q": Word((1,), 1), "~q": Word((1, 2), 2)},
+            "v",
+        )
+        base = identity_cover(seeded())
+        q, spec = min(base.pair_spec.items())
+        doubled = PrecoverMorphism(
+            base.base, base.vertex_map, base.vertex_data, base.cyclic_index,
+            {**base.pair_spec, q + "x": spec},
+        )
+        cert = seeded_piece.certificate
+        m = seeded_piece.morphism
+        both = (2, 3)
+        cases = [
+            (TorsionPiece(doubled, "c@0", "c@0", 2, cert), "realized by 2 edges", both),
+            (TorsionPiece(uneven, "c@0", "c@1", 2, cert), "index mismatch", both),
+            (TorsionPiece(identity_cover(two_cyclic), "c@0", "d@0", 2, cert), "different base", both),
+            (TorsionPiece(m, "v@0", "c@0.2", 2, cert), "non-cyclic vertex 'v@0#1'", both),
+            (TorsionPiece(m, "c@0.1", "v@0", 2, cert), "non-cyclic vertex 'v@0#2'", both),
+            # Two copies of a piece whose c1 is its c2 merge; a third finds
+            # its c1 merged away.
+            (TorsionPiece(m, "c@0.1", "c@0.1", 2, cert), "non-cyclic vertex 'c@0.1#2'", (3,)),
+        ]
+        for piece, why, counts in cases:
+            for copies in counts:
+                got = _chain_error(chain, piece, copies)
+                assert why in got
+                assert got == _chain_error(chain_oracle, piece, copies)
+        same = cases[-1][0]
+        assert _chain_fields(chain(same, 2)) == _chain_fields(chain_oracle(same, 2))
+        for build in (chain, chain_oracle):
+            assert _chain_error(build, seeded_piece, 0) == "need at least one copy"
 
 
 class TestHNNIdentity:
@@ -1873,32 +1956,48 @@ class TestElevationIndex:
         self.check(chain(seeded_piece, 3))
 
 
+def _lazy_cases():
+    """The edge words of the fixtures and amalgams A-G on every catalog
+    table of rank 2 and index <= 4 and every cyclic table of index <= 6,
+    and rank-3 words on every rank-3 catalog table of index <= 3."""
+    words = {
+        w
+        for g in [fixture(n) for n in ("seeded_torsion", "hnn_f1", "genus2")]
+        + [amalgam(ws) for ws in AMALGAMS.values()]
+        for w in g.edge_words.values()
+    } | {
+        Word(letters, 3)
+        for letters in ((3,), (1, 2, 3), (1, -2, 3, 3), (1, 2, -1, -2, 3), (2, -3, 1, 1))
+    }
+    tables = {
+        1: [cyclic_table(n) for n in range(1, 7)],
+        2: [t for n in range(1, 5) for t in enumerate_subgroups(2, n)],
+        3: [t for n in range(1, 4) for t in enumerate_subgroups(3, n)],
+    }
+    return [(w, t) for w in sorted(words, key=lambda w: (w.rank, w.letters)) for t in tables[w.rank]]
+
+
 class TestLazyElevations:
     def test_words_match_the_eager_oracle(self):
-        """Every catalog table of rank 2 and index <= 4 and every cyclic
-        table of index <= 6, against the edge words of the fixtures and
-        amalgams A-G."""
-        words = {
-            w
-            for g in [fixture(n) for n in ("seeded_torsion", "hnn_f1", "genus2")]
-            + [amalgam(ws) for ws in AMALGAMS.values()]
-            for w in g.edge_words.values()
-        }
-        tables = {
-            1: [cyclic_table(n) for n in range(1, 7)],
-            2: [t for n in range(1, 5) for t in enumerate_subgroups(2, n)],
-        }
         checked = 0
-        for w in sorted(words, key=lambda w: (w.rank, w.letters)):
-            for t in tables[w.rank]:
-                got = elevations(t, w)
-                assert all("rep" not in el.__dict__ and "local" not in el.__dict__ for el in got)
-                assert [(el.base, el.cycle, el.degree, el.rep, el.local) for el in got] == [
-                    (el.base, el.cycle, len(el.cycle), el.rep, el.local)
-                    for el in elevations_oracle(t, w)
-                ]
-                checked += len(got)
+        for w, t in _lazy_cases():
+            got = elevations(t, w)
+            assert all("rep" not in el.__dict__ and "local" not in el.__dict__ for el in got)
+            assert [(el.base, el.cycle, el.degree, el.rep, el.local) for el in got] == [
+                (el.base, el.cycle, len(el.cycle), el.rep, el.local)
+                for el in elevations_oracle(t, w)
+            ]
+            checked += len(got)
         assert checked > 1000
+
+    def test_local_is_read_without_building_rep(self):
+        rank3 = 0
+        for w, t in _lazy_cases():
+            got = elevations(t, w)
+            assert [el.local for el in got] == [el.local for el in elevations_oracle(t, w)]
+            assert all("rep" not in el.__dict__ for el in got)
+            rank3 += w.rank == 3
+        assert rank3 > 100
 
 
 class TestBaseCheckedOnce:

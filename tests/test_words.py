@@ -180,3 +180,13 @@ def test_power_of():
 def test_abelianize_word():
     assert abelianize_word(Word((1, 2, -1, -2), 2)) == (0, 0)
     assert abelianize_word(Word((1, 1, 2), 3)) == (2, 1, 0)
+
+
+@given(letters_strategy, st.integers(min_value=-5, max_value=5))
+def test_power_matches_repeated_multiplication(letters, n):
+    w = free_reduce(letters, 3)
+    step = w if n >= 0 else w.inverse()
+    want = identity(3)
+    for _ in range(abs(n)):
+        want = want * step
+    assert w.power(n) == want

@@ -318,19 +318,20 @@ _Parts = Tuple[
 ]
 
 
-def _renamed(parts: _Parts, suffix: str) -> _Parts:
-    """The dicts with a suffix appended to every total vertex and pair name."""
-    vertex_map, vertex_data, cyclic_index, pairs = parts
-
-    def rr(ref: ElevationRef) -> ElevationRef:
-        return ref._replace(vertex=ref.vertex + suffix)
-
-    return (
-        {v + suffix: b for v, b in vertex_map.items()},
-        {v + suffix: t for v, t in vertex_data.items()},
-        {v + suffix: d for v, d in cyclic_index.items()},
-        {q + suffix: (bp, rr(f), rr(b)) for q, (bp, f, b) in pairs.items()},
-    )
+def _union(*named: Tuple[_Parts, str]) -> _Parts:
+    """One set of dicts holding every part's, in order, with the part's
+    suffix appended to each of its total vertex and pair names."""
+    vertex_map, vertex_data, cyclic_index, pairs = out = ({}, {}, {}, {})
+    for (v_map, v_data, c_index, p_spec), suffix in named:
+        vertex_map.update((v + suffix, b) for v, b in v_map.items())
+        vertex_data.update((v + suffix, t) for v, t in v_data.items())
+        cyclic_index.update((v + suffix, d) for v, d in c_index.items())
+        pairs.update(
+            (q + suffix, (bp, f._replace(vertex=f.vertex + suffix),
+                          b._replace(vertex=b.vertex + suffix)))
+            for q, (bp, f, b) in p_spec.items()
+        )
+    return out
 
 
 def _parts(m: PrecoverMorphism) -> _Parts:
@@ -341,7 +342,7 @@ def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
     """Append a suffix to every total vertex and pair name."""
     if not suffix:
         raise ValueError("empty suffix")
-    return PrecoverMorphism(m.base, *_renamed(_parts(m), suffix))
+    return PrecoverMorphism(m.base, *_union((_parts(m), suffix)))
 
 
 def validate_precover(m: PrecoverMorphism) -> List[str]:
@@ -1513,16 +1514,9 @@ def _chain_parts(piece: TorsionPiece, copies: int) -> _Parts:
         return _parts(m)
     if m.problems:
         ensure_precover(rename_total(m, "#1"))  # name the defects as copy 1's
-    vertex_map: Dict[str, str] = {}
-    vertex_data: Dict[str, CosetTable] = {}
-    cyclic_index: Dict[str, int] = {}
-    pairs: Dict[str, Tuple[str, ElevationRef, ElevationRef]] = {}
-    for i in range(1, copies + 1):
-        copy_map, copy_data, copy_index, copy_pairs = _renamed(_parts(m), "#%d" % i)
-        vertex_map.update(copy_map)
-        vertex_data.update(copy_data)
-        cyclic_index.update(copy_index)
-        pairs.update(copy_pairs)
+    vertex_map, vertex_data, cyclic_index, pairs = _union(
+        *((_parts(m), "#%d" % i) for i in range(1, copies + 1))
+    )
     incident = [d for d, ref in m.edge_assignment.items() if ref.vertex == piece.c2]
     rename: Dict[Tuple[str, str], str] = {}
     for i in range(1, copies):
@@ -1694,13 +1688,6 @@ class _StageFailure(Exception):
         self.stage, self.reason = stage, reason
 
 
-def _slot(m: PrecoverMorphism, vertex: str, edge: str) -> Optional[int]:
-    """Index of the first hanging slot of m at ``vertex`` over ``edge``."""
-    return next(
-        (i for i, s in enumerate(m.hanging) if s.vertex == vertex and s.edge == edge), None
-    )
-
-
 def _site_stage(
     census: CoverCensus, n: int, piece: TorsionPiece, e1: str, bounds: TowerBounds
 ) -> Tuple[PrecoverMorphism, str, int, Optional[GogWord], str]:
@@ -1787,61 +1774,59 @@ def _copy_count(n: int, h: int, k_p: int, ell: int, n_a: int) -> Tuple[int, int]
     return beta, alpha0
 
 
-# detached cover, connector, its free and cyclic slots, connector slot per boundary end
-_Glue = Tuple[PrecoverMorphism, PrecoverMorphism, int, int, Dict[str, int]]
-
-
-def _glue_stage(
-    piece: TorsionPiece, e1: str, cover: PrecoverMorphism, site: str, connector: PrecoverMorphism
-) -> _Glue:
-    """The parts a step splices around its chain, found once per step.
-
-    Returns the detached cover and the connector, renamed apart from the
-    chain; the detached site's free and cyclic slots, read off
-    ``cover.pair_spec[site]``; and, for each end e of the boundary vertex,
-    the connector slot over e's reverse.  The chain's tail and head carry
-    the hanging ends of the piece's c2 and c1 whatever its length, so a slot
-    missing here is missing for every chain length.
-    """
-    detached = rename_total(detach_edge(cover, site), "!L")
-    conn = rename_total(connector, "!C")
-    _, fwd, bwd = cover.pair_spec[site]
-    cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
-    i_free = _slot(detached, free.vertex + "!L", free.edge)
-    i_cyc = _slot(detached, cyc.vertex + "!L", cyc.edge)
-    if None in (i_free, i_cyc, _slot(piece.morphism, piece.c2, e1)):
-        raise _StageFailure("completion", "detached slots not found")
-    (a,) = conn.vertex_map
-    gr = cover.base.graph
-    ends = {e: _slot(conn, a, reverse_edge(e)) for e in sorted(gr.ends(gr.tau(e1)))}
-    if ends[e1] is None:
-        raise _StageFailure("completion", "connector lacks a boundary elevation")
-    for e, j in ends.items():
-        if e != e1 and None in (j, _slot(piece.morphism, piece.c1, e)):
-            raise _StageFailure("completion", "chain head slots not found")
-    return detached, conn, i_free, i_cyc, ends
-
-
 def _completion_stage(
-    piece: TorsionPiece, alpha: int, e1: str, glue: _Glue, bounds: TowerBounds, budget: Budget
+    piece: TorsionPiece, alpha: int, e1: str, cover: PrecoverMorphism, site: str,
+    connector: PrecoverMorphism, bounds: TowerBounds, budget: Budget,
 ) -> PrecoverMorphism:
-    """The chain of alpha pieces spliced into the detached cover through
-    the connector, then completed within ``complete_bound``.
+    """The chain of alpha pieces joined into the site cover through the
+    connector with one construction, then completed within ``complete_bound``.
 
-    ``complete`` searches only when the splice leaves a slot hanging: when
+    The parts, in order: the site cover without ``site`` (suffix "!L"), the
+    chain ("!K") and the connector ("!C").  Joins ``<base pair>@s<k>``, k =
+    0, 1, ..., take the site's free ref to the chain's tail c2 over e1, the
+    site's cyclic ref to the connector over ~e1, and the chain's head c1
+    over each other end e of the boundary vertex, in sorted order, to the
+    connector over ~e.  The basepoint is the site cover's.  That is the
+    splice of the detached, renamed parts, re-based, with no slot to look
+    up: a census cover realizes every elevation exactly once, so detaching
+    the site leaves its two refs hanging; ``split_cyclic`` leaves c1 one
+    edge, so c2 hangs over e1 and c1 over every other end; and the
+    connector lifts the free vertex at the boundary, so it has an elevation
+    over every ~e, the one through coset 0 with least coset 0.  A
+    ValueError from the construction fails the stage.
+
+    ``complete`` searches only when the joins leave a slot hanging: when
     the connector's index n_a exceeds the boundary index d_p, when the
     connector's vertex has ends away from the boundary vertex, or, once
     β > 1 is built, at the further detached copies.  Otherwise, as on every
-    one-step tower measured, it returns the splice itself.
+    one-step tower measured, it returns the joined cover itself.
     """
-    detached, conn, i_free, i_cyc, ends = glue
-    body = PrecoverMorphism(piece.morphism.base, *_renamed(_chain_parts(piece, alpha), "!K"))
-    tail = piece.c2 + ("#1" if alpha > 1 else "") + "!K"
+    detached = {q: spec for q, spec in cover.pair_spec.items() if q != site}
+    vertex_map, vertex_data, cyclic_index, pairs = _union(
+        ((cover.vertex_map, cover.vertex_data, cover.cyclic_index, detached), "!L"),
+        (_chain_parts(piece, alpha), "!K"),
+        (_parts(connector), "!C"),
+    )
+    _, fwd, bwd = cover.pair_spec[site]
+    cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
+    (a,) = connector.vertex_map
+    gr = cover.base.graph
+    conn = {e: ElevationRef(a + "!C", reverse_edge(e), 0) for e in sorted(gr.ends(gr.tau(e1)))}
+    tail = ElevationRef(piece.c2 + ("#1" if alpha > 1 else "") + "!K", e1, 0)
     head = piece.c1 + ("#%d" % alpha if alpha > 1 else "") + "!K"
-    matches = [((0, i_free), (1, _slot(body, tail, e1))), ((0, i_cyc), (2, ends[e1]))]
-    matches += [((1, _slot(body, head, e)), (2, j)) for e, j in ends.items() if e != e1]
+    joins = [
+        (free._replace(vertex=free.vertex + "!L"), tail),
+        (cyc._replace(vertex=cyc.vertex + "!L"), conn.pop(e1)),
+    ]
+    joins += [(ElevationRef(head, e, 0), ref) for e, ref in conn.items()]
+    for k, (r, s) in enumerate(joins):
+        bp = pair_of(r.edge)
+        pairs["%s@s%d" % (bp, k)] = (bp, r, s) if r.edge == bp else (bp, s, r)
     try:
-        asm = splice([detached, body, conn], matches)
+        asm = PrecoverMorphism(
+            cover.base, vertex_map, vertex_data, cyclic_index, pairs,
+            basepoint=cover.total.base_vertex + "!L",
+        )
     except ValueError as exc:
         raise _StageFailure("completion", str(exc))
     cover_n = complete(asm, bounds.complete_bound, budget)
@@ -1897,10 +1882,9 @@ def _tower_step(
     h = predegree(piece.morphism)
     n_a = connector.vertex_data[u + "@A"].size
     beta, alpha0 = _copy_count(n, h, min(piece.morphism.sums.values()), degree(cover), n_a)
-    glue = _glue_stage(piece, e1, cover, site, connector)
     for alpha in range(alpha0, alpha0 + MAX_ALPHA_RETRIES + 1):
         try:
-            cover_n = _completion_stage(piece, alpha, e1, glue, bounds, budget)
+            cover_n = _completion_stage(piece, alpha, e1, cover, site, connector, bounds, budget)
             cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
             rel = degree(cover_n)
             exps, trial = _ledger_stage(cover_n, tracked, ledger, n, p, degree_so_far * rel, h)
@@ -1928,9 +1912,9 @@ def build_tower(
     """Grow a tower of covers, one new prime per step, ledgered throughout.
 
     Each step finds a torsion piece for its prime in the current base,
-    chains enough copies, splices the chain into a detached excluding
-    cover through a prescribed-degree connector, completes, measures the
-    torsion exponents and updates the ledger.  Stops early with a
+    chains enough copies, joins the chain into a detached excluding cover
+    through a prescribed-degree connector as one morphism, completes,
+    measures the torsion exponents and updates the ledger.  Stops early with a
     "failed:<stage>:<reason>" status when any stage finds nothing within
     its bounds; completed steps stay in the report.  Every census and
     completion draws from ``budget``, by default ``Budget(DEFAULT_BUDGET)``.

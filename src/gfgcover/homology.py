@@ -70,33 +70,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(row[j] for j in keep) for row in self.entries), len(keep))
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _find_pivot(a: List[List[int]], k: int) -> Optional[Tuple[int, int]]:
     # Smallest nonzero absolute value in a[k:][k:]; ties row-major.
     best = None

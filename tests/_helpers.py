@@ -8,7 +8,8 @@ bases.  ``identity_cover`` builds the degree-one cover, ``document_for_gog``
 the gog document of a graph of groups, and ``reduce_element`` reduces an
 element of an abelian group to its torsion residues.  ``check_normal_form``
 checks the bipartite normal form, with ``induced_pair`` and
-``malnormal_family_problems`` for its per-vertex part.
+``malnormal_family_problems`` for its per-vertex part.  ``determinant`` is
+the exact Bareiss determinant the homology tests check Smith forms against.
 """
 
 from typing import List, Sequence, Tuple
@@ -17,7 +18,7 @@ from gfgcover.cli import FORMAT_VERSION, gog_to_payload
 from gfgcover.cosets import CosetTable, schreier, whole_group_table
 from gfgcover.covers import ElevationRef, PrecoverMorphism
 from gfgcover.gog import GogWord, GraphOfGroups, reverse_edge, validate
-from gfgcover.homology import AbelianGroup
+from gfgcover.homology import AbelianGroup, IntMatrix
 from gfgcover.words import Word, conj_canonical, primitive_root
 
 
@@ -153,3 +154,30 @@ def check_normal_form(g: GraphOfGroups) -> List[str]:
         for msg in malnormal_family_problems([w for _, w in fam]):
             problems.append("at vertex %r: %s" % (v, msg))
     return problems
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -59,6 +59,14 @@ full morphism construction.  ``gfgcover.covers.chain``, which writes the
 chain's dicts directly and constructs once, must build the same morphism
 and raise the same error.
 
+``step_assembly_oracle`` joins a tower step's chain into its site cover
+the way the morphism operations compose: the site detached by
+``detach_edge``, the three parts renamed by ``rename_total``, each slot
+looked up among the parts' hanging slots, all of them joined by
+``splice``, and the site cover's basepoint set by ``with_basepoint``.  The
+tower step, which names the joined refs outright and constructs once,
+must build the same morphism.
+
 ``is_class_minimal_oracle`` compares the table's full encoding with the
 full encoding from every other start; ``gfgcover.cosets.is_class_minimal``,
 which stops at the first entry that differs, must give the same answer.
@@ -90,7 +98,8 @@ from gfgcover.cosets import (
 )
 from gfgcover.covers import (
     CoverCensus, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble, _close_open_ends,
-    _extensions, _lift_choices, _same_base, merge_cyclic, rename_total, splice, split_cyclic,
+    _extensions, _lift_choices, _same_base, detach_edge, merge_cyclic, rename_total, splice,
+    split_cyclic, with_basepoint,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
@@ -580,3 +589,39 @@ def chain_oracle(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
     for i in range(1, copies):
         out = merge_cyclic(out, "%s#%d" % (piece.c1, i), "%s#%d" % (piece.c2, i + 1))
     return out
+
+
+def step_assembly_oracle(
+    piece: TorsionPiece, alpha: int, e1: str, cover: PrecoverMorphism, site: str,
+    connector: PrecoverMorphism,
+) -> PrecoverMorphism:
+    """The site cover without ``site`` ("!L"), the chain of alpha pieces
+    ("!K") and the connector ("!C"), spliced at slots found by search:
+    site's free slot to the chain's tail c2 over e1, site's cyclic slot to
+    the connector over ~e1, the chain's head c1 over each other end e to
+    the connector over ~e; then re-pointed at the site cover's basepoint."""
+    parts = [
+        rename_total(detach_edge(cover, site), "!L"),
+        rename_total(chain_oracle(piece, alpha), "!K"),
+        rename_total(connector, "!C"),
+    ]
+
+    def slot(i: int, vertex: str, edge: str) -> Tuple[int, int]:
+        hanging = parts[i].hanging
+        return i, next(k for k, s in enumerate(hanging) if (s.vertex, s.edge) == (vertex, edge))
+
+    _, fwd, bwd = cover.pair_spec[site]
+    cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
+    (a,) = parts[2].vertex_map
+    tail = piece.c2 + ("#1" if alpha > 1 else "") + "!K"
+    head = piece.c1 + ("#%d" % alpha if alpha > 1 else "") + "!K"
+    gr = cover.base.graph
+    matches = [
+        (slot(0, free.vertex + "!L", free.edge), slot(1, tail, e1)),
+        (slot(0, cyc.vertex + "!L", cyc.edge), slot(2, a, reverse_edge(e1))),
+    ]
+    matches += [
+        (slot(1, head, e), slot(2, a, reverse_edge(e)))
+        for e in sorted(gr.ends(gr.tau(e1))) if e != e1
+    ]
+    return with_basepoint(splice(parts, matches), cover.total.base_vertex + "!L")

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from _oracles import (
     isomorphic_oracle,
     quotient_by,
     smith_group,
+    step_assembly_oracle,
     torsion_piece_oracle,
 )
 
@@ -31,8 +34,6 @@ from gfgcover.covers import (
     PrecoverMorphism,
     TorsionPiece,
     TowerBounds,
-    _chain_parts,
-    _renamed,
     build_tower,
     canonical_code,
     chain,
@@ -715,10 +716,13 @@ class TestChain:
             chain(seeded_piece, 0)
 
 
-def _chain_fields(m):
+def _fields(m):
+    """A morphism's lift and pair dicts as ordered item lists, its basepoint
+    and its document bytes."""
     return (
-        m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec,
-        save_document(document_for_morphism(m)),
+        list(m.vertex_map.items()), list(m.vertex_data.items()),
+        list(m.cyclic_index.items()), list(m.pair_spec.items()),
+        m.total.base_vertex, save_document(document_for_morphism(m)),
     )
 
 
@@ -731,7 +735,7 @@ def _chain_error(build, piece, copies):
 class TestChainOneBuild:
     def test_matches_the_composed_chain(self):
         """Every piece found at p in {2, 3, 5} and index <= 4 on seeded and
-        amalgams A-G, chained 1 to 5 times, alone and as a tower body."""
+        amalgams A-G, chained 1 to 5 times."""
         pieces = [
             piece
             for g in [seeded()] + [amalgam(ws) for ws in AMALGAMS.values()]
@@ -742,9 +746,7 @@ class TestChainOneBuild:
         for piece in pieces:
             for alpha in range(1, 6):
                 want = chain_oracle(piece, alpha)
-                assert _chain_fields(chain(piece, alpha)) == _chain_fields(want)
-                body = PrecoverMorphism(want.base, *_renamed(_chain_parts(piece, alpha), "!K"))
-                assert _chain_fields(body) == _chain_fields(rename_total(want, "!K"))
+                assert _fields(chain(piece, alpha)) == _fields(want)
 
     def test_bad_boundaries_raise_the_composed_chain_errors(self, seeded_piece):
         uneven = next(
@@ -782,7 +784,7 @@ class TestChainOneBuild:
                 assert why in got
                 assert got == _chain_error(chain_oracle, piece, copies)
         same = cases[-1][0]
-        assert _chain_fields(chain(same, 2)) == _chain_fields(chain_oracle(same, 2))
+        assert _fields(chain(same, 2)) == _fields(chain_oracle(same, 2))
         for build in (chain, chain_oracle):
             assert _chain_error(build, seeded_piece, 0) == "need at least one copy"
 
@@ -1184,6 +1186,62 @@ TOWER_OUTCOMES = {
 def test_tower_outcome(name, primes):
     g = seeded() if name == "seeded" else amalgam(AMALGAMS[name])
     assert build_tower(g, primes, len(primes)).to_csv() == TOWER_OUTCOMES[name, primes]
+
+
+@pytest.fixture(scope="module")
+def survey_steps():
+    """The survey's towers, run once with every step stage call recorded as
+    [its arguments, the precover it completes, what ``complete`` returns],
+    and every morphism construction counted by the function that made it."""
+    steps, built = [], collections.Counter()
+    real_init = PrecoverMorphism.__init__
+    real_stage = covers_module._completion_stage
+    real_complete = covers_module.complete
+
+    def init(self, *args, **kwargs):
+        built[sys._getframe(1).f_code.co_name] += 1
+        real_init(self, *args, **kwargs)
+
+    def stage(*args):
+        steps.append([args])
+        return real_stage(*args)
+
+    def completing(m, bound, budget=None):
+        out = real_complete(m, bound, budget)
+        steps[-1] += [m, out]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PrecoverMorphism, "__init__", init)
+        mp.setattr(covers_module, "_completion_stage", stage)
+        mp.setattr(covers_module, "complete", completing)
+        for name, primes in sorted(TOWER_OUTCOMES):
+            g = seeded() if name == "seeded" else amalgam(AMALGAMS[name])
+            assert build_tower(g, primes, len(primes)).to_csv() == TOWER_OUTCOMES[name, primes]
+    return steps, built
+
+
+class TestStepAssembly:
+    def test_matches_the_composed_assembly(self, survey_steps):
+        """Every chain length the survey tries joins its chain into the site
+        cover as detach, rename, splice and re-basing do, and completes the
+        same way."""
+        steps, _ = survey_steps
+        assert len(steps) == 57
+        for args, asm, got in steps:
+            piece, alpha, e1, cover, site, connector, bounds, _ = args
+            want = step_assembly_oracle(piece, alpha, e1, cover, site, connector)
+            assert _fields(asm) == _fields(want)
+            assert _fields(got) == _fields(complete(want, bounds.complete_bound))
+
+    def test_one_construction_per_chain_length(self, survey_steps):
+        """Past the census, pieces and connectors, the survey constructs one
+        morphism per chain length tried, in the step stage; the morphism
+        operations the oracle composes construct nothing."""
+        steps, built = survey_steps
+        assert built["_completion_stage"] == len(steps)
+        for name in ("splice", "rename_total", "detach_edge", "with_basepoint"):
+            assert built[name] == 0, name
 
 
 class TestIsomorphic:

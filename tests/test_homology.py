@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from _helpers import reduce_element
+from _helpers import determinant, reduce_element
 from _oracles import dim_mod_p, quotient_by
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +18,6 @@ from gfgcover.homology import (
     _check_prime,
     class_image,
     cokernel,
-    determinant,
     h1,
     ledger_bound,
     ledger_check,

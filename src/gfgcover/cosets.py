@@ -12,8 +12,7 @@ least coset.
 word into cycles.  A cycle of length d through least coset m yields the
 conjugate rep(m) * w**d * rep(m)**-1, a subgroup element well defined up to
 conjugacy in the subgroup; for a primitive w the cycles give pairwise
-non-conjugate classes, which is what ``pullback`` checks when it transports
-a family of classes to a finite-index subgroup.
+non-conjugate classes.
 
 ``enumerate_subgroups`` lists one table per conjugacy class of subgroups of
 the given index (so 3 classes at index 2 and 7 at index 3 for rank 2, not
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import PairCollisionError
 from .words import ConjClass, Word, abelianize_word, conj_canonical, identity
 
 Target = Union[Word, ConjClass]
@@ -124,7 +122,7 @@ class SchreierData:
 
     ``tree`` lists the tree edges (a, letter, a.letter) in the order the
     search found them, and ``edge_basis`` the non-tree positive edges, each
-    naming one basis letter.  The words ``reps`` and ``basis`` are built
+    naming one basis letter.  The representative words ``reps`` are built
     when first read: rewriting needs only the edges.
     """
 
@@ -139,14 +137,6 @@ class SchreierData:
         for a, letter, b in self.tree:
             reps[b] = reps[a] * Word((letter,), r)
         return tuple(reps)
-
-    @cached_property
-    def basis(self) -> Tuple[Word, ...]:
-        reps, r = self.reps, self.table.rank
-        return tuple(
-            reps[a] * Word((x,), r) * reps[self.table.act(a, x)].inverse()
-            for a, x, _ in self.edge_basis
-        )
 
     @cached_property
     def steps(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
@@ -279,45 +269,6 @@ def elevations(table: CosetTable, target: Target) -> List[Elevation]:
             cur = table.act_word(cur, w)
         out.append(Elevation(cls, tuple(cycle), table))
     return out
-
-
-@dataclass(frozen=True)
-class Pair:
-    """A free group of the given rank together with a family of conjugacy
-    classes in it, kept in a fixed order."""
-
-    rank: int
-    classes: Tuple[ConjClass, ...]
-
-    def __post_init__(self):
-        for c in self.classes:
-            if c.rank != self.rank:
-                raise ValueError("class rank mismatch")
-            if c.is_trivial():
-                raise ValueError("classes must be nontrivial")
-
-
-def pullback(pair: Pair, table: CosetTable) -> Pair:
-    """Transport a family of classes to a finite-index subgroup.
-
-    The result lists, for each class in order, the local class of each of
-    its elevations (by ascending least coset).  Raises PairCollisionError
-    when two of the resulting classes agree up to inverse, which cannot
-    happen for a malnormal family of primitive classes.
-    """
-    if pair.rank != table.rank:
-        raise ValueError("rank mismatch")
-    locals_: List[ConjClass] = []
-    for cls in pair.classes:
-        for elev in elevations(table, cls):
-            locals_.append(elev.local)
-    for i in range(len(locals_)):
-        for j in range(i + 1, len(locals_)):
-            if locals_[i] == locals_[j] or locals_[i] == locals_[j].inverse():
-                raise PairCollisionError(
-                    "elevation classes %d and %d coincide up to inverse" % (i, j)
-                )
-    return Pair(subgroup_rank(table), tuple(locals_))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ table for each lift of a free vertex, and a bare index for each lift of a
 cyclic vertex (the rank-one free group has exactly one subgroup per index,
 so nothing more is needed).  Every total edge realizes one elevation of the
 base edge word on each of its two sides, with matching degrees.  Elevations
-that no total edge realizes are hanging slots, the loose ends available for
-splicing.
+that no total edge realizes are hanging slots, the loose ends that
+``complete`` glues.
 
 The data is deliberately rotation-free: a total edge records which two
 elevations it joins but not which of the finitely many circle rotations
@@ -113,7 +113,7 @@ class HangingSlot:
     """An elevation no total edge realizes.
 
     ``edge`` is the oriented base edge whose tau end the slot sits over, so
-    two slots can be spliced exactly when their edges are mutual reverses
+    two slots can be joined exactly when their edges are mutual reverses
     and their degrees agree.
     """
 
@@ -338,13 +338,6 @@ def _parts(m: PrecoverMorphism) -> _Parts:
     return m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec
 
 
-def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
-    """Append a suffix to every total vertex and pair name."""
-    if not suffix:
-        raise ValueError("empty suffix")
-    return PrecoverMorphism(m.base, *_union((_parts(m), suffix)))
-
-
 def validate_precover(m: PrecoverMorphism) -> List[str]:
     """Degree-matched edges, each elevation realized at most once."""
     return list(m.problems)
@@ -395,74 +388,6 @@ def _same_base(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
         == {e: w.letters for e, w in g2.edge_words.items()}
         and g1.base_vertex == g2.base_vertex
     )
-
-
-def splice(
-    ms: Sequence[PrecoverMorphism],
-    matches: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
-) -> PrecoverMorphism:
-    """Union of the morphisms with selected hanging slots glued in pairs.
-
-    ``matches`` lists ((i, k), (j, l)): slot k of ms[i] against slot l of
-    ms[j].  Matched slots must lie over mutually reverse orientations of
-    the same base pair and have equal degrees; no slot may be used twice.
-    An empty match list is the disjoint union.
-    """
-    if not ms:
-        raise ValueError("nothing to splice")
-    base = ms[0].base
-    for m in ms[1:]:
-        if not _same_base(m.base, base):
-            raise ValueError("splice of morphisms over different bases")
-    for m in ms:
-        ensure_precover(m)
-
-    vertex_map: Dict[str, str] = {}
-    vertex_data: Dict[str, CosetTable] = {}
-    cyclic_index: Dict[str, int] = {}
-    pairs: Dict[str, Tuple[str, ElevationRef, ElevationRef]] = {}
-    for m in ms:
-        clash = set(vertex_map) & set(m.vertex_map)
-        if clash:
-            raise ValueError("total vertex name clash: %s" % sorted(clash))
-        clash = set(pairs) & set(m.pair_spec)
-        if clash:
-            raise ValueError("total pair name clash: %s" % sorted(clash))
-        vertex_map.update(m.vertex_map)
-        vertex_data.update(m.vertex_data)
-        cyclic_index.update(m.cyclic_index)
-        pairs.update(m.pair_spec)
-
-    used: Set[Tuple[int, int]] = set()
-    counter = 0
-    for (i, k), (j, l) in matches:
-        for key in ((i, k), (j, l)):
-            if not (0 <= key[0] < len(ms)) or not (0 <= key[1] < len(ms[key[0]].hanging)):
-                raise ValueError("no such slot %r" % (key,))
-            if key in used:
-                raise ValueError("slot %r used twice" % (key,))
-            used.add(key)
-        s1 = ms[i].hanging[k]
-        s2 = ms[j].hanging[l]
-        if s1.edge != reverse_edge(s2.edge):
-            raise ValueError(
-                "orbit mismatch: slots over %r and %r" % (s1.edge, s2.edge)
-            )
-        if s1.degree != s2.degree:
-            raise ValueError(
-                "degree mismatch: %d vs %d over %r" % (s1.degree, s2.degree, s1.edge)
-            )
-        bp = pair_of(s1.edge)
-        if s1.edge == bp:
-            fwd, bwd = s1.ref, s2.ref
-        else:
-            fwd, bwd = s2.ref, s1.ref
-        while "%s@s%d" % (bp, counter) in pairs:
-            counter += 1
-        pairs["%s@s%d" % (bp, counter)] = (bp, fwd, bwd)
-        counter += 1
-
-    return PrecoverMorphism(base, vertex_map, vertex_data, cyclic_index, pairs)
 
 
 def _retarget(
@@ -535,43 +460,6 @@ def _check_merge(
         raise ValueError("merge of lifts over different base vertices")
     if cyclic_index[v1] != cyclic_index[v2]:
         raise ValueError("index mismatch: %d vs %d" % (cyclic_index[v1], cyclic_index[v2]))
-
-
-def merge_cyclic(m: PrecoverMorphism, v1: str, v2: str) -> PrecoverMorphism:
-    """Merge two cyclic lifts of equal index over the same base vertex.
-
-    The merged vertex keeps the first name and both edge sets.  Inverse to
-    ``split_cyclic`` along the partition the two vertices record.
-    """
-    _check_merge(m.base, m.vertex_map, m.cyclic_index, v1, v2)
-    vertex_map = dict(m.vertex_map)
-    vertex_map.pop(v2)
-    cyclic_index = dict(m.cyclic_index)
-    cyclic_index.pop(v2)
-    incident = [d for d in m.edge_assignment if m.edge_assignment[d].vertex == v2]
-    rename = {(v2, d): v1 for d in incident}
-    pairs = _retarget(m.pair_spec, rename)
-    return PrecoverMorphism(m.base, vertex_map, m.vertex_data, cyclic_index, pairs)
-
-
-def detach_edge(m: PrecoverMorphism, q: str) -> PrecoverMorphism:
-    """Remove a total edge joining a cyclic and a free lift.
-
-    Both orientations go together; the two elevations it realized reopen
-    as hanging slots.
-    """
-    q = pair_of(q)
-    if q not in m.pair_spec:
-        raise ValueError("unknown total pair %r" % q)
-    kinds = {
-        m.total.vertex_kind[m.total.graph.iota(q)],
-        m.total.vertex_kind[m.total.graph.tau(q)],
-    }
-    if kinds != {"cyclic", "free"}:
-        raise ValueError("edge %r does not join a cyclic and a free vertex" % q)
-    pairs = dict(m.pair_spec)
-    pairs.pop(q)
-    return PrecoverMorphism(m.base, m.vertex_map, m.vertex_data, m.cyclic_index, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1503,17 +1391,21 @@ def _chain_parts(piece: TorsionPiece, copies: int) -> _Parts:
     """The lift and pair dicts of ``chain(piece, copies)``.
 
     For two copies or more, copy i's lifts and pairs carry the suffix "#i",
-    and copy i+1's c2 is merged into copy i's c1 with ``merge_cyclic``'s
-    checks: the dicts of the splice of renamed copies and its merges,
-    written directly, so the chain is built with one construction.
+    and copy i+1's c2 is merged into copy i's c1 with the checks of a cyclic
+    merge.  These are the dicts ``chain_oracle`` in ``tests/_oracles.py``
+    reaches by renaming, splicing and merging one construction at a time,
+    written directly, so the chain is built with one construction.  A
+    piece with precover defects raises them, named as copy 1's when there
+    are two copies or more.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
     m = piece.morphism
     if copies == 1:
+        ensure_precover(m)
         return _parts(m)
     if m.problems:
-        ensure_precover(rename_total(m, "#1"))  # name the defects as copy 1's
+        ensure_precover(PrecoverMorphism(m.base, *_union((_parts(m), "#1"))))  # copy 1's names
     vertex_map, vertex_data, cyclic_index, pairs = _union(
         *((_parts(m), "#%d" % i) for i in range(1, copies + 1))
     )
@@ -1532,11 +1424,12 @@ def chain(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
 
     Copy i's single-edge boundary vertex is merged with copy i+1's other
     boundary vertex, leaving one open boundary on each end of the chain.
-    One copy is the piece itself.
+    One copy is the piece itself, once it is checked to be a precover.
     """
+    parts = _chain_parts(piece, copies)
     if copies == 1:
         return piece.morphism
-    return PrecoverMorphism(piece.morphism.base, *_chain_parts(piece, copies))
+    return PrecoverMorphism(piece.morphism.base, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1787,13 +1680,14 @@ def _completion_stage(
     site's cyclic ref to the connector over ~e1, and the chain's head c1
     over each other end e of the boundary vertex, in sorted order, to the
     connector over ~e.  The basepoint is the site cover's.  That is the
-    splice of the detached, renamed parts, re-based, with no slot to look
-    up: a census cover realizes every elevation exactly once, so detaching
-    the site leaves its two refs hanging; ``split_cyclic`` leaves c1 one
-    edge, so c2 hangs over e1 and c1 over every other end; and the
-    connector lifts the free vertex at the boundary, so it has an elevation
-    over every ~e, the one through coset 0 with least coset 0.  A
-    ValueError from the construction fails the stage.
+    morphism ``step_assembly_oracle`` in ``tests/_oracles.py`` composes
+    from the detached, renamed parts, with no slot to look up: a census
+    cover realizes every elevation exactly once, so detaching the site
+    leaves its two refs hanging; ``split_cyclic`` leaves c1 one edge, so c2
+    hangs over e1 and c1 over every other end; and the connector lifts the
+    free vertex at the boundary, so it has an elevation over every ~e, the
+    one through coset 0 with least coset 0.  A ValueError from the
+    construction fails the stage.
 
     ``complete`` searches only when the joins leave a slot hanging: when
     the connector's index n_a exceeds the boundary index d_p, when the

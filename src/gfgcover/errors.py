@@ -7,10 +7,6 @@ class BudgetExceededError(RuntimeError):
     """A bounded search hit its cap before exhausting the space."""
 
 
-class PairCollisionError(ValueError):
-    """Two formally distinct inputs became equal after rewriting."""
-
-
 class Budget:
     """The node budget all searches of one run draw from (``cap`` None:
     unbounded).  Past the cap, ``tick`` and ``check`` raise for good."""

@@ -213,10 +213,6 @@ class AbelianGroup:
             if b % a:
                 raise ValueError("divisors must form a divisibility chain")
 
-    @property
-    def coords(self) -> int:
-        return len(self.divisors) + self.betti
-
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.divisors
 

@@ -155,29 +155,6 @@ def conj_canonical(w: Word) -> ConjClass:
     return ConjClass(Word(_least_rotation(core.letters), w.rank))
 
 
-def primitive_root(w: Word) -> Tuple[Word, int]:
-    """Primitive root of a non-trivial word.
-
-    Returns (root, exponent) with root cyclically reduced, exponent maximal,
-    and w conjugate to root**exponent.
-
-    >>> root, n = primitive_root(Word((1, 2, 1, 2), 2))
-    >>> root.letters, n
-    ((1, 2), 2)
-    """
-    core, _ = cyclic_reduce(w)
-    if core.is_identity():
-        raise ValueError("the trivial word has no primitive root")
-    letters = core.letters
-    n = len(letters)
-    for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        if letters == letters[:d] * (n // d):
-            return Word(letters[:d], w.rank), n // d
-    raise AssertionError("unreachable: every word is a power of itself")
-
-
 def power_of(w: Word, u: Word) -> Optional[int]:
     """Return m with w == u**m as group elements, or None.
 

@@ -2,14 +2,16 @@
 
 ``word_length`` and ``gog_word_power`` make and measure path words for the
 closed-word and lifting tests; ``lifts_over`` lists a morphism's lifts of a
-base vertex in name order.  ``contains`` and ``subgroup_contains`` test
-membership and inclusion of finite-index subgroups on their Schreier
-bases.  ``identity_cover`` builds the degree-one cover, ``document_for_gog``
-the gog document of a graph of groups, and ``reduce_element`` reduces an
+base vertex in name order.  ``schreier_basis`` builds the words of a
+subgroup's Schreier basis, and ``contains`` and ``subgroup_contains`` test
+membership and inclusion of finite-index subgroups on those bases.
+``identity_cover`` builds the degree-one cover, ``document_for_gog`` the
+gog document of a graph of groups, and ``reduce_element`` reduces an
 element of an abelian group to its torsion residues.  ``check_normal_form``
 checks the bipartite normal form, with ``induced_pair`` and
-``malnormal_family_problems`` for its per-vertex part.  ``determinant`` is
-the exact Bareiss determinant the homology tests check Smith forms against.
+``malnormal_family_problems`` for its per-vertex part, which reads each
+word's ``primitive_root``.  ``determinant`` is the exact Bareiss
+determinant the homology tests check Smith forms against.
 """
 
 from typing import List, Sequence, Tuple
@@ -19,7 +21,7 @@ from gfgcover.cosets import CosetTable, schreier, whole_group_table
 from gfgcover.covers import ElevationRef, PrecoverMorphism
 from gfgcover.gog import GogWord, GraphOfGroups, reverse_edge, validate
 from gfgcover.homology import AbelianGroup, IntMatrix
-from gfgcover.words import Word, conj_canonical, primitive_root
+from gfgcover.words import Word, conj_canonical, cyclic_reduce
 
 
 def word_length(gw: GogWord) -> int:
@@ -46,6 +48,17 @@ def lifts_over(m: PrecoverMorphism, b: str) -> List[str]:
     return sorted(v for v in m.vertex_map if m.vertex_map[v] == b)
 
 
+def schreier_basis(table: CosetTable) -> Tuple[Word, ...]:
+    """The Schreier basis words rep(a) * x * rep(a.x)**-1, one per non-tree
+    positive edge (a, x), in the order of the basis letters."""
+    sd = schreier(table)
+    reps, r = sd.reps, table.rank
+    return tuple(
+        reps[a] * Word((x,), r) * reps[table.act(a, x)].inverse()
+        for a, x, _ in sd.edge_basis
+    )
+
+
 def contains(table: CosetTable, w: Word) -> bool:
     if w.rank != table.rank:
         raise ValueError("rank mismatch")
@@ -56,7 +69,7 @@ def subgroup_contains(big: CosetTable, small: CosetTable) -> bool:
     """Whether the subgroup of ``small`` lies inside the subgroup of ``big``."""
     if big.rank != small.rank:
         raise ValueError("rank mismatch")
-    return all(contains(big, g) for g in schreier(small).basis)
+    return all(contains(big, g) for g in schreier_basis(small))
 
 
 def identity_cover(g: GraphOfGroups) -> PrecoverMorphism:
@@ -87,8 +100,9 @@ def document_for_gog(g: GraphOfGroups) -> dict:
 
 def reduce_element(group: AbelianGroup, vec: Sequence[int]) -> Tuple[int, ...]:
     """vec with each torsion coordinate reduced mod its divisor."""
-    if len(vec) != group.coords:
-        raise ValueError("element has %d coordinates, expected %d" % (len(vec), group.coords))
+    coords = len(group.divisors) + group.betti
+    if len(vec) != coords:
+        raise ValueError("element has %d coordinates, expected %d" % (len(vec), coords))
     out = []
     for i, d in enumerate(group.divisors):
         out.append(vec[i] % d)
@@ -103,6 +117,25 @@ def induced_pair(g: GraphOfGroups, v: str) -> Tuple[int, List[Tuple[str, Word]]]
     """
     fam = [(e, g.edge_words[e]) for e in sorted(g.graph.ends(v))]
     return g.vertex_rank[v], fam
+
+
+def primitive_root(w: Word) -> Tuple[Word, int]:
+    """Primitive root of a non-trivial word.
+
+    Returns (root, exponent) with root cyclically reduced, exponent maximal,
+    and w conjugate to root**exponent.
+    """
+    core, _ = cyclic_reduce(w)
+    if core.is_identity():
+        raise ValueError("the trivial word has no primitive root")
+    letters = core.letters
+    n = len(letters)
+    for d in range(1, n + 1):
+        if n % d != 0:
+            continue
+        if letters == letters[:d] * (n // d):
+            return Word(letters[:d], w.rank), n // d
+    raise AssertionError("unreachable: every word is a power of itself")
 
 
 def malnormal_family_problems(words: Sequence[Word]) -> List[str]:

@@ -45,19 +45,27 @@ reduces; ``gfgcover.homology.class_image`` must return the same vector.
 of a group given by its invariants and read it off ``smith_group``; they
 check ``h1_mod_cyclic`` and ``p_rank`` from outside.
 
-``evaluate`` expands a word in a subgroup's Schreier basis into the ambient
-free group, the inverse of ``gfgcover.cosets.rewrite``.
+``evaluate`` expands a word in a subgroup's Schreier basis
+(``schreier_basis``) into the ambient free group, the inverse of
+``gfgcover.cosets.rewrite``.
 
 ``elevations_oracle`` builds every elevation's word and local class as it
 walks the cycles; ``gfgcover.cosets.elevations``, which builds them when
 first read, must give the same cycles, words and classes.
+
+The morphism operations ``rename_total``, ``splice``, ``merge_cyclic``
+and ``detach_edge`` rename, join, merge and cut a morphism by slot index,
+each with its checks and one full morphism construction.  The package
+builds no morphism this way; they are the reference for the two oracles
+below, and the surgery tests check them on their own.
 
 ``chain_oracle`` concatenates a torsion piece's copies the way the
 morphism operations compose: each copy renamed by ``rename_total``, all of
 them joined by ``splice``, then one ``merge_cyclic`` per seam, each step a
 full morphism construction.  ``gfgcover.covers.chain``, which writes the
 chain's dicts directly and constructs once, must build the same morphism
-and raise the same error.
+and raise the same error; one copy is the piece itself, checked to be a
+precover.
 
 ``step_assembly_oracle`` joins a tower step's chain into its site cover
 the way the morphism operations compose: the site detached by
@@ -76,7 +84,7 @@ import itertools
 import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from _helpers import lifts_over, reduce_element, word_length
+from _helpers import lifts_over, reduce_element, schreier_basis, word_length
 
 from gfgcover.cosets import (
     CosetTable,
@@ -97,14 +105,14 @@ from gfgcover.cosets import (
     schreier,
 )
 from gfgcover.covers import (
-    CoverCensus, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble, _close_open_ends,
-    _extensions, _lift_choices, _same_base, detach_edge, merge_cyclic, rename_total, splice,
-    split_cyclic, with_basepoint,
+    CoverCensus, ElevationRef, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble,
+    _check_merge, _close_open_ends, _extensions, _lift_choices, _parts, _retarget, _same_base,
+    _union, ensure_precover, split_cyclic, with_basepoint,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
     GogWord, GraphOfGroups, SerreGraph, abelianized_presentation, euler_characteristic,
-    is_nontrivial, reverse_edge,
+    is_nontrivial, pair_of, reverse_edge,
 )
 from gfgcover.homology import (
     AbelianGroup, IntMatrix, _check_prime, cyclic_column, p_rank, snf,
@@ -496,7 +504,7 @@ def class_image_oracle(g, target) -> Tuple[int, ...]:
     vertex, word = target
     if hasattr(word, "canonical"):
         word = word.canonical
-    out = [0] * group.coords
+    out = [0] * (len(group.divisors) + group.betti)
     for i, c in enumerate(abelianize_word(word)):
         for t, e in enumerate(basis[roster.index(("vertex", vertex, i))]):
             out[t] += c * e
@@ -504,7 +512,7 @@ def class_image_oracle(g, target) -> Tuple[int, ...]:
 
 
 def _relations(a: AbelianGroup) -> List[List[int]]:
-    width = a.coords
+    width = len(a.divisors) + a.betti
     return [[d if j == i else 0 for j in range(width)] for i, d in enumerate(a.divisors)]
 
 
@@ -512,14 +520,14 @@ def quotient_by(a: AbelianGroup, xs) -> AbelianGroup:
     """Quotient of a by the subgroup generated by the given elements, which
     are vectors in a's coordinates."""
     rows = _relations(a) + [list(reduce_element(a, x)) for x in xs]
-    return smith_group(IntMatrix.from_rows(rows, cols=a.coords))
+    return smith_group(IntMatrix.from_rows(rows, cols=len(a.divisors) + a.betti))
 
 
 def dim_mod_p(a: AbelianGroup, p: int) -> int:
     """dim_Fp(A/pA), from a presentation of A/pA (the divisor relations
     plus p times every generator) rather than from the divisor list."""
     _check_prime(p)
-    width = a.coords
+    width = len(a.divisors) + a.betti
     rows = _relations(a) + [[p if i == j else 0 for i in range(width)] for j in range(width)]
     q = smith_group(IntMatrix.from_rows(rows, cols=width))
     assert q.betti == 0
@@ -528,12 +536,12 @@ def dim_mod_p(a: AbelianGroup, p: int) -> int:
 
 def evaluate(table: CosetTable, w: Word) -> Word:
     """Inverse of ``rewrite``: expand a basis word into the ambient group."""
-    sd = schreier(table)
-    if w.rank != len(sd.basis):
+    basis = schreier_basis(table)
+    if w.rank != len(basis):
         raise ValueError("word is not in the subgroup basis")
     out = identity(table.rank)
     for letter in w.letters:
-        g = sd.basis[abs(letter) - 1]
+        g = basis[abs(letter) - 1]
         out = out * (g if letter > 0 else g.inverse())
     return out
 
@@ -577,12 +585,127 @@ def is_class_minimal_oracle(table: CosetTable) -> bool:
     return all(own <= _bfs_encoding(table, s)[0] for s in range(1, table.size))
 
 
+def rename_total(m: PrecoverMorphism, suffix: str) -> PrecoverMorphism:
+    """Append a suffix to every total vertex and pair name."""
+    if not suffix:
+        raise ValueError("empty suffix")
+    return PrecoverMorphism(m.base, *_union((_parts(m), suffix)))
+
+
+def splice(
+    ms: Sequence[PrecoverMorphism],
+    matches: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
+) -> PrecoverMorphism:
+    """Union of the morphisms with selected hanging slots glued in pairs.
+
+    ``matches`` lists ((i, k), (j, l)): slot k of ms[i] against slot l of
+    ms[j].  Matched slots must lie over mutually reverse orientations of
+    the same base pair and have equal degrees; no slot may be used twice.
+    An empty match list is the disjoint union.
+    """
+    if not ms:
+        raise ValueError("nothing to splice")
+    base = ms[0].base
+    for m in ms[1:]:
+        if not _same_base(m.base, base):
+            raise ValueError("splice of morphisms over different bases")
+    for m in ms:
+        ensure_precover(m)
+
+    vertex_map: Dict[str, str] = {}
+    vertex_data: Dict[str, CosetTable] = {}
+    cyclic_index: Dict[str, int] = {}
+    pairs: Dict[str, Tuple[str, ElevationRef, ElevationRef]] = {}
+    for m in ms:
+        clash = set(vertex_map) & set(m.vertex_map)
+        if clash:
+            raise ValueError("total vertex name clash: %s" % sorted(clash))
+        clash = set(pairs) & set(m.pair_spec)
+        if clash:
+            raise ValueError("total pair name clash: %s" % sorted(clash))
+        vertex_map.update(m.vertex_map)
+        vertex_data.update(m.vertex_data)
+        cyclic_index.update(m.cyclic_index)
+        pairs.update(m.pair_spec)
+
+    used: Set[Tuple[int, int]] = set()
+    counter = 0
+    for (i, k), (j, l) in matches:
+        for key in ((i, k), (j, l)):
+            if not (0 <= key[0] < len(ms)) or not (0 <= key[1] < len(ms[key[0]].hanging)):
+                raise ValueError("no such slot %r" % (key,))
+            if key in used:
+                raise ValueError("slot %r used twice" % (key,))
+            used.add(key)
+        s1 = ms[i].hanging[k]
+        s2 = ms[j].hanging[l]
+        if s1.edge != reverse_edge(s2.edge):
+            raise ValueError(
+                "orbit mismatch: slots over %r and %r" % (s1.edge, s2.edge)
+            )
+        if s1.degree != s2.degree:
+            raise ValueError(
+                "degree mismatch: %d vs %d over %r" % (s1.degree, s2.degree, s1.edge)
+            )
+        bp = pair_of(s1.edge)
+        if s1.edge == bp:
+            fwd, bwd = s1.ref, s2.ref
+        else:
+            fwd, bwd = s2.ref, s1.ref
+        while "%s@s%d" % (bp, counter) in pairs:
+            counter += 1
+        pairs["%s@s%d" % (bp, counter)] = (bp, fwd, bwd)
+        counter += 1
+
+    return PrecoverMorphism(base, vertex_map, vertex_data, cyclic_index, pairs)
+
+
+def merge_cyclic(m: PrecoverMorphism, v1: str, v2: str) -> PrecoverMorphism:
+    """Merge two cyclic lifts of equal index over the same base vertex.
+
+    The merged vertex keeps the first name and both edge sets.  Inverse to
+    ``split_cyclic`` along the partition the two vertices record.
+    """
+    _check_merge(m.base, m.vertex_map, m.cyclic_index, v1, v2)
+    vertex_map = dict(m.vertex_map)
+    vertex_map.pop(v2)
+    cyclic_index = dict(m.cyclic_index)
+    cyclic_index.pop(v2)
+    incident = [d for d in m.edge_assignment if m.edge_assignment[d].vertex == v2]
+    rename = {(v2, d): v1 for d in incident}
+    pairs = _retarget(m.pair_spec, rename)
+    return PrecoverMorphism(m.base, vertex_map, m.vertex_data, cyclic_index, pairs)
+
+
+def detach_edge(m: PrecoverMorphism, q: str) -> PrecoverMorphism:
+    """Remove a total edge joining a cyclic and a free lift.
+
+    Both orientations go together; the two elevations it realized reopen
+    as hanging slots.
+    """
+    q = pair_of(q)
+    if q not in m.pair_spec:
+        raise ValueError("unknown total pair %r" % q)
+    kinds = {
+        m.total.vertex_kind[m.total.graph.iota(q)],
+        m.total.vertex_kind[m.total.graph.tau(q)],
+    }
+    if kinds != {"cyclic", "free"}:
+        raise ValueError("edge %r does not join a cyclic and a free vertex" % q)
+    pairs = dict(m.pair_spec)
+    pairs.pop(q)
+    return PrecoverMorphism(m.base, m.vertex_map, m.vertex_data, m.cyclic_index, pairs)
+
+
+
+
 def chain_oracle(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
     """Copies of the piece renamed "#i", spliced, and copy i+1's c2 merged
     into copy i's c1, one morphism operation at a time."""
     if copies < 1:
         raise ValueError("need at least one copy")
     if copies == 1:
+        ensure_precover(piece.morphism)
         return piece.morphism
     parts = [rename_total(piece.morphism, "#%d" % i) for i in range(1, copies + 1)]
     out = splice(parts, [])

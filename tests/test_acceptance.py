@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from _helpers import reduce_element
-from _oracles import is_cut_vertex, quotient_by
+from _oracles import detach_edge, is_cut_vertex, merge_cyclic, quotient_by, splice
 
 from gfgcover.cosets import CosetTable, elevations, enumerate_subgroups
 from gfgcover.covers import (
@@ -22,11 +22,8 @@ from gfgcover.covers import (
     degree,
     enumerate_covers,
     find_torsion_piece,
-    merge_cyclic,
     predegree,
-    splice,
     split_cyclic,
-    detach_edge,
     isomorphic,
     build_tower,
     validate_cover,

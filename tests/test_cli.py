@@ -129,6 +129,21 @@ class TestDocuments:
         assert (code, out) == (1, "")
         assert err == "error: %s.c2: must differ from c1 (both are 'c@0.1')\n" % bad
 
+    def test_chain_rejects_a_doubled_pair_at_every_copy_count(self, piece_file, tmp_path, capsys):
+        """A pair away from c1, given twice, is an elevation realized twice:
+        one copy names the piece's own lift, more copies copy 1's."""
+        data = cli.load_document(piece_file)
+        edges = data["morphism"]["edges"]
+        pair = next(e for e in edges if data["c1"] not in (e["fwd"]["vertex"], e["bwd"]["vertex"]))
+        edges.append({**pair, "name": pair["name"] + "x"})
+        bad = tmp_path / "doubled.yaml"
+        bad.write_text(cli.save_document(data), encoding="utf-8")
+        for copies, lift in (("1", "c@1"), ("2", "c@1#1")):
+            code, out, err = run(capsys, "chain", str(bad), "--copies", copies)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: elevation ElevationRef(vertex=%r, " % lift)
+            assert "realized by 2 edges" in err
+
     def test_piece_document_rejects_composite_prime(self, piece_file):
         data = cli.load_document(piece_file)
         data["prime"] = 6

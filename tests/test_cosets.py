@@ -4,26 +4,23 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from _helpers import contains, subgroup_contains
+from _helpers import contains, schreier_basis, subgroup_contains
 from _oracles import evaluate, is_class_minimal_oracle, prescribe_degrees_oracle
 
 import gfgcover.cosets as cosets_module
 from gfgcover.cosets import (
     CosetTable,
-    Pair,
     cyclic_table,
     elevations,
     enumerate_subgroups,
     is_class_minimal,
     is_regular,
     prescribe_degrees,
-    pullback,
     rewrite,
     schreier,
     subgroup_rank,
     whole_group_table,
 )
-from gfgcover.errors import PairCollisionError
 from gfgcover.words import Word, conj_canonical
 
 SWAP = CosetTable(2, ((1, 0), (0, 1)))  # generator 1 swaps, generator 2 fixes
@@ -75,7 +72,7 @@ class TestSchreier:
     def test_swap_table_frozen(self):
         sd = schreier(SWAP)
         assert [r.letters for r in sd.reps] == [(), (1,)]
-        assert [b.letters for b in sd.basis] == [(2,), (1, 1), (1, 2, -1)]
+        assert [b.letters for b in schreier_basis(SWAP)] == [(2,), (1, 1), (1, 2, -1)]
 
     def test_rewrite_frozen(self):
         assert rewrite(SWAP, Word((1, 1), 2)).letters == (2,)
@@ -88,11 +85,11 @@ class TestSchreier:
 
     def test_basis_count(self):
         for t in SMALL_TABLES:
-            assert len(schreier(t).basis) == subgroup_rank(t)
+            assert len(schreier_basis(t)) == subgroup_rank(t)
 
     def test_basis_words_in_subgroup(self):
         for t in SMALL_TABLES:
-            for b in schreier(t).basis:
+            for b in schreier_basis(t):
                 assert contains(t, b)
 
     @given(st.sampled_from(SMALL_TABLES), st.lists(st.integers(-3, 3).filter(bool), max_size=6))
@@ -163,25 +160,6 @@ class TestElevations:
         for e in elevations(t, w):
             assert contains(t, e.rep)
             assert conj_canonical(rewrite(t, e.rep)) == e.local
-
-
-class TestPullback:
-    def test_frozen(self):
-        pair = Pair(2, (conj_canonical(Word((1,), 2)), conj_canonical(Word((2,), 2))))
-        out = pullback(pair, SWAP)
-        assert out.rank == 3
-        assert [str(c) for c in out.classes] == ["[2]", "[1]", "[3]"]
-
-    def test_collision_on_proper_power(self):
-        pair = Pair(2, (conj_canonical(Word((1, 1), 2)),))
-        with pytest.raises(PairCollisionError):
-            pullback(pair, SWAP)
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            Pair(2, (conj_canonical(Word((), 2)),))
-        with pytest.raises(ValueError):
-            Pair(1, (conj_canonical(Word((2,), 2)),))
 
 
 def transitive_class_count(n: int) -> int:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from _helpers import primitive_root
 from hypothesis import given, strategies as st
 
 from gfgcover.words import (
@@ -13,7 +14,6 @@ from gfgcover.words import (
     identity,
     is_cyclically_reduced,
     power_of,
-    primitive_root,
 )
 
 

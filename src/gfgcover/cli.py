@@ -11,6 +11,10 @@ library builds.  A document is a mapping with ``format_version`` and a
 
 Words and permutations are explicit integer arrays throughout, so the
 files stay diffable and independent of any in-memory representation.
+A document of integers and bare names is written and read directly, with
+the bytes and values of PyYAML's ``safe_dump`` (``sort_keys=False,
+default_flow_style=None``) and ``safe_load``; PyYAML handles any other
+document or file (see docs/format.md).
 Subcommands print either CSV (fixed column order, LF, UTF-8) or a new
 document; both are byte-deterministic for fixed inputs and flags.
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import re
 import sys
@@ -280,6 +285,15 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 _STR_TAG = "tag:yaml.org,2002:str"
 _INT_TAG = "tag:yaml.org,2002:int"
 _DECIMAL = re.compile(r"-?[1-9][0-9]*|0").fullmatch
+# A name PyYAML writes and reads as a plain string unless its text resolves
+# to another type ("yes", "null"), which _plain_tag decides.
+_BARE = re.compile(r"[A-Za-z_~][A-Za-z0-9_.@#+~-]*").fullmatch
+# PyYAML's best width: past it the emitter may break a flow collection.
+_WIDTH = 80
+# A line of the direct subset: its indent, then a full-line comment, or
+# block-entry dashes followed by "key:" and an optional inline value or by
+# an inline value alone.  Groups 2-5 are None on a blank or comment line.
+_LINE = re.compile(r"( *)(?:#[ -~]*|((?:- )*)(?:([-\w.@#+~]+):(?: (.+))?|(.+)))?").fullmatch
 
 
 @functools.lru_cache(maxsize=4096)
@@ -290,10 +304,10 @@ def _plain_tag(value: str) -> str:
 
 
 class _Lean:
-    """Hooks mixed into PyYAML's safe loader and dumper that build or read
-    plain ``str`` and decimal ``int`` scalars directly, skipping PyYAML's
-    per-object dispatch.  Every other node goes through PyYAML's own code,
-    so the values read and the node tree written are the stock ones."""
+    """Hooks mixed into PyYAML's safe loader that build plain ``str`` and
+    decimal ``int`` scalars directly, skipping PyYAML's per-node dispatch.
+    Every other node goes through PyYAML's own code, so the values read are
+    the stock ones."""
 
     def resolve(self, kind, value, implicit):
         if kind is ScalarNode and implicit[0]:
@@ -308,30 +322,203 @@ class _Lean:
                 return int(node.value)
         return super().construct_object(node, deep)
 
-    def represent_data(self, data):
-        if data.__class__ is str:
-            return ScalarNode(_STR_TAG, data, style=self.default_style)
-        if data.__class__ is int:
-            return ScalarNode(_INT_TAG, str(data), style=self.default_style)
-        return super().represent_data(data)
-
 
 class _LeanLoader(_Lean, _Loader):
     pass
 
 
-class _LeanDumper(_Lean, _Dumper):
-    pass
+class _Refused(Exception):
+    """The text or value lies outside the subset written and read directly."""
+
+
+@functools.lru_cache(maxsize=4096)
+def _bare(text: str) -> bool:
+    return bool(_BARE(text)) and _plain_tag(text) == _STR_TAG
+
+
+def _scalar(value) -> Optional[str]:
+    """The plain text of an int or bare-name str; None for a list or dict."""
+    cls = value.__class__
+    if cls is int:
+        return str(value)
+    if cls is str and _bare(value):
+        return value
+    if cls is list or cls is dict:
+        return None
+    raise _Refused
+
+
+@functools.lru_cache(maxsize=4096)
+def _token(text: str):
+    """The value of a plain scalar of the subset: a decimal int or a bare name."""
+    if _DECIMAL(text):
+        return int(text)
+    if _bare(text):
+        return text
+    raise _Refused
+
+
+def _dump_direct(data: dict) -> str:
+    """``data`` as PyYAML's safe dumper writes it (``sort_keys=False,
+    default_flow_style=None``), for a mapping of ints, bare names, lists and
+    dicts, no container twice and no line past _WIDTH.  A collection of
+    scalars is one flow line; a block sequence under a key is indentless."""
+    lines: List[str] = []
+    seen = set()
+
+    def put(value, head: str, indent: int, compact: bool) -> None:
+        # Write a list or dict after ``head``: a "key:" or, when compact, a
+        # dash prefix its first entry continues.  Block entries sit at indent.
+        if id(value) in seen:  # PyYAML would write an anchor and an alias
+            raise _Refused
+        seen.add(id(value))
+        is_list = value.__class__ is list
+        if is_list:
+            texts = [_scalar(x) for x in value]
+            children = value
+            flat = None not in texts
+        else:
+            keys = [_scalar(k) for k in value]
+            texts = [_scalar(v) for v in value.values()]
+            children = value.values()
+            flat = None not in texts
+            if flat:
+                texts = ["%s: %s" % kv for kv in zip(keys, texts)]
+        if flat:
+            lines.append("%s%s%s%s%s" % (
+                head, "" if compact else " ", "[" if is_list else "{",
+                ", ".join(texts), "]" if is_list else "}"))
+            return
+        pad = " " * indent
+        if compact:
+            lead = head
+        else:
+            lines.append(head)
+            lead = pad
+        if is_list:
+            for child, text in zip(children, texts):
+                if text is None:
+                    put(child, lead + "- ", indent + 2, True)
+                else:
+                    lines.append("%s- %s" % (lead, text))
+                lead = pad
+        else:
+            for key, child, text in zip(keys, children, texts):
+                if text is None:
+                    put(child, "%s%s:" % (lead, key),
+                        indent if child.__class__ is list else indent + 2, False)
+                else:
+                    lines.append("%s%s: %s" % (lead, key, text))
+                lead = pad
+
+    if data.__class__ is not dict:
+        raise _Refused
+    put(data, "", 0, True)
+    if max(map(len, lines)) > _WIDTH:
+        raise _Refused
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _load_direct(text: str):
+    """The value of a text in the subset _dump_direct writes, plus blank
+    lines and full-line comments; raises _Refused on anything else."""
+    rows = []
+    for line in text.split("\n"):
+        m = _LINE(line)
+        if m.group(2) is not None:
+            indent, dashes, key, rest, value = m.groups()
+            rows.append([len(indent), len(dashes) // 2, key, rest, value])
+    if not rows or rows[0][0]:
+        raise _Refused
+    pos = 0
+
+    def inline(text: str):
+        inner = text[1:-1]
+        if text[0] == "[" and text[-1] == "]":
+            return [_token(t) for t in inner.split(", ")] if inner else []
+        if text[0] != "{" or text[-1] != "}":
+            return _token(text)
+        out = {}
+        for item in inner.split(", ") if inner else ():
+            k, sep, v = item.partition(": ")
+            k = _token(k)
+            if not sep or k in out:
+                raise _Refused
+            out[k] = _token(v)
+        return out
+
+    def node(col: int):
+        return sequence(col) if rows[pos][1] else mapping(col)
+
+    def sequence(col: int) -> list:
+        nonlocal pos
+        out = []
+        while pos < len(rows):
+            row = rows[pos]
+            if row[0] > col:
+                raise _Refused
+            if row[0] < col or not row[1]:
+                break
+            if row[1] == 1 and row[4] is not None:
+                out.append(inline(row[4]))
+                pos += 1
+            else:  # a block collection starts on the entry's line
+                row[0] += 2
+                row[1] -= 1
+                out.append(node(col + 2))
+        return out
+
+    def mapping(col: int) -> dict:
+        nonlocal pos
+        out = {}
+        while pos < len(rows):
+            indent, dashes, key, rest, _ = rows[pos]
+            if indent < col:
+                break
+            if indent > col or dashes or key is None:
+                raise _Refused
+            key = _token(key)
+            if key in out:
+                raise _Refused
+            pos += 1
+            if rest is not None:
+                out[key] = inline(rest)
+            elif pos < len(rows) and rows[pos][0] == col and rows[pos][1]:
+                out[key] = sequence(col)
+            elif pos < len(rows) and rows[pos][0] == col + 2:
+                out[key] = node(col + 2)
+            else:  # a null value
+                raise _Refused
+        return out
+
+    first = rows[0]
+    if len(rows) == 1 and not first[1] and first[4] is not None and first[4][0] in "[{":
+        return inline(first[4])
+    data = node(0)
+    if pos < len(rows):
+        raise _Refused
+    return data
 
 
 def load_document(path: str) -> dict:
+    """The document at ``path``.  A text in the subset that save_document
+    writes directly is parsed directly; any other goes to PyYAML's safe
+    loader, named by ``path`` in its error marks."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_LeanLoader)
+            text = fh.read()
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
-    except yaml.YAMLError as exc:
-        raise SchemaError("%s: %s" % (path, exc))
+    try:
+        data = _load_direct(text)
+    except _Refused:
+        stream = io.StringIO(text)
+        stream.name = path  # PyYAML's error marks name the stream
+        try:
+            data = yaml.load(stream, Loader=_LeanLoader)
+        except yaml.YAMLError as exc:
+            raise SchemaError("%s: %s" % (path, exc))
     data = _expect(data, dict, path)
     version = _get(data, "format_version", int, path)
     if version != FORMAT_VERSION:
@@ -343,7 +530,13 @@ def load_document(path: str) -> dict:
 
 
 def save_document(data: dict) -> str:
-    return yaml.dump(data, Dumper=_LeanDumper, sort_keys=False, default_flow_style=None)
+    """``data`` as PyYAML's ``safe_dump(data, sort_keys=False,
+    default_flow_style=None)`` writes it: directly when _dump_direct can,
+    else through PyYAML."""
+    try:
+        return _dump_direct(data)
+    except _Refused:
+        return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
 def document_for_morphism(m: PrecoverMorphism) -> dict:

@@ -51,16 +51,6 @@ class IntMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntMatrix(out, other.cols)
-
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -212,20 +202,6 @@ class AbelianGroup:
         for a, b in zip(self.divisors, self.divisors[1:]):
             if b % a:
                 raise ValueError("divisors must form a divisibility chain")
-
-    def is_trivial(self) -> bool:
-        return self.betti == 0 and not self.divisors
-
-    def order(self) -> int:
-        if self.betti:
-            raise ValueError("infinite group")
-        n = 1
-        for d in self.divisors:
-            n *= d
-        return n
-
-    def isomorphic(self, other: "AbelianGroup") -> bool:
-        return self.betti == other.betti and self.divisors == other.divisors
 
     def __str__(self):
         parts = []

@@ -11,7 +11,9 @@ element of an abelian group to its torsion residues.  ``check_normal_form``
 checks the bipartite normal form, with ``induced_pair`` and
 ``malnormal_family_problems`` for its per-vertex part, which reads each
 word's ``primitive_root``.  ``determinant`` is the exact Bareiss
-determinant the homology tests check Smith forms against.
+determinant the homology tests check Smith forms against, ``matmul`` the
+matrix product they check U * A * V = D with, and ``group_order`` the
+order of a finite abelian group.
 """
 
 from typing import List, Sequence, Tuple
@@ -214,3 +216,23 @@ def determinant(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    columns = list(zip(*b.entries)) if b.entries else [()] * b.cols
+    return IntMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns)
+              for row in a.entries),
+        b.cols,
+    )
+
+
+def group_order(g: AbelianGroup) -> int:
+    if g.betti:
+        raise ValueError("infinite group")
+    n = 1
+    for d in g.divisors:
+        n *= d
+    return n

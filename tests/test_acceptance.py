@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from _helpers import reduce_element
+from _helpers import matmul, reduce_element
 from _oracles import detach_edge, is_cut_vertex, merge_cyclic, quotient_by, splice
 
 from gfgcover.cosets import CosetTable, elevations, enumerate_subgroups
@@ -170,7 +170,7 @@ def test_criterion_01_smith_normal_form():
         ]
         a = IntMatrix.from_rows(entries, ncols)
         u, d, v = snf(a)
-        assert u * a * v == d
+        assert matmul(matmul(u, a), v) == d
         assert abs(bareiss_det(u.entries)) == 1
         assert abs(bareiss_det(v.entries)) == 1
         diag = d.diagonal()

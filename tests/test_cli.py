@@ -168,6 +168,15 @@ class TestDocuments:
         code, out, err = run(capsys, "elevations", SEEDED, "--vertex", "v", "--table", "[[0")
         assert code == 1 and out == "" and err.startswith("error: --table: ")
 
+    def test_malformed_yaml_marks_name_the_file(self, tmp_path, capsys):
+        # The direct reader refuses the text; PyYAML's marks name the file,
+        # not the string it was read into.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("format_version: 1\nkind: [gog\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and out == ""
+        assert 'in "%s", line 2, column 7' % bad in err
+
 
 class TestCommands:
     def test_validate_gog(self, capsys):

@@ -1,12 +1,20 @@
-"""The lean document path against PyYAML's stock safe loader and dumper.
+"""The direct document path and the lean PyYAML loader against PyYAML's
+stock safe loader and dumper.
 
-``cli._Lean`` builds and reads plain ``str`` and decimal ``int`` scalars
-itself and hands every other node to PyYAML.  The stock classes are the
-oracle: over the libyaml classes and over the pure-Python ones, the lean
-loader must return the same values, with the same types, and the lean
-dumper must write the same bytes.
+``cli.save_document`` writes a mapping of ints, bare names, lists and dicts
+itself (``cli._dump_direct``) and hands any other value to PyYAML's safe
+dumper.  ``cli.load_document`` parses the subset the direct writer emits
+(``cli._load_direct``) and hands any other text to ``cli._LeanLoader``,
+PyYAML's safe loader with hooks that build plain ``str`` and decimal ``int``
+scalars themselves.  The stock classes are the oracle: over the libyaml
+classes and over the pure-Python ones, every path must return the same
+values, with the same types, and write the same bytes.
 """
 
+import collections
+import importlib
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +26,9 @@ from hypothesis import strategies as st
 from gfgcover import cli
 from gfgcover.covers import chain, complete, find_torsion_piece
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+FIXTURE_TEXTS = {p.read_text(encoding="utf-8") for p in FIXTURES.glob("*.yaml")}
 
 BACKENDS = [pytest.param((yaml.SafeLoader, yaml.SafeDumper), id="pure")]
 if yaml.__with_libyaml__:
@@ -37,9 +47,7 @@ TRICKY = [
 
 
 def lean(backend):
-    loader, dumper = backend
-    return (type("LeanLoader", (cli._Lean, loader), {}),
-            type("LeanDumper", (cli._Lean, dumper), {}))
+    return type("LeanLoader", (cli._Lean, backend[0]), {})
 
 
 def typed(data):
@@ -56,57 +64,208 @@ def dump(data, dumper):
     return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=None)
 
 
+def direct(data):
+    """The direct writer's text for ``data``, or None when it refuses."""
+    try:
+        return cli._dump_direct(data)
+    except cli._Refused:
+        return None
+
+
+def read_direct(text):
+    """The direct reader's typed value of ``text``, or None when it refuses."""
+    try:
+        return typed(cli._load_direct(text))
+    except cli._Refused:
+        return None
+
+
 def assert_loads_alike(text, backend):
     stock = backend[0]
     try:
         want = yaml.load(text, Loader=stock)
     except yaml.YAMLError as exc:
+        assert read_direct(text) is None
         with pytest.raises(type(exc)) as got:
-            yaml.load(text, Loader=lean(backend)[0])
+            yaml.load(text, Loader=lean(backend))
         assert str(got.value) == str(exc)
         return
-    assert typed(yaml.load(text, Loader=lean(backend)[0])) == typed(want)
+    assert typed(yaml.load(text, Loader=lean(backend))) == typed(want)
+    assert read_direct(text) in (None, typed(want))
 
 
 def assert_dumps_alike(data, backend):
+    # The pure-Python and libyaml dumpers differ on some values that the
+    # direct writer refuses (an empty key, a scalar document); the CLI
+    # hands those to cli._Dumper.
     text = dump(data, backend[1])
-    assert dump(data, lean(backend)[1]) == text
+    written = direct(data)
+    if written is None:
+        assert cli.save_document(data) == dump(data, cli._Dumper)
+    else:  # written directly, so read directly too
+        assert cli.save_document(data) == written == text
+        assert read_direct(text) == typed(data)
     assert_loads_alike(text, backend)
 
 
 @pytest.fixture(scope="module")
-def written():
-    """Every document the CLI tests write, as payloads."""
-    seeded = str(FIXTURES / "seeded_torsion.yaml")
-    g = cli.parse_document(cli.load_document(seeded), seeded)
-    piece = find_torsion_piece(g, 2, 4)
+def seeded():
+    path = str(FIXTURES / "seeded_torsion.yaml")
+    return cli.parse_document(cli.load_document(path), path)
+
+
+@pytest.fixture(scope="module")
+def tower(seeded):
+    return {"format_version": 1, "kind": "tower-config", "steps": 1, "primes": [2],
+            "base": cli.gog_to_payload(seeded)}
+
+
+@pytest.fixture(scope="module")
+def written(seeded, tower):
+    """The documents the CLI and its tests write whose scalars are all
+    ints and bare names."""
+    piece = find_torsion_piece(seeded, 2, 4)
     chained = chain(piece, 2)
-    tower = {"format_version": 1, "kind": "tower-config", "steps": 1, "primes": [2],
-             "base": cli.gog_to_payload(g)}
-    bad_letter = document_for_gog(g)
-    bad_letter["edges"][1]["word"] = [True]
     return [
         cli.document_for_piece(piece),
         cli.document_for_morphism(chained),
         cli.document_for_morphism(complete(chained, 24)),
-        cli.document_for_morphism(identity_cover(g)),
-        dict(document_for_gog(g), format_version=99),
-        bad_letter,
+        cli.document_for_morphism(identity_cover(seeded)),
+        dict(document_for_gog(seeded), format_version=99),
         tower,
-        dict(tower, bounds={"max_cover_index": "4"}),
-        dict(tower, primes=["2"]),
-        dict(tower, steps=True),
-        dict(tower, bounds={"max_cover_index": True, "complete_bound": -1}),
         dict(tower, budget=200000),
         dict(tower, budget=-5),
     ]
 
 
+@pytest.fixture(scope="module")
+def odd(seeded, tower):
+    """Documents the CLI tests write with a bool or a quoted number in them."""
+    bad_letter = document_for_gog(seeded)
+    bad_letter["edges"][1]["word"] = [True]
+    return [
+        bad_letter,
+        dict(tower, bounds={"max_cover_index": "4"}),
+        dict(tower, primes=["2"]),
+        dict(tower, steps=True),
+        dict(tower, bounds={"max_cover_index": True, "complete_bound": -1}),
+    ]
+
+
 def test_cli_runs_the_lean_classes():
-    # The libyaml pair whenever PyYAML has it, else the pure-Python one.
+    # The libyaml pair whenever PyYAML has it, else the pure-Python one;
+    # documents the direct writer refuses go to PyYAML's own safe dumper.
     assert cli._LeanLoader.__bases__ == (cli._Lean, cli._Loader)
-    assert cli._LeanDumper.__bases__ == (cli._Lean, cli._Dumper)
     assert (cli._Loader is yaml.CSafeLoader) == yaml.__with_libyaml__
+    assert (cli._Dumper is yaml.CSafeDumper) == yaml.__with_libyaml__
+
+
+def test_written_documents_take_the_direct_path(written, odd):
+    for doc in written:
+        text = direct(doc)
+        assert text is not None
+        assert read_direct(text) == typed(doc)
+    for doc in odd:
+        assert direct(doc) is None
+        assert read_direct(cli.save_document(doc)) is None
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.yaml")), ids=lambda p: p.stem)
+def test_fixtures_go_to_pyyaml(path):
+    # Quoted names and trailing comments lie outside the direct subset.
+    text = path.read_text(encoding="utf-8")
+    assert read_direct(text) is None
+    assert typed(cli.load_document(str(path))) == typed(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", [
+    "k: 'v'\n", 'k: "v"\n', "k: &a [1]\nl: *a\n", "k: !!str v\n", "k: v  # c\n",
+    "k: 1\nk: 2\n", "k: {a: 1, a: 2}\n", "k:\n\t- 1\n", "k:\n   l: 1\n", "k:\n",
+    "k: yes\n", "k: 1.5\n", "k: 007\n", "---\nk: v\n", "k: v\n  w\n",
+], ids=["single-quote", "double-quote", "anchor", "tag", "trailing-comment",
+        "duplicate-key", "duplicate-flow-key", "tab", "odd-indent", "null", "bool",
+        "float", "octal", "document-start", "continued-scalar"])
+def test_direct_reader_refuses(text):
+    assert read_direct(text) is None
+    assert_loads_alike(text, (cli._Loader, cli._Dumper))
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("workloads"), importlib.import_module("runner")
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Counts of the path each document load and save takes."""
+    count = collections.Counter()
+
+    def counted(fn, name):
+        def wrapper(arg):
+            try:
+                out = fn(arg)
+            except cli._Refused:
+                count[name + " by pyyaml"] += 1
+                raise
+            count[name + " directly"] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cli, "_dump_direct", counted(cli._dump_direct, "saved"))
+    monkeypatch.setattr(cli, "_load_direct", counted(cli._load_direct, "loaded"))
+    return count
+
+
+@pytest.mark.parametrize("workload", ["census", "torsion", "tower", "quotients"])
+def test_benchmark_documents_take_the_direct_path(workload, bench, paths):
+    workloads, _ = bench
+    jobs = workloads.build(workload, 0, str(ROOT))
+    assert paths["saved directly"] > 0 and paths["saved by pyyaml"] == 0
+    for job in jobs:
+        for text in job["docs"].values():
+            assert text in FIXTURE_TEXTS or read_direct(text) is not None
+
+
+def test_torsion_jobs_read_and_write_directly(bench, paths, tmp_path):
+    # Every document a torsion job writes and reads goes the direct way,
+    # except the fixtures its jobs start from.
+    workloads, runner = bench
+    jobs = workloads.build("torsion", 0, str(ROOT))
+    workloads.write_docs(jobs, str(tmp_path))
+    fixture_reads = sum(text in FIXTURE_TEXTS for job in jobs for text in job["docs"].values())
+    paths.clear()
+    for job in jobs:
+        assert all(step["rc"] in (0, 2) for step in runner._perform(job, str(tmp_path)))
+    assert paths["saved by pyyaml"] == 0 and paths["saved directly"] > 50
+    assert paths["loaded by pyyaml"] == fixture_reads > 0
+    assert paths["loaded directly"] > 50
+
+
+def test_direct_reader_on_mutated_documents(written):
+    # Each copy of a written document loses, doubles or gains one character.
+    # Whenever the direct reader accepts the result, PyYAML must read the
+    # same typed value from it, without an error.
+    stock = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    texts = [cli.save_document(doc) for doc in written]
+    inserts = " \n\t-:#,[]{}'\"&*!|>?%@~.a0"
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(2000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        how = rng.randrange(3)
+        if how == 0:
+            text = text[:i] + text[i + 1:]
+        elif how == 1:
+            text = text[:i] + text[i] + text[i:]
+        else:
+            text = text[:i] + rng.choice(inserts) + text[i:]
+        got = read_direct(text)
+        if got is not None:
+            accepted += 1
+            assert got == typed(yaml.load(text, Loader=stock)), text
+    assert accepted > 400
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -117,16 +276,18 @@ class TestLeanPath:
             assert_loads_alike(text, backend)
             assert_dumps_alike(yaml.load(text, Loader=backend[0]), backend)
 
-    def test_written_documents(self, backend, written):
-        for doc in written:
+    def test_written_documents(self, backend, written, odd):
+        for doc in written + odd:
             assert_dumps_alike(doc, backend)
 
     @pytest.mark.parametrize("scalar", TRICKY)
     def test_plain_scalar(self, backend, scalar):
         # As a plain block item, a flow item and a mapping key; the text may
         # not be valid YAML, in which case both must fail alike.
-        for text in ("- %s\n" % scalar, "[%s]\n" % scalar, "%s: 1\n" % scalar):
+        for text in ("- %s\n" % scalar, "[%s]\n" % scalar, "%s: 1\n" % scalar,
+                     "k: %s\n" % scalar, "k: {%s: 1}\n" % scalar):
             assert_loads_alike(text, backend)
+        assert_dumps_alike({"k": scalar, scalar: [scalar], "m": {"k": scalar}}, backend)
 
     def test_merge_anchor_alias_and_wrapped_flow_list(self, backend):
         text = (
@@ -141,23 +302,46 @@ class TestLeanPath:
         assert_dumps_alike(
             {"word": list(range(-40, 40)), "a": shared, "b": shared, "n": None}, backend
         )
-        assert "\n  " in dump({"word": list(range(-40, 40))}, lean(backend)[1])
+        assert_dumps_alike({"a": shared, "b": {"c": shared}}, backend)
+        assert "\n  " in cli.save_document({"word": list(range(-40, 40))})
+
+    def test_line_width(self, backend):
+        # The direct writer takes a document while its longest line fits in
+        # 80 columns, where libyaml cannot yet break a flow collection.
+        widths = set()
+        for n, k in itertools.product(range(15, 22), range(1, 5)):
+            for doc in ({"w" * k: list(range(90, 90 + n))},
+                        {"a": [{"name": "x" * k, "table": [list(range(90, 90 + n))]}]}):
+                text = dump(doc, backend[1])
+                widest = max(map(len, text.splitlines()))
+                assert (direct(doc) is not None) == (widest <= 80)
+                widths.add(widest)
+                assert_dumps_alike(doc, backend)
+        assert {79, 80, 81} <= widths
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_payloads(self, backend, data):
         text = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8)
+        names = st.from_regex(r"[A-Za-z_~][A-Za-z0-9_.@#+~-]{0,6}", fullmatch=True)
         scalars = st.one_of(
-            st.sampled_from(TRICKY), text, st.integers(), st.booleans(), st.none(),
+            st.sampled_from(TRICKY), text, names, st.integers(), st.booleans(), st.none(),
             st.floats(allow_nan=False),
         )
-        keys = st.one_of(st.sampled_from(TRICKY), text, st.integers())
+        keys = st.one_of(st.sampled_from(TRICKY), text, names, st.integers())
         payload = data.draw(st.recursive(
             scalars,
             lambda inner: st.lists(inner, max_size=6) | st.dictionaries(keys, inner, max_size=5),
             max_leaves=30,
         ))
         assert_dumps_alike(payload, backend)
+        plain = data.draw(st.recursive(
+            st.one_of(names, st.integers()),
+            lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+                st.one_of(names, st.integers()), inner, max_size=4),
+            max_leaves=30,
+        ))
+        assert_dumps_alike({"k": plain}, backend)
         items = data.draw(st.lists(st.sampled_from(TRICKY) | st.from_regex(
             r"[-+]?[0-9][0-9_:.]{0,5}", fullmatch=True), min_size=1, max_size=6))
         assert_loads_alike("".join("- %s\n" % s for s in items), backend)

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from _helpers import determinant, reduce_element
+from _helpers import determinant, group_order, matmul, reduce_element
 from _oracles import dim_mod_p, quotient_by
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,7 +77,7 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[], []])
         b = IntMatrix.from_rows([], cols=3)
         assert (a.rows, a.cols, b.rows, b.cols) == (2, 0, 0, 3)
-        assert (a * b).entries == ((0, 0, 0), (0, 0, 0))
+        assert matmul(a, b).entries == ((0, 0, 0), (0, 0, 0))
         u, d, v = snf(b)
         assert (u.rows, d.rows, d.cols, v.rows) == (0, 0, 3, 3)
 
@@ -86,14 +86,14 @@ class TestSnf:
     def test_frozen_example(self):
         u, d, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
         assert d.diagonal() == (2, 4)
-        assert (u * IntMatrix.from_rows([[2, 4], [6, 8]]) * v).entries == d.entries
+        assert matmul(matmul(u, IntMatrix.from_rows([[2, 4], [6, 8]])), v).entries == d.entries
 
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_properties(self, rows):
         a = IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
         u, d, v = snf(a)
-        assert (u * a * v).entries == d.entries
+        assert matmul(matmul(u, a), v).entries == d.entries
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diag = d.diagonal()
@@ -244,10 +244,10 @@ class TestAbelianGroup:
 
     def test_reduce_and_order(self):
         g = AbelianGroup(0, (2, 4))
-        assert g.order() == 8
+        assert group_order(g) == 8
         assert reduce_element(g, (3, -1)) == (1, 3)
         with pytest.raises(ValueError):
-            AbelianGroup(1, ()).order()
+            group_order(AbelianGroup(1, ()))
 
     def test_p_rank_and_exponent(self):
         g = AbelianGroup(1, (2, 4))
@@ -281,12 +281,12 @@ class TestQuotient:
 
     def test_quotient_by_nothing(self):
         g = AbelianGroup(2, (3,))
-        assert quotient_by(g, []).isomorphic(g)
+        assert quotient_by(g, []) == g
 
     def test_quotient_by_generators_is_trivial(self):
         g = AbelianGroup(1, (2,))
         q = quotient_by(g, [(1, 0), (0, 1)])
-        assert q.is_trivial()
+        assert q == AbelianGroup(0, ())
 
     def test_finite_order_oracle(self):
         # |A / <x>| equals |A| divided by the order of the cyclic subgroup
@@ -302,7 +302,7 @@ class TestQuotient:
                 seen.add(cur)
                 cur = reduce_element(g, tuple(a + b for a, b in zip(cur, x)))
             q = quotient_by(g, [x])
-            assert q.order() == g.order() // len(seen)
+            assert group_order(q) == group_order(g) // len(seen)
 
 
 def is_prime_by_trial_division(n):

@@ -8,8 +8,8 @@ inside strings.  Code that only tests call belongs in ``tests/_helpers.py``
 or ``tests/_oracles.py``.
 
 This is a name scan, not a call graph.  Two definitions with one name hide
-each other: ``AbelianGroup.isomorphic`` passes because ``covers.isomorphic``
-is named, and so does any definition whose name a local variable or another
+each other: a method nothing calls passes while a function of its name is
+named, and so does any definition whose name a local variable or another
 type's attribute shares.
 """
 

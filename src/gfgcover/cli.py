@@ -283,7 +283,6 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 # documents
 
 _STR_TAG = "tag:yaml.org,2002:str"
-_INT_TAG = "tag:yaml.org,2002:int"
 _DECIMAL = re.compile(r"-?[1-9][0-9]*|0").fullmatch
 # A name PyYAML writes and reads as a plain string unless its text resolves
 # to another type ("yes", "null"), which _plain_tag decides.
@@ -301,30 +300,6 @@ def _plain_tag(value: str) -> str:
     # The safe resolver has no path resolvers, so the tag of a plain scalar
     # depends on its text alone.
     return Resolver().resolve(ScalarNode, value, (True, False))
-
-
-class _Lean:
-    """Hooks mixed into PyYAML's safe loader that build plain ``str`` and
-    decimal ``int`` scalars directly, skipping PyYAML's per-node dispatch.
-    Every other node goes through PyYAML's own code, so the values read are
-    the stock ones."""
-
-    def resolve(self, kind, value, implicit):
-        if kind is ScalarNode and implicit[0]:
-            return _plain_tag(value)
-        return super().resolve(kind, value, implicit)
-
-    def construct_object(self, node, deep=False):
-        if node.__class__ is ScalarNode:
-            if node.tag == _STR_TAG:
-                return node.value
-            if node.tag == _INT_TAG and _DECIMAL(node.value):
-                return int(node.value)
-        return super().construct_object(node, deep)
-
-
-class _LeanLoader(_Lean, _Loader):
-    pass
 
 
 class _Refused(Exception):
@@ -516,7 +491,7 @@ def load_document(path: str) -> dict:
         stream = io.StringIO(text)
         stream.name = path  # PyYAML's error marks name the stream
         try:
-            data = yaml.load(stream, Loader=_LeanLoader)
+            data = yaml.load(stream, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise SchemaError("%s: %s" % (path, exc))
     data = _expect(data, dict, path)
@@ -682,7 +657,7 @@ def cmd_elevations(args) -> int:
     if g.vertex_kind.get(v) != "free":
         raise SchemaError("--vertex: %r is not a free vertex" % v)
     try:
-        rows = yaml.load(args.table, Loader=_LeanLoader)
+        rows = yaml.load(args.table, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError("--table: %s" % exc)
     table = _table(rows, g.rank(v), "--table")
@@ -883,9 +858,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

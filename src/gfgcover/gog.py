@@ -325,31 +325,12 @@ class GogWord:
         return "(%s)@%s" % (" ".join(bits) or "1", self.start)
 
 
-def has_pinch(g: GraphOfGroups, gw: GogWord) -> bool:
-    """True when some crossing is undone across a syllable inside the edge
-    subgroup, so the path word reduces to a shorter one."""
-    for i in range(1, len(gw.crossings)):
-        prev, cur = gw.crossings[i - 1], gw.crossings[i]
-        if cur == reverse_edge(prev):
-            mid = gw.syllables[i]
-            if power_of(mid, g.edge_words[prev]) is not None:
-                return True
-    return False
-
-
-def is_nontrivial(g: GraphOfGroups, gw: GogWord) -> bool:
-    """Nontriviality of the represented element, by the normal form theorem.
-
-    Pinch-free words with at least one crossing are nontrivial; crossing-free
-    words are nontrivial exactly when their single syllable is.
-    """
-    if not gw.crossings:
-        return not gw.syllables[0].is_identity()
-    return not has_pinch(g, gw)
-
-
 def enumerate_closed_words(g: GraphOfGroups, max_length: int) -> Iterator[GogWord]:
     """Nontrivial pinch-free closed path words at the base vertex.
+
+    Both hold by construction: the search never crosses back over an edge
+    from a syllable in that edge's subgroup, and a word without crossings
+    is one freely reduced syllable of at least one letter.
 
     Deterministic order: ascending total length; within one length,
     depth-first generation order, where each step first extends the current
@@ -370,9 +351,7 @@ def enumerate_closed_words(g: GraphOfGroups, max_length: int) -> Iterator[GogWor
         if left == 0:
             if v == base:
                 word = Word(tuple(cur), g.vertex_rank[v])
-                gw = GogWord(base, tuple(syllables) + (word,), tuple(crossings))
-                if is_nontrivial(g, gw):
-                    yield gw
+                yield GogWord(base, tuple(syllables) + (word,), tuple(crossings))
             return
         for a in letters_at(v):
             if cur and cur[-1] == -a:

@@ -370,7 +370,6 @@ class LedgerRow:
     prime: int
     degree: int
     exponents: Dict[int, int]
-    status: str = "ok"
 
     def ratio(self, p: int) -> Fraction:
         return Fraction(self.exponents.get(p, 0), self.degree)
@@ -398,7 +397,6 @@ def ledger_update(
     degree: int,
     exponents: Dict[int, int],
     piece_predegree: int,
-    status: str = "ok",
 ) -> LedgerRow:
     """Append a row; degrees must strictly multiply up the tower."""
     _check_prime(prime)
@@ -414,7 +412,7 @@ def ledger_update(
         if piece_predegree < 1:
             raise ValueError("piece predegree must be positive")
         ledger.intro[prime] = (step, piece_predegree)
-    row = LedgerRow(step=step, prime=prime, degree=degree, exponents=dict(exponents), status=status)
+    row = LedgerRow(step=step, prime=prime, degree=degree, exponents=dict(exponents))
     ledger.rows.append(row)
     return row
 

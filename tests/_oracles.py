@@ -16,9 +16,11 @@ builds every connected cover it finds, before any dedup;
 keeping the first of each class.  ``gfgcover.covers.enumerate_covers`` must
 yield the same representatives in the same order.
 
-``enumerate_closed_words_oracle`` runs one depth-first pass to the length
-cap and sorts all its words by length; ``gfgcover.gog.enumerate_closed_words``
-must yield the same sequence.
+``has_pinch`` and ``is_nontrivial`` read the normal form theorem off a
+finished path word; ``enumerate_closed_words_oracle`` keeps the words of
+one depth-first pass to the length cap that ``is_nontrivial`` passes and
+sorts them by length.  ``gfgcover.gog.enumerate_closed_words``, whose
+search makes no pinch, must yield the same sequence.
 
 ``prescribe_degrees_oracle`` scans every candidate of the abelian phases,
 including the quotients in which the exponent sums already rule out the
@@ -112,7 +114,7 @@ from gfgcover.covers import (
 from gfgcover.errors import Budget
 from gfgcover.gog import (
     GogWord, GraphOfGroups, SerreGraph, abelianized_presentation, euler_characteristic,
-    is_nontrivial, pair_of, reverse_edge,
+    pair_of, reverse_edge,
 )
 from gfgcover.homology import (
     AbelianGroup, IntMatrix, _check_prime, cyclic_column, p_rank, snf,
@@ -288,6 +290,29 @@ def enumerate_covers_oracle(
                 continue
             bucket.append(m)
             yield m
+
+
+def has_pinch(g: GraphOfGroups, gw: GogWord) -> bool:
+    """True when some crossing is undone across a syllable inside the edge
+    subgroup, so the path word reduces to a shorter one."""
+    for i in range(1, len(gw.crossings)):
+        prev, cur = gw.crossings[i - 1], gw.crossings[i]
+        if cur == reverse_edge(prev):
+            mid = gw.syllables[i]
+            if power_of(mid, g.edge_words[prev]) is not None:
+                return True
+    return False
+
+
+def is_nontrivial(g: GraphOfGroups, gw: GogWord) -> bool:
+    """Nontriviality of the represented element, by the normal form theorem.
+
+    Pinch-free words with at least one crossing are nontrivial; crossing-free
+    words are nontrivial exactly when their single syllable is.
+    """
+    if not gw.crossings:
+        return not gw.syllables[0].is_identity()
+    return not has_pinch(g, gw)
 
 
 def enumerate_closed_words_oracle(g: GraphOfGroups, max_length: int) -> Iterator[GogWord]:

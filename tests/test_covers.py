@@ -15,6 +15,7 @@ from _oracles import (
     elevations_oracle,
     enumerate_covers_oracle,
     is_cut_vertex,
+    is_nontrivial,
     isomorphic_oracle,
     merge_cyclic,
     quotient_by,
@@ -61,7 +62,6 @@ from gfgcover.gog import (
     abelianized_presentation,
     enumerate_closed_words,
     euler_characteristic,
-    is_nontrivial,
 )
 from gfgcover.homology import (
     IntMatrix,
@@ -877,6 +877,14 @@ class TestLiftWord:
                             lift_word(m, gog_word_power(g, gw, j)), InSubgroup
                         )
                         assert closes == (j % k0 == 0)
+
+
+@pytest.mark.parametrize("name", ["seeded_torsion", "hnn_f1", "genus2"] + sorted(AMALGAMS))
+def test_closed_words_are_nontrivial(name):
+    # The search makes no pinch, so it needs no test of the finished word.
+    g = amalgam(AMALGAMS[name]) if name in AMALGAMS else fixture(name)
+    words = list(enumerate_closed_words(g, 6))
+    assert words and all(is_nontrivial(g, gw) for gw in words)
 
 
 class TestTower:

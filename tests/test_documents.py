@@ -1,14 +1,12 @@
-"""The direct document path and the lean PyYAML loader against PyYAML's
-stock safe loader and dumper.
+"""The direct document path against PyYAML's stock safe loader and dumper.
 
 ``cli.save_document`` writes a mapping of ints, bare names, lists and dicts
 itself (``cli._dump_direct``) and hands any other value to PyYAML's safe
 dumper.  ``cli.load_document`` parses the subset the direct writer emits
-(``cli._load_direct``) and hands any other text to ``cli._LeanLoader``,
-PyYAML's safe loader with hooks that build plain ``str`` and decimal ``int``
-scalars themselves.  The stock classes are the oracle: over the libyaml
-classes and over the pure-Python ones, every path must return the same
-values, with the same types, and write the same bytes.
+(``cli._load_direct``) and hands any other text to PyYAML's safe loader
+(``cli._Loader``).  The stock classes are the oracle: over the libyaml
+classes and over the pure-Python ones, the direct path must return the
+same values, with the same types, and write the same bytes.
 """
 
 import collections
@@ -46,10 +44,6 @@ TRICKY = [
 ]
 
 
-def lean(backend):
-    return type("LeanLoader", (cli._Lean, backend[0]), {})
-
-
 def typed(data):
     """``data`` with the type of every value spelled out, so that ``1``,
     ``1.0`` and ``True`` compare unequal."""
@@ -81,16 +75,12 @@ def read_direct(text):
 
 
 def assert_loads_alike(text, backend):
-    stock = backend[0]
+    # A text PyYAML cannot read must lie outside the direct subset.
     try:
-        want = yaml.load(text, Loader=stock)
-    except yaml.YAMLError as exc:
+        want = yaml.load(text, Loader=backend[0])
+    except yaml.YAMLError:
         assert read_direct(text) is None
-        with pytest.raises(type(exc)) as got:
-            yaml.load(text, Loader=lean(backend))
-        assert str(got.value) == str(exc)
         return
-    assert typed(yaml.load(text, Loader=lean(backend))) == typed(want)
     assert read_direct(text) in (None, typed(want))
 
 
@@ -154,8 +144,8 @@ def odd(seeded, tower):
 
 def test_cli_runs_the_lean_classes():
     # The libyaml pair whenever PyYAML has it, else the pure-Python one;
-    # documents the direct writer refuses go to PyYAML's own safe dumper.
-    assert cli._LeanLoader.__bases__ == (cli._Lean, cli._Loader)
+    # texts and documents the direct path refuses go to PyYAML's own safe
+    # loader and dumper.
     assert (cli._Loader is yaml.CSafeLoader) == yaml.__with_libyaml__
     assert (cli._Dumper is yaml.CSafeDumper) == yaml.__with_libyaml__
 
@@ -185,9 +175,23 @@ def test_fixtures_go_to_pyyaml(path):
 ], ids=["single-quote", "double-quote", "anchor", "tag", "trailing-comment",
         "duplicate-key", "duplicate-flow-key", "tab", "odd-indent", "null", "bool",
         "float", "octal", "document-start", "continued-scalar"])
-def test_direct_reader_refuses(text):
+def test_direct_reader_refuses(text, tmp_path):
+    # Refused, the text reads as PyYAML's safe loader reads it, or fails
+    # with its error, whose marks name the file.
     assert read_direct(text) is None
-    assert_loads_alike(text, (cli._Loader, cli._Dumper))
+    path = tmp_path / "doc.yaml"
+    path.write_text(text + "format_version: 1\nkind: gog\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            want = yaml.load(fh, Loader=cli._Loader)
+        except yaml.YAMLError as exc:
+            with pytest.raises(cli.SchemaError) as got:
+                cli.load_document(str(path))
+            assert str(got.value) == "%s: %s" % (path, exc)
+            assert 'in "%s", line' % path in str(exc)
+            return
+    assert typed(cli.load_document(str(path))) == typed(want)
+    assert typed(want) == typed(yaml.safe_load(path.read_text(encoding="utf-8")))
 
 
 @pytest.fixture
@@ -270,6 +274,8 @@ def test_direct_reader_on_mutated_documents(written):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestLeanPath:
+    """The direct path against one pair of PyYAML's stock classes."""
+
     def test_fixtures(self, backend):
         for path in sorted(FIXTURES.glob("*.yaml")):
             text = path.read_text(encoding="utf-8")

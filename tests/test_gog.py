@@ -4,7 +4,7 @@ import pytest
 from _helpers import (
     check_normal_form, induced_pair, malnormal_family_problems, word_length,
 )
-from _oracles import enumerate_closed_words_oracle
+from _oracles import enumerate_closed_words_oracle, has_pinch, is_nontrivial
 
 from gfgcover.cli import load_document, parse_document
 from gfgcover.gog import (
@@ -14,8 +14,6 @@ from gfgcover.gog import (
     abelianized_presentation,
     enumerate_closed_words,
     euler_characteristic,
-    has_pinch,
-    is_nontrivial,
     reverse_edge,
     validate,
 )

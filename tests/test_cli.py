@@ -489,6 +489,76 @@ class TestCommands:
         assert run(capsys, *argv) == first
 
 
+@pytest.fixture(scope="module")
+def kind_files(tmp_path_factory, piece_file):
+    """One document of each kind, all over the seeded fixture."""
+    folder = tmp_path_factory.mktemp("kinds")
+    morphism = folder / "identity.yaml"
+    morphism.write_text(
+        cli.save_document(cli.document_for_morphism(identity_cover(load_gog(SEEDED)))),
+        encoding="utf-8",
+    )
+    return {
+        "gog": SEEDED,
+        "tower-config": str(tower_config(folder)),
+        "morphism": str(morphism),
+        "torsion-piece": piece_file,
+    }
+
+
+# subcommand -> (flags after the document, the kind its error names)
+ONE_KIND = {
+    "elevations": (["--vertex", "v", "--table", "[[1,2,0],[0,1,2]]"], "gog"),
+    "enumerate-covers": (["--max-index", "2"], "gog"),
+    "torsion-piece": (["--prime", "2", "--max-index", "4"], "gog"),
+    "tower": (["--steps", "1", "--primes", "2"], "gog or tower-config"),
+    "chain": (["--copies", "2"], "torsion-piece"),
+    "complete": (["--bound", "24"], "morphism"),
+}
+
+
+class TestDocumentKinds:
+    @pytest.mark.parametrize("command, kind", [
+        (command, kind) for command, (_, reads) in ONE_KIND.items()
+        for kind in ("gog", "tower-config", "morphism", "torsion-piece")
+        if kind not in {
+            "gog": ("gog", "tower-config"),
+            "gog or tower-config": ("gog", "tower-config"),
+            "torsion-piece": ("torsion-piece",),
+            "morphism": ("morphism", "torsion-piece"),
+        }[reads]
+    ])
+    def test_wrong_kind_rejected(self, capsys, monkeypatch, kind_files, command, kind):
+        for search in ("enumerate_covers", "find_torsion_piece", "chain", "complete", "build_tower"):
+            monkeypatch.setattr(cli, search, None)  # calling it would raise TypeError
+        flags, reads = ONE_KIND[command]
+        path = kind_files[kind]
+        assert run(capsys, command, path, *flags) == (
+            1, "", "error: %s: %s needs a %s document\n" % (path, command, reads)
+        )
+
+    @pytest.mark.parametrize("command", ["elevations", "enumerate-covers", "torsion-piece", "tower"])
+    def test_tower_config_stands_for_its_base(self, capsys, kind_files, command):
+        flags = ONE_KIND[command][0]
+        code, out, err = run(capsys, command, kind_files["tower-config"], *flags)
+        assert code == 0 and out and err == ""
+        assert run(capsys, command, SEEDED, *flags) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["h1", "complete"])
+    def test_piece_read_as_its_morphism(self, capsys, tmp_path, kind_files, command):
+        piece = kind_files["torsion-piece"]
+        morphism = tmp_path / "morphism.yaml"
+        morphism.write_text(
+            cli.save_document(cli.document_for_morphism(
+                cli.parse_document(cli.load_document(piece), piece).morphism)),
+            encoding="utf-8",
+        )
+        flags = ONE_KIND[command][0] if command in ONE_KIND else []
+        code, out, err = run(capsys, command, piece, *flags)
+        assert code == 0 and out and err == ""
+        assert run(capsys, command, str(morphism), *flags) == (code, out, err)
+
+
 # One well-formed argv tail per subcommand.
 SUBCOMMAND_ARGS = {
     "validate": ["f.yaml"],

@@ -18,7 +18,8 @@ document or file (see docs/format.md).
 Subcommands print either CSV (fixed column order, LF, UTF-8) or a new
 document; both are byte-deterministic for fixed inputs and flags.
 
-Exit codes: 0 success, 1 invalid input, 2 a bounded search found nothing.
+Exit codes: 0 success, 1 invalid input (a usage error included), 2 a bounded
+search found nothing.
 A searching subcommand's run draws from one node budget: ``--budget``, else
 a tower-config's ``budget``, else ``GFGCOVER_BUDGET``, else the library's
 default; a budget below 1 is invalid input.
@@ -593,16 +594,6 @@ def _budget(
         raise SchemaError("%s: %s" % (source, exc))
 
 
-def _bound_flag(flag: str, value: int) -> None:
-    """Reject a search-bound flag before the document is read, with the
-    range ``check_bounds`` gives the parameter (``--max-index`` is
-    ``max_index``)."""
-    try:
-        check_bounds(**{flag[2:].replace("-", "_"): value})
-    except ValueError as exc:
-        raise SchemaError("%s: %s" % (flag, exc))
-
-
 def _print_csv(header: List[str], rows: List[List[str]]) -> None:
     out = sys.stdout
     out.write(",".join(header) + "\n")
@@ -614,9 +605,7 @@ def _word_cell(w: Word) -> str:
     return " ".join(str(a) for a in w.letters)
 
 
-def cmd_validate(args) -> int:
-    data = load_document(args.file)
-    obj = parse_document(data, args.file)
+def cmd_validate(args, obj, data) -> int:
     if isinstance(obj, GraphOfGroups):
         problems = validate(obj)
     elif isinstance(obj, TorsionPiece):
@@ -639,20 +628,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_h1(args) -> int:
-    data = load_document(args.file)
-    obj = parse_document(data, args.file)
-    if isinstance(obj, TorsionPiece):
-        obj = obj.morphism
-    print(h1(obj))
+def cmd_h1(args, obj, data) -> int:
+    print(h1(obj.morphism if isinstance(obj, TorsionPiece) else obj))
     return 0
 
 
-def cmd_elevations(args) -> int:
-    data = load_document(args.file)
-    g = parse_document(data, args.file)
-    if not isinstance(g, GraphOfGroups):
-        raise SchemaError("%s: elevations needs a gog document" % args.file)
+def cmd_elevations(args, g, data) -> int:
     v = args.vertex
     if g.vertex_kind.get(v) != "free":
         raise SchemaError("--vertex: %r is not a free vertex" % v)
@@ -672,12 +653,7 @@ def cmd_elevations(args) -> int:
     return 0
 
 
-def cmd_enumerate_covers(args) -> int:
-    _bound_flag("--max-index", args.max_index)
-    data = load_document(args.file)
-    g = parse_document(data, args.file)
-    if not isinstance(g, GraphOfGroups):
-        raise SchemaError("%s: enumerate-covers needs a gog document" % args.file)
+def cmd_enumerate_covers(args, g, data) -> int:
     rows = []
     for m in enumerate_covers(g, args.max_index, _budget(args.budget)):
         problems = validate_cover(m)
@@ -690,12 +666,7 @@ def cmd_enumerate_covers(args) -> int:
     return 0
 
 
-def cmd_torsion_piece(args) -> int:
-    _bound_flag("--max-index", args.max_index)
-    data = load_document(args.file)
-    g = parse_document(data, args.file)
-    if not isinstance(g, GraphOfGroups):
-        raise SchemaError("%s: torsion-piece needs a gog document" % args.file)
+def cmd_torsion_piece(args, g, data) -> int:
     piece = find_torsion_piece(g, args.prime, args.max_index, _budget(args.budget))
     if piece is None:
         print("no torsion piece within index %d" % args.max_index, file=sys.stderr)
@@ -704,24 +675,13 @@ def cmd_torsion_piece(args) -> int:
     return 0
 
 
-def cmd_chain(args) -> int:
-    data = load_document(args.file)
-    piece = parse_document(data, args.file)
-    if not isinstance(piece, TorsionPiece):
-        raise SchemaError("%s: chain needs a torsion-piece document" % args.file)
+def cmd_chain(args, piece, data) -> int:
     out = chain(piece, args.copies)
     sys.stdout.write(save_document(document_for_morphism(out)))
     return 0
 
 
-def cmd_complete(args) -> int:
-    _bound_flag("--bound", args.bound)
-    data = load_document(args.file)
-    m = parse_document(data, args.file)
-    if isinstance(m, TorsionPiece):
-        m = m.morphism
-    if not isinstance(m, PrecoverMorphism):
-        raise SchemaError("%s: complete needs a morphism document" % args.file)
+def cmd_complete(args, m, data) -> int:
     out = complete(m, args.bound, _budget(args.budget))
     if out is None:
         print("no completion within added index %d" % args.bound, file=sys.stderr)
@@ -763,11 +723,7 @@ def _parse_bounds(raw: Optional[str]) -> Optional[TowerBounds]:
     return _bounds(fields, "--bounds")
 
 
-def cmd_tower(args) -> int:
-    data = load_document(args.file)
-    g = parse_document(data, args.file)
-    if not isinstance(g, GraphOfGroups):
-        raise SchemaError("%s: tower needs a gog or tower-config document" % args.file)
+def cmd_tower(args, g, data) -> int:
     steps = args.steps
     primes = args.primes
     bounds = _parse_bounds(args.bounds)
@@ -796,37 +752,50 @@ def _primes_flag(raw: str) -> List[int]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
 
-# name -> (handler, summary, arguments after the input document)
+# name -> (handler, summary, document kind it reads, arguments after the
+# input document).  main reads and parses the document and calls the handler
+# with the parsed object and the document's mapping.  A kind of None takes
+# any document; a tower-config stands for its base gog, and where a
+# morphism is read a torsion piece stands for its morphism.
 _SUBCOMMANDS = {
-    "validate": (cmd_validate, "check a gog or morphism document", []),
-    "h1": (cmd_h1, "print first homology", []),
-    "elevations": (cmd_elevations, "CSV of elevations at a free vertex", [
+    "validate": (cmd_validate, "check a gog or morphism document", None, []),
+    "h1": (cmd_h1, "print first homology", None, []),
+    "elevations": (cmd_elevations, "CSV of elevations at a free vertex", "gog", [
         ("--vertex", dict(required=True)),
         ("--table", dict(required=True, help="permutation rows, e.g. '[[1,0],[0,1]]'")),
     ]),
-    "enumerate-covers": (cmd_enumerate_covers, "CSV census of covers", [
+    "enumerate-covers": (cmd_enumerate_covers, "CSV census of covers", "gog", [
         ("--max-index", dict(type=int, required=True)),
         ("--budget", dict(type=int)),
     ]),
-    "torsion-piece": (cmd_torsion_piece, "search covers for a torsion piece", [
+    "torsion-piece": (cmd_torsion_piece, "search covers for a torsion piece", "gog", [
         ("--prime", dict(type=int, required=True)),
         ("--max-index", dict(type=int, required=True)),
         ("--budget", dict(type=int)),
     ]),
-    "chain": (cmd_chain, "concatenate copies of a torsion piece", [
+    "chain": (cmd_chain, "concatenate copies of a torsion piece", "torsion-piece", [
         ("--copies", dict(type=int, required=True)),
     ]),
-    "complete": (cmd_complete, "extend a precover to a cover", [
+    "complete": (cmd_complete, "extend a precover to a cover", "morphism", [
         ("--bound", dict(type=int, required=True)),
         ("--budget", dict(type=int)),
     ]),
-    "tower": (cmd_tower, "run the tower builder, print its CSV report", [
+    "tower": (cmd_tower, "run the tower builder, print its CSV report", "gog or tower-config", [
         ("--steps", dict(type=int)),
         ("--primes", dict(type=_primes_flag)),
         ("--bounds", dict(help="comma-separated name=value TowerBounds overrides")),
         ("--budget", dict(type=int)),
     ]),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as all invalid input does; its
+    subparsers are of its class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -836,13 +805,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     argv.  That parser's metavar spells every subcommand in the top-level
     usage line, as the full parser's choices do; the full parser sets none,
     since its errors name the argument ``command``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfgcover",
         description="Covers, torsion pieces and tower reports for graphs of free groups with cyclic edges.",
     )
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (fn, summary, arguments) in _SUBCOMMANDS.items():
+    for name, (fn, summary, _, arguments) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=summary)
             p.add_argument("file", help="input document")
@@ -856,8 +825,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
+    reads = _SUBCOMMANDS[args.command][2]
     try:
-        return args.fn(args)
+        # A search bound is checked before the document is read, against the
+        # range check_bounds gives it (--max-index is max_index).
+        for key in ("max_index", "bound"):
+            if key in args:
+                try:
+                    check_bounds(**{key: getattr(args, key)})
+                except ValueError as exc:
+                    raise SchemaError("--%s: %s" % (key.replace("_", "-"), exc))
+        data = load_document(args.file)
+        obj = parse_document(data, args.file)
+        if reads == "morphism" and isinstance(obj, TorsionPiece):
+            obj = obj.morphism
+        types = {"gog": GraphOfGroups, "torsion-piece": TorsionPiece, "morphism": PrecoverMorphism}
+        if reads is not None and not isinstance(obj, types[reads.split()[0]]):
+            raise SchemaError("%s: %s needs a %s document" % (args.file, args.command, reads))
+        return args.fn(args, obj, data)
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -94,55 +94,39 @@ class SerreGraph:
         """Oriented edges ending at v, in ``oriented_edges`` order."""
         return self._ends.get(v, ())
 
+    def _search(self, root: str) -> Tuple[Dict[str, int], List[str]]:
+        """Breadth-first search from root, edges tried in star order: the
+        edge-count distance of each vertex reached, and the pair names of
+        the spanning tree in the order the search finds them."""
+        dist = {root: 0}
+        tree = []
+        queue = [root]
+        for v in queue:
+            for e in self._stars.get(v, ()):
+                w = self.tau(e)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    tree.append(pair_of(e))
+                    queue.append(w)
+        return dist, tree
+
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {self.vertices[0]}
-        queue = [self.vertices[0]]
-        while queue:
-            v = queue.pop()
-            for e in self._stars[v]:
-                w = self.tau(e)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self._search(self.vertices[0])[0]) == len(self.vertices)
 
     def distance(self, u: str, w: str) -> int:
         """Edge-count distance between two vertices (BFS)."""
         if u not in self.vertices or w not in self.vertices:
             raise ValueError("unknown vertex")
-        dist = {u: 0}
-        queue = [u]
-        while queue:
-            nxt = []
-            for x in queue:
-                if x == w:
-                    return dist[x]
-                for e in self._stars[x]:
-                    y = self.tau(e)
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            queue = nxt
-        raise ValueError("vertices %r and %r are in different components" % (u, w))
+        dist = self._search(u)[0]
+        if w not in dist:
+            raise ValueError("vertices %r and %r are in different components" % (u, w))
+        return dist[w]
 
     def spanning_tree(self, root: str) -> List[str]:
         """Pair names of a BFS spanning tree from root, edges tried by name."""
-        seen = {root}
-        tree = []
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for e in self._stars.get(v, ()):
-                    w = self.tau(e)
-                    if w not in seen:
-                        seen.add(w)
-                        tree.append(pair_of(e))
-                        nxt.append(w)
-            queue = nxt
-        return tree
+        return self._search(root)[1]
 
 
 class GraphOfGroups:

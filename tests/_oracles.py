@@ -34,6 +34,13 @@ row per killed generator.  ``gfgcover.covers.find_torsion_piece``, which
 tests each lift on its unsplit cover and splits only the hit, must return
 the same piece, or None, and run out of budget exactly where it does.
 
+``is_connected_oracle`` (a stack walk), ``distance_oracle`` (a
+breadth-first search that stops at its target) and
+``spanning_tree_oracle`` (a breadth-first search level by level) are three
+separate walks over a Serre graph's stars; ``SerreGraph.is_connected``,
+``distance`` and ``spanning_tree``, which share one search, must give the
+same answers, errors and tree edges in the same order.
+
 ``is_cut_vertex`` walks the graph once per vertex asked;
 ``gfgcover.covers._cut_vertices``, one depth-first search per graph, must
 find the same cut vertices on every cover total.
@@ -452,6 +459,57 @@ def prescribe_degrees_oracle(
             if res is not None:
                 return res
     return None
+
+
+def is_connected_oracle(gr: SerreGraph) -> bool:
+    if not gr.vertices:
+        return False
+    seen = {gr.vertices[0]}
+    queue = [gr.vertices[0]]
+    while queue:
+        v = queue.pop()
+        for e in gr.star(v):
+            w = gr.tau(e)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(gr.vertices)
+
+
+def distance_oracle(gr: SerreGraph, u: str, w: str) -> int:
+    if u not in gr.vertices or w not in gr.vertices:
+        raise ValueError("unknown vertex")
+    dist = {u: 0}
+    queue = [u]
+    while queue:
+        nxt = []
+        for x in queue:
+            if x == w:
+                return dist[x]
+            for e in gr.star(x):
+                y = gr.tau(e)
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        queue = nxt
+    raise ValueError("vertices %r and %r are in different components" % (u, w))
+
+
+def spanning_tree_oracle(gr: SerreGraph, root: str) -> List[str]:
+    seen = {root}
+    tree = []
+    queue = [root]
+    while queue:
+        nxt = []
+        for v in queue:
+            for e in gr.star(v):
+                w = gr.tau(e)
+                if w not in seen:
+                    seen.add(w)
+                    tree.append(pair_of(e))
+                    nxt.append(w)
+        queue = nxt
+    return tree
 
 
 def is_cut_vertex(gr: SerreGraph, v: str) -> bool:

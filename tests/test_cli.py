@@ -593,6 +593,27 @@ class TestParser:
             assert outcome(cli.build_parser(name), argv) == outcome(cli.build_parser(), argv), argv
         assert outcome(cli.build_parser(), [name, *args])[0]["fn"] is cli._SUBCOMMANDS[name][0]
 
+    @pytest.mark.parametrize("argv", [
+        ["tower", SEEDED, "--steps", "1", "--primes", "a"],
+        ["enumerate-covers", SEEDED],
+        ["h1", SEEDED, "--bogus"],
+        ["bogus", SEEDED],
+    ], ids=["bad-value", "missing-flag", "unknown-flag", "unknown-subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: gfgcover")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["tower", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: gfgcover")
+
 
 class TestConsoleScript:
     def test_subprocess_exit_codes(self, tmp_path):

@@ -4,7 +4,12 @@ import pytest
 from _helpers import (
     check_normal_form, induced_pair, malnormal_family_problems, word_length,
 )
-from _oracles import enumerate_closed_words_oracle, has_pinch, is_nontrivial
+from _oracles import (
+    distance_oracle, enumerate_closed_words_oracle, has_pinch, is_connected_oracle,
+    is_nontrivial, spanning_tree_oracle,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfgcover.cli import load_document, parse_document
 from gfgcover.gog import (
@@ -82,6 +87,33 @@ class TestSerreGraph:
             {"p": ("a", "b"), "q": ("b", "c"), "r": ("c", "a")},
         )
         assert sorted(g.spanning_tree("a")) == ["p", "r"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_search_matches_the_three_walks(self, data):
+        """On random Serre graphs (loops, multi-edges, several components
+        and pair names out of vertex order), the shared search answers as
+        the three walks it replaced, also from a root the graph lacks."""
+        n = data.draw(st.integers(0, 6))
+        ends = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+        ends = [(i, j) for i, j in ends if max(i, j) < n]
+        names = data.draw(st.permutations(range(len(ends))))
+        g = SerreGraph(
+            ["v%d" % i for i in range(n)],
+            {"p%d" % k: ("v%d" % i, "v%d" % j) for k, (i, j) in zip(names, ends)},
+        )
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return "error: %s" % exc
+
+        assert g.is_connected() == is_connected_oracle(g)
+        for u in g.vertices + ("x",):
+            assert g.spanning_tree(u) == spanning_tree_oracle(g, u)
+            for w in g.vertices + ("x",):
+                assert outcome(g.distance, u, w) == outcome(distance_oracle, g, u, w)
 
     def test_bad_names(self):
         with pytest.raises(ValueError):

@@ -753,12 +753,14 @@ def _primes_flag(raw: str) -> List[int]:
 
 
 # name -> (handler, summary, document kind it reads, arguments after the
-# input document).  main reads and parses the document and calls the handler
-# with the parsed object and the document's mapping.  A kind of None takes
-# any document; a tower-config stands for its base gog, and where a
+# input document).  main reads a plain argv straight from this table and any
+# other through build_parser, then reads and parses the document and calls the
+# handler with the parsed object and the document's mapping.  A kind of None
+# takes any document; a tower-config stands for its base gog, and where a
 # morphism is read a torsion piece stands for its morphism.
 _SUBCOMMANDS = {
-    "validate": (cmd_validate, "check a gog or morphism document", None, []),
+    "validate": (cmd_validate, "check a document of any kind: a torsion piece "
+                 "with its certificate, a tower-config as its base gog", None, []),
     "h1": (cmd_h1, "print first homology", None, []),
     "elevations": (cmd_elevations, "CSV of elevations at a free vertex", "gog", [
         ("--vertex", dict(required=True)),
@@ -798,33 +800,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command's parser.  Given the name of a subcommand, it holds that
-    subcommand alone: an argv that starts with the name is parsed by that
-    subparser only, and building the others costs more than parsing the
-    argv.  That parser's metavar spells every subcommand in the top-level
-    usage line, as the full parser's choices do; the full parser sets none,
-    since its errors name the argument ``command``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built from _SUBCOMMANDS.  main parses with it
+    every argv that _plain_args does not read, so help, usage errors and
+    their exit codes are argparse's; it is also the reference that the
+    direct path is tested against."""
     parser = _Parser(
         prog="gfgcover",
         description="Covers, torsion pieces and tower reports for graphs of free groups with cyclic edges.",
     )
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, summary, _, arguments) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary)
-            p.add_argument("file", help="input document")
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(fn=fn)
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", help="input document")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace build_parser gives a plain argv, read straight from
+    _SUBCOMMANDS without building a parser; None for any other argv.
+
+    A plain argv is a subcommand's name, then exactly one input path and
+    whole long flags of that subcommand, each followed by a value; neither
+    the path nor a value starts with "-", every required flag is given and
+    every value converts with its flag's type.  A repeated flag keeps its
+    last value, as in argparse.  Anything else (help, abbreviations,
+    ``--flag=value``, ``--``, negative numbers, bad values, unknown or
+    missing flags, extra paths) is left to argparse."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    fn, _, _, arguments = _SUBCOMMANDS[argv[0]]
+    flags = dict(arguments)
+    values = {flag[2:].replace("-", "_"): None for flag in flags}
+    given, files = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            files.append(word)
+            continue
+        value = next(words, "-")  # a missing value reads as one that starts with "-"
+        if word not in flags or value.startswith("-"):
+            return None
+        convert = flags[word].get("type")
+        try:
+            values[word[2:].replace("-", "_")] = value if convert is None else convert(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        given.add(word)
+    if len(files) != 1 or any(kw.get("required") and flag not in given for flag, kw in arguments):
+        return None
+    return argparse.Namespace(command=argv[0], file=files[0], fn=fn, **values)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; returns its exit code.  A plain argv is read
+    straight from _SUBCOMMANDS (_plain_args) and any other by argparse
+    (build_parser), with the same namespace, output and exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     reads = _SUBCOMMANDS[args.command][2]
     try:
         # A search bound is checked before the document is read, against the

@@ -480,15 +480,28 @@ def prescribe_degrees(
     Scans a fixed schedule of finite quotients (cyclic, products of two
     cyclics, then images of small transitive actions) and returns the first
     hit; every elevation of targets[i] in the resulting table has degree
-    scale * degrees[i].  Returns None when the schedule is exhausted,
-    and at once when two targets are one class up to inversion but have
-    different degrees.
+    scale * degrees[i], where scale * degrees[i] is the order of the class
+    of targets[i] in the quotient.  Returns None when the schedule is
+    exhausted, and at once when two targets' degrees contradict a power
+    relation between their classes:
+
+    - A class and its inverse have equal orders in every quotient.  If the
+      class of targets[j] is the k-th power of that of targets[i], up to
+      inversion, then ord(w^k) = ord(w) / gcd(ord(w), k) with
+      ord(w) = s * degrees[i], so a hit at scale s needs degrees[i] =
+      degrees[j] * gcd(s * degrees[i], k).  That gcd then divides both
+      degrees[i] and k, so it is gcd(degrees[i], k) whatever s is: unless
+      degrees[i] = degrees[j] * gcd(degrees[i], k), no quotient can hit.
+      Canonical words are cyclically reduced, so k is the ratio of their
+      lengths; k = 1 is one class up to inversion with different degrees.
 
     The abelian phases skip each modulus, or pair of moduli, in which some
     word's order is bounded by a number that degrees[i] does not divide
-    (see ``_abelian_degrees_possible``).  Every candidate skipped this way
-    would fail the screen, so the scan order, and with it the first hit
-    (table, scale and quotient name), is that of the full schedule.
+    (see ``_abelian_degrees_possible``), and skip both phases when a word
+    with zero exponent sums has a degree above 1: it maps to 0, of order 1,
+    in every abelian quotient.  Every candidate skipped this way would fail
+    the screen, so the scan order, and with it the first hit (table, scale
+    and quotient name), is that of the full schedule.
     """
     words = []
     for t in targets:
@@ -502,10 +515,13 @@ def prescribe_degrees(
         raise ValueError("need one positive degree per word")
     if any(d < 1 for d in degrees):
         raise ValueError("need one positive degree per word")
-    # A class and its inverse have equal orders in every quotient, so two
-    # targets equal up to inversion cannot take different degrees.
-    for (w1, d1), (w2, d2) in itertools.combinations(zip(words, degrees), 2):
-        if d1 != d2 and w2 in (w1, conj_canonical(w1.inverse()).canonical):
+    # Degrees that no scale can give a power pair (see the docstring).
+    for (w1, d1), (w2, d2) in itertools.permutations(zip(words, degrees), 2):
+        k, r = divmod(len(w2), len(w1))
+        if r or d1 == d2 * math.gcd(d1, k):
+            continue
+        roots = (w1.letters, conj_canonical(w1.inverse()).canonical.letters)
+        if w2.letters in [root * k for root in roots]:
             return None
 
     ab = [abelianize_word(w) for w in words]
@@ -530,9 +546,11 @@ def prescribe_degrees(
                 return None
         return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
 
+    # A zero-sum word of degree above 1 rules out every abelian quotient.
+    abelian = all(g or d == 1 for g, d in zip(gcds, degrees))
     # Phase A: cyclic quotients.  Orders come from exponent sums, so the
     # screen is a few integer operations per candidate.
-    for m in range(2, max_modulus + 1):
+    for m in range(2, max_modulus + 1) if abelian else ():
         if not _abelian_degrees_possible(gcds, degrees, (m,)):
             continue
         for cs in itertools.product(range(m), repeat=rank):
@@ -546,7 +564,7 @@ def prescribe_degrees(
             if res is not None:
                 return res
     # Phase B: products of two cyclic groups.
-    for m1 in range(2, max_pair_modulus + 1):
+    for m1 in range(2, max_pair_modulus + 1) if abelian else ():
         for m2 in range(m1, max_pair_modulus + 1):
             if not _abelian_degrees_possible(gcds, degrees, (m1, m2)):
                 continue

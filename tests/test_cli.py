@@ -1,10 +1,16 @@
+import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _helpers import document_for_gog, identity_cover
 
 from gfgcover import cli, covers
@@ -572,17 +578,100 @@ SUBCOMMAND_ARGS = {
 }
 
 
+FLAGS = sorted({flag for entry in cli._SUBCOMMANDS.values() for flag, _ in entry[3]})
+# Flag values: good and bad ints, signed, spaced, negative and empty ones,
+# lists, tables, bounds and names.
+VALUES = [
+    "2", "0", "-1", "+2", " 3", "3 ", "1_0", "", "x", "2,3", "-2,3", "[[0]]",
+    "max_cover_index=2", "f.yaml", "99999999999999999999",
+]
+PATHS = ["f.yaml", "g.yaml", "-f.yaml", "-", ""]
+
+
+def parse_outcome(argv):
+    """The full parser's namespace on argv as a dict, or its exit code, with
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _not_read(path):
+    raise cli.SchemaError("%s: not read" % path)
+
+
+def main_outcome(argv, direct):
+    """cli.main's exit code and output on argv, with no document read (so no
+    search runs); with direct False every argv goes to argparse, the
+    reference."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(mock.patch.object(cli, "load_document", _not_read))
+        if not direct:
+            stack.enter_context(mock.patch.object(cli, "_plain_args", lambda argv: None))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_parses_like_argparse(argv):
+    direct = cli._plain_args(argv)
+    if direct is not None:
+        assert parse_outcome(argv) == (vars(direct), "", ""), argv
+    assert main_outcome(argv, True) == main_outcome(argv, False), argv
+    return direct
+
+
+@st.composite
+def plain_shaped_argvs(draw):
+    """A subcommand, one path and the subcommand's own flags in any order,
+    each with a value, its required flags more often than not; a value or
+    the path may still take the argv to argparse."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    arguments = cli._SUBCOMMANDS[name][3]
+    value = st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(VALUES))
+    chunks = [(draw(st.sampled_from(PATHS)),)]
+    chunks += [(f, draw(value)) for f, kw in arguments if kw.get("required") and draw(st.integers(0, 3)) < 3]
+    if arguments:
+        chunks += draw(st.lists(st.tuples(st.sampled_from([f for f, _ in arguments]), value), max_size=3))
+    return [name] + [word for c in draw(st.permutations(chunks)) for word in c]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or not) followed by words in any order: whole flags of
+    any subcommand and their abbreviations, each with or without a value,
+    ``--flag=value``, ``--``, help, unknown flags and paths."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS) + ["bogus", "--help", "-h"]))
+    flag = st.one_of(
+        st.sampled_from(FLAGS),
+        st.builds(lambda f, n: f[:n], st.sampled_from(FLAGS), st.integers(3, 8)),
+    )
+    value = st.sampled_from(VALUES)
+    chunk = st.one_of(
+        st.tuples(flag, value),
+        st.builds(lambda f, v: (f + "=" + v,), flag, value),
+        st.tuples(st.sampled_from(["--", "-h", "--help", "--bogus"])),
+        st.tuples(flag),
+        st.tuples(st.sampled_from(PATHS)),
+    )
+    return [name] + [word for c in draw(st.lists(chunk, max_size=5)) for word in c]
+
+
 class TestParser:
     @pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
-    def test_one_subcommand_parser_parses_like_the_full_one(self, capsys, name):
-        def outcome(parser, argv):
-            try:
-                result = vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                result = exc.code
-            captured = capsys.readouterr()
-            return result, captured.out, captured.err
-
+    def test_one_subcommand_parser_parses_like_the_full_one(self, name):
+        # main reads a plain argv from the one subcommand's _SUBCOMMANDS
+        # entry; on these argvs it gives the full parser's namespace, output
+        # and exit code.
         assert set(SUBCOMMAND_ARGS) == set(cli._SUBCOMMANDS)
         args = SUBCOMMAND_ARGS[name]
         argvs = [
@@ -590,8 +679,65 @@ class TestParser:
             [name, *args, "extra"], [name, "f.yaml", "--budget", "x"], [name, *args[:-1]],
         ]
         for argv in argvs:
-            assert outcome(cli.build_parser(name), argv) == outcome(cli.build_parser(), argv), argv
-        assert outcome(cli.build_parser(), [name, *args])[0]["fn"] is cli._SUBCOMMANDS[name][0]
+            check_parses_like_argparse(argv)
+        assert cli._plain_args([name, *args]).fn is cli._SUBCOMMANDS[name][0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.one_of(plain_shaped_argvs(), argvs()))
+    def test_direct_path_parses_like_argparse(self, argv):
+        check_parses_like_argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["tower", "f.yaml", "--steps", "1", "--primes", "2", "--steps", "3"],
+        ["torsion-piece", "--max-index", "3", "f.yaml", "--prime", "2"],
+        ["elevations", "f.yaml", "--table", "[[0]]", "--vertex", ""],
+        ["chain", "f.yaml", "--copies", " +2 "],
+        ["complete", "", "--bound", "1"],
+    ], ids=["repeated-flag", "path-between-flags", "empty-value", "spaced-int", "empty-path"])
+    def test_plain_argv_read_directly(self, argv):
+        assert check_parses_like_argparse(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate-covers", "f.yaml", "--max", "3"],
+        ["enumerate-covers", "f.yaml", "--max-index=3"],
+        ["enumerate-covers", "f.yaml", "--max-index", "-3"],
+        ["enumerate-covers", "--", "f.yaml", "--max-index", "3"],
+        ["enumerate-covers", "-f.yaml", "--max-index", "3"],
+        ["enumerate-covers", "f.yaml", "--max-index", "3", "-h"],
+        ["enumerate-covers", "f.yaml", "--max-index"],
+        ["enumerate-covers", "f.yaml", "--max-index", "three"],
+        ["tower", "f.yaml", "--primes", "2", "--primes", "a"],
+        ["h1", "f.yaml", "g.yaml"],
+        ["h1"],
+        [],
+    ])
+    def test_other_argvs_left_to_argparse(self, argv):
+        assert check_parses_like_argparse(argv) is None
+
+    def test_plain_argvs_build_no_parser(self, capsys, monkeypatch, piece_file, tmp_path):
+        piece = cli.parse_document(cli.load_document(piece_file), piece_file)
+        chained = tmp_path / "chain.yaml"
+        chained.write_text(cli.save_document(cli.document_for_morphism(covers.chain(piece, 2))), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        argvs = [
+            ["validate", SEEDED],
+            ["h1", HNN_F1],
+            ["elevations", SEEDED, "--vertex", "v", "--table", "[[1,2,0],[0,1,2]]"],
+            ["enumerate-covers", HNN_F1, "--max-index", "2"],
+            ["torsion-piece", SEEDED, "--prime", "2", "--max-index", "4", "--budget", "200000"],
+            ["chain", piece_file, "--copies", "2"],
+            ["complete", str(chained), "--bound", "24"],
+            ["tower", SEEDED, "--steps", "1", "--primes", "2", "--bounds", "max_cover_index=4"],
+        ]
+        assert sorted(argv[0] for argv in argvs) == sorted(cli._SUBCOMMANDS)
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out, argv
 
     @pytest.mark.parametrize("argv", [
         ["tower", SEEDED, "--steps", "1", "--primes", "a"],

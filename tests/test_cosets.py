@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -348,6 +349,80 @@ class TestPrescribe:
         # The check comes after the input checks.
         with pytest.raises(ValueError):
             prescribe_degrees(2, [a, a], (2, 0))
+
+    def test_power_pairs_fail_fast(self, monkeypatch):
+        # Targets w and v = w^k (or (w^-1)^k), in either order, at degrees
+        # d and e.  The ones prescribe_degrees refuses before any scan must
+        # be impossible: no image of an index-<=5 action gives w and v the
+        # orders s*d and s*e.
+        # Some scale s meets d = e * gcd(s * d, k) exactly when s = 1 does.
+        for d, e, k in itertools.product(range(1, 13), repeat=3):
+            some_s = any(d == e * math.gcd(s * d, k) for s in range(1, k + 1))
+            assert some_s == (d == e * math.gcd(d, k))
+        a, b = Word((1,), 2), Word((2,), 2)
+        pairs = []
+        for w in (a, a * b, a * b.inverse()):
+            for k in (2, 3):
+                for root in (w, w.inverse()):
+                    power = Word(root.letters * k, 2)
+                    pairs += [((w, power), k), ((power, w), k)]
+        images = [t for n in range(2, 6) for t in enumerate_subgroups(2, n)]
+
+        def order(table, w):
+            return math.lcm(*(e.degree for e in elevations(table, w)))
+
+        orders = {}
+        for targets, k in pairs:
+            o = orders[targets] = [(order(t, targets[0]), order(t, targets[1])) for t in images]
+            root_order = [p if len(targets[0]) < len(targets[1]) else q for p, q in o]
+            power_order = [q if len(targets[0]) < len(targets[1]) else p for p, q in o]
+            # ord(w^k) = ord(w) / gcd(ord(w), k) on every image.
+            assert power_order == [r // math.gcd(r, k) for r in root_order]
+
+        def refuse(*args):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(cosets_module, "enumerate_subgroups", refuse)
+        monkeypatch.setattr(cosets_module, "_abelian_degrees_possible", refuse)
+        flagged = 0
+        cases = [(t, ds) for t, _ in pairs for ds in itertools.product(range(1, 5), repeat=2)]
+        for targets, (d, e) in cases:
+            try:
+                assert prescribe_degrees(2, list(targets), (d, e)) is None
+            except AssertionError as exc:
+                assert str(exc) == "scan started"
+                continue
+            flagged += 1
+            assert not any(p % d == 0 and q * d == p * e for p, q in orders[targets]), (targets, d, e)
+        assert 0 < flagged < len(cases)
+        assert prescribe_degrees(2, [a, a * a], (2, 2)) is None
+
+    def test_zero_sum_target_skips_the_abelian_phases(self, monkeypatch):
+        # A word with zero exponent sums maps to 0, of order 1, in every
+        # abelian quotient, so at a degree above 1 no modulus or pair of the
+        # schedule can pass.
+        schedule = [(m,) for m in range(2, 61)]
+        schedule += [(m1, m2) for m1 in range(2, 13) for m2 in range(m1, 13)]
+        assert len(schedule) == 125
+        for d in (2, 3, 4, 6):
+            for gcds, degrees in (([0], [d]), ([0, 1], [d, 1]), ([2, 0], [2, d])):
+                assert not any(
+                    cosets_module._abelian_degrees_possible(gcds, degrees, ms) for ms in schedule
+                )
+        comm = Word((1, 2, -1, -2), 2)
+        caps = dict(max_modulus=12, max_pair_modulus=4, max_perm_index=4)
+        calls = [
+            ([comm], (2,)), ([comm], (3,)), ([comm], (4,)), ([comm, Word((1,), 2)], (2, 1)),
+            ([comm, Word((1,), 2)], (2, 2)), ([Word((1, 2), 2), comm], (3, 2)),
+        ]
+        want = [prescribe_degrees_oracle(2, targets, ds, **caps) for targets, ds in calls]
+        assert 0 < sum(res is None for res in want) < len(want)
+
+        def refuse(*args):
+            raise AssertionError("abelian phase entered")
+
+        monkeypatch.setattr(cosets_module, "_abelian_degrees_possible", refuse)
+        assert [prescribe_degrees(2, targets, ds, **caps) for targets, ds in calls] == want
 
     def test_rank3_commutator_default_caps(self):
         w = Word((1, 2, -1, -2), 3)

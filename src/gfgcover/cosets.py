@@ -275,49 +275,52 @@ def elevations(table: CosetTable, target: Target) -> List[Elevation]:
 # Enumeration of subgroups up to conjugacy
 
 
-def _bfs_entries(table: CosetTable, start: int, pos: Dict[int, int]) -> Iterator[int]:
-    """The flat renumbered action from ``start``, one entry at a time:
-    cosets are renumbered by first appearance, rows read in (coset,
-    generator) order.  Fills ``pos`` (old -> new) as it goes."""
+def _bfs_encoding(table: CosetTable, start: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """Renumber cosets by first appearance from ``start``, rows read in
+    (coset, generator) order; returns (flat renumbered action, old -> new)."""
+    pos = {start: 0}
     order = [start]
-    pos[start] = 0
+    out = []
     for old in order:
         for row in table.action:
             new = pos.get(row[old])
             if new is None:
                 new = pos[row[old]] = len(order)
                 order.append(row[old])
-            yield new
+            out.append(new)
+    return tuple(out), pos
 
 
-def _bfs_encoding(table: CosetTable, start: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """Renumber cosets by first appearance from ``start``, rows read in
-    (coset, generator) order; returns (flat renumbered action, old -> new)."""
-    pos: Dict[int, int] = {}
-    return tuple(_bfs_entries(table, start, pos)), pos
+def _precedes(fwd: List[List[int]], start: int) -> bool:
+    """Whether renumbering the completed standard table ``fwd`` from coset
+    ``start`` gives a smaller flat encoding than its own.
 
-
-def is_class_minimal(table: CosetTable) -> bool:
-    """Whether this table is the canonical one in its conjugacy class.
-
-    The renumbering from each other start is compared with the table's own
-    encoding entry by entry and dropped at the first entry that differs,
-    as in the canonicity test of Sims' low-index algorithm.
+    A standard table numbers its cosets by first appearance in (coset,
+    generator) order, so its own encoding is its rows read in that order.
+    The renumbering from ``start`` is compared with it entry by entry and
+    dropped at the first entry that differs, as in the canonicity test of
+    Sims' low-index algorithm.
     """
-    own = _bfs_encoding(table, 0)[0]
-    for s in range(1, table.size):
-        for mine, theirs in zip(own, _bfs_entries(table, s, {})):
-            if mine != theirs:
-                if theirs < mine:
-                    return False
-                break
-    return True
+    pos = [-1] * len(fwd[0])
+    pos[start] = 0
+    order = [start]
+    for i, old in enumerate(order):
+        for row in fwd:
+            new = pos[row[old]]
+            if new < 0:
+                new = pos[row[old]] = len(order)
+                order.append(row[old])
+            if new != row[i]:
+                return new < row[i]
+    return False
 
 
 def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:
     """One table per conjugacy class of subgroups of the exact given index.
 
-    Tables come out in a fixed depth-first order.
+    Tables come out in a fixed depth-first order.  Each completed standard
+    table is tested for class-minimality on its raw rows (``_precedes``),
+    and a ``CosetTable`` is built only for the tables that pass.
     """
     if rank < 1 or idx < 1:
         raise ValueError("rank and index must be positive")
@@ -331,10 +334,8 @@ def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:
 
     def rec(si: int, used: int) -> Iterator[CosetTable]:
         if si == len(slots):
-            if used == n:
-                t = CosetTable(rank, tuple(tuple(row) for row in fwd))
-                if is_class_minimal(t):
-                    yield t
+            if used == n and not any(_precedes(fwd, s) for s in range(1, n)):
+                yield CosetTable(rank, tuple(tuple(row) for row in fwd))
             return
         a, x = slots[si]
         if a >= used:
@@ -466,6 +467,25 @@ def _abelian_degrees_possible(
     )
 
 
+def _primitive_root(w: Word) -> Tuple[Word, int]:
+    """(r, i) with w = r^i letter for letter: r is the least period of w."""
+    n = len(w.letters)
+    for p in range(1, n + 1):
+        if n % p == 0 and w.letters[:p] * (n // p) == w.letters:
+            return Word(w.letters[:p], w.rank), n // p
+
+
+def _power_degrees_possible(i: int, j: int, d1: int, d2: int) -> bool:
+    """Whether some integers o and s give r^i and r^j, for r of order o,
+    the orders s * d1 and s * d2 (the lemma in ``prescribe_degrees``)."""
+    lcm = math.lcm(i, j)
+    for g in range(1, lcm + 1):
+        x = d1 * math.gcd(g, i)
+        if lcm % g == 0 and x == d2 * math.gcd(g, j) and g % math.gcd(x, lcm) == 0:
+            return True
+    return False
+
+
 def prescribe_degrees(
     rank: int,
     targets: Sequence[Target],
@@ -492,8 +512,17 @@ def prescribe_degrees(
       degrees[j] * gcd(s * degrees[i], k).  That gcd then divides both
       degrees[i] and k, so it is gcd(degrees[i], k) whatever s is: unless
       degrees[i] = degrees[j] * gcd(degrees[i], k), no quotient can hit.
-      Canonical words are cyclically reduced, so k is the ratio of their
-      lengths; k = 1 is one class up to inversion with different degrees.
+      k = 1 is one class up to inversion with different degrees.
+    - More generally, let the classes be r^i and r^j for a primitive class
+      r, up to inversion; canonical words are cyclically reduced, so r is
+      the least period of each word (``_primitive_root``).  With o = ord(r)
+      and L = lcm(i, j), put g = gcd(o, L); then gcd(o, i) = gcd(g, i), so
+      a hit at scale s needs o = s * d1 * gcd(g, i) = s * d2 * gcd(g, j)
+      for the two degrees d1, d2.  So some divisor g of L has d1 * gcd(g,
+      i) = d2 * gcd(g, j) =: x, and g = gcd(s * x, L) is a multiple of
+      gcd(x, L).  Conversely such a g gives integers o and s meeting both
+      orders, so ``_power_degrees_possible`` is exactly this test; with
+      i = 1 and j = k it is the k-th power rule above.
 
     The abelian phases skip each modulus, or pair of moduli, in which some
     word's order is bounded by a number that degrees[i] does not divide
@@ -515,13 +544,13 @@ def prescribe_degrees(
         raise ValueError("need one positive degree per word")
     if any(d < 1 for d in degrees):
         raise ValueError("need one positive degree per word")
-    # Degrees that no scale can give a power pair (see the docstring).
-    for (w1, d1), (w2, d2) in itertools.permutations(zip(words, degrees), 2):
-        k, r = divmod(len(w2), len(w1))
-        if r or d1 == d2 * math.gcd(d1, k):
+    # Degrees that no scale can give two powers of one class (see the
+    # docstring).
+    powers = [_primitive_root(w) for w in words]
+    for ((r1, i), d1), ((r2, j), d2) in itertools.combinations(zip(powers, degrees), 2):
+        if _power_degrees_possible(i, j, d1, d2) or len(r1) != len(r2):
             continue
-        roots = (w1.letters, conj_canonical(w1.inverse()).canonical.letters)
-        if w2.letters in [root * k for root in roots]:
+        if r2 in (r1, conj_canonical(r1.inverse()).canonical):
             return None
 
     ab = [abelianize_word(w) for w in words]

@@ -61,7 +61,7 @@ from .homology import (
     p_rank,
     torsion_exponent,
 )
-from .words import Word
+from .words import ConjClass, Word, conj_canonical
 
 DEFAULT_BUDGET = 200_000
 MAX_BETA = 16  # detached-copy counts tried per tower step; only 1 is supported
@@ -85,6 +85,13 @@ def check_bounds(**bounds: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _base_class(word: Word) -> ConjClass:
+    """The conjugacy class of a base edge word, memoised: the elevations of
+    the word at every table share it."""
+    return conj_canonical(word)
+
+
+@lru_cache(maxsize=None)
 def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
     """``elevations`` memoised for this layer.
 
@@ -92,7 +99,20 @@ def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
     so the keys stay few.  ``cosets.elevations`` itself stays uncached:
     ``prescribe_degrees`` calls it on many throw-away tables.
     """
-    return tuple(elevations(table, word))
+    return tuple(elevations(table, _base_class(word)))
+
+
+@lru_cache(maxsize=None)
+def _lift_template(
+    g: GraphOfGroups, b: str, table: CosetTable
+) -> Tuple[Tuple[str, int, Elevation], ...]:
+    """Every elevation at a lift of b with this table, as (edge, least
+    coset, elevation): one per cycle of each edge word ending at b, edges
+    in ``ends`` order; memoised.  A lift's refs are this record with its
+    name put in."""
+    return tuple(
+        (e, el.cycle[0], el) for e in g.graph.ends(b) for el in _elevations(table, g.edge_word(e))
+    )
 
 
 class ElevationRef(NamedTuple):
@@ -163,15 +183,15 @@ class PrecoverMorphism:
     ):
         ensure_valid(base)
         self.base = base
-        self.vertex_map = dict(vertex_map)
+        vertex_map = self.vertex_map = dict(vertex_map)
         self.vertex_data = dict(vertex_data)
         self.cyclic_index = dict(cyclic_index)
-        self.pair_spec = {q: (bp, f, b) for q, (bp, f, b) in pairs.items()}
-        if not self.vertex_map:
+        pair_spec = self.pair_spec = {q: (bp, f, b) for q, (bp, f, b) in pairs.items()}
+        if not vertex_map:
             raise ValueError("a morphism needs at least one total vertex")
 
         gr = base.graph
-        for v, b in self.vertex_map.items():
+        for v, b in vertex_map.items():
             if b not in gr.vertices:
                 raise ValueError("lift %r of unknown base vertex %r" % (v, b))
             kind = base.vertex_kind[b]
@@ -186,78 +206,82 @@ class PrecoverMorphism:
                 if not isinstance(d, int) or d < 1:
                     raise ValueError("cyclic lift %r has no index" % v)
         for v in self.vertex_data:
-            if v not in self.vertex_map:
+            if v not in vertex_map:
                 raise ValueError("table for unknown lift %r" % v)
         for v in self.cyclic_index:
-            if v not in self.vertex_map:
+            if v not in vertex_map:
                 raise ValueError("index for unknown lift %r" % v)
 
-        names = sorted(self.vertex_map)
-        self.elevation_of: Dict[ElevationRef, Elevation] = {}
+        names = sorted(vertex_map)
+        elevation_of: Dict[ElevationRef, Elevation] = {}
         for v in names:
-            self.elevation_of.update(
-                _lift_elevations(base, v, self.vertex_map[v], self.vertex_table(v))
-            )
+            for e, least, el in _lift_template(base, vertex_map[v], self.vertex_table(v)):
+                elevation_of[ElevationRef(v, e, least)] = el
+        self.elevation_of = elevation_of
 
         total_pairs: Dict[str, Tuple[str, str]] = {}
         edge_words: Dict[str, Word] = {}
-        self.edge_assignment: Dict[str, ElevationRef] = {}
-        self.realized: Dict[ElevationRef, str] = {}
+        assignment: Dict[str, ElevationRef] = {}
+        realized: Dict[ElevationRef, str] = {}
         mismatches: List[str] = []
         repeats: Dict[ElevationRef, int] = {}
-        for q in sorted(self.pair_spec):
+        base_pairs, tau = gr.pairs, gr.tau
+        for q in sorted(pair_spec):
             if q.startswith("~"):
                 raise ValueError("pair name %r may not start with '~'" % q)
-            bp, fwd, bwd = self.pair_spec[q]
-            if bp not in gr.pairs:
+            bp, fwd, bwd = pair_spec[q]
+            if bp not in base_pairs:
                 raise ValueError("total pair %r over unknown base pair %r" % (q, bp))
             if fwd.edge != bp or bwd.edge != reverse_edge(bp):
                 raise ValueError("ref orientation mismatch at pair %r" % q)
             for ref, d in ((fwd, q), (bwd, "~" + q)):
-                if ref.vertex not in self.vertex_map:
+                b = vertex_map.get(ref.vertex)
+                if b is None:
                     raise ValueError("pair %r realized at unknown lift %r" % (q, ref.vertex))
-                if self.vertex_map[ref.vertex] != gr.tau(ref.edge):
-                    raise ValueError("pair %r: lift %r is not over %r" % (q, ref.vertex, gr.tau(ref.edge)))
-                el = self.elevation_of.get(ref)
+                if b != tau(ref.edge):
+                    raise ValueError("pair %r: lift %r is not over %r" % (q, ref.vertex, tau(ref.edge)))
+                el = elevation_of.get(ref)
                 if el is None:
                     raise ValueError("pair %r names a nonexistent elevation %r" % (q, ref))
                 edge_words[d] = el.local.canonical
-                self.edge_assignment[d] = ref
+                assignment[d] = ref
                 # All edges that realize one ref share its orientation, so
                 # the first met here is the least by name.
-                if self.realized.setdefault(ref, d) != d:
+                if realized.setdefault(ref, d) != d:
                     repeats[ref] = repeats.get(ref, 1) + 1
-            df = self.elevation_of[fwd].degree
-            db = self.elevation_of[bwd].degree
+            df = elevation_of[fwd].degree
+            db = elevation_of[bwd].degree
             if df != db:
                 mismatches.append("degree mismatch at edge %r (%d vs %d)" % (q, df, db))
             total_pairs[q] = (bwd.vertex, fwd.vertex)
+        self.edge_assignment = assignment
+        self.realized = realized
         self.problems: Tuple[str, ...] = tuple(mismatches) + tuple(
             "elevation %r realized by %d edges" % (ref, repeats[ref])
-            for ref in sorted(repeats, key=self.realized.__getitem__)
+            for ref in sorted(repeats, key=realized.__getitem__)
         )
 
         graph = SerreGraph(names, total_pairs)
         ranks = {}
         kinds = {}
         for v in names:
-            b = self.vertex_map[v]
+            b = vertex_map[v]
             kinds[v] = base.vertex_kind[b]
             if kinds[v] == "free":
                 ranks[v] = subgroup_rank(self.vertex_data[v])
             else:
                 ranks[v] = 1
         if basepoint is None:
-            over_base = sorted(v for v in names if self.vertex_map[v] == base.base_vertex)
+            over_base = sorted(v for v in names if vertex_map[v] == base.base_vertex)
             basepoint = over_base[0] if over_base else names[0]
-        elif self.vertex_map.get(basepoint) != base.base_vertex:
+        elif vertex_map.get(basepoint) != base.base_vertex:
             raise ValueError("basepoint %r is not a lift of %r" % (basepoint, base.base_vertex))
         self.total = GraphOfGroups(graph, ranks, kinds, edge_words, basepoint)
 
         slots = [
             HangingSlot(ref.vertex, ref.edge, kinds[ref.vertex], el.degree, ref.least)
-            for ref, el in self.elevation_of.items()
-            if ref not in self.realized
+            for ref, el in elevation_of.items()
+            if ref not in realized
         ]
         self.hanging: Tuple[HangingSlot, ...] = tuple(
             sorted(slots, key=lambda s: (s.vertex, s.edge, s.least))
@@ -265,7 +289,7 @@ class PrecoverMorphism:
 
         sums = {b: 0 for b in gr.vertices}
         for v in names:
-            sums[self.vertex_map[v]] += self.vertex_index(v)
+            sums[vertex_map[v]] += self.vertex_index(v)
         self.sums: Dict[str, int] = sums
         self._code: Optional[tuple] = None
 
@@ -289,16 +313,6 @@ class PrecoverMorphism:
             len(self.pair_spec),
             len(self.hanging),
         )
-
-
-def _lift_elevations(
-    base: GraphOfGroups, name: str, b: str, table: CosetTable
-) -> Iterator[Tuple[ElevationRef, Elevation]]:
-    """Every elevation at the lift ``name`` of b with the given table: one
-    per cycle of each edge word ending at b, with its ref."""
-    for e in base.graph.ends(b):
-        for el in _elevations(table, base.edge_word(e)):
-            yield ElevationRef(name, e, el.cycle[0]), el
 
 
 def with_basepoint(m: PrecoverMorphism, v: str) -> PrecoverMorphism:
@@ -364,7 +378,10 @@ def degree(m: PrecoverMorphism) -> int:
     problems = validate_cover(m)
     if problems:
         raise ValueError("; ".join(problems))
-    if not m.total.graph.is_connected():
+    gr = m.total.graph
+    # A breadth-first tree from the basepoint spans exactly a connected
+    # total, and ``abelianized_presentation`` reuses its search.
+    if len(gr.spanning_tree(m.total.base_vertex)) != len(gr.vertices) - 1:
         raise ValueError("degree of a disconnected cover is not defined")
     return next(iter(m.sums.values()))
 
@@ -489,13 +506,6 @@ def _check_base_shape(g: GraphOfGroups) -> None:
 
 
 @lru_cache(maxsize=None)
-def _degrees(table: CosetTable, word: Word) -> Tuple[int, ...]:
-    """The degrees of the elevations of word at a lift with this table;
-    memoised."""
-    return tuple(el.degree for el in _elevations(table, word))
-
-
-@lru_cache(maxsize=None)
 def _pooled_edges(g: GraphOfGroups) -> Tuple[Tuple[str, ...], ...]:
     """Groups of oriented edges whose pools a cover empties together: the
     free sides of the ends of each cyclic vertex, and the two sides of each
@@ -510,6 +520,29 @@ def _pooled_edges(g: GraphOfGroups) -> Tuple[Tuple[str, ...], ...]:
         if g.vertex_kind[gr.iota(p)] == g.vertex_kind[gr.tau(p)] == "free"
     ]
     return tuple(groups)
+
+
+@lru_cache(maxsize=None)
+def _signature(
+    g: GraphOfGroups, b: str, table: CosetTable
+) -> Tuple[Tuple[Tuple[int, int, int], int], ...]:
+    """The degree signature of a lift of b with this table; memoised.
+
+    For the k-th group of ``_pooled_edges``, its j-th pool after the first
+    and each degree d, the lift's count of elevations of degree d in the
+    first pool minus its count in that pool, keyed (k, j, d) and listed
+    when not zero.
+    """
+    tau = g.graph.tau
+    counts: Dict[Tuple[int, int, int], int] = {}
+    for k, (first, *rest) in enumerate(_pooled_edges(g)):
+        for j, e in enumerate(rest):
+            for edge, sign in ((first, 1), (e, -1)):
+                if tau(edge) == b:
+                    for el in _elevations(table, g.edge_word(edge)):
+                        key = k, j, el.degree
+                        counts[key] = counts.get(key, 0) + sign
+    return tuple((key, count) for key, count in counts.items() if count)
 
 
 class _AnyComponents:
@@ -609,32 +642,25 @@ class _Components(_AnyComponents):
     @staticmethod
     def admits(g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
         """Whether the elevation degrees at these free lifts can pair up:
-        in each group of ``_pooled_edges``, every pool holds the same
-        multiset of degrees.
+        the ``_signature``s of the lifts sum to zero, that is, in each group
+        of ``_pooled_edges`` every pool holds the same multiset of degrees.
 
         Lemma: in a cover built on exactly these free lifts, a cyclic lift
         of index d over c realizes exactly one elevation of degree d in
         pool(reverse(e)) for each end e of c, and a free–free pair p joins
         one elevation of pool(p) to one of pool(~p) of the same degree.
         Every elevation is realized once and nothing hangs, so the pools of
-        a group are emptied by equal multisets: they held equal ones.  A
+        a group are emptied by equal multisets: they held equal ones, and
+        the count of each degree in the first pool less its count in each
+        later pool, which is the sum of the lifts' signatures, is zero.  A
         choice that fails therefore yields no candidate, and dropping it
         before its pools are built leaves the census's output unchanged.
         """
-        tables: Dict[str, List[CosetTable]] = {}
+        total: Dict[Tuple[int, int, int], int] = {}
         for b, t in lifts.values():
-            tables.setdefault(b, []).append(t)
-        tau = g.graph.tau
-
-        def pool(e: str) -> List[int]:
-            word = g.edge_word(e)
-            return sorted(d for t in tables[tau(e)] for d in _degrees(t, word))
-
-        for first, *rest in _pooled_edges(g):
-            degrees = pool(first)
-            if any(pool(e) != degrees for e in rest):
-                return False
-        return True
+            for key, count in _signature(g, b, t):
+                total[key] = total.get(key, 0) + count
+        return not any(total.values())
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -857,8 +883,8 @@ def _free_pool(
     pools: Dict[str, List[Tuple[ElevationRef, int]]] = {}
     for name in sorted(lifts):
         b, table = lifts[name]
-        for ref, el in _lift_elevations(base, name, b, table):
-            pools.setdefault(ref.edge, []).append((ref, el.degree))
+        for e, least, el in _lift_template(base, b, table):
+            pools.setdefault(e, []).append((ElevationRef(name, e, least), el.degree))
     return pools
 
 

@@ -20,14 +20,11 @@ on to produce a deterministic stream of nontrivial elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .homology import IntMatrix
-from .words import (
-    Word,
-    power_of,
-    abelianize_word,
-)
+from .words import Word, power_of
 
 Roster = List[Tuple]
 
@@ -41,16 +38,21 @@ def pair_of(e: str) -> str:
 
 
 class SerreGraph:
-    """Finite graph with involutive oriented edges.
+    """Finite graph with involutive oriented edges, never changed once
+    built.
 
-    ``pairs`` maps a pair name to (ends[0], ends[1]).  Connectivity is not
-    an invariant of the type: totals of partial covers are allowed to be
-    disconnected, so it is checked by callers that need it.
+    ``pairs`` is a read-only map from a pair name to (ends[0], ends[1]).
+    Connectivity is not an invariant of the type: totals of partial covers
+    are allowed to be disconnected, so it is checked by callers that need
+    it.  The breadth-first search from each root is made once and kept, so
+    ``is_connected``, ``distance`` and ``spanning_tree`` share it.
     """
 
     def __init__(self, vertices: Iterable[str], pairs: Dict[str, Tuple[str, str]]):
         self.vertices: Tuple[str, ...] = tuple(vertices)
-        self.pairs: Dict[str, Tuple[str, str]] = {k: (u, w) for k, (u, w) in pairs.items()}
+        self.pairs: Mapping[str, Tuple[str, str]] = MappingProxyType(
+            {k: (u, w) for k, (u, w) in pairs.items()}
+        )
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -61,13 +63,19 @@ class SerreGraph:
                 raise ValueError("pair name %r may not start with '~'" % name)
             if u not in seen or w not in seen:
                 raise ValueError("pair %r has an unknown end" % name)
-        # Stars and ends are built once; a graph never changes once built.
+        # Stars, ends and the two end maps are built once.
         self._stars: Dict[str, List[str]] = {v: [] for v in self.vertices}
         ends: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        for e in self.oriented_edges():
-            self._stars[self.iota(e)].append(e)
-            ends[self.tau(e)].append(e)
+        self._iota: Dict[str, str] = {}
+        self._tau: Dict[str, str] = {}
+        for name in sorted(self.pairs):
+            u, w = self.pairs[name]
+            for e, start, end in ((name, u, w), ("~" + name, w, u)):
+                self._iota[e], self._tau[e] = start, end
+                self._stars[start].append(e)
+                ends[end].append(e)
         self._ends = {v: tuple(es) for v, es in ends.items()}
+        self._searches: Dict[str, Tuple[Dict[str, int], Tuple[str, ...]]] = {}
 
     def oriented_edges(self) -> List[str]:
         out = []
@@ -77,14 +85,10 @@ class SerreGraph:
         return out
 
     def iota(self, e: str) -> str:
-        if e.startswith("~"):
-            return self.pairs[e[1:]][1]
-        return self.pairs[e][0]
+        return self._iota[e]
 
     def tau(self, e: str) -> str:
-        if e.startswith("~"):
-            return self.pairs[e[1:]][0]
-        return self.pairs[e][1]
+        return self._tau[e]
 
     def star(self, v: str) -> List[str]:
         """Oriented edges leaving v, in ``oriented_edges`` order."""
@@ -94,21 +98,26 @@ class SerreGraph:
         """Oriented edges ending at v, in ``oriented_edges`` order."""
         return self._ends.get(v, ())
 
-    def _search(self, root: str) -> Tuple[Dict[str, int], List[str]]:
+    def _search(self, root: str) -> Tuple[Dict[str, int], Tuple[str, ...]]:
         """Breadth-first search from root, edges tried in star order: the
         edge-count distance of each vertex reached, and the pair names of
-        the spanning tree in the order the search finds them."""
-        dist = {root: 0}
-        tree = []
-        queue = [root]
-        for v in queue:
-            for e in self._stars.get(v, ()):
-                w = self.tau(e)
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    tree.append(pair_of(e))
-                    queue.append(w)
-        return dist, tree
+        the spanning tree in the order the search finds them; made once per
+        root.  Callers must not change the distances."""
+        found = self._searches.get(root)
+        if found is None:
+            dist = {root: 0}
+            tree = []
+            queue = [root]
+            tau = self._tau
+            for v in queue:
+                for e in self._stars.get(v, ()):
+                    w = tau[e]
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        tree.append(pair_of(e))
+                        queue.append(w)
+            found = self._searches[root] = (dist, tuple(tree))
+        return found
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -125,8 +134,9 @@ class SerreGraph:
         return dist[w]
 
     def spanning_tree(self, root: str) -> List[str]:
-        """Pair names of a BFS spanning tree from root, edges tried by name."""
-        return self._search(root)[1]
+        """Pair names of a BFS spanning tree from root, edges tried by name
+        (a new list on each call)."""
+        return list(self._search(root)[1])
 
 
 class GraphOfGroups:
@@ -222,30 +232,31 @@ def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:
     the block of its initial vertex.
     """
     gr = g.graph
-    if not gr.is_connected():
+    # The search from the base vertex gives the tree, and it spans the graph
+    # exactly when the graph is connected and the base vertex is in it.
+    tree = gr.spanning_tree(g.base_vertex)
+    if len(tree) != len(gr.vertices) - 1 and not gr.is_connected():
         raise ValueError("homology of a disconnected graph of groups is per component")
-    tree = set(gr.spanning_tree(g.base_vertex))
+    tree = set(tree)
     roster: Roster = []
     offset = {}
     for v in gr.vertices:
         offset[v] = len(roster)
         for i in range(g.vertex_rank[v]):
             roster.append(("vertex", v, i))
-    stable = [name for name in sorted(gr.pairs) if name not in tree]
-    for name in stable:
-        roster.append(("stable", name))
+    names = sorted(gr.pairs)
+    roster.extend(("stable", name) for name in names if name not in tree)
     width = len(roster)
     rows = []
-    for name in sorted(gr.pairs):
+    for name in names:
+        # Letter a of word_fwd adds sign(a) in column |a| - 1 of tau's
+        # block, and of word_bwd subtracts it in iota's.
         row = [0] * width
-        fwd = g.edge_words[name]
-        bwd = g.edge_words["~" + name]
-        tv = gr.tau(name)
-        iv = gr.iota(name)
-        for i, c in enumerate(abelianize_word(fwd)):
-            row[offset[tv] + i] += c
-        for i, c in enumerate(abelianize_word(bwd)):
-            row[offset[iv] + i] -= c
+        tv, iv = offset[gr.tau(name)] - 1, offset[gr.iota(name)] - 1
+        for a in g.edge_words[name].letters:
+            row[tv + abs(a)] += 1 if a > 0 else -1
+        for a in g.edge_words["~" + name].letters:
+            row[iv + abs(a)] -= 1 if a > 0 else -1
         rows.append(row)
     return roster, IntMatrix.from_rows(rows, cols=width)
 

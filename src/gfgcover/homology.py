@@ -42,7 +42,7 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         """Rows of equal width; ``cols`` gives the width of a matrix with no
         rows and, when given, must match every row."""
-        rows = tuple(tuple(int(a) for a in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         if cols is None:
             cols = len(rows[0]) if rows else 0
         return cls(rows, cols)
@@ -357,7 +357,7 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
         g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
     drop = [cyclic_column(g, roster, v) for v in vertices]
-    return cokernel(matrix.without_columns(drop))
+    return cokernel(matrix.without_columns(drop) if drop else matrix)
 
 
 # ---------------------------------------------------------------------------

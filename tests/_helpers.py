@@ -13,13 +13,15 @@ checks the bipartite normal form, with ``induced_pair`` and
 word's ``primitive_root``.  ``determinant`` is the exact Bareiss
 determinant the homology tests check Smith forms against, ``matmul`` the
 matrix product they check U * A * V = D with, and ``group_order`` the
-order of a finite abelian group.
+order of a finite abelian group.  ``outcome`` is a call's value or the
+message of the ValueError it raises, for comparing a function with its
+oracle errors included.
 """
 
 from typing import List, Sequence, Tuple
 
 from gfgcover.cli import FORMAT_VERSION, gog_to_payload
-from gfgcover.cosets import CosetTable, schreier, whole_group_table
+from gfgcover.cosets import CosetTable, _primitive_root, schreier, whole_group_table
 from gfgcover.covers import ElevationRef, PrecoverMorphism
 from gfgcover.gog import GogWord, GraphOfGroups, reverse_edge, validate
 from gfgcover.homology import AbelianGroup, IntMatrix
@@ -130,14 +132,7 @@ def primitive_root(w: Word) -> Tuple[Word, int]:
     core, _ = cyclic_reduce(w)
     if core.is_identity():
         raise ValueError("the trivial word has no primitive root")
-    letters = core.letters
-    n = len(letters)
-    for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        if letters == letters[:d] * (n // d):
-            return Word(letters[:d], w.rank), n // d
-    raise AssertionError("unreachable: every word is a power of itself")
+    return _primitive_root(core)
 
 
 def malnormal_family_problems(words: Sequence[Word]) -> List[str]:
@@ -236,3 +231,11 @@ def group_order(g: AbelianGroup) -> int:
     for d in g.divisors:
         n *= d
     return n
+
+
+def outcome(fn, *args):
+    """fn's value, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "error: %s" % exc

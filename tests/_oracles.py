@@ -85,8 +85,26 @@ tower step, which names the joined refs outright and constructs once,
 must build the same morphism.
 
 ``is_class_minimal_oracle`` compares the table's full encoding with the
-full encoding from every other start; ``gfgcover.cosets.is_class_minimal``,
-which stops at the first entry that differs, must give the same answer.
+full encoding from every other start, and ``enumerate_subgroups_oracle``
+builds a table for every standard table of the depth-first search and keeps
+those it passes.  ``gfgcover.cosets.enumerate_subgroups``, which compares
+raw rows entry by entry and builds only the tables that pass, must yield
+the same tables in the same order.
+
+``abelianized_presentation_oracle`` checks connectivity and finds the
+spanning tree by two searches and fills each row from exponent-sum
+vectors; ``gfgcover.gog.abelianized_presentation``, which reads both off
+one memoised search and fills rows from the letters, must give the same
+roster, matrix and error.
+
+``admits_oracle`` builds and sorts the degree pools of each lift choice;
+``gfgcover.covers._Components.admits``, which sums per-table degree
+signatures, must give the same answer.
+
+``lift_elevations`` walks a lift's elevations edge by edge, and
+``morphism_fields_oracle`` derives a morphism's elevation index, hanging
+slots, problems and total from it; ``PrecoverMorphism``, which renames
+one memoised record per lift, must derive the same, in the same order.
 """
 
 import itertools
@@ -97,6 +115,7 @@ from _helpers import lifts_over, reduce_element, schreier_basis, word_length
 
 from gfgcover.cosets import (
     CosetTable,
+    Elevation,
     PrescribeResult,
     Target,
     _bfs_encoding,
@@ -112,11 +131,14 @@ from gfgcover.cosets import (
     regular_table,
     rewrite,
     schreier,
+    subgroup_rank,
+    whole_group_table,
 )
 from gfgcover.covers import (
-    CoverCensus, ElevationRef, PrecoverMorphism, TorsionPiece, _AnyComponents, _assemble,
-    _check_merge, _close_open_ends, _extensions, _lift_choices, _parts, _retarget, _same_base,
-    _union, ensure_precover, split_cyclic, with_basepoint,
+    CoverCensus, ElevationRef, HangingSlot, PrecoverMorphism, TorsionPiece, _AnyComponents,
+    _assemble, _check_merge, _close_open_ends, _elevations, _extensions,
+    _lift_choices, _parts, _pooled_edges, _retarget, _same_base, _union, ensure_precover,
+    split_cyclic, with_basepoint,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
@@ -831,3 +853,128 @@ def step_assembly_oracle(
         for e in sorted(gr.ends(gr.tau(e1))) if e != e1
     ]
     return with_basepoint(splice(parts, matches), cover.total.base_vertex + "!L")
+
+
+def enumerate_subgroups_oracle(rank: int, idx: int) -> Iterator[CosetTable]:
+    """Every completed standard table of the depth-first search, built as
+    a table and kept when ``is_class_minimal_oracle`` passes it."""
+    if idx == 1:
+        yield whole_group_table(rank)
+        return
+    n, r = idx, rank
+    fwd = [[-1] * n for _ in range(r)]
+    bwd = [[-1] * n for _ in range(r)]
+    slots = [(a, x) for a in range(n) for x in range(r)]
+
+    def rec(si: int, used: int) -> Iterator[CosetTable]:
+        if si == len(slots):
+            if used == n:
+                t = CosetTable(rank, tuple(tuple(row) for row in fwd))
+                if is_class_minimal_oracle(t):
+                    yield t
+            return
+        a, x = slots[si]
+        if a >= used:
+            return
+        top = used + 1 if used < n else used
+        for b in range(top):
+            if bwd[x][b] != -1:
+                continue
+            fwd[x][a] = b
+            bwd[x][b] = a
+            yield from rec(si + 1, used + 1 if b == used else used)
+            fwd[x][a] = -1
+            bwd[x][b] = -1
+
+    yield from rec(0, 1)
+
+
+def abelianized_presentation_oracle(g: GraphOfGroups) -> Tuple[list, IntMatrix]:
+    """Vertex blocks, then the stable letters outside the spanning tree
+    from the base vertex; one row per pair, word_fwd's exponent sums at its
+    tau block less word_bwd's at its iota block."""
+    gr = g.graph
+    if not gr.is_connected():
+        raise ValueError("homology of a disconnected graph of groups is per component")
+    tree = set(spanning_tree_oracle(gr, g.base_vertex))
+    roster: list = []
+    offset = {}
+    for v in gr.vertices:
+        offset[v] = len(roster)
+        for i in range(g.vertex_rank[v]):
+            roster.append(("vertex", v, i))
+    for name in sorted(gr.pairs):
+        if name not in tree:
+            roster.append(("stable", name))
+    rows = []
+    for name in sorted(gr.pairs):
+        row = [0] * len(roster)
+        for i, c in enumerate(abelianize_word(g.edge_words[name])):
+            row[offset[gr.tau(name)] + i] += c
+        for i, c in enumerate(abelianize_word(g.edge_words["~" + name])):
+            row[offset[gr.iota(name)] + i] -= c
+        rows.append(row)
+    return roster, IntMatrix.from_rows(rows, cols=len(roster))
+
+
+def admits_oracle(g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
+    """Whether, in each group of ``_pooled_edges``, every pool of degrees
+    at these lifts, sorted, is the same."""
+    tables: Dict[str, List[CosetTable]] = {}
+    for b, t in lifts.values():
+        tables.setdefault(b, []).append(t)
+
+    def pool(e: str) -> List[int]:
+        word = g.edge_word(e)
+        return sorted(el.degree for t in tables[g.graph.tau(e)] for el in elevations(t, word))
+
+    return all(pool(e) == pool(first) for first, *rest in _pooled_edges(g) for e in rest)
+
+
+def lift_elevations(
+    base: GraphOfGroups, name: str, b: str, table: CosetTable
+) -> Iterator[Tuple[ElevationRef, Elevation]]:
+    """Every elevation at the lift ``name`` of b with the given table: one
+    per cycle of each edge word ending at b, with its ref."""
+    for e in base.graph.ends(b):
+        for el in _elevations(table, base.edge_word(e)):
+            yield ElevationRef(name, e, el.cycle[0]), el
+
+
+def morphism_fields_oracle(m: PrecoverMorphism) -> dict:
+    """The elevation index, hanging slots, problems and total (as plain
+    dicts and tuples) that m's lift and pair data give, derived lift by
+    lift from ``lift_elevations``."""
+    base, gr = m.base, m.base.graph
+    names = sorted(m.vertex_map)
+    elevation_of: Dict[ElevationRef, Elevation] = {}
+    for v in names:
+        elevation_of.update(lift_elevations(base, v, m.vertex_map[v], m.vertex_table(v)))
+    edge_words, realized, total_pairs = {}, {}, {}
+    mismatches, repeats = [], {}
+    for q in sorted(m.pair_spec):
+        _, fwd, bwd = m.pair_spec[q]
+        for ref, d in ((fwd, q), (bwd, "~" + q)):
+            edge_words[d] = elevation_of[ref].local.canonical
+            if realized.setdefault(ref, d) != d:
+                repeats[ref] = repeats.get(ref, 1) + 1
+        df, db = elevation_of[fwd].degree, elevation_of[bwd].degree
+        if df != db:
+            mismatches.append("degree mismatch at edge %r (%d vs %d)" % (q, df, db))
+        total_pairs[q] = (bwd.vertex, fwd.vertex)
+    problems = tuple(mismatches) + tuple(
+        "elevation %r realized by %d edges" % (ref, repeats[ref])
+        for ref in sorted(repeats, key=realized.__getitem__)
+    )
+    kinds = {v: base.vertex_kind[m.vertex_map[v]] for v in names}
+    ranks = {
+        v: subgroup_rank(m.vertex_data[v]) if kinds[v] == "free" else 1 for v in names
+    }
+    slots = [
+        HangingSlot(ref.vertex, ref.edge, kinds[ref.vertex], el.degree, ref.least)
+        for ref, el in elevation_of.items()
+        if ref not in realized
+    ]
+    hanging = tuple(sorted(slots, key=lambda s: (s.vertex, s.edge, s.least)))
+    total = (tuple(names), total_pairs, ranks, kinds, edge_words, m.total.base_vertex)
+    return {"elevation_of": elevation_of, "hanging": hanging, "problems": problems, "total": total}

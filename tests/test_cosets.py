@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from _helpers import contains, schreier_basis, subgroup_contains
-from _oracles import evaluate, is_class_minimal_oracle, prescribe_degrees_oracle
+from _oracles import (
+    enumerate_subgroups_oracle, evaluate, is_class_minimal_oracle, prescribe_degrees_oracle,
+)
 
 import gfgcover.cosets as cosets_module
 from gfgcover.cosets import (
@@ -14,7 +16,6 @@ from gfgcover.cosets import (
     cyclic_table,
     elevations,
     enumerate_subgroups,
-    is_class_minimal,
     is_regular,
     prescribe_degrees,
     rewrite,
@@ -217,30 +218,33 @@ class TestEnumerate:
 
     def test_all_minimal_and_distinct(self):
         tables = list(enumerate_subgroups(2, 3))
-        assert all(is_class_minimal(t) for t in tables)
+        assert all(is_class_minimal_oracle(t) for t in tables)
         assert len(set(tables)) == len(tables)
 
     def test_deterministic(self):
         assert list(enumerate_subgroups(2, 3)) == list(enumerate_subgroups(2, 3))
 
-    @pytest.mark.parametrize("rank,top", [(2, 6), (3, 4)])
-    def test_early_exit_matches_full_encodings(self, monkeypatch, rank, top):
-        want = {}
-        checked = []
+    @pytest.mark.parametrize("rank,top", [(1, 7), (2, 6), (3, 4)])
+    def test_catalog_matches_the_full_enumerator(self, monkeypatch, rank, top):
+        """The raw-row canonicity test keeps exactly the tables that the
+        full-encoding test keeps among all standard tables, in the same
+        order, and builds a table only for those."""
+        built = []
+        real = cosets_module.CosetTable
 
-        def oracle(t):
-            answer = is_class_minimal_oracle(t)
-            assert is_class_minimal(t) == answer
-            checked.append(answer)
-            return answer
+        def counted(*args):
+            built.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(cosets_module, "is_class_minimal", oracle)
         for n in range(1, top + 1):
-            want[n] = list(enumerate_subgroups(rank, n))
-        monkeypatch.undo()
-        assert not all(checked) and any(checked)
-        for n in range(1, top + 1):
-            assert list(enumerate_subgroups(rank, n)) == want[n]
+            want = list(enumerate_subgroups_oracle(rank, n))
+            with monkeypatch.context() as patch:
+                patch.setattr(cosets_module, "CosetTable", counted)
+                built.clear()
+                got = list(enumerate_subgroups(rank, n))
+            assert got == want
+            assert len(built) == len(want)
+        assert len(want) > 1 or rank == 1
 
     def test_index_one(self):
         assert list(enumerate_subgroups(3, 1)) == [whole_group_table(3)]
@@ -396,6 +400,63 @@ class TestPrescribe:
             assert not any(p % d == 0 and q * d == p * e for p, q in orders[targets]), (targets, d, e)
         assert 0 < flagged < len(cases)
         assert prescribe_degrees(2, [a, a * a], (2, 2)) is None
+
+    def test_common_root_powers_fail_fast(self, monkeypatch):
+        # Targets r^i and r^j (or (r^-1)^j), at degrees d1 and d2.  The
+        # lemma's test is exact over the integers: some o and s give
+        # o / gcd(o, i) = s * d1 and o / gcd(o, j) = s * d2.  A witness
+        # needs o <= lcm(i, j)^2 * max(d1, d2).
+        for i, j, d1, d2 in itertools.product(range(1, 5), repeat=4):
+            bound = math.lcm(i, j) ** 2 * max(d1, d2)
+            some_o = any(
+                o // math.gcd(o, i) * d2 == o // math.gcd(o, j) * d1
+                and (o // math.gcd(o, i)) % d1 == 0
+                for o in range(1, bound + 1)
+            )
+            assert cosets_module._power_degrees_possible(i, j, d1, d2) == some_o, (i, j, d1, d2)
+        a, b = Word((1,), 2), Word((2,), 2)
+        pairs = []
+        for r in (a, a * b, a * b.inverse()):
+            for i, j in itertools.product(range(1, 5), repeat=2):
+                for root in (r, r.inverse()):
+                    pairs.append((r.power(i), root.power(j)))
+        images = [t for n in range(2, 6) for t in enumerate_subgroups(2, n)]
+
+        def order(table, w):
+            return math.lcm(*(e.degree for e in elevations(table, w)))
+
+        orders = {}
+        for r in (a, a * b, a * b.inverse()):
+            root_order = [order(t, r) for t in images]
+            for i in range(1, 5):
+                # ord(r^i) = ord(r) / gcd(ord(r), i) on every image.
+                assert [order(t, r.power(i)) for t in images] == [
+                    o // math.gcd(o, i) for o in root_order
+                ]
+        for targets in pairs:
+            orders[targets] = [(order(t, targets[0]), order(t, targets[1])) for t in images]
+
+        def refuse(*args):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(cosets_module, "enumerate_subgroups", refuse)
+        monkeypatch.setattr(cosets_module, "_abelian_degrees_possible", refuse)
+        flagged = set()
+        cases = [(t, ds) for t in pairs for ds in itertools.product(range(1, 5), repeat=2)]
+        for targets, (d1, d2) in cases:
+            try:
+                assert prescribe_degrees(2, list(targets), (d1, d2)) is None
+            except AssertionError as exc:
+                assert str(exc) == "scan started"
+                continue
+            flagged.add((targets, (d1, d2)))
+            assert not any(
+                p % d1 == 0 and q * d1 == p * d2 for p, q in orders[targets]
+            ), (targets, d1, d2)
+        assert 0 < len(flagged) < len(cases)
+        # Neither word is a power of the other here.
+        assert ((a.power(2), a.power(3)), (2, 1)) in flagged
+        assert prescribe_degrees(2, [a.power(2), a.power(3)], (2, 1)) is None
 
     def test_zero_sum_target_skips_the_abelian_phases(self, monkeypatch):
         # A word with zero exponent sums maps to 0, of order 1, in every

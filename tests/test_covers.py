@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from _helpers import gog_word_power, identity_cover, lifts_over, reduce_element
+from _helpers import gog_word_power, identity_cover, lifts_over, outcome, reduce_element
 from _oracles import (
+    abelianized_presentation_oracle,
+    admits_oracle,
     candidate_covers,
     chain_oracle,
     class_image_oracle,
@@ -18,6 +20,7 @@ from _oracles import (
     is_nontrivial,
     isomorphic_oracle,
     merge_cyclic,
+    morphism_fields_oracle,
     quotient_by,
     rename_total,
     smith_group,
@@ -71,7 +74,7 @@ from gfgcover.homology import (
     p_rank,
     torsion_exponent,
 )
-from gfgcover.words import Word, conj_canonical
+from gfgcover.words import Word, conj_canonical, free_reduce
 
 
 def amalgam(words=((1, 1, 2),)):
@@ -2081,3 +2084,122 @@ class TestBaseCheckedOnce:
                         bad, {"v@0": "v", "c@0": "c"},
                         {"v@0": whole_group_table(2)}, {"c@0": 1}, {},
                     )
+
+
+# ---------------------------------------------------------------------------
+# Facts derived once per job (a record per lift, a degree signature per
+# table, one search per graph and root), against the code in
+# ``tests/_oracles.py`` that derived them again on each use.
+
+
+def fixture_census(top=4):
+    """The census covers of the three fixtures up to index top."""
+    for name in ("seeded_torsion", "hnn_f1", "genus2"):
+        yield from enumerate_covers(fixture(name), top)
+
+
+def random_word(rng, rank, most=5):
+    while True:
+        letters = [rng.choice([-1, 1]) * rng.randint(1, rank) for _ in range(rng.randint(1, most))]
+        w = free_reduce(letters, rank)
+        if not w.is_identity():
+            return w
+
+
+def random_gog(rng):
+    """Up to four free vertices and five pairs at random, so often
+    disconnected; the base vertex is sometimes not a vertex."""
+    vertices = ["v%d" % i for i in range(rng.randint(0, 4))]
+    ranks = {v: rng.randint(1, 3) for v in vertices}
+    pairs, words = {}, {}
+    for k in range(rng.randint(0, 5) if vertices else 0):
+        u, w = rng.choice(vertices), rng.choice(vertices)
+        pairs["p%d" % k] = (u, w)
+        words["p%d" % k] = random_word(rng, ranks[w])
+        words["~p%d" % k] = random_word(rng, ranks[u])
+    base = rng.choice(vertices + ["x"])
+    return GraphOfGroups(
+        SerreGraph(vertices, pairs), ranks, dict.fromkeys(vertices, "free"), words, base
+    )
+
+
+class TestOneSearchPresentation:
+    def test_census_covers(self):
+        covers = 0
+        for m in fixture_census():
+            want = abelianized_presentation_oracle(m.total)
+            assert abelianized_presentation(m.total) == want
+            assert abelianized_presentation(m.total) == want  # the search is kept
+            covers += 1
+        assert covers > 1200
+
+    def test_random_gogs_and_the_disconnected_error(self):
+        rng = random.Random(23)
+        outcomes = collections.Counter()
+        for _ in range(400):
+            g = random_gog(rng)
+            want = outcome(abelianized_presentation_oracle, g)
+            assert outcome(abelianized_presentation, g) == want
+            outcomes[isinstance(want, str), g.base_vertex in g.graph.vertices] += 1
+        assert all(outcomes[key] for key in itertools.product((False, True), repeat=2))
+
+
+class TestDegreeSignature:
+    def test_agrees_with_the_pool_screen(self):
+        """On every lift choice of the fixture censuses and of random
+        two-word amalgams, the summed signatures admit exactly the choices
+        whose pools hold equal multisets."""
+        rng = random.Random(11)
+        bases = [(fixture(name), top) for name, top in (
+            ("seeded_torsion", 5), ("hnn_f1", 5), ("genus2", 3)
+        )]
+        bases += [(build(), top) for build, top in CENSUS_BASES.values()]
+        bases += [
+            (amalgam([random_word(rng, 2).letters for _ in range(k)]), 4)
+            for k in (2, 3) for _ in range(12)
+        ]
+        answers = collections.Counter()
+        for g, top in bases:
+            for n in range(1, top + 1):
+                for lifts, *_ in covers_module._lift_choices(g, None, n, "@", Budget()):
+                    want = admits_oracle(g, lifts)
+                    assert covers_module._Components.admits(g, lifts) == want, (n, lifts)
+                    answers[want] += 1
+        assert answers[True] > 100 and answers[False] > 100
+
+
+class TestLiftTemplates:
+    def test_census_covers_cut_and_doubled(self):
+        """Each census cover of the fixtures and the census bases, and each
+        with its least pair cut or given twice, derives the elevation index,
+        hanging slots, problems and total that walking its lifts one by one
+        derives, in the same order."""
+        hanging = problems = 0
+        covers = itertools.chain(fixture_census(), *(
+            enumerate_covers(build(), top) for build, top in CENSUS_BASES.values()
+        ))
+        for m in covers:
+            variants = [m]
+            if m.pair_spec:
+                q = min(m.pair_spec)
+                cut = {k: spec for k, spec in m.pair_spec.items() if k != q}
+                doubled = dict(m.pair_spec, **{q + "x": m.pair_spec[q]})
+                variants += [
+                    PrecoverMorphism(m.base, m.vertex_map, m.vertex_data, m.cyclic_index, pairs)
+                    for pairs in (cut, doubled)
+                ]
+            for got in variants:
+                want = morphism_fields_oracle(got)
+                assert list(got.elevation_of.items()) == list(want["elevation_of"].items())
+                assert got.hanging == want["hanging"] and got.problems == want["problems"]
+                t = got.total
+                vertices, pairs, ranks, kinds, words, base = want["total"]
+                assert t.graph.vertices == vertices and t.base_vertex == base
+                for have, expect in (
+                    (t.graph.pairs, pairs), (t.vertex_rank, ranks),
+                    (t.vertex_kind, kinds), (t.edge_words, words),
+                ):
+                    assert list(have.items()) == list(expect.items())
+                hanging += len(got.hanging)
+                problems += len(got.problems)
+        assert hanging > 1000 and problems > 1000

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 from _helpers import (
-    check_normal_form, induced_pair, malnormal_family_problems, word_length,
+    check_normal_form, induced_pair, malnormal_family_problems, outcome, word_length,
 )
 from _oracles import (
     distance_oracle, enumerate_closed_words_oracle, has_pinch, is_connected_oracle,
@@ -60,6 +60,19 @@ def amalgam(words=((1, 1, 2),)):
     )
 
 
+def draw_graph(data) -> SerreGraph:
+    """A random Serre graph: loops, multi-edges, several components and
+    pair names out of vertex order."""
+    n = data.draw(st.integers(0, 6))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+    ends = [(i, j) for i, j in ends if max(i, j) < n]
+    names = data.draw(st.permutations(range(len(ends))))
+    return SerreGraph(
+        ["v%d" % i for i in range(n)],
+        {"p%d" % k: ("v%d" % i, "v%d" % j) for k, (i, j) in zip(names, ends)},
+    )
+
+
 class TestSerreGraph:
     def test_orientation(self):
         g = SerreGraph(["u", "w"], {"p": ("u", "w")})
@@ -94,26 +107,43 @@ class TestSerreGraph:
         """On random Serre graphs (loops, multi-edges, several components
         and pair names out of vertex order), the shared search answers as
         the three walks it replaced, also from a root the graph lacks."""
-        n = data.draw(st.integers(0, 6))
-        ends = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
-        ends = [(i, j) for i, j in ends if max(i, j) < n]
-        names = data.draw(st.permutations(range(len(ends))))
-        g = SerreGraph(
-            ["v%d" % i for i in range(n)],
-            {"p%d" % k: ("v%d" % i, "v%d" % j) for k, (i, j) in zip(names, ends)},
-        )
-
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except ValueError as exc:
-                return "error: %s" % exc
-
+        g = draw_graph(data)
         assert g.is_connected() == is_connected_oracle(g)
         for u in g.vertices + ("x",):
             assert g.spanning_tree(u) == spanning_tree_oracle(g, u)
             for w in g.vertices + ("x",):
                 assert outcome(g.distance, u, w) == outcome(distance_oracle, g, u, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_memoised_searches_answer_as_the_walks(self, data):
+        """Each root's search is made once and kept.  Asked in any
+        interleaving of roots, repeats included, the graph answers as the
+        three walks, and changing a returned tree changes no later answer."""
+        g = draw_graph(data)
+        roots = st.sampled_from(g.vertices + ("x",))
+        queries = data.draw(st.lists(
+            st.tuples(st.sampled_from(("connected", "tree", "distance")), roots, roots),
+            max_size=24,
+        ))
+        for kind, u, w in queries:
+            if kind == "connected":
+                assert g.is_connected() == is_connected_oracle(g)
+            elif kind == "distance":
+                assert outcome(g.distance, u, w) == outcome(distance_oracle, g, u, w)
+            else:
+                tree = g.spanning_tree(u)
+                assert tree == spanning_tree_oracle(g, u)
+                tree.reverse()
+                tree.append(w)
+        for u in g.vertices + ("x",):
+            assert g.spanning_tree(u) == spanning_tree_oracle(g, u)
+
+    def test_pairs_are_read_only(self):
+        g = SerreGraph(["a", "b"], {"p": ("a", "b")})
+        with pytest.raises(TypeError):
+            g.pairs["q"] = ("b", "a")
+        assert dict(g.pairs) == {"p": ("a", "b")} and g.tau("p") == "b"
 
     def test_bad_names(self):
         with pytest.raises(ValueError):

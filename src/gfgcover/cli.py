@@ -693,7 +693,7 @@ def cmd_complete(args, m, data) -> int:
 def _bounds(fields: dict, path: str) -> TowerBounds:
     """TowerBounds from name -> value overrides, each value an integer in
     the field's range."""
-    allowed = set(TowerBounds.__dataclass_fields__)
+    allowed = set(TowerBounds.FIELDS)
     bad = set(fields) - allowed
     if bad:
         _fail(path, "unknown fields %s; allowed %s" % (sorted(bad), sorted(allowed)))

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .words import ConjClass, Word, abelianize_word, conj_canonical, identity
+from .words import (
+    ConjClass, Frozen, Word, _least_rotation, _set, abelianize_word, check_int,
+    conj_canonical, identity,
+)
 
 Target = Union[Word, ConjClass]
 
@@ -45,41 +47,56 @@ def _invert_perm(p: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Frozen):
     """Transitive right action of free-group generators on {0..n-1}.
 
     ``action[i]`` is the permutation of generator i+1; negative letters act
-    by the inverse permutation.
+    by the inverse permutation ``_inverse[i]``.  The inverses and the hash
+    are computed once: tables key the memoised searches of this layer and
+    of the covers layer.
     """
 
-    rank: int
-    action: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rank", "action", "_inverse", "_hash")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, action: Tuple[Tuple[int, ...], ...]):
+        check_int(rank, "rank")
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if len(self.action) != self.rank:
+        if len(action) != rank:
             raise ValueError("need one permutation per generator")
-        n = len(self.action[0])
+        n = len(action[0])
         if n < 1:
             raise ValueError("need at least one coset")
-        for row in self.action:
+        for row in action:
             if sorted(row) != list(range(n)):
                 raise ValueError("each generator must act by a permutation")
-        inverse = tuple(_invert_perm(row) for row in self.action)
-        object.__setattr__(self, "_inverse", inverse)
+        inverse = tuple(_invert_perm(row) for row in action)
         seen = {0}
         queue = [0]
         while queue:
             a = queue.pop()
-            for row in itertools.chain(self.action, inverse):
+            for row in itertools.chain(action, inverse):
                 b = row[a]
                 if b not in seen:
                     seen.add(b)
                     queue.append(b)
         if len(seen) != n:
             raise ValueError("action is not transitive")
+        _set(self, "rank", rank)
+        _set(self, "action", action)
+        _set(self, "_inverse", inverse)
+        _set(self, "_hash", hash((rank, action)))
+
+    def __repr__(self):
+        return "CosetTable(rank=%r, action=%r)" % (self.rank, self.action)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.action == other.action
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -116,19 +133,39 @@ def subgroup_rank(table: CosetTable) -> int:
 # Schreier representatives, basis and rewriting
 
 
-@dataclass(frozen=True)
-class SchreierData:
+class SchreierData(Frozen):
     """The breadth-first Schreier tree of a table and the basis it gives.
 
     ``tree`` lists the tree edges (a, letter, a.letter) in the order the
-    search found them, and ``edge_basis`` the non-tree positive edges, each
-    naming one basis letter.  The representative words ``reps`` are built
-    when first read: rewriting needs only the edges.
+    search found them, and ``edge_basis`` the non-tree positive edges
+    (coset, generator, 1-based index), each naming one basis letter.  The
+    representative words ``reps`` are built when first read: rewriting
+    needs only the edges.  The instance keeps a ``__dict__`` for its
+    cached properties.
     """
 
-    table: CosetTable
-    tree: Tuple[Tuple[int, int, int], ...]
-    edge_basis: Tuple[Tuple[int, int, int], ...]  # (coset, generator, 1-based index)
+    def __init__(
+        self,
+        table: CosetTable,
+        tree: Tuple[Tuple[int, int, int], ...],
+        edge_basis: Tuple[Tuple[int, int, int], ...],
+    ):
+        _set(self, "table", table)
+        _set(self, "tree", tree)
+        _set(self, "edge_basis", edge_basis)
+
+    def __repr__(self):
+        return "SchreierData(table=%r, tree=%r, edge_basis=%r)" % (
+            self.table, self.tree, self.edge_basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.tree, self.edge_basis) == (
+                other.table, other.tree, other.edge_basis)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.tree, self.edge_basis))
 
     @cached_property
     def reps(self) -> Tuple[Word, ...]:
@@ -215,21 +252,33 @@ def rewrite(table: CosetTable, w: Word) -> Word:
 # Elevations
 
 
-@dataclass(frozen=True)
-class Elevation:
+class Elevation(Frozen):
     """One cycle of the permutation a cyclically reduced word induces.
 
     ``cycle`` starts at the least coset it contains and follows the action
     of the word on ``table``.  ``rep`` is rep(m) * w**degree * rep(m)**-1
     at that least coset m, and ``local`` is its class written in the
-    subgroup basis; both are computed when first read.  rep(m) runs along
-    Schreier tree edges only, which write no basis letter, so ``local``
-    walks w**degree once around the cycle from m and never builds ``rep``.
+    subgroup basis; both are computed when first read, and the instance
+    keeps a ``__dict__`` for them.  rep(m) runs along Schreier tree edges
+    only, which write no basis letter, so ``local`` walks w**degree once
+    around the cycle from m and never builds ``rep``.
     """
 
-    base: ConjClass
-    cycle: Tuple[int, ...]
-    table: CosetTable
+    def __init__(self, base: ConjClass, cycle: Tuple[int, ...], table: CosetTable):
+        _set(self, "base", base)
+        _set(self, "cycle", cycle)
+        _set(self, "table", table)
+
+    def __repr__(self):
+        return "Elevation(base=%r, cycle=%r, table=%r)" % (self.base, self.cycle, self.table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.cycle, self.table) == (other.base, other.cycle, other.table)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.cycle, self.table))
 
     @property
     def degree(self) -> int:
@@ -242,9 +291,18 @@ class Elevation:
 
     @cached_property
     def local(self) -> ConjClass:
+        """The walk's class, with no cyclic reduction.
+
+        Lemma: the closed walk of a cyclically reduced word around its
+        cycle rewrites to a cyclically reduced word.  The argument of
+        ``SchreierData.walk`` applies to the walk read cyclically: it ends
+        where it starts, and w**degree read cyclically is freely reduced.
+        The walk is not empty: it rewrites a conjugate of w**degree, which
+        a free group never makes trivial.  So its least rotation is the canonical representative,
+        which ``ConjClass`` checks."""
         sd = schreier(self.table)
         out, _ = sd.walk(self.base.canonical.letters * self.degree, self.cycle[0])
-        return conj_canonical(Word(tuple(out), len(sd.edge_basis)))
+        return ConjClass(Word(_least_rotation(tuple(out)), len(sd.edge_basis)))
 
 
 def elevations(table: CosetTable, target: Target) -> List[Elevation]:
@@ -360,8 +418,7 @@ def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:
 # Prescribing elevation degrees via small finite quotients
 
 
-@dataclass(frozen=True)
-class PrescribeResult:
+class PrescribeResult(Frozen):
     """A normal subgroup realizing prescribed elevation degrees.
 
     Every elevation of the i-th word has degree scale * degrees[i]; the
@@ -369,9 +426,25 @@ class PrescribeResult:
     ``quotient``.
     """
 
-    table: CosetTable
-    scale: int
-    quotient: str
+    __slots__ = ("table", "scale", "quotient")
+
+    def __init__(self, table: CosetTable, scale: int, quotient: str):
+        _set(self, "table", table)
+        _set(self, "scale", scale)
+        _set(self, "quotient", quotient)
+
+    def __repr__(self):
+        return "PrescribeResult(table=%r, scale=%r, quotient=%r)" % (
+            self.table, self.scale, self.quotient)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.scale, self.quotient) == (
+                other.table, other.scale, other.quotient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.scale, self.quotient))
 
 
 def _perm_order(perm: Tuple[int, ...]) -> int:
@@ -618,8 +691,7 @@ def prescribe_degrees(
     for n in range(2, max_perm_index + 1):
         for t in enumerate_subgroups(rank, n):
             perms = list(t.action)
-            inv = [_invert_perm(p) for p in perms]
-            orders = [_perm_order(_word_perm(perms, inv, w)) for w in words]
+            orders = [_perm_order(_word_perm(perms, t._inverse, w)) for w in words]
             scale = screen(orders)
             if scale is None:
                 continue

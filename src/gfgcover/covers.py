@@ -19,7 +19,6 @@ one cycle with the least coset of the other is used throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import (
@@ -61,7 +60,7 @@ from .homology import (
     p_rank,
     torsion_exponent,
 )
-from .words import ConjClass, Word, conj_canonical
+from .words import ConjClass, Frozen, Word, _set, check_int, conj_canonical
 
 DEFAULT_BUDGET = 200_000
 MAX_BETA = 16  # detached-copy counts tried per tower step; only 1 is supported
@@ -76,9 +75,11 @@ _LEAST_BOUND = {
 
 
 def check_bounds(**bounds: int) -> None:
-    """Raise ValueError naming the first search bound below its range, the
-    check every search entry point makes before it searches."""
+    """Raise ValueError naming the first search bound below its range, or
+    TypeError naming the first one given as a bool: the check every search
+    entry point makes before it searches."""
     for name, value in bounds.items():
+        check_int(value, name)
         least = _LEAST_BOUND[name]
         if value < least:
             raise ValueError("%s must be at least %d, got %d" % (name, least, value))
@@ -128,8 +129,7 @@ class ElevationRef(NamedTuple):
     least: int
 
 
-@dataclass(frozen=True)
-class HangingSlot:
+class HangingSlot(Frozen):
     """An elevation no total edge realizes.
 
     ``edge`` is the oriented base edge whose tau end the slot sits over, so
@@ -137,11 +137,27 @@ class HangingSlot:
     and their degrees agree.
     """
 
-    vertex: str
-    edge: str
-    side: str
-    degree: int
-    least: int
+    __slots__ = ("vertex", "edge", "side", "degree", "least")
+
+    def __init__(self, vertex: str, edge: str, side: str, degree: int, least: int):
+        _set(self, "vertex", vertex)
+        _set(self, "edge", edge)
+        _set(self, "side", side)
+        _set(self, "degree", degree)
+        _set(self, "least", least)
+
+    def __repr__(self):
+        return "HangingSlot(vertex=%r, edge=%r, side=%r, degree=%r, least=%r)" % (
+            self.vertex, self.edge, self.side, self.degree, self.least)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex, self.edge, self.side, self.degree, self.least) == (
+                other.vertex, other.edge, other.side, other.degree, other.least)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex, self.edge, self.side, self.degree, self.least))
 
     @property
     def ref(self) -> ElevationRef:
@@ -1300,8 +1316,7 @@ def complete(
 # Torsion pieces and chains.
 
 
-@dataclass(frozen=True)
-class TorsionPiece:
+class TorsionPiece(Frozen):
     """A split cover whose homology shows p-torsion against its boundary.
 
     ``morphism`` is a cover with one cyclic lift split in two; ``c1`` keeps
@@ -1310,11 +1325,30 @@ class TorsionPiece:
     p-part is what chaining copies multiplies up.
     """
 
-    morphism: PrecoverMorphism
-    c1: str
-    c2: str
-    prime: int
-    certificate: AbelianGroup
+    __slots__ = ("morphism", "c1", "c2", "prime", "certificate")
+
+    def __init__(
+        self, morphism: PrecoverMorphism, c1: str, c2: str, prime: int,
+        certificate: AbelianGroup,
+    ):
+        _set(self, "morphism", morphism)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "prime", prime)
+        _set(self, "certificate", certificate)
+
+    def __repr__(self):
+        return "TorsionPiece(morphism=%r, c1=%r, c2=%r, prime=%r, certificate=%r)" % (
+            self.morphism, self.c1, self.c2, self.prime, self.certificate)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.morphism, self.c1, self.c2, self.prime, self.certificate) == (
+                other.morphism, other.c1, other.c2, other.prime, other.certificate)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.morphism, self.c1, self.c2, self.prime, self.certificate))
 
     @property
     def boundary_index(self) -> int:
@@ -1462,13 +1496,24 @@ def chain(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
 # Walking words through a cover.
 
 
-@dataclass(frozen=True)
-class InSubgroup:
+class InSubgroup(Frozen):
     """The lifted walk closes up at the basepoint."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ExitsAt:
+    def __repr__(self):
+        return "InSubgroup()"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class ExitsAt(Frozen):
     """The lifted walk leaves the subgroup.
 
     ``position`` counts fully traversed segments (syllables and crossings
@@ -1477,9 +1522,25 @@ class ExitsAt:
     count.  ``vertex`` and ``coset`` locate the walk when it stopped.
     """
 
-    position: int
-    vertex: str
-    coset: int
+    __slots__ = ("position", "vertex", "coset")
+
+    def __init__(self, position: int, vertex: str, coset: int):
+        _set(self, "position", position)
+        _set(self, "vertex", vertex)
+        _set(self, "coset", coset)
+
+    def __repr__(self):
+        return "ExitsAt(position=%r, vertex=%r, coset=%r)" % (
+            self.position, self.vertex, self.coset)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.position, self.vertex, self.coset) == (
+                other.position, other.vertex, other.coset)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.position, self.vertex, self.coset))
 
 
 def lift_word(m: PrecoverMorphism, gw: GogWord):
@@ -1529,55 +1590,151 @@ def lift_word(m: PrecoverMorphism, gw: GogWord):
 # Towers.
 
 
-@dataclass(frozen=True)
-class TowerBounds:
+class TowerBounds(Frozen):
     """Search limits for tower construction, all small by design.
 
     Both index bounds are at least 1; ``complete_bound`` and
     ``max_word_length`` are at least 0.  Construction raises ValueError on
-    a value out of range, so a run never starts a search with one.
+    a value out of range and TypeError on a bool, so a run never starts a
+    search with one.  ``FIELDS`` names the fields in order.
     """
 
-    max_cover_index: int = 4
-    max_piece_index: int = 4
-    complete_bound: int = 24
-    max_word_length: int = 6
+    FIELDS = ("max_cover_index", "max_piece_index", "complete_bound", "max_word_length")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        check_bounds(**{name: getattr(self, name) for name in self.__dataclass_fields__})
+    def __init__(
+        self,
+        max_cover_index: int = 4,
+        max_piece_index: int = 4,
+        complete_bound: int = 24,
+        max_word_length: int = 6,
+    ):
+        check_bounds(
+            max_cover_index=max_cover_index, max_piece_index=max_piece_index,
+            complete_bound=complete_bound, max_word_length=max_word_length,
+        )
+        _set(self, "max_cover_index", max_cover_index)
+        _set(self, "max_piece_index", max_piece_index)
+        _set(self, "complete_bound", complete_bound)
+        _set(self, "max_word_length", max_word_length)
+
+    def _values(self) -> Tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __repr__(self):
+        return "TowerBounds(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.FIELDS, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class TowerStep:
-    step: int
-    prime: int
-    relative_degree: int
-    total_degree: int
-    alpha: int
-    beta: int
-    piece_predegree: int
-    exponents: Dict[int, int]
-    excluded_word: str
-    excluded: bool
-    exclusion_note: str
-    site_distance: int
+class TowerStep(Frozen):
+    __slots__ = (
+        "step", "prime", "relative_degree", "total_degree", "alpha", "beta",
+        "piece_predegree", "exponents", "excluded_word", "excluded",
+        "exclusion_note", "site_distance",
+    )
+
+    def __init__(
+        self,
+        step: int,
+        prime: int,
+        relative_degree: int,
+        total_degree: int,
+        alpha: int,
+        beta: int,
+        piece_predegree: int,
+        exponents: Dict[int, int],
+        excluded_word: str,
+        excluded: bool,
+        exclusion_note: str,
+        site_distance: int,
+    ):
+        _set(self, "step", step)
+        _set(self, "prime", prime)
+        _set(self, "relative_degree", relative_degree)
+        _set(self, "total_degree", total_degree)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "piece_predegree", piece_predegree)
+        _set(self, "exponents", exponents)
+        _set(self, "excluded_word", excluded_word)
+        _set(self, "excluded", excluded)
+        _set(self, "exclusion_note", exclusion_note)
+        _set(self, "site_distance", site_distance)
+
+    def _values(self) -> tuple:
+        return (
+            self.step, self.prime, self.relative_degree, self.total_degree,
+            self.alpha, self.beta, self.piece_predegree, self.exponents,
+            self.excluded_word, self.excluded, self.exclusion_note, self.site_distance,
+        )
+
+    def __repr__(self):
+        return "TowerStep(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(Frozen):
     """Everything a tower run produced, failures included.
 
     ``status`` is "ok" or "failed:<stage>:<reason>"; steps lists only the
     completed steps and the ledger carries the verified ratio data.
     """
 
-    base: GraphOfGroups
-    primes: Tuple[int, ...]
-    requested_steps: int
-    steps: Tuple[TowerStep, ...]
-    ledger: TowerLedger
-    base_exponents: Dict[int, int]
-    status: str
+    __slots__ = (
+        "base", "primes", "requested_steps", "steps", "ledger", "base_exponents", "status",
+    )
+
+    def __init__(
+        self,
+        base: GraphOfGroups,
+        primes: Tuple[int, ...],
+        requested_steps: int,
+        steps: Tuple[TowerStep, ...],
+        ledger: TowerLedger,
+        base_exponents: Dict[int, int],
+        status: str,
+    ):
+        _set(self, "base", base)
+        _set(self, "primes", primes)
+        _set(self, "requested_steps", requested_steps)
+        _set(self, "steps", steps)
+        _set(self, "ledger", ledger)
+        _set(self, "base_exponents", base_exponents)
+        _set(self, "status", status)
+
+    def _values(self) -> tuple:
+        return (
+            self.base, self.primes, self.requested_steps, self.steps, self.ledger,
+            self.base_exponents, self.status,
+        )
+
+    def __repr__(self):
+        return "TowerReport(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def to_csv(self) -> str:
         def row(lead: Sequence[str], exps: Dict[int, int], deg: int, status: str) -> str:

@@ -19,12 +19,11 @@ on to produce a deterministic stream of nontrivial elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .homology import IntMatrix
-from .words import Word, power_of
+from .words import Frozen, Word, _set, power_of
 
 Roster = List[Tuple]
 
@@ -265,21 +264,34 @@ def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:
 # Path words
 
 
-@dataclass(frozen=True)
-class GogWord:
+class GogWord(Frozen):
     """Alternating path word: syllable, crossing, syllable, ...
 
     There is always one syllable more than there are crossings; syllable i
     lives at the vertex reached after i crossings.
     """
 
-    start: str
-    syllables: Tuple[Word, ...]
-    crossings: Tuple[str, ...]
+    __slots__ = ("start", "syllables", "crossings")
 
-    def __post_init__(self):
-        if len(self.syllables) != len(self.crossings) + 1:
+    def __init__(self, start: str, syllables: Tuple[Word, ...], crossings: Tuple[str, ...]):
+        if len(syllables) != len(crossings) + 1:
             raise ValueError("need exactly one more syllable than crossings")
+        _set(self, "start", start)
+        _set(self, "syllables", syllables)
+        _set(self, "crossings", crossings)
+
+    def __repr__(self):
+        return "GogWord(start=%r, syllables=%r, crossings=%r)" % (
+            self.start, self.syllables, self.crossings)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.syllables, self.crossings) == (
+                other.start, other.syllables, other.crossings)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.start, self.syllables, self.crossings))
 
     def validate_on(self, g: GraphOfGroups) -> List[str]:
         problems = []

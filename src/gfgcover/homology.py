@@ -20,23 +20,35 @@ logarithm, i.e. the exponent itself, which keeps everything in Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .words import Frozen, _set
 
 
 # ---------------------------------------------------------------------------
 # Integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: Tuple[Tuple[int, ...], ...]
-    cols: int
+class IntMatrix(Frozen):
+    __slots__ = ("entries", "cols")
 
-    def __post_init__(self):
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("matrix rows must all have %d entries" % self.cols)
+    def __init__(self, entries: Tuple[Tuple[int, ...], ...], cols: int):
+        if any(len(row) != cols for row in entries):
+            raise ValueError("matrix rows must all have %d entries" % cols)
+        _set(self, "entries", entries)
+        _set(self, "cols", cols)
+
+    def __repr__(self):
+        return "IntMatrix(entries=%r, cols=%r)" % (self.entries, self.cols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries, self.cols) == (other.entries, other.cols)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries, self.cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -184,24 +196,35 @@ def snf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
 # Finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """Z^betti plus cyclic factors Z/d_1 + ... + Z/d_k, d_1 | d_2 | ...
 
     Elements are integer vectors of length k + betti, torsion coordinates
     first.
     """
 
-    betti: int
-    divisors: Tuple[int, ...]
+    __slots__ = ("betti", "divisors")
 
-    def __post_init__(self):
-        for d in self.divisors:
+    def __init__(self, betti: int, divisors: Tuple[int, ...]):
+        for d in divisors:
             if d < 2:
                 raise ValueError("divisors must be >= 2")
-        for a, b in zip(self.divisors, self.divisors[1:]):
+        for a, b in zip(divisors, divisors[1:]):
             if b % a:
                 raise ValueError("divisors must form a divisibility chain")
+        _set(self, "betti", betti)
+        _set(self, "divisors", divisors)
+
+    def __repr__(self):
+        return "AbelianGroup(betti=%r, divisors=%r)" % (self.betti, self.divisors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.betti, self.divisors) == (other.betti, other.divisors)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.betti, self.divisors))
 
     def __str__(self):
         parts = []
@@ -364,29 +387,56 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
 # Tower ledger
 
 
-@dataclass
 class LedgerRow:
-    step: int
-    prime: int
-    degree: int
-    exponents: Dict[int, int]
+    __slots__ = ("step", "prime", "degree", "exponents")
+
+    def __init__(self, step: int, prime: int, degree: int, exponents: Dict[int, int]):
+        self.step = step
+        self.prime = prime
+        self.degree = degree
+        self.exponents = exponents
+
+    def __repr__(self):
+        return "LedgerRow(step=%r, prime=%r, degree=%r, exponents=%r)" % (
+            self.step, self.prime, self.degree, self.exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.step, self.prime, self.degree, self.exponents) == (
+                other.step, other.prime, other.degree, other.exponents)
+        return NotImplemented
 
     def ratio(self, p: int) -> Fraction:
         return Fraction(self.exponents.get(p, 0), self.degree)
 
 
-@dataclass
 class TowerLedger:
     """Per-step torsion bookkeeping for a tower of covers.
 
     ``intro`` maps each tracked prime to (introduction step, recorded
     pre-degree bound for the torsion piece over the tower's base).  Ratios
     are exact: exponent of p over cumulative degree, i.e. the base-p
-    logarithm of the torsion order per sheet.
+    logarithm of the torsion order per sheet.  Both default to new empty
+    containers.
     """
 
-    intro: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    rows: List[LedgerRow] = field(default_factory=list)
+    __slots__ = ("intro", "rows")
+
+    def __init__(
+        self,
+        intro: Optional[Dict[int, Tuple[int, int]]] = None,
+        rows: Optional[List[LedgerRow]] = None,
+    ):
+        self.intro = {} if intro is None else intro
+        self.rows = [] if rows is None else rows
+
+    def __repr__(self):
+        return "TowerLedger(intro=%r, rows=%r)" % (self.intro, self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.intro, self.rows) == (other.intro, other.rows)
+        return NotImplemented
 
 
 def ledger_update(

@@ -15,13 +15,46 @@ identified: [w] and [w^-1] are distinct unless conjugate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+# Fields of the immutable value classes are set once, in ``__init__``.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word in F_rank.
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    Each subclass sets its fields in ``__init__`` through ``_set`` and
+    writes its own ``__repr__``, ``__eq__`` and ``__hash__``; its
+    ``__hash__`` is that of the tuple of its fields in order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state):
+        # pickle and copy restore fields here, as __setattr__ refuses them;
+        # state is the instance dict, or (None, slot values) without one.
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
+
+def check_int(value, name: str) -> None:
+    """Reject a bool where an int is required: bool subclasses int, so
+    True would otherwise pass every range check as 1."""
+    if value.__class__ is bool:
+        raise TypeError("%s: expected int, got bool" % name)
+
+
+class Word(Frozen):
+    """A freely reduced word in F_rank.  Its hash is computed once: words
+    key the memoised searches of the cosets and covers layers.
 
     >>> Word((1, 2, -1), 2).letters
     (1, 2, -1)
@@ -31,17 +64,31 @@ class Word:
     ValueError: word is not freely reduced at position 0
     """
 
-    letters: Tuple[int, ...]
-    rank: int
+    __slots__ = ("letters", "rank", "_hash")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, letters: Tuple[int, ...], rank: int):
+        check_int(rank, "rank")
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        for i, a in enumerate(self.letters):
-            if a == 0 or abs(a) > self.rank:
-                raise ValueError("letter %d out of range for rank %d" % (a, self.rank))
-            if i + 1 < len(self.letters) and self.letters[i + 1] == -a:
+        for i, a in enumerate(letters):
+            if a == 0 or abs(a) > rank:
+                raise ValueError("letter %d out of range for rank %d" % (a, rank))
+            if i + 1 < len(letters) and letters[i + 1] == -a:
                 raise ValueError("word is not freely reduced at position %d" % i)
+        _set(self, "letters", letters)
+        _set(self, "rank", rank)
+        _set(self, "_hash", hash((letters, rank)))
+
+    def __repr__(self):
+        return "Word(letters=%r, rank=%r)" % (self.letters, self.rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters and self.rank == other.rank
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.letters)
@@ -105,21 +152,31 @@ def is_cyclically_reduced(w: Word) -> bool:
     return len(w) < 2 or w.letters[0] != -w.letters[-1]
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(Frozen):
     """A conjugacy class, stored by its canonical representative.
 
     Build these with ``conj_canonical``; the constructor checks canonicity.
     """
 
-    canonical: Word
+    __slots__ = ("canonical",)
 
-    def __post_init__(self):
-        w = self.canonical
-        if not is_cyclically_reduced(w):
+    def __init__(self, canonical: Word):
+        if not is_cyclically_reduced(canonical):
             raise ValueError("canonical representative must be cyclically reduced")
-        if w.letters and w.letters != _least_rotation(w.letters):
+        if canonical.letters and canonical.letters != _least_rotation(canonical.letters):
             raise ValueError("representative is not the least rotation")
+        _set(self, "canonical", canonical)
+
+    def __repr__(self):
+        return "ConjClass(canonical=%r)" % (self.canonical,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.canonical == other.canonical
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.canonical,))
 
     @property
     def rank(self) -> int:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,8 +25,10 @@ from gfgcover.cosets import (
     subgroup_rank,
     whole_group_table,
 )
-from gfgcover.words import Word, conj_canonical
+from gfgcover.cli import gog_from_payload, load_document
+from gfgcover.words import Word, conj_canonical, free_reduce
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SWAP = CosetTable(2, ((1, 0), (0, 1)))  # generator 1 swaps, generator 2 fixes
 
 
@@ -36,8 +40,6 @@ def small_tables():
 
 
 SMALL_TABLES = small_tables()
-
-from gfgcover.words import free_reduce
 
 letters2 = st.integers(-2, 2).filter(lambda a: a != 0)
 words2 = st.lists(letters2, max_size=8).map(lambda ls: free_reduce(ls, 2))
@@ -154,6 +156,28 @@ class TestElevations:
                 for j in range(1, e.degree):
                     cur = t.act_word(cur, v)
                     assert cur != beta
+
+    def test_local_matches_conj_canonical_of_the_walk(self):
+        # ``local`` takes the least rotation of the closed walk without
+        # cyclically reducing it; the oracle canonicalises the walk in full.
+        graphs = [gog_from_payload(load_document(str(FIXTURES / name)))
+                  for name in ("seeded_torsion.yaml", "genus2.yaml", "hnn_f1.yaml")]
+        words = {w for g in graphs for w in g.edge_words.values() if w.rank == 2}
+        rng = random.Random(0)
+        while len(words) < 40:
+            w = free_reduce([rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 9))], 2)
+            if not conj_canonical(w).is_trivial():
+                words.add(w)
+        checked = 0
+        for n in range(1, 6):
+            for t in enumerate_subgroups(2, n):
+                sd = schreier(t)
+                for w in sorted(words, key=lambda w: w.letters):
+                    for e in elevations(t, w):
+                        out, _ = sd.walk(e.base.canonical.letters * e.degree, e.cycle[0])
+                        assert e.local == conj_canonical(Word(tuple(out), len(sd.edge_basis)))
+                        checked += 1
+        assert checked > 10_000
 
     @given(st.sampled_from(SMALL_TABLES), words2)
     @settings(max_examples=100, deadline=None)

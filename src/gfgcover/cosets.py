@@ -56,7 +56,8 @@ class CosetTable(Frozen):
     of the covers layer.
     """
 
-    __slots__ = ("rank", "action", "_inverse", "_hash")
+    FIELDS = ("rank", "action")
+    __slots__ = FIELDS + ("_inverse", "_hash")
 
     def __init__(self, rank: int, action: Tuple[Tuple[int, ...], ...]):
         check_int(rank, "rank")
@@ -68,6 +69,8 @@ class CosetTable(Frozen):
         if n < 1:
             raise ValueError("need at least one coset")
         for row in action:
+            for a in row:
+                check_int(a, "action")
             if sorted(row) != list(range(n)):
                 raise ValueError("each generator must act by a permutation")
         inverse = tuple(_invert_perm(row) for row in action)
@@ -86,14 +89,6 @@ class CosetTable(Frozen):
         _set(self, "action", action)
         _set(self, "_inverse", inverse)
         _set(self, "_hash", hash((rank, action)))
-
-    def __repr__(self):
-        return "CosetTable(rank=%r, action=%r)" % (self.rank, self.action)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank and self.action == other.action
-        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -144,6 +139,8 @@ class SchreierData(Frozen):
     cached properties.
     """
 
+    FIELDS = ("table", "tree", "edge_basis")
+
     def __init__(
         self,
         table: CosetTable,
@@ -153,19 +150,6 @@ class SchreierData(Frozen):
         _set(self, "table", table)
         _set(self, "tree", tree)
         _set(self, "edge_basis", edge_basis)
-
-    def __repr__(self):
-        return "SchreierData(table=%r, tree=%r, edge_basis=%r)" % (
-            self.table, self.tree, self.edge_basis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.table, self.tree, self.edge_basis) == (
-                other.table, other.tree, other.edge_basis)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.table, self.tree, self.edge_basis))
 
     @cached_property
     def reps(self) -> Tuple[Word, ...]:
@@ -264,21 +248,12 @@ class Elevation(Frozen):
     around the cycle from m and never builds ``rep``.
     """
 
+    FIELDS = ("base", "cycle", "table")
+
     def __init__(self, base: ConjClass, cycle: Tuple[int, ...], table: CosetTable):
         _set(self, "base", base)
         _set(self, "cycle", cycle)
         _set(self, "table", table)
-
-    def __repr__(self):
-        return "Elevation(base=%r, cycle=%r, table=%r)" % (self.base, self.cycle, self.table)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.cycle, self.table) == (other.base, other.cycle, other.table)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.cycle, self.table))
 
     @property
     def degree(self) -> int:
@@ -426,25 +401,14 @@ class PrescribeResult(Frozen):
     ``quotient``.
     """
 
-    __slots__ = ("table", "scale", "quotient")
+    FIELDS = ("table", "scale", "quotient")
+    __slots__ = FIELDS
 
     def __init__(self, table: CosetTable, scale: int, quotient: str):
         _set(self, "table", table)
         _set(self, "scale", scale)
         _set(self, "quotient", quotient)
 
-    def __repr__(self):
-        return "PrescribeResult(table=%r, scale=%r, quotient=%r)" % (
-            self.table, self.scale, self.quotient)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.table, self.scale, self.quotient) == (
-                other.table, other.scale, other.quotient)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.table, self.scale, self.quotient))
 
 
 def _perm_order(perm: Tuple[int, ...]) -> int:

@@ -134,10 +134,13 @@ class HangingSlot(Frozen):
 
     ``edge`` is the oriented base edge whose tau end the slot sits over, so
     two slots can be joined exactly when their edges are mutual reverses
-    and their degrees agree.
+    and their degrees agree.  ``side`` is the vertex kind of the slot's
+    lift, "free" or "cyclic": ``_close_open_ends`` pools the free slots
+    by edge and takes the cyclic ones as demands of their lift.
     """
 
-    __slots__ = ("vertex", "edge", "side", "degree", "least")
+    FIELDS = ("vertex", "edge", "side", "degree", "least")
+    __slots__ = FIELDS
 
     def __init__(self, vertex: str, edge: str, side: str, degree: int, least: int):
         _set(self, "vertex", vertex)
@@ -145,19 +148,6 @@ class HangingSlot(Frozen):
         _set(self, "side", side)
         _set(self, "degree", degree)
         _set(self, "least", least)
-
-    def __repr__(self):
-        return "HangingSlot(vertex=%r, edge=%r, side=%r, degree=%r, least=%r)" % (
-            self.vertex, self.edge, self.side, self.degree, self.least)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertex, self.edge, self.side, self.degree, self.least) == (
-                other.vertex, other.edge, other.side, other.degree, other.least)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex, self.edge, self.side, self.degree, self.least))
 
     @property
     def ref(self) -> ElevationRef:
@@ -219,6 +209,7 @@ class PrecoverMorphism:
                     raise ValueError("table rank mismatch at %r" % v)
             else:
                 d = self.cyclic_index.get(v)
+                check_int(d, "cyclic_index")
                 if not isinstance(d, int) or d < 1:
                     raise ValueError("cyclic lift %r has no index" % v)
         for v in self.vertex_data:
@@ -1325,7 +1316,8 @@ class TorsionPiece(Frozen):
     p-part is what chaining copies multiplies up.
     """
 
-    __slots__ = ("morphism", "c1", "c2", "prime", "certificate")
+    FIELDS = ("morphism", "c1", "c2", "prime", "certificate")
+    __slots__ = FIELDS
 
     def __init__(
         self, morphism: PrecoverMorphism, c1: str, c2: str, prime: int,
@@ -1336,19 +1328,6 @@ class TorsionPiece(Frozen):
         _set(self, "c2", c2)
         _set(self, "prime", prime)
         _set(self, "certificate", certificate)
-
-    def __repr__(self):
-        return "TorsionPiece(morphism=%r, c1=%r, c2=%r, prime=%r, certificate=%r)" % (
-            self.morphism, self.c1, self.c2, self.prime, self.certificate)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.morphism, self.c1, self.c2, self.prime, self.certificate) == (
-                other.morphism, other.c1, other.c2, other.prime, other.certificate)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.morphism, self.c1, self.c2, self.prime, self.certificate))
 
     @property
     def boundary_index(self) -> int:
@@ -1501,17 +1480,6 @@ class InSubgroup(Frozen):
 
     __slots__ = ()
 
-    def __repr__(self):
-        return "InSubgroup()"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
 
 class ExitsAt(Frozen):
     """The lifted walk leaves the subgroup.
@@ -1522,25 +1490,13 @@ class ExitsAt(Frozen):
     count.  ``vertex`` and ``coset`` locate the walk when it stopped.
     """
 
-    __slots__ = ("position", "vertex", "coset")
+    FIELDS = ("position", "vertex", "coset")
+    __slots__ = FIELDS
 
     def __init__(self, position: int, vertex: str, coset: int):
         _set(self, "position", position)
         _set(self, "vertex", vertex)
         _set(self, "coset", coset)
-
-    def __repr__(self):
-        return "ExitsAt(position=%r, vertex=%r, coset=%r)" % (
-            self.position, self.vertex, self.coset)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.position, self.vertex, self.coset) == (
-                other.position, other.vertex, other.coset)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.position, self.vertex, self.coset))
 
 
 def lift_word(m: PrecoverMorphism, gw: GogWord):
@@ -1596,7 +1552,7 @@ class TowerBounds(Frozen):
     Both index bounds are at least 1; ``complete_bound`` and
     ``max_word_length`` are at least 0.  Construction raises ValueError on
     a value out of range and TypeError on a bool, so a run never starts a
-    search with one.  ``FIELDS`` names the fields in order.
+    search with one.
     """
 
     FIELDS = ("max_cover_index", "max_piece_index", "complete_bound", "max_word_length")
@@ -1618,28 +1574,14 @@ class TowerBounds(Frozen):
         _set(self, "complete_bound", complete_bound)
         _set(self, "max_word_length", max_word_length)
 
-    def _values(self) -> Tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __repr__(self):
-        return "TowerBounds(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.FIELDS, self._values()))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
 
 class TowerStep(Frozen):
-    __slots__ = (
+    FIELDS = (
         "step", "prime", "relative_degree", "total_degree", "alpha", "beta",
         "piece_predegree", "exponents", "excluded_word", "excluded",
         "exclusion_note", "site_distance",
     )
+    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -1669,25 +1611,6 @@ class TowerStep(Frozen):
         _set(self, "exclusion_note", exclusion_note)
         _set(self, "site_distance", site_distance)
 
-    def _values(self) -> tuple:
-        return (
-            self.step, self.prime, self.relative_degree, self.total_degree,
-            self.alpha, self.beta, self.piece_predegree, self.exponents,
-            self.excluded_word, self.excluded, self.exclusion_note, self.site_distance,
-        )
-
-    def __repr__(self):
-        return "TowerStep(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
 
 class TowerReport(Frozen):
     """Everything a tower run produced, failures included.
@@ -1696,9 +1619,10 @@ class TowerReport(Frozen):
     completed steps and the ledger carries the verified ratio data.
     """
 
-    __slots__ = (
+    FIELDS = (
         "base", "primes", "requested_steps", "steps", "ledger", "base_exponents", "status",
     )
+    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -1717,24 +1641,6 @@ class TowerReport(Frozen):
         _set(self, "ledger", ledger)
         _set(self, "base_exponents", base_exponents)
         _set(self, "status", status)
-
-    def _values(self) -> tuple:
-        return (
-            self.base, self.primes, self.requested_steps, self.steps, self.ledger,
-            self.base_exponents, self.status,
-        )
-
-    def __repr__(self):
-        return "TowerReport(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def to_csv(self) -> str:
         def row(lead: Sequence[str], exps: Dict[int, int], deg: int, status: str) -> str:

@@ -271,7 +271,8 @@ class GogWord(Frozen):
     lives at the vertex reached after i crossings.
     """
 
-    __slots__ = ("start", "syllables", "crossings")
+    FIELDS = ("start", "syllables", "crossings")
+    __slots__ = FIELDS
 
     def __init__(self, start: str, syllables: Tuple[Word, ...], crossings: Tuple[str, ...]):
         if len(syllables) != len(crossings) + 1:
@@ -279,19 +280,6 @@ class GogWord(Frozen):
         _set(self, "start", start)
         _set(self, "syllables", syllables)
         _set(self, "crossings", crossings)
-
-    def __repr__(self):
-        return "GogWord(start=%r, syllables=%r, crossings=%r)" % (
-            self.start, self.syllables, self.crossings)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start, self.syllables, self.crossings) == (
-                other.start, other.syllables, other.crossings)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.start, self.syllables, self.crossings))
 
     def validate_on(self, g: GraphOfGroups) -> List[str]:
         problems = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .words import Frozen, _set
+from .words import Frozen, Value, _set
 
 
 # ---------------------------------------------------------------------------
@@ -31,24 +31,14 @@ from .words import Frozen, _set
 
 
 class IntMatrix(Frozen):
-    __slots__ = ("entries", "cols")
+    FIELDS = ("entries", "cols")
+    __slots__ = FIELDS
 
     def __init__(self, entries: Tuple[Tuple[int, ...], ...], cols: int):
         if any(len(row) != cols for row in entries):
             raise ValueError("matrix rows must all have %d entries" % cols)
         _set(self, "entries", entries)
         _set(self, "cols", cols)
-
-    def __repr__(self):
-        return "IntMatrix(entries=%r, cols=%r)" % (self.entries, self.cols)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.entries, self.cols) == (other.entries, other.cols)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries, self.cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -203,7 +193,8 @@ class AbelianGroup(Frozen):
     first.
     """
 
-    __slots__ = ("betti", "divisors")
+    FIELDS = ("betti", "divisors")
+    __slots__ = FIELDS
 
     def __init__(self, betti: int, divisors: Tuple[int, ...]):
         for d in divisors:
@@ -214,17 +205,6 @@ class AbelianGroup(Frozen):
                 raise ValueError("divisors must form a divisibility chain")
         _set(self, "betti", betti)
         _set(self, "divisors", divisors)
-
-    def __repr__(self):
-        return "AbelianGroup(betti=%r, divisors=%r)" % (self.betti, self.divisors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.betti, self.divisors) == (other.betti, other.divisors)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.betti, self.divisors))
 
     def __str__(self):
         parts = []
@@ -387,8 +367,9 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
 # Tower ledger
 
 
-class LedgerRow:
-    __slots__ = ("step", "prime", "degree", "exponents")
+class LedgerRow(Value):
+    FIELDS = ("step", "prime", "degree", "exponents")
+    __slots__ = FIELDS
 
     def __init__(self, step: int, prime: int, degree: int, exponents: Dict[int, int]):
         self.step = step
@@ -396,21 +377,11 @@ class LedgerRow:
         self.degree = degree
         self.exponents = exponents
 
-    def __repr__(self):
-        return "LedgerRow(step=%r, prime=%r, degree=%r, exponents=%r)" % (
-            self.step, self.prime, self.degree, self.exponents)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.step, self.prime, self.degree, self.exponents) == (
-                other.step, other.prime, other.degree, other.exponents)
-        return NotImplemented
-
     def ratio(self, p: int) -> Fraction:
         return Fraction(self.exponents.get(p, 0), self.degree)
 
 
-class TowerLedger:
+class TowerLedger(Value):
     """Per-step torsion bookkeeping for a tower of covers.
 
     ``intro`` maps each tracked prime to (introduction step, recorded
@@ -420,7 +391,8 @@ class TowerLedger:
     containers.
     """
 
-    __slots__ = ("intro", "rows")
+    FIELDS = ("intro", "rows")
+    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -429,14 +401,6 @@ class TowerLedger:
     ):
         self.intro = {} if intro is None else intro
         self.rows = [] if rows is None else rows
-
-    def __repr__(self):
-        return "TowerLedger(intro=%r, rows=%r)" % (self.intro, self.rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.intro, self.rows) == (other.intro, other.rows)
-        return NotImplemented
 
 
 def ledger_update(

@@ -21,15 +21,43 @@ from typing import Iterable, Optional, Tuple
 _set = object.__setattr__
 
 
-class Frozen:
-    """Base of the package's immutable value classes.
+class Value:
+    """Base of the package's value classes.
 
-    Each subclass sets its fields in ``__init__`` through ``_set`` and
-    writes its own ``__repr__``, ``__eq__`` and ``__hash__``; its
-    ``__hash__`` is that of the tuple of its fields in order.
+    Each subclass names its fields once, in ``FIELDS``, in constructor
+    order.  From it the base derives the repr ``Name(field=value, ...)``
+    and equality: instances of one class compare their field tuples, any
+    other class gets NotImplemented.  Defining ``__eq__`` makes a
+    ``Value`` unhashable; ``Frozen`` adds the hash.
     """
 
     __slots__ = ()
+    FIELDS: Tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.FIELDS))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class Frozen(Value):
+    """Base of the package's immutable value classes.
+
+    Each subclass sets its fields in ``__init__`` through ``_set``; its
+    hash is that of the tuple of its fields in order.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -64,13 +92,15 @@ class Word(Frozen):
     ValueError: word is not freely reduced at position 0
     """
 
-    __slots__ = ("letters", "rank", "_hash")
+    FIELDS = ("letters", "rank")
+    __slots__ = FIELDS + ("_hash",)
 
     def __init__(self, letters: Tuple[int, ...], rank: int):
         check_int(rank, "rank")
         if rank < 0:
             raise ValueError("rank must be non-negative")
         for i, a in enumerate(letters):
+            check_int(a, "letters")
             if a == 0 or abs(a) > rank:
                 raise ValueError("letter %d out of range for rank %d" % (a, rank))
             if i + 1 < len(letters) and letters[i + 1] == -a:
@@ -78,14 +108,6 @@ class Word(Frozen):
         _set(self, "letters", letters)
         _set(self, "rank", rank)
         _set(self, "_hash", hash((letters, rank)))
-
-    def __repr__(self):
-        return "Word(letters=%r, rank=%r)" % (self.letters, self.rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters and self.rank == other.rank
-        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -158,7 +180,8 @@ class ConjClass(Frozen):
     Build these with ``conj_canonical``; the constructor checks canonicity.
     """
 
-    __slots__ = ("canonical",)
+    FIELDS = ("canonical",)
+    __slots__ = FIELDS
 
     def __init__(self, canonical: Word):
         if not is_cyclically_reduced(canonical):
@@ -166,17 +189,6 @@ class ConjClass(Frozen):
         if canonical.letters and canonical.letters != _least_rotation(canonical.letters):
             raise ValueError("representative is not the least rotation")
         _set(self, "canonical", canonical)
-
-    def __repr__(self):
-        return "ConjClass(canonical=%r)" % (self.canonical,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.canonical == other.canonical
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.canonical,))
 
     @property
     def rank(self) -> int:

@@ -7,6 +7,7 @@ loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -17,12 +18,12 @@ import pytest
 
 from gfgcover.cosets import CosetTable, Elevation, PrescribeResult, SchreierData
 from gfgcover.covers import (
-    ExitsAt, HangingSlot, InSubgroup, TorsionPiece, TowerBounds, TowerReport, TowerStep,
-    check_bounds, enumerate_covers,
+    ExitsAt, HangingSlot, InSubgroup, PrecoverMorphism, TorsionPiece, TowerBounds, TowerReport,
+    TowerStep, check_bounds, enumerate_covers,
 )
-from gfgcover.gog import GogWord
+from gfgcover.gog import GogWord, GraphOfGroups, SerreGraph
 from gfgcover.homology import AbelianGroup, IntMatrix, LedgerRow, TowerLedger
-from gfgcover.words import ConjClass, Word
+from gfgcover.words import ConjClass, Frozen, Value, Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -178,6 +179,15 @@ def test_constructor_errors(build, error, text):
     assert str(exc.value) == text
 
 
+def _one_edge_gog() -> GraphOfGroups:
+    """A free vertex v of rank 1 joined to a cyclic vertex c by one edge."""
+    graph = SerreGraph(["v", "c"], {"p0": ("v", "c")})
+    return GraphOfGroups(
+        graph, {"v": 1, "c": 1}, {"v": "free", "c": "cyclic"},
+        {"p0": Word((1,), 1), "~p0": Word((1,), 1)}, "v",
+    )
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda: Word((), True), "rank"),
     (lambda: Word((1,), True), "rank"),
@@ -187,6 +197,11 @@ def test_constructor_errors(build, error, text):
     (lambda: check_bounds(max_index=True), "max_index"),
     (lambda: check_bounds(bound=False), "bound"),
     (lambda: next(enumerate_covers(None, True)), "max_index"),
+    (lambda: Word((True,), 1), "letters"),
+    (lambda: Word((1, False), 1), "letters"),
+    (lambda: CosetTable(1, ((False,),)), "action"),
+    (lambda: CosetTable(1, ((1, False),)), "action"),
+    (lambda: PrecoverMorphism(_one_edge_gog(), {"c": "c"}, {}, {"c": True}, {}), "cyclic_index"),
 ])
 def test_a_bool_is_not_an_int(build, name):
     # bool subclasses int, so True passed every range check as 1.
@@ -202,3 +217,24 @@ def test_cli_imports_no_dataclasses_or_inspect():
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     ).stdout
     assert out == "[]\n"
+
+
+def _value_classes(cls=Value):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("gfgcover."):
+            yield sub
+        yield from _value_classes(sub)
+
+
+def test_fields_are_named_once_in_the_base():
+    # Every value class is covered above, names its constructor's
+    # parameters in FIELDS, and leaves repr, equality and hash to the
+    # base; Word and CosetTable return the hash cached at construction.
+    tested = {cls for cls, _, _ in FROZEN} | {LedgerRow, TowerLedger}
+    classes = set(_value_classes()) - {Frozen}
+    assert classes == tested
+    for cls in classes:
+        params = tuple(inspect.signature(cls).parameters)
+        assert cls.FIELDS == params, cls.__name__
+        own = {"__repr__", "__eq__", "__hash__"} & set(vars(cls))
+        assert own == ({"__hash__"} if cls in (Word, CosetTable) else set()), cls.__name__

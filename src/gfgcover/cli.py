@@ -83,22 +83,19 @@ def _fail(path: str, message: str) -> None:
     raise SchemaError("%s: %s" % (path, message))
 
 
-def _expect(data, types, path: str):
+def _expect(data, typ: type, path: str):
     # bool subclasses int, but a YAML true/false is never a count or a letter.
-    if not isinstance(data, types) or isinstance(data, bool):
-        names = types.__name__ if isinstance(types, type) else "/".join(
-            t.__name__ for t in types
-        )
-        _fail(path, "expected %s, got %s" % (names, type(data).__name__))
+    if not isinstance(data, typ) or isinstance(data, bool):
+        _fail(path, "expected %s, got %s" % (typ.__name__, type(data).__name__))
     return data
 
 
-def _get(data: dict, key: str, types, path: str, default=_fail):
+def _get(data: dict, key: str, typ: type, path: str, default=_fail):
     if key not in data:
         if default is not _fail:
             return default
         _fail(path, "missing field %r" % key)
-    return _expect(data[key], types, "%s.%s" % (path, key))
+    return _expect(data[key], typ, "%s.%s" % (path, key))
 
 
 def _word(data, rank: int, path: str) -> Word:
@@ -486,6 +483,8 @@ def load_document(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise SchemaError("%s: %s" % (path, exc))
     try:
         data = _load_direct(text)
     except _Refused:

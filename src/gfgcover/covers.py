@@ -64,7 +64,6 @@ from .words import ConjClass, Frozen, Word, _set, check_int, conj_canonical
 
 DEFAULT_BUDGET = 200_000
 MAX_BETA = 16  # detached-copy counts tried per tower step; only 1 is supported
-MAX_ALPHA_RETRIES = 4  # chain lengths tried past the least one
 
 # The least value of each search bound: an index counts at least one sheet,
 # while an added index or a word length may be 0.
@@ -1085,8 +1084,8 @@ class CoverCensus:
 def enumerate_covers(
     g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None
 ) -> Iterator[PrecoverMorphism]:
-    """Connected covers of degree at most max_index, one per isomorphism
-    class, in ascending degree.
+    """Connected covers of degree at most max_index, one per rotation class
+    (see the module docstring), in ascending degree.
 
     Free lifts run over the subgroup catalog; cyclic lifts are created to
     order while matching elevation ends.  A candidate whose
@@ -1846,8 +1845,7 @@ def _tower_step(
     budget: Budget, ledger: TowerLedger, degree_so_far: int,
 ) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
     """Step n over the base b, stage by stage; a stage that finds nothing
-    raises ``_StageFailure``.  Chain lengths from α0 on are tried up to
-    ``MAX_ALPHA_RETRIES`` more times, and the last one's failure stands."""
+    raises ``_StageFailure``."""
     census = CoverCensus(b, budget)
     piece = _torsion_piece_in(census.covers(bounds.max_piece_index), p)
     if piece is None:
@@ -1864,25 +1862,19 @@ def _tower_step(
     connector = _build_connector(b, u, piece.boundary_index)
     h = predegree(piece.morphism)
     n_a = connector.vertex_data[u + "@A"].size
-    beta, alpha0 = _copy_count(n, h, min(piece.morphism.sums.values()), degree(cover), n_a)
-    for alpha in range(alpha0, alpha0 + MAX_ALPHA_RETRIES + 1):
-        try:
-            cover_n = _completion_stage(piece, alpha, e1, cover, site, connector, bounds, budget)
-            cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
-            rel = degree(cover_n)
-            exps, trial = _ledger_stage(cover_n, tracked, ledger, n, p, degree_so_far * rel, h)
-        except _StageFailure as exc:
-            failure = exc
-            continue
-        excluded = word is not None and isinstance(lift_word(cover_n, word), ExitsAt)
-        step = TowerStep(
-            step=n, prime=p, relative_degree=rel, total_degree=degree_so_far * rel,
-            alpha=alpha, beta=beta, piece_predegree=h, exponents=exps,
-            excluded_word=str(word) if word is not None else "", excluded=excluded,
-            exclusion_note="" if excluded else note, site_distance=site_distance,
-        )
-        return step, cover_n, trial
-    raise failure
+    beta, alpha = _copy_count(n, h, min(piece.morphism.sums.values()), degree(cover), n_a)
+    cover_n = _completion_stage(piece, alpha, e1, cover, site, connector, bounds, budget)
+    cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
+    rel = degree(cover_n)
+    exps, trial = _ledger_stage(cover_n, tracked, ledger, n, p, degree_so_far * rel, h)
+    excluded = word is not None and isinstance(lift_word(cover_n, word), ExitsAt)
+    step = TowerStep(
+        step=n, prime=p, relative_degree=rel, total_degree=degree_so_far * rel,
+        alpha=alpha, beta=beta, piece_predegree=h, exponents=exps,
+        excluded_word=str(word) if word is not None else "", excluded=excluded,
+        exclusion_note="" if excluded else note, site_distance=site_distance,
+    )
+    return step, cover_n, trial
 
 
 def build_tower(
@@ -1942,10 +1934,6 @@ def build_tower(
         done.append(step)
         current = cover_n.total
         total_degree = step.total_degree
-    if status == "ok" and done:
-        problems = ledger_check(ledger)
-        if problems:
-            status = "failed:ledger:%s" % problems[0]
     return TowerReport(
         base=g,
         primes=primes,

@@ -308,7 +308,7 @@ def h1(g) -> AbelianGroup:
 
 def cyclic_column(g, roster, v: str) -> int:
     """Column of cyclic vertex v's generator in ``abelianized_presentation(g)``."""
-    if g.vertex_kind[v] != "cyclic":
+    if g.vertex_kind.get(v) != "cyclic":
         raise ValueError("vertex %r is not cyclic" % v)
     return roster.index(("vertex", v, 0))
 

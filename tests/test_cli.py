@@ -417,6 +417,14 @@ class TestCommands:
         code, _, err = run(capsys, "h1", "no-such-file.yaml")
         assert code == 1 and err.startswith("error:")
 
+    def test_undecodable_file_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert run(capsys, "h1", str(path)) == (
+            1, "", "error: %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n" % path
+        )
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.BUDGET_VAR, "5")
         code, _, err = run(capsys, "enumerate-covers", SEEDED, "--max-index", "3")

@@ -956,25 +956,13 @@ class TestTower:
         assert note == "word re-enters after assembly"
         assert "p0@2" in cover.pair_spec
 
-    def test_next_chain_length_tried_after_a_failure(self, monkeypatch):
-        real, calls = covers_module.complete, []
-
-        def first_fails(m, bound, budget=None):
-            calls.append(m)
-            return None if len(calls) == 1 else real(m, bound, budget)
-
-        monkeypatch.setattr(covers_module, "complete", first_fails)
-        rep = build_tower(seeded(), [2], 1)
-        assert len(calls) == 2
-        assert (rep.status, rep.steps[0].alpha) == ("ok", 2)
-
     def test_last_chain_length_failure_stands(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             covers_module, "complete", lambda m, bound, budget=None: calls.append(m)
         )
         rep = build_tower(seeded(), [2], 1)
-        assert len(calls) == covers_module.MAX_ALPHA_RETRIES + 1
+        assert len(calls) == 1
         assert rep.status == "failed:completion:no completion within added index 24"
 
     def test_piece_failure_enumerates_no_word(self, monkeypatch):
@@ -1234,11 +1222,11 @@ def survey_steps():
 
 class TestStepAssembly:
     def test_matches_the_composed_assembly(self, survey_steps):
-        """Every chain length the survey tries joins its chain into the site
+        """Every step the survey assembles joins its chain into the site
         cover as detach, rename, splice and re-basing do, and completes the
         same way."""
         steps, _ = survey_steps
-        assert len(steps) == 57
+        assert len(steps) == 17
         for args, asm, got in steps:
             piece, alpha, e1, cover, site, connector, bounds, _ = args
             want = step_assembly_oracle(piece, alpha, e1, cover, site, connector)
@@ -1247,8 +1235,7 @@ class TestStepAssembly:
 
     def test_one_construction_per_chain_length(self, survey_steps):
         """Past the census, pieces and connectors, the survey constructs one
-        morphism per chain length tried, in the step stage, and re-bases
-        none."""
+        morphism per assembled step, in the step stage, and re-bases none."""
         steps, built = survey_steps
         assert built["_completion_stage"] == len(steps)
         assert built["with_basepoint"] == 0

@@ -19,6 +19,7 @@ from gfgcover.homology import (
     class_image,
     cokernel,
     h1,
+    h1_mod_cyclic,
     ledger_bound,
     ledger_check,
     ledger_update,
@@ -196,6 +197,11 @@ class TestCokernel:
         assert (h1(g).betti, h1(g).divisors) == (2, ())
         # Both generators land on the same element of Z^2.
         assert class_image(g, ("v", Word((1,), 2))) == class_image(g, ("v", Word((2,), 2)))
+
+    @pytest.mark.parametrize("v", ["v", "nope"], ids=["free", "unknown"])
+    def test_only_cyclic_vertices_killed(self, v):
+        with pytest.raises(ValueError, match="vertex %r is not cyclic" % v):
+            h1_mod_cyclic(loops(2, [[1, -1]]), [v])
 
     def test_zero_rows(self):
         g = cokernel(IntMatrix.from_rows([], cols=3))

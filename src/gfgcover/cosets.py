@@ -141,16 +141,6 @@ class SchreierData(Frozen):
 
     FIELDS = ("table", "tree", "edge_basis")
 
-    def __init__(
-        self,
-        table: CosetTable,
-        tree: Tuple[Tuple[int, int, int], ...],
-        edge_basis: Tuple[Tuple[int, int, int], ...],
-    ):
-        _set(self, "table", table)
-        _set(self, "tree", tree)
-        _set(self, "edge_basis", edge_basis)
-
     @cached_property
     def reps(self) -> Tuple[Word, ...]:
         r = self.table.rank
@@ -249,11 +239,6 @@ class Elevation(Frozen):
     """
 
     FIELDS = ("base", "cycle", "table")
-
-    def __init__(self, base: ConjClass, cycle: Tuple[int, ...], table: CosetTable):
-        _set(self, "base", base)
-        _set(self, "cycle", cycle)
-        _set(self, "table", table)
 
     @property
     def degree(self) -> int:
@@ -403,12 +388,6 @@ class PrescribeResult(Frozen):
 
     FIELDS = ("table", "scale", "quotient")
     __slots__ = FIELDS
-
-    def __init__(self, table: CosetTable, scale: int, quotient: str):
-        _set(self, "table", table)
-        _set(self, "scale", scale)
-        _set(self, "quotient", quotient)
-
 
 
 def _perm_order(perm: Tuple[int, ...]) -> int:
@@ -579,6 +558,8 @@ def prescribe_degrees(
         words.append(cls.canonical)
     if len(words) != len(degrees) or not words:
         raise ValueError("need one positive degree per word")
+    for d in degrees:
+        check_int(d, "degrees")
     if any(d < 1 for d in degrees):
         raise ValueError("need one positive degree per word")
     # Degrees that no scale can give two powers of one class (see the

@@ -48,7 +48,7 @@ from .gog import (
     reverse_edge,
 )
 from .homology import (
-    AbelianGroup,
+    IntMatrix,
     TowerLedger,
     _check_prime,
     cokernel,
@@ -140,13 +140,6 @@ class HangingSlot(Frozen):
 
     FIELDS = ("vertex", "edge", "side", "degree", "least")
     __slots__ = FIELDS
-
-    def __init__(self, vertex: str, edge: str, side: str, degree: int, least: int):
-        _set(self, "vertex", vertex)
-        _set(self, "edge", edge)
-        _set(self, "side", side)
-        _set(self, "degree", degree)
-        _set(self, "least", least)
 
     @property
     def ref(self) -> ElevationRef:
@@ -1318,16 +1311,6 @@ class TorsionPiece(Frozen):
     FIELDS = ("morphism", "c1", "c2", "prime", "certificate")
     __slots__ = FIELDS
 
-    def __init__(
-        self, morphism: PrecoverMorphism, c1: str, c2: str, prime: int,
-        certificate: AbelianGroup,
-    ):
-        _set(self, "morphism", morphism)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
-        _set(self, "prime", prime)
-        _set(self, "certificate", certificate)
-
     @property
     def boundary_index(self) -> int:
         return self.morphism.cyclic_index[self.c1]
@@ -1383,15 +1366,18 @@ def find_torsion_piece(
     incident edge, and returned with its certificate; None if no lift
     passes.
 
-    No split is built to test a lift.  A row of the abelianized
-    presentation touches vertex columns only, so splitting v keeps every
-    row and moves v's column to v.1 or v.2, and killing both deletes the
-    columns that killing v deletes in the unsplit cover; the split has one
-    vertex more and the same pairs, hence one stable column fewer.  So for
-    every incident edge d, ``h1_mod_cyclic(split_cyclic(m, v, [d]), [v.1,
-    v.2])`` has the divisors of ``h1_mod_cyclic(m, [v])`` and betti one
-    less, and v passes exactly when the latter has p-torsion.  Raises
-    ValueError if max_index is below 1.
+    No split is built to test a lift.  Killing the generator of column j
+    adds the unit relation e_j to the abelianized presentation R, and
+    Z^n/(R + Z·e_j) ≅ Z^(n-1)/R_j with R_j the matrix R without column j:
+    killing a generator deletes its column.  A row of R touches vertex
+    columns only, so splitting v keeps every row and moves v's column to
+    v.1 or v.2, and killing both deletes the columns that killing v
+    deletes in the unsplit cover; the split has one vertex more and the
+    same pairs, hence one stable column fewer.  So for every incident edge
+    d, ``h1_mod_cyclic(split_cyclic(m, v, [d]), [v.1, v.2])`` has the
+    divisors of ``h1_mod_cyclic(m, [v])`` and betti one less, and v passes
+    exactly when the latter has p-torsion.  Raises ValueError if max_index
+    is below 1.
     """
     check_bounds(max_index=max_index)
     _check_prime(p)
@@ -1415,7 +1401,8 @@ def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[To
                 presentation = abelianized_presentation(m.total)
             roster, matrix = presentation
             col = cyclic_column(m.total, roster, v)
-            if p_rank(cokernel(matrix.without_columns([col])), p) == 0:
+            unit = tuple(int(k == col) for k in range(matrix.cols))
+            if p_rank(cokernel(IntMatrix(matrix.entries + (unit,), matrix.cols)), p) == 0:
                 continue
             piece = split_cyclic(m, v, [incident[0]])
             q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
@@ -1464,6 +1451,7 @@ def chain(piece: TorsionPiece, copies: int) -> PrecoverMorphism:
     boundary vertex, leaving one open boundary on each end of the chain.
     One copy is the piece itself, once it is checked to be a precover.
     """
+    check_int(copies, "copies")
     parts = _chain_parts(piece, copies)
     if copies == 1:
         return piece.morphism
@@ -1491,11 +1479,6 @@ class ExitsAt(Frozen):
 
     FIELDS = ("position", "vertex", "coset")
     __slots__ = FIELDS
-
-    def __init__(self, position: int, vertex: str, coset: int):
-        _set(self, "position", position)
-        _set(self, "vertex", vertex)
-        _set(self, "coset", coset)
 
 
 def lift_word(m: PrecoverMorphism, gw: GogWord):
@@ -1575,40 +1558,26 @@ class TowerBounds(Frozen):
 
 
 class TowerStep(Frozen):
+    """One completed tower step, with its fields in this order.
+
+    ``step`` is n and ``prime`` its prime p; ``relative_degree`` is the
+    degree of the step's cover over the previous base and
+    ``total_degree`` its degree over the tower's base.  ``alpha`` pieces
+    were chained and ``beta`` site covers detached; ``piece_predegree``
+    is the piece's predegree h.  ``exponents`` maps each tracked prime to
+    its torsion exponent in the cover.  ``excluded_word`` is the step's
+    closed word ("" if none), ``excluded`` says whether it exits the
+    cover, and ``exclusion_note`` says why not ("" when it does).
+    ``site_distance`` is the distance from the basepoint of the detached
+    site cover to the site's free end.
+    """
+
     FIELDS = (
         "step", "prime", "relative_degree", "total_degree", "alpha", "beta",
         "piece_predegree", "exponents", "excluded_word", "excluded",
         "exclusion_note", "site_distance",
     )
     __slots__ = FIELDS
-
-    def __init__(
-        self,
-        step: int,
-        prime: int,
-        relative_degree: int,
-        total_degree: int,
-        alpha: int,
-        beta: int,
-        piece_predegree: int,
-        exponents: Dict[int, int],
-        excluded_word: str,
-        excluded: bool,
-        exclusion_note: str,
-        site_distance: int,
-    ):
-        _set(self, "step", step)
-        _set(self, "prime", prime)
-        _set(self, "relative_degree", relative_degree)
-        _set(self, "total_degree", total_degree)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "piece_predegree", piece_predegree)
-        _set(self, "exponents", exponents)
-        _set(self, "excluded_word", excluded_word)
-        _set(self, "excluded", excluded)
-        _set(self, "exclusion_note", exclusion_note)
-        _set(self, "site_distance", site_distance)
 
 
 class TowerReport(Frozen):
@@ -1622,24 +1591,6 @@ class TowerReport(Frozen):
         "base", "primes", "requested_steps", "steps", "ledger", "base_exponents", "status",
     )
     __slots__ = FIELDS
-
-    def __init__(
-        self,
-        base: GraphOfGroups,
-        primes: Tuple[int, ...],
-        requested_steps: int,
-        steps: Tuple[TowerStep, ...],
-        ledger: TowerLedger,
-        base_exponents: Dict[int, int],
-        status: str,
-    ):
-        _set(self, "base", base)
-        _set(self, "primes", primes)
-        _set(self, "requested_steps", requested_steps)
-        _set(self, "steps", steps)
-        _set(self, "ledger", ledger)
-        _set(self, "base_exponents", base_exponents)
-        _set(self, "status", status)
 
     def to_csv(self) -> str:
         def row(lead: Sequence[str], exps: Dict[int, int], deg: int, status: str) -> str:
@@ -1896,6 +1847,7 @@ def build_tower(
     """
     ensure_valid(g)
     _check_base_shape(g)
+    check_int(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     primes = tuple(primes)

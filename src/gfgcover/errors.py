@@ -2,6 +2,8 @@
 
 from typing import Optional
 
+from .words import check_int
+
 
 class BudgetExceededError(RuntimeError):
     """A bounded search hit its cap before exhausting the space."""
@@ -12,6 +14,7 @@ class Budget:
     unbounded).  Past the cap, ``tick`` and ``check`` raise for good."""
 
     def __init__(self, cap: Optional[int] = None):
+        check_int(cap, "cap")
         if cap is not None and cap < 1:
             raise ValueError("node budget must be at least 1, got %d" % cap)
         self.cap, self.nodes = cap, 0

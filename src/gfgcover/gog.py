@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .homology import IntMatrix
-from .words import Frozen, Word, _set, power_of
+from .words import Frozen, Word, _set, check_int, power_of
 
 Roster = List[Tuple]
 
@@ -333,6 +333,7 @@ def enumerate_closed_words(g: GraphOfGroups, max_length: int) -> Iterator[GogWor
     (oriented edge ids in sorted order).  The stream is lazy: each length
     is one depth-first pass cut off at that length.
     """
+    check_int(max_length, "max_length")
     base = g.base_vertex
     gr = g.graph
     edges = sorted(gr.oriented_edges())

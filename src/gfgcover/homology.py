@@ -21,7 +21,7 @@ logarithm, i.e. the exponent itself, which keeps everything in Q).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import Frozen, Value, _set
 
@@ -55,11 +55,6 @@ class IntMatrix(Frozen):
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def without_columns(self, drop: Iterable[int]) -> "IntMatrix":
-        drop = set(drop)
-        keep = [j for j in range(self.cols) if j not in drop]
-        return IntMatrix(tuple(tuple(row[j] for j in keep) for row in self.entries), len(keep))
 
 
 def _find_pivot(a: List[List[int]], k: int) -> Optional[Tuple[int, int]]:
@@ -350,17 +345,20 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
     """H_1 of g (or of a morphism's total) with the generators of the given
     cyclic vertices killed.
 
-    Killing a generator deletes its column from the presentation of H_1,
-    and ``cokernel`` reads the group off the rest: the quotient of ``h1(g)``
-    by the ``class_image`` of each vertex.
+    Killing the generator of column j adds the relation e_j, one unit row,
+    to the presentation of H_1, and ``cokernel`` reads the group off the
+    result: the quotient of ``h1(g)`` by the ``class_image`` of each
+    vertex.  Z^n/(R + Z·e_j) ≅ Z^(n-1)/R_j, where R_j is R with column j
+    deleted, so killing a generator is deleting its column.
     """
     from . import gog as _gog
 
     if hasattr(g, "total"):
         g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
-    drop = [cyclic_column(g, roster, v) for v in vertices]
-    return cokernel(matrix.without_columns(drop) if drop else matrix)
+    kills = [cyclic_column(g, roster, v) for v in vertices]
+    units = tuple(tuple(int(k == j) for k in range(matrix.cols)) for j in kills)
+    return cokernel(IntMatrix(matrix.entries + units, matrix.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +368,6 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
 class LedgerRow(Value):
     FIELDS = ("step", "prime", "degree", "exponents")
     __slots__ = FIELDS
-
-    def __init__(self, step: int, prime: int, degree: int, exponents: Dict[int, int]):
-        self.step = step
-        self.prime = prime
-        self.degree = degree
-        self.exponents = exponents
 
     def ratio(self, p: int) -> Fraction:
         return Fraction(self.exponents.get(p, 0), self.degree)

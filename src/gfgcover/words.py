@@ -25,14 +25,30 @@ class Value:
     """Base of the package's value classes.
 
     Each subclass names its fields once, in ``FIELDS``, in constructor
-    order.  From it the base derives the repr ``Name(field=value, ...)``
-    and equality: instances of one class compare their field tuples, any
-    other class gets NotImplemented.  Defining ``__eq__`` makes a
-    ``Value`` unhashable; ``Frozen`` adds the hash.
+    order.  From it the base derives the constructor, the repr
+    ``Name(field=value, ...)`` and equality: instances of one class
+    compare their field tuples, any other class gets NotImplemented.  The
+    base constructor only stores the fields, given by position, by name or
+    both, each exactly once; a class that validates its fields or gives
+    them defaults defines its own.  Defining ``__eq__`` makes a ``Value``
+    unhashable; ``Frozen`` adds the hash.
     """
 
     __slots__ = ()
     FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.FIELDS
+        # Every field by position, the common call, skips the checks.
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError("%s takes each of its fields (%s) exactly once" % (
+                    self.__class__.__name__, ", ".join(names)))
+            for name in rest:
+                _set(self, name, kwargs[name])
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.FIELDS])
@@ -50,8 +66,9 @@ class Value:
 class Frozen(Value):
     """Base of the package's immutable value classes.
 
-    Each subclass sets its fields in ``__init__`` through ``_set``; its
-    hash is that of the tuple of its fields in order.
+    A subclass that only stores its fields takes the base constructor; one
+    that defines ``__init__`` sets its fields there through ``_set``.  The
+    hash is that of the tuple of the fields in order.
     """
 
     __slots__ = ()

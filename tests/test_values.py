@@ -6,6 +6,7 @@ classes replaced, so each class behaves as before.  ``import gfgcover.cli``
 loads neither ``dataclasses`` nor ``inspect``.
 """
 
+import ast
 import copy
 import inspect
 import os
@@ -16,12 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from gfgcover.cosets import CosetTable, Elevation, PrescribeResult, SchreierData
+from gfgcover.cosets import CosetTable, Elevation, PrescribeResult, SchreierData, prescribe_degrees
 from gfgcover.covers import (
     ExitsAt, HangingSlot, InSubgroup, PrecoverMorphism, TorsionPiece, TowerBounds, TowerReport,
-    TowerStep, check_bounds, enumerate_covers,
+    TowerStep, build_tower, chain, check_bounds, enumerate_covers,
 )
-from gfgcover.gog import GogWord, GraphOfGroups, SerreGraph
+from gfgcover.errors import Budget
+from gfgcover.gog import GogWord, GraphOfGroups, SerreGraph, enumerate_closed_words
 from gfgcover.homology import AbelianGroup, IntMatrix, LedgerRow, TowerLedger
 from gfgcover.words import ConjClass, Frozen, Value, Word
 
@@ -202,6 +204,11 @@ def _one_edge_gog() -> GraphOfGroups:
     (lambda: CosetTable(1, ((False,),)), "action"),
     (lambda: CosetTable(1, ((1, False),)), "action"),
     (lambda: PrecoverMorphism(_one_edge_gog(), {"c": "c"}, {}, {"c": True}, {}), "cyclic_index"),
+    (lambda: Budget(True), "cap"),
+    (lambda: prescribe_degrees(2, [Word((1,), 2)], [True]), "degrees"),
+    (lambda: next(enumerate_closed_words(_one_edge_gog(), True)), "max_length"),
+    (lambda: chain(None, True), "copies"),
+    (lambda: build_tower(_one_edge_gog(), [2], True), "steps"),
 ])
 def test_a_bool_is_not_an_int(build, name):
     # bool subclasses int, so True passed every range check as 1.
@@ -227,14 +234,76 @@ def _value_classes(cls=Value):
 
 
 def test_fields_are_named_once_in_the_base():
-    # Every value class is covered above, names its constructor's
-    # parameters in FIELDS, and leaves repr, equality and hash to the
-    # base; Word and CosetTable return the hash cached at construction.
+    # Every value class is covered above, names the parameters of its own
+    # constructor, if it has one, in FIELDS, and leaves repr, equality and
+    # hash to the base; Word and CosetTable return the hash cached at
+    # construction.  A class without its own constructor takes the base's.
     tested = {cls for cls, _, _ in FROZEN} | {LedgerRow, TowerLedger}
     classes = set(_value_classes()) - {Frozen}
     assert classes == tested
     for cls in classes:
-        params = tuple(inspect.signature(cls).parameters)
-        assert cls.FIELDS == params, cls.__name__
+        if "__init__" in vars(cls):
+            params = tuple(inspect.signature(cls).parameters)
+            assert cls.FIELDS == params, cls.__name__
         own = {"__repr__", "__eq__", "__hash__"} & set(vars(cls))
         assert own == ({"__hash__"} if cls in (Word, CosetTable) else set()), cls.__name__
+
+
+def _stores_a_parameter(stmt, params) -> bool:
+    # ``_set(self, "name", name)`` or ``self.name = name``.
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return (
+            isinstance(call.func, ast.Name) and call.func.id == "_set"
+            and len(call.args) == 3 and isinstance(call.args[2], ast.Name)
+            and call.args[2].id in params
+        )
+    return (
+        isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Attribute)
+        and isinstance(stmt.value, ast.Name) and stmt.value.id in params
+    )
+
+
+def test_no_value_class_defines_a_store_only_constructor():
+    # A constructor that only stores its parameters repeats the base's.
+    names = {cls.__name__ for cls in _value_classes()} | {"Value"}
+    found, store_only = set(), []
+    for path in sorted((SRC / "gfgcover").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name not in names:
+                continue
+            found.add(node.name)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    params = {a.arg for a in item.args.args[1:] + item.args.kwonlyargs}
+                    if all(_stores_a_parameter(stmt, params) for stmt in item.body):
+                        store_only.append(node.name)
+    assert found == names
+    assert store_only == []
+
+
+@pytest.mark.parametrize("cls, fields", [(ExitsAt, (3, "v.1", 2)), (LedgerRow, (1, 2, 3, {2: 1}))])
+def test_base_constructor(cls, fields):
+    assert "__init__" not in vars(cls)
+    named = dict(zip(cls.FIELDS, fields))
+    x = cls(*fields)
+    assert [getattr(x, name) for name in cls.FIELDS] == list(fields)
+    assert cls(**named) == x
+    assert cls(**dict(reversed(list(named.items())))) == x
+    for k in range(1, len(fields)):
+        assert cls(*fields[:k], **dict(list(named.items())[k:])) == x
+    text = "%s takes each of its fields (%s) exactly once" % (
+        cls.__name__, ", ".join(cls.FIELDS))
+    for args, kwargs in [
+        (fields + (0,), {}),  # too many
+        (fields, {"bogus": 0}),  # unknown, all given by position
+        (fields[:-1], {"bogus": 0}),  # unknown in place of the last
+        (fields[:1], named),  # the first given twice
+        (fields[:-1], {}),  # missing
+        ((), dict(list(named.items())[1:])),  # missing by name
+        ((), {}),
+    ]:
+        with pytest.raises(TypeError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == text

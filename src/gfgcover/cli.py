@@ -14,7 +14,10 @@ files stay diffable and independent of any in-memory representation.
 A document of integers and bare names is written and read directly, with
 the bytes and values of PyYAML's ``safe_dump`` (``sort_keys=False,
 default_flow_style=None``) and ``safe_load``; PyYAML handles any other
-document or file (see docs/format.md).
+document or file (see docs/format.md).  The direct reader makes one pass
+over the lines with a stack of the open block collections, and the
+payload readers check each field once, putting its path together only to
+name it in an error.
 Subcommands print either CSV (fixed column order, LF, UTF-8) or a new
 document; both are byte-deterministic for fixed inputs and flags.
 
@@ -36,8 +39,6 @@ import sys
 from typing import Dict, List, Optional
 
 import yaml
-from yaml.nodes import ScalarNode
-from yaml.resolver import Resolver
 
 try:
     from yaml import CSafeDumper as _Dumper, CSafeLoader as _Loader
@@ -65,6 +66,7 @@ from .gog import (
     GraphOfGroups,
     SerreGraph,
     euler_characteristic,
+    ensure_valid,
     reverse_edge,
     validate,
 )
@@ -83,43 +85,57 @@ def _fail(path: str, message: str) -> None:
     raise SchemaError("%s: %s" % (path, message))
 
 
-def _expect(data, typ: type, path: str):
+# A field's path is given as a str, or as a format and its arguments, so that
+# the field checks below format a path only when they name it in an error.
+def _path(where) -> str:
+    return where if where.__class__ is str else where[0] % where[1:]
+
+
+def _expect(data, typ: type, where):
     # bool subclasses int, but a YAML true/false is never a count or a letter.
-    if not isinstance(data, typ) or isinstance(data, bool):
-        _fail(path, "expected %s, got %s" % (typ.__name__, type(data).__name__))
-    return data
+    if data.__class__ is typ or isinstance(data, typ) and data.__class__ is not bool:
+        return data
+    _fail(_path(where), "expected %s, got %s" % (typ.__name__, type(data).__name__))
 
 
-def _get(data: dict, key: str, typ: type, path: str, default=_fail):
-    if key not in data:
+def _get(data: dict, key: str, typ: type, where, default=_fail):
+    value = data.get(key, _fail)
+    if value.__class__ is typ:
+        return value
+    if value is _fail:
         if default is not _fail:
             return default
-        _fail(path, "missing field %r" % key)
-    return _expect(data[key], typ, "%s.%s" % (path, key))
+        _fail(_path(where), "missing field %r" % key)
+    return _expect(value, typ, "%s.%s" % (_path(where), key))
 
 
-def _word(data, rank: int, path: str) -> Word:
-    letters = _expect(data, list, path)
+def _word(data, rank: int, where) -> Word:
+    letters = _expect(data, list, where)
     for i, a in enumerate(letters):
-        if _expect(a, int, "%s[%d]" % (path, i)) == 0 or abs(a) > rank:
-            _fail("%s[%d]" % (path, i), "letters must be nonzero, magnitude <= %d" % rank)
-    return Word(tuple(letters), rank)
-
-
-def _table(data, rank: int, path: str) -> CosetTable:
-    rows = _expect(data, list, path)
-    if len(rows) != rank:
-        _fail(path, "need %d permutation rows, got %d" % (rank, len(rows)))
-    perms = []
-    for i, row in enumerate(rows):
-        row = _expect(row, list, "%s[%d]" % (path, i))
-        for j, a in enumerate(row):
-            _expect(a, int, "%s[%d][%d]" % (path, i, j))
-        perms.append(tuple(row))
+        if a.__class__ is not int:
+            _expect(a, int, "%s[%d]" % (_path(where), i))
+        if a == 0 or abs(a) > rank:
+            _fail("%s[%d]" % (_path(where), i), "letters must be nonzero, magnitude <= %d" % rank)
     try:
-        return CosetTable(rank, tuple(perms))
+        return Word(tuple(letters), rank)
     except ValueError as exc:
-        _fail(path, str(exc))
+        _fail(_path(where), str(exc))
+
+
+def _table(data, rank: int, where) -> CosetTable:
+    rows = _expect(data, list, where)
+    if len(rows) != rank:
+        _fail(_path(where), "need %d permutation rows, got %d" % (rank, len(rows)))
+    for i, row in enumerate(rows):
+        if row.__class__ is not list:
+            _expect(row, list, "%s[%d]" % (_path(where), i))
+        for j, a in enumerate(row):
+            if a.__class__ is not int:
+                _expect(a, int, "%s[%d][%d]" % (_path(where), i, j))
+    try:
+        return CosetTable(rank, tuple(map(tuple, rows)))
+    except ValueError as exc:
+        _fail(_path(where), str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -127,36 +143,33 @@ def _table(data, rank: int, path: str) -> CosetTable:
 
 
 def gog_from_payload(data: dict, path: str = "document") -> GraphOfGroups:
-    vertices = _get(data, "vertices", list, path)
     ranks: Dict[str, int] = {}
     kinds: Dict[str, str] = {}
     names = []
-    for i, item in enumerate(vertices):
-        vp = "%s.vertices[%d]" % (path, i)
-        item = _expect(item, dict, vp)
-        name = _get(item, "name", str, vp)
-        kind = _get(item, "kind", str, vp)
-        if kind not in ("free", "cyclic"):
-            _fail(vp + ".kind", "must be 'free' or 'cyclic'")
-        rank = _get(item, "rank", int, vp, default=1)
+    for i, item in enumerate(_get(data, "vertices", list, path)):
+        where = ("%s.vertices[%d]", path, i)
+        item = _expect(item, dict, where)
+        name = _get(item, "name", str, where)
+        kind = _get(item, "kind", str, where)
+        if kind != "free" and kind != "cyclic":
+            _fail(_path(where) + ".kind", "must be 'free' or 'cyclic'")
         names.append(name)
-        ranks[name] = rank
+        ranks[name] = _get(item, "rank", int, where, default=1)
         kinds[name] = kind
-    edges = _get(data, "edges", list, path)
     tau: Dict[str, str] = {}
     words: Dict[str, list] = {}
     order: Dict[str, int] = {}
-    for i, item in enumerate(edges):
-        ep = "%s.edges[%d]" % (path, i)
-        item = _expect(item, dict, ep)
-        name = _get(item, "name", str, ep)
+    for i, item in enumerate(_get(data, "edges", list, path)):
+        where = ("%s.edges[%d]", path, i)
+        item = _expect(item, dict, where)
+        name = _get(item, "name", str, where)
         if name in tau:
-            _fail(ep, "edge %r listed twice" % name)
-        to = _get(item, "to", str, ep)
+            _fail(_path(where), "edge %r listed twice" % name)
+        to = _get(item, "to", str, where)
         if to not in ranks:
-            _fail(ep + ".to", "unknown vertex %r" % to)
+            _fail(_path(where) + ".to", "unknown vertex %r" % to)
         tau[name] = to
-        words[name] = _get(item, "word", list, ep)
+        words[name] = _get(item, "word", list, where)
         order[name] = i
     pairs = {}
     for name in tau:
@@ -170,14 +183,15 @@ def gog_from_payload(data: dict, path: str = "document") -> GraphOfGroups:
             pairs[name] = (tau[partner], tau[name])
     graph = SerreGraph(names, pairs)
     edge_words = {
-        name: _word(words[name], ranks[tau[name]], "%s.edges[%d].word" % (path, order[name]))
+        name: _word(words[name], ranks[tau[name]], ("%s.edges[%d].word", path, order[name]))
         for name in tau
     }
     base = _get(data, "base_vertex", str, path)
     g = GraphOfGroups(graph, ranks, kinds, edge_words, base)
-    problems = validate(g)
-    if problems:
-        _fail(path, "; ".join(problems))
+    try:
+        ensure_valid(g)  # marks g valid, so a morphism over it does not walk it again
+    except ValueError as exc:
+        _fail(path, str(exc))
     return g
 
 
@@ -199,12 +213,11 @@ def gog_to_payload(g: GraphOfGroups) -> dict:
 # morphism payload
 
 
-def _ref_from_payload(data, path: str) -> ElevationRef:
-    data = _expect(data, dict, path)
+def _ref_from_payload(data: dict, where) -> ElevationRef:
     return ElevationRef(
-        _get(data, "vertex", str, path),
-        _get(data, "edge", str, path),
-        _get(data, "least", int, path),
+        _get(data, "vertex", str, where),
+        _get(data, "edge", str, where),
+        _get(data, "least", int, where),
     )
 
 
@@ -220,28 +233,29 @@ def morphism_from_payload(
     vertex_data: Dict[str, CosetTable] = {}
     cyclic_index: Dict[str, int] = {}
     for i, item in enumerate(_get(data, "vertices", list, path)):
-        vp = "%s.vertices[%d]" % (path, i)
-        item = _expect(item, dict, vp)
-        name = _get(item, "name", str, vp)
-        over = _get(item, "over", str, vp)
+        where = ("%s.vertices[%d]", path, i)
+        item = _expect(item, dict, where)
+        name = _get(item, "name", str, where)
+        over = _get(item, "over", str, where)
         if over not in base.graph.vertices:
-            _fail(vp + ".over", "unknown base vertex %r" % over)
+            _fail(_path(where) + ".over", "unknown base vertex %r" % over)
         vertex_map[name] = over
         if base.vertex_kind[over] == "free":
             vertex_data[name] = _table(
-                _get(item, "table", list, vp), base.rank(over), vp + ".table"
+                _get(item, "table", list, where), base.rank(over),
+                ("%s.vertices[%d].table", path, i),
             )
         else:
-            cyclic_index[name] = _get(item, "index", int, vp)
+            cyclic_index[name] = _get(item, "index", int, where)
     pairs = {}
     for i, item in enumerate(_get(data, "edges", list, path)):
-        ep = "%s.edges[%d]" % (path, i)
-        item = _expect(item, dict, ep)
-        name = _get(item, "name", str, ep)
+        where = ("%s.edges[%d]", path, i)
+        item = _expect(item, dict, where)
+        name = _get(item, "name", str, where)
         pairs[name] = (
-            _get(item, "over", str, ep),
-            _ref_from_payload(_get(item, "fwd", dict, ep), ep + ".fwd"),
-            _ref_from_payload(_get(item, "bwd", dict, ep), ep + ".bwd"),
+            _get(item, "over", str, where),
+            _ref_from_payload(_get(item, "fwd", dict, where), ("%s.edges[%d].fwd", path, i)),
+            _ref_from_payload(_get(item, "bwd", dict, where), ("%s.edges[%d].bwd", path, i)),
         )
     basepoint = _get(data, "basepoint", str, path, default=None)
     try:
@@ -280,24 +294,21 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 # ---------------------------------------------------------------------------
 # documents
 
-_STR_TAG = "tag:yaml.org,2002:str"
 _DECIMAL = re.compile(r"-?[1-9][0-9]*|0").fullmatch
-# A name PyYAML writes and reads as a plain string unless its text resolves
-# to another type ("yes", "null"), which _plain_tag decides.
+# A bare name, which PyYAML writes and reads as a plain string: a text of
+# this pattern other than YAML 1.1's bool and null words, which PyYAML's
+# resolver reads as another type (tests/test_documents.py checks the words
+# against it).
 _BARE = re.compile(r"[A-Za-z_~][A-Za-z0-9_.@#+~-]*").fullmatch
+_NOT_BARE = frozenset(
+    "yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF"
+    " null Null NULL ~".split()
+)
 # PyYAML's best width: past it the emitter may break a flow collection.
 _WIDTH = 80
-# A line of the direct subset: its indent, then a full-line comment, or
-# block-entry dashes followed by "key:" and an optional inline value or by
-# an inline value alone.  Groups 2-5 are None on a blank or comment line.
-_LINE = re.compile(r"( *)(?:#[ -~]*|((?:- )*)(?:([-\w.@#+~]+):(?: (.+))?|(.+)))?").fullmatch
-
-
-@functools.lru_cache(maxsize=4096)
-def _plain_tag(value: str) -> str:
-    # The safe resolver has no path resolvers, so the tag of a plain scalar
-    # depends on its text alone.
-    return Resolver().resolve(ScalarNode, value, (True, False))
+# The classes of a scalar written plain, and of any value written directly.
+_SCALARS = {int, str}
+_NODES = {int, str, list, dict}
 
 
 class _Refused(Exception):
@@ -305,20 +316,10 @@ class _Refused(Exception):
 
 
 @functools.lru_cache(maxsize=4096)
-def _bare(text: str) -> bool:
-    return bool(_BARE(text)) and _plain_tag(text) == _STR_TAG
-
-
-def _scalar(value) -> Optional[str]:
-    """The plain text of an int or bare-name str; None for a list or dict."""
-    cls = value.__class__
-    if cls is int:
-        return str(value)
-    if cls is str and _bare(value):
-        return value
-    if cls is list or cls is dict:
-        return None
-    raise _Refused
+def _plain(value) -> bool:
+    """Whether an int or str is written and read as its plain text: any
+    int, and a bare name."""
+    return value.__class__ is int or (bool(_BARE(value)) and value not in _NOT_BARE)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -326,7 +327,7 @@ def _token(text: str):
     """The value of a plain scalar of the subset: a decimal int or a bare name."""
     if _DECIMAL(text):
         return int(text)
-    if _bare(text):
+    if _plain(text):
         return text
     raise _Refused
 
@@ -346,21 +347,19 @@ def _dump_direct(data: dict) -> str:
             raise _Refused
         seen.add(id(value))
         is_list = value.__class__ is list
-        if is_list:
-            texts = [_scalar(x) for x in value]
-            children = value
-            flat = None not in texts
-        else:
-            keys = [_scalar(k) for k in value]
-            texts = [_scalar(v) for v in value.values()]
-            children = value.values()
-            flat = None not in texts
-            if flat:
-                texts = ["%s: %s" % kv for kv in zip(keys, texts)]
-        if flat:
-            lines.append("%s%s%s%s%s" % (
-                head, "" if compact else " ", "[" if is_list else "{",
-                ", ".join(texts), "]" if is_list else "}"))
+        children = value if is_list else value.values()
+        kinds = set(map(type, children))
+        if not kinds <= _NODES or not is_list and not (
+                set(map(type, value)) <= _SCALARS and all(map(_plain, value))):
+            raise _Refused
+        if kinds <= _SCALARS:  # one flow line
+            if not all(map(_plain, children)):
+                raise _Refused
+            if is_list:
+                text = "[" + ", ".join(map(str, value)) + "]"
+            else:
+                text = "{" + ", ".join(map("%s: %s".__mod__, value.items())) + "}"
+            lines.append(head + text if compact else head + " " + text)
             return
         pad = " " * indent
         if compact:
@@ -369,19 +368,24 @@ def _dump_direct(data: dict) -> str:
             lines.append(head)
             lead = pad
         if is_list:
-            for child, text in zip(children, texts):
-                if text is None:
+            for child in value:
+                if child.__class__ is list or child.__class__ is dict:
                     put(child, lead + "- ", indent + 2, True)
+                elif _plain(child):
+                    lines.append("%s- %s" % (lead, child))
                 else:
-                    lines.append("%s- %s" % (lead, text))
+                    raise _Refused
                 lead = pad
         else:
-            for key, child, text in zip(keys, children, texts):
-                if text is None:
-                    put(child, "%s%s:" % (lead, key),
-                        indent if child.__class__ is list else indent + 2, False)
+            for key, child in value.items():
+                if child.__class__ is list:
+                    put(child, "%s%s:" % (lead, key), indent, False)
+                elif child.__class__ is dict:
+                    put(child, "%s%s:" % (lead, key), indent + 2, False)
+                elif _plain(child):
+                    lines.append("%s%s: %s" % (lead, key, child))
                 else:
-                    lines.append("%s%s: %s" % (lead, key, text))
+                    raise _Refused
                 lead = pad
 
     if data.__class__ is not dict:
@@ -393,85 +397,111 @@ def _dump_direct(data: dict) -> str:
     return "\n".join(lines)
 
 
+def _inline(text: str):
+    """The value of a one-line scalar or flow collection of the subset."""
+    if text[-1] == "]" and text[0] == "[":
+        return list(map(_token, text[1:-1].split(", "))) if len(text) > 2 else []
+    if text[-1] != "}" or text[0] != "{":
+        return _token(text)
+    out = {}
+    for item in text[1:-1].split(", ") if len(text) > 2 else ():
+        k, sep, v = item.partition(": ")
+        k = _token(k)
+        if not sep or k in out:
+            raise _Refused
+        out[k] = _token(v)
+    return out
+
+
 def _load_direct(text: str):
     """The value of a text in the subset _dump_direct writes, plus blank
-    lines and full-line comments; raises _Refused on anything else."""
-    rows = []
+    lines and full-line comments; raises _Refused on anything else.
+
+    One pass over the lines with a stack of open block collections: ``top``
+    is the innermost, at column ``at``, and ``stack`` holds the ones around
+    it.  A line's leading "- " entries each open a collection two columns
+    in, and ``pending`` is the key of a "key:" line in ``top`` whose block
+    value the next line opens."""
+    stack = []
+    top = root = pending = None
+    at = 0
     for line in text.split("\n"):
-        m = _LINE(line)
-        if m.group(2) is not None:
-            indent, dashes, key, rest, value = m.groups()
-            rows.append([len(indent), len(dashes) // 2, key, rest, value])
-    if not rows or rows[0][0]:
+        body = line.lstrip(" ")
+        if not body:
+            continue
+        col = len(line) - len(body)
+        dashes = 0
+        if body.startswith("- "):
+            dashes = 1
+            while body.startswith("- ", 2 * dashes):
+                dashes += 1
+            body = body[2 * dashes:]
+            if not body:
+                raise _Refused
+        elif body[0] == "#":  # a comment line, if it is printable ASCII
+            if body.isascii() and body.isprintable():
+                continue
+            raise _Refused
+        key = None
+        if body[0] not in "[{":
+            key, sep, rest = body.partition(": ")
+            if sep:
+                if not rest:
+                    raise _Refused
+                body = rest
+            elif body[-1] == ":":
+                key = body[:-1]
+                body = None
+            else:
+                key = None
+        if pending is not None:  # a block value: indented, or an indentless sequence
+            if col != at + 2 and (col != at or not dashes):
+                raise _Refused
+            child = top[pending] = [] if dashes else {}
+            pending = None
+            stack.append((top, at))
+            top, at = child, col
+        elif top is None:
+            if col or root is not None:
+                raise _Refused
+            if not dashes and key is None:  # a flow collection on one line
+                if body[0] not in "[{":
+                    raise _Refused
+                root = _inline(body)
+                continue
+            root = top = [] if dashes else {}
+        while col < at or col == at and not dashes and top.__class__ is list:
+            if not stack:
+                raise _Refused
+            top, at = stack.pop()
+        if col > at:
+            raise _Refused
+        if dashes:
+            if top.__class__ is not list:
+                raise _Refused
+            if key is None:
+                dashes -= 1  # the last entry is the line's flow value or scalar
+            for n in range(dashes, 0, -1):  # a list per further "- ", a mapping for a key
+                child = [] if n > 1 or key is None else {}
+                top.append(child)
+                stack.append((top, at))
+                top = child
+                at += 2
+            if key is None:
+                top.append(_inline(body))
+                continue
+        elif key is None:
+            raise _Refused
+        key = _token(key)
+        if key in top:
+            raise _Refused
+        if body is None:
+            pending = key
+        else:
+            top[key] = _inline(body)
+    if root is None or pending is not None:
         raise _Refused
-    pos = 0
-
-    def inline(text: str):
-        inner = text[1:-1]
-        if text[0] == "[" and text[-1] == "]":
-            return [_token(t) for t in inner.split(", ")] if inner else []
-        if text[0] != "{" or text[-1] != "}":
-            return _token(text)
-        out = {}
-        for item in inner.split(", ") if inner else ():
-            k, sep, v = item.partition(": ")
-            k = _token(k)
-            if not sep or k in out:
-                raise _Refused
-            out[k] = _token(v)
-        return out
-
-    def node(col: int):
-        return sequence(col) if rows[pos][1] else mapping(col)
-
-    def sequence(col: int) -> list:
-        nonlocal pos
-        out = []
-        while pos < len(rows):
-            row = rows[pos]
-            if row[0] > col:
-                raise _Refused
-            if row[0] < col or not row[1]:
-                break
-            if row[1] == 1 and row[4] is not None:
-                out.append(inline(row[4]))
-                pos += 1
-            else:  # a block collection starts on the entry's line
-                row[0] += 2
-                row[1] -= 1
-                out.append(node(col + 2))
-        return out
-
-    def mapping(col: int) -> dict:
-        nonlocal pos
-        out = {}
-        while pos < len(rows):
-            indent, dashes, key, rest, _ = rows[pos]
-            if indent < col:
-                break
-            if indent > col or dashes or key is None:
-                raise _Refused
-            key = _token(key)
-            if key in out:
-                raise _Refused
-            pos += 1
-            if rest is not None:
-                out[key] = inline(rest)
-            elif pos < len(rows) and rows[pos][0] == col and rows[pos][1]:
-                out[key] = sequence(col)
-            elif pos < len(rows) and rows[pos][0] == col + 2:
-                out[key] = node(col + 2)
-            else:  # a null value
-                raise _Refused
-        return out
-
-    first = rows[0]
-    if len(rows) == 1 and not first[1] and first[4] is not None and first[4][0] in "[{":
-        return inline(first[4])
-    data = node(0)
-    if pos < len(rows):
-        raise _Refused
-    return data
+    return root
 
 
 def load_document(path: str) -> dict:
@@ -479,12 +509,14 @@ def load_document(path: str) -> dict:
     writes directly is parsed directly; any other goes to PyYAML's safe
     loader, named by ``path`` in its error marks."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
     except UnicodeDecodeError as exc:
         raise SchemaError("%s: %s" % (path, exc))
+    if "\r" in text:  # the line ends text mode reads
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = _load_direct(text)
     except _Refused:

@@ -582,15 +582,21 @@ def prescribe_degrees(
             return None
         return scale
 
-    def verify(name: str, perms: List[Tuple[int, ...]], scale: int) -> Optional[PrescribeResult]:
+    def verify(
+        name: str, perms: List[Tuple[int, ...]], scale: int, order: int = 0
+    ) -> Optional[PrescribeResult]:
         # Independent re-check: build the regular table of the image and
-        # read every elevation degree off the table itself.
+        # read every elevation degree off the table itself.  ``order`` is
+        # that of the group ``name`` names; a map onto a proper subgroup is
+        # named by its image.
         table = regular_table(perms, rank)
         if not is_regular(table):
             return None
         for w, d in zip(words, degrees):
             if any(e.degree != scale * d for e in elevations(table, w)):
                 return None
+        if order and table.size != order:
+            name = "image in " + name
         return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
 
     # A zero-sum word of degree above 1 rules out every abelian quotient.
@@ -607,7 +613,7 @@ def prescribe_degrees(
             scale = screen(orders)
             if scale is None:
                 continue
-            res = verify("Z/%d" % m, [_cyclic_shift(m, c) for c in cs], scale)
+            res = verify("Z/%d" % m, [_cyclic_shift(m, c) for c in cs], scale, m)
             if res is not None:
                 return res
     # Phase B: products of two cyclic groups.
@@ -628,7 +634,7 @@ def prescribe_degrees(
                     _pair_shift(m1, m2, cs[2 * i], cs[2 * i + 1])
                     for i in range(rank)
                 ]
-                res = verify("Z/%d x Z/%d" % (m1, m2), perms, scale)
+                res = verify("Z/%d x Z/%d" % (m1, m2), perms, scale, m1 * m2)
                 if res is not None:
                     return res
     # Phase C: images of transitive actions on few points, for words the

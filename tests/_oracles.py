@@ -431,13 +431,17 @@ def prescribe_degrees_oracle(
             return None
         return scale
 
-    def verify(name: str, perms: List[Tuple[int, ...]], scale: int) -> Optional[PrescribeResult]:
+    def verify(
+        name: str, perms: List[Tuple[int, ...]], scale: int, order: int = 0
+    ) -> Optional[PrescribeResult]:
         table = regular_table(perms, rank)
         if not is_regular(table):
             return None
         for w, d in zip(words, degrees):
             if any(e.degree != scale * d for e in elevations(table, w)):
                 return None
+        if order and table.size != order:
+            name = "image in " + name
         return PrescribeResult(table, scale, "%s (order %d)" % (name, table.size))
 
     for m in range(2, max_modulus + 1):
@@ -448,7 +452,7 @@ def prescribe_degrees_oracle(
             scale = screen(orders)
             if scale is None:
                 continue
-            res = verify("Z/%d" % m, [_cyclic_shift(m, c) for c in cs], scale)
+            res = verify("Z/%d" % m, [_cyclic_shift(m, c) for c in cs], scale, m)
             if res is not None:
                 return res
     for m1 in range(2, max_pair_modulus + 1):
@@ -466,7 +470,7 @@ def prescribe_degrees_oracle(
                     _pair_shift(m1, m2, cs[2 * i], cs[2 * i + 1])
                     for i in range(rank)
                 ]
-                res = verify("Z/%d x Z/%d" % (m1, m2), perms, scale)
+                res = verify("Z/%d x Z/%d" % (m1, m2), perms, scale, m1 * m2)
                 if res is not None:
                     return res
     for n in range(2, max_perm_index + 1):

@@ -299,6 +299,16 @@ class TestPrescribe:
         for e in elevations(res.table, w):
             assert e.degree == 2 * res.scale
 
+    def test_a_map_that_is_not_onto_is_named_by_its_image(self):
+        # Z/2's first candidate sends both generators to 0: its image is the
+        # trivial group, a one-coset table.
+        res = prescribe_degrees(2, [Word((1,), 2)], [1])
+        assert (res.table.size, res.scale) == (1, 1)
+        assert res.quotient == "image in Z/2 (order 1)"
+        assert res == prescribe_degrees_oracle(2, [Word((1,), 2)], [1])
+        onto = prescribe_degrees(2, [Word((1,), 2)], [2])
+        assert onto.quotient == "Z/2 (order 2)"
+
     def test_not_found(self):
         res = prescribe_degrees(
             2,

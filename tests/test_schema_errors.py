@@ -199,3 +199,31 @@ def test_schema_error_text(piece, where, value, message):
     with pytest.raises(cli.SchemaError) as got:
         cli.parse_document(data, "doc")
     assert str(got.value) == message
+
+
+def test_an_unreduced_word_names_its_field(piece):
+    data = changed(piece, ("base", "edges", 1, "word"), [2, -2])
+    with pytest.raises(cli.SchemaError) as got:
+        cli.parse_document(data, "doc")
+    assert str(got.value) == "doc.base.edges[1].word: word is not freely reduced at position 0"
+
+
+@pytest.mark.parametrize("kind", ["gog", "morphism", "torsion-piece"])
+def test_a_document_gog_is_validated_once(piece, monkeypatch, kind):
+    # gog_from_payload marks the gog it checks as valid, so the morphism
+    # built over it does not walk it again.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    validate = gog.validate
+    monkeypatch.setattr(gog, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    data = dict(piece, kind=kind)
+    if kind == "gog":
+        data = dict(piece["base"], format_version=1, kind="gog")
+    got = cli.parse_document(data, "doc")
+    base = got if kind == "gog" else (got.morphism if kind == "torsion-piece" else got).base
+    assert calls == [base]

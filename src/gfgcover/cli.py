@@ -39,6 +39,8 @@ import sys
 from typing import Dict, List, Optional
 
 import yaml
+from yaml.nodes import ScalarNode
+from yaml.resolver import Resolver
 
 try:
     from yaml import CSafeDumper as _Dumper, CSafeLoader as _Loader
@@ -295,15 +297,12 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
 # documents
 
 _DECIMAL = re.compile(r"-?[1-9][0-9]*|0").fullmatch
-# A bare name, which PyYAML writes and reads as a plain string: a text of
-# this pattern other than YAML 1.1's bool and null words, which PyYAML's
-# resolver reads as another type (tests/test_documents.py checks the words
-# against it).
+# A name PyYAML writes and reads as a plain string unless its text resolves
+# to another type ("yes", "null"), which the safe resolver decides: it has no
+# path resolvers, so the tag of a plain scalar depends on its text alone.
 _BARE = re.compile(r"[A-Za-z_~][A-Za-z0-9_.@#+~-]*").fullmatch
-_NOT_BARE = frozenset(
-    "yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF"
-    " null Null NULL ~".split()
-)
+_STR_TAG = "tag:yaml.org,2002:str"
+_RESOLVE = Resolver().resolve
 # PyYAML's best width: past it the emitter may break a flow collection.
 _WIDTH = 80
 # The classes of a scalar written plain, and of any value written directly.
@@ -319,7 +318,8 @@ class _Refused(Exception):
 def _plain(value) -> bool:
     """Whether an int or str is written and read as its plain text: any
     int, and a bare name."""
-    return value.__class__ is int or (bool(_BARE(value)) and value not in _NOT_BARE)
+    return value.__class__ is int or (
+        bool(_BARE(value)) and _RESOLVE(ScalarNode, value, (True, False)) == _STR_TAG)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -13,7 +13,6 @@ import collections
 import importlib
 import itertools
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -352,29 +351,6 @@ class TestLeanPath:
         items = data.draw(st.lists(st.sampled_from(TRICKY) | st.from_regex(
             r"[-+]?[0-9][0-9_:.]{0,5}", fullmatch=True), min_size=1, max_size=6))
         assert_loads_alike("".join("- %s\n" % s for s in items), backend)
-
-
-def test_not_bare_words_are_the_resolvers():
-    # A text of the bare-name pattern reads as another type than str exactly
-    # when it is one of cli._NOT_BARE.  Tried: every word spelled by the
-    # resolvers that a bare name can meet (those keyed by its first
-    # character), and every text of up to four of their letters.
-    resolver = yaml.resolver.Resolver()
-
-    def other_type(text):
-        tag = resolver.resolve(yaml.nodes.ScalarNode, text, (True, False))
-        return tag != "tag:yaml.org,2002:str"
-
-    patterns = {
-        rx.pattern
-        for first, pairs in resolver.yaml_implicit_resolvers.items()
-        if first is None or first and cli._BARE(first)
-        for _, rx in pairs
-    }
-    words = {w for p in patterns for w in re.findall(r"[A-Za-z~]+", p)}
-    letters = sorted(set("".join(words)))
-    texts = words | {"".join(t) for n in range(1, 5) for t in itertools.product(letters, repeat=n)}
-    assert {t for t in texts if cli._BARE(t) and other_type(t)} == cli._NOT_BARE
 
 
 def test_line_ends_read_as_in_text_mode(written, tmp_path):

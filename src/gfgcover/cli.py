@@ -444,16 +444,13 @@ def _load_direct(text: str):
             raise _Refused
         key = None
         if body[0] not in "[{":
-            key, sep, rest = body.partition(": ")
+            head, sep, rest = body.partition(": ")
             if sep:
                 if not rest:
                     raise _Refused
-                body = rest
+                key, body = head, rest
             elif body[-1] == ":":
-                key = body[:-1]
-                body = None
-            else:
-                key = None
+                key, body = body[:-1], None
         if pending is not None:  # a block value: indented, or an indentless sequence
             if col != at + 2 and (col != at or not dashes):
                 raise _Refused

@@ -512,7 +512,7 @@ def load_document(path: str) -> dict:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc))
     except UnicodeDecodeError as exc:
         raise SchemaError("%s: %s" % (path, exc))
-    if "\r" in text:  # the line ends text mode reads
+    if "\r" in text:  # read line ends as text mode does
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = _load_direct(text)

@@ -213,12 +213,12 @@ def test_a_document_gog_is_validated_once(piece, monkeypatch, kind):
     # gog_from_payload marks the gog it checks as valid, so the morphism
     # built over it does not walk it again.
     calls = []
+    validate = gog.validate
 
     def counted(g):
         calls.append(g)
         return validate(g)
 
-    validate = gog.validate
     monkeypatch.setattr(gog, "validate", counted)
     monkeypatch.setattr(cli, "validate", counted)
     data = dict(piece, kind=kind)

@@ -53,6 +53,7 @@ from .covers import (
     PrecoverMorphism,
     TorsionPiece,
     TowerBounds,
+    _spans,
     build_tower,
     chain,
     check_bounds,
@@ -70,9 +71,8 @@ from .gog import (
     euler_characteristic,
     ensure_valid,
     reverse_edge,
-    validate,
 )
-from .homology import _check_prime, h1, h1_mod_cyclic, p_rank
+from .homology import _check_prime, h1, p_rank
 from .words import Word
 
 FORMAT_VERSION = 1
@@ -592,7 +592,11 @@ def parse_document(data: dict, path: str):
     incident = [d for d, ref in m.edge_assignment.items() if ref.vertex == c1]
     if len(incident) != 1:
         _fail(path + ".c1", "must carry exactly one incident edge")
-    return TorsionPiece(m, c1, c2, prime, h1_mod_cyclic(m, [c1, c2]))
+    # The certificate is computed when read, on a connected total only; a
+    # piece whose total is not is refused here, as computing it would.
+    if not _spans(m):
+        raise ValueError("homology of a disconnected graph of groups is per component")
+    return TorsionPiece(m, c1, c2, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +638,15 @@ def _word_cell(w: Word) -> str:
 
 
 def cmd_validate(args, obj, data) -> int:
-    if isinstance(obj, GraphOfGroups):
-        problems = validate(obj)
-    elif isinstance(obj, TorsionPiece):
+    # ``gog_from_payload`` has refused every invalid gog already.
+    problems = []
+    if isinstance(obj, TorsionPiece):
         problems = validate_precover(obj.morphism)
         if p_rank(obj.certificate, obj.prime) < 1:
             problems = problems + [
                 "certificate has no %d-torsion" % obj.prime
             ]
-    else:
+    elif not isinstance(obj, GraphOfGroups):
         problems = validate_precover(obj)
         if not problems:
             hangings = len(obj.hanging)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -48,16 +48,16 @@ from .gog import (
     reverse_edge,
 )
 from .homology import (
-    IntMatrix,
+    AbelianGroup,
     TowerLedger,
     _check_prime,
-    cokernel,
     cyclic_column,
     h1,
     h1_mod_cyclic,
     ledger_check,
     ledger_update,
     p_rank,
+    rank_coloops,
     torsion_exponent,
 )
 from .words import ConjClass, Frozen, Word, _set, check_int, conj_canonical
@@ -377,12 +377,17 @@ def degree(m: PrecoverMorphism) -> int:
     problems = validate_cover(m)
     if problems:
         raise ValueError("; ".join(problems))
-    gr = m.total.graph
-    # A breadth-first tree from the basepoint spans exactly a connected
-    # total, and ``abelianized_presentation`` reuses its search.
-    if len(gr.spanning_tree(m.total.base_vertex)) != len(gr.vertices) - 1:
+    if not _spans(m):
         raise ValueError("degree of a disconnected cover is not defined")
     return next(iter(m.sums.values()))
+
+
+def _spans(m: PrecoverMorphism) -> bool:
+    """Whether the breadth-first tree from the basepoint spans the total,
+    which is exactly when the total is connected; the search is kept on
+    the graph, and ``abelianized_presentation`` reuses it."""
+    gr = m.total.graph
+    return len(gr.spanning_tree(m.total.base_vertex)) == len(gr.vertices) - 1
 
 
 def predegree(m: PrecoverMorphism) -> int:
@@ -973,10 +978,13 @@ def _extensions(
     budget: Budget,
 ) -> Iterator[tuple]:
     """Every cover of degree ``target`` containing the precover ``m``
-    (None: the empty precover), in matching-engine order, as the raw data
-    ``_assemble`` turns into a morphism: new free lifts (name -> (base
-    vertex, table)), new cyclic lifts (name -> (base vertex, index)) and
-    new pair triples, in containers the search reuses once resumed.
+    (None: the empty precover), in matching-engine order, grouped by lift
+    choice: per choice of new free lifts (name -> (base vertex, table)),
+    the pair (new free lifts, closings), where closings yields the new
+    cyclic lifts (name -> (base vertex, index)) and new pair triples of
+    each cover of the choice.  With the new free lifts, they are the raw
+    data ``_assemble`` turns into a morphism, in containers the search
+    reuses once resumed.
 
     New free lifts run over the subgroup catalog, one multiset per free
     base vertex, named ``<base><sep><k>`` with k counting up past names
@@ -990,18 +998,16 @@ def _extensions(
     rules = _Components if m is None else _AnyComponents
     for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget, rules):
         components = _Components(g, new_free, pools) if m is None else _AnyComponents()
-        for new_cyclic, triples in _close_open_ends(
-            g, pools, demands, room, taken, budget, components
-        ):
-            yield new_free, new_cyclic, triples
+        yield new_free, _close_open_ends(g, pools, demands, room, taken, budget, components)
 
 
 def _assemble(
     g: GraphOfGroups, m: Optional[PrecoverMorphism], sep: str, raw: tuple
 ) -> PrecoverMorphism:
-    """The cover ``m`` (None: empty) plus one raw ``_extensions`` result,
-    new pairs named ``<base pair><sep><k>`` with k counting up past names
-    already in use."""
+    """The cover ``m`` (None: empty) plus one ``_extensions`` cover given
+    raw, as (new free lifts, new cyclic lifts, new triples), new pairs
+    named ``<base pair><sep><k>`` with k counting up past names already in
+    use."""
     new_free, new_cyclic, triples = raw
     vertex_map = dict(m.vertex_map) if m else {}
     vertex_data = dict(m.vertex_data) if m else {}
@@ -1026,21 +1032,40 @@ def _assemble(
 
 
 def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[PrecoverMorphism]:
-    """Connected covers of degree n in matching-engine order, a candidate
-    built only when its canonical code is new (the first of its class)."""
-    seen: Set[tuple] = set()
-    for raw in _extensions(g, None, n, "@", budget):
-        new_free, new_cyclic, triples = raw
-        lifts = itertools.chain(new_free.items(), new_cyclic.items())
-        code = _code(g, lifts, triples)
-        assert len(code) == 1, "census candidate with a disconnected total"
-        if code in seen:
-            continue
-        seen.add(code)
-        m = _assemble(g, None, "@", raw)
-        assert euler_characteristic(m.total) == n * euler_characteristic(g)
-        m._code = code
-        yield m
+    """Connected covers of degree n in matching-engine order, one per
+    rotation class, a candidate built only when it is the first of its
+    class.
+
+    Lemma: an isomorphism of covers maps each free lift to one over the
+    same base vertex with a conjugate table, which is the same catalog
+    table, so the multiset of (base vertex, table) of the free lifts is an
+    isomorphism invariant.  ``_lift_choices`` yields each multiset once per
+    degree, so no class spans two lift choices, and a candidate needs
+    comparing only with the earlier ones of its own choice.  The first
+    candidate of a choice is built with no code, its connected total
+    checked by the breadth-first search that ``degree`` and ``h1`` read;
+    codes are taken only once a second candidate arrives.
+    """
+    for new_free, closings in _extensions(g, None, n, "@", budget):
+        first: Optional[PrecoverMorphism] = None
+        seen: Set[tuple] = set()
+        for new_cyclic, triples in closings:
+            raw = new_free, new_cyclic, triples
+            if first is None:
+                m = first = _assemble(g, None, "@", raw)
+                assert _spans(m), "census candidate with a disconnected total"
+            else:
+                if not seen:
+                    seen.add(canonical_code(first))
+                code = _code(g, itertools.chain(new_free.items(), new_cyclic.items()), triples)
+                assert len(code) == 1, "census candidate with a disconnected total"
+                if code in seen:
+                    continue
+                seen.add(code)
+                m = _assemble(g, None, "@", raw)
+                m._code = code
+            assert euler_characteristic(m.total) == n * euler_characteristic(g)
+            yield m
 
 
 class CoverCensus:
@@ -1081,9 +1106,13 @@ def enumerate_covers(
     (see the module docstring), in ascending degree.
 
     Free lifts run over the subgroup catalog; cyclic lifts are created to
-    order while matching elevation ends.  A candidate whose
-    ``canonical_code`` was already seen is dropped before any morphism is
-    built, so the first candidate of each class represents it.  Raises
+    order while matching elevation ends.  No class spans two choices of
+    free lifts, whose multiset of (base vertex, catalog table) every
+    isomorphism keeps, so a candidate is compared only with the earlier
+    ones of its choice: the first is built with no code, a later one whose
+    ``canonical_code`` the choice has already seen is dropped before any
+    morphism is built, and the first candidate of each class represents
+    it.  Raises
     ValueError, before any search, if max_index is below 1, and
     BudgetExceededError when the search exceeds ``budget``.
     """
@@ -1291,8 +1320,9 @@ def complete(
     for target in itertools.count(max(m.sums.values())):
         if sum(target - s for s in m.sums.values()) > bound:
             return None
-        for raw in _extensions(m.base, m, target, "+", budget):
-            return _assemble(m.base, m, "+", raw)
+        for new_free, closings in _extensions(m.base, m, target, "+", budget):
+            for new_cyclic, triples in closings:
+                return _assemble(m.base, m, "+", (new_free, new_cyclic, triples))
 
 
 # ---------------------------------------------------------------------------
@@ -1305,11 +1335,29 @@ class TorsionPiece(Frozen):
     ``morphism`` is a cover with one cyclic lift split in two; ``c1`` keeps
     a single incident edge and ``c2`` the rest.  ``certificate`` is the
     first homology of the piece with both boundary classes killed; its
-    p-part is what chaining copies multiplies up.
+    p-part is what chaining copies multiplies up.  Left out, it is
+    computed from the morphism when first read: of the commands, only
+    ``validate`` reads the certificate of a piece it loads.  The instance
+    keeps a ``__dict__`` for it.
     """
 
     FIELDS = ("morphism", "c1", "c2", "prime", "certificate")
-    __slots__ = FIELDS
+    __slots__ = FIELDS[:4] + ("__dict__",)
+
+    def __init__(
+        self, morphism: PrecoverMorphism, c1: str, c2: str, prime: int,
+        certificate: Optional[AbelianGroup] = None,
+    ):
+        _set(self, "morphism", morphism)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "prime", prime)
+        if certificate is not None:
+            _set(self, "certificate", certificate)
+
+    @cached_property
+    def certificate(self) -> AbelianGroup:
+        return h1_mod_cyclic(self.morphism, [self.c1, self.c2])
 
     @property
     def boundary_index(self) -> int:
@@ -1376,34 +1424,48 @@ def find_torsion_piece(
     same pairs, hence one stable column fewer.  So for every incident edge
     d, ``h1_mod_cyclic(split_cyclic(m, v, [d]), [v.1, v.2])`` has the
     divisors of ``h1_mod_cyclic(m, [v])`` and betti one less, and v passes
-    exactly when the latter has p-torsion.  Raises ValueError if max_index
-    is below 1.
+    exactly when the latter has p-torsion.
+
+    Two eliminations per cover decide every lift (``_torsion_lifts``).
+    Lemma: coker(R_j) has p-torsion exactly when rank_Fp(R_j) <
+    rank_Q(R_j), as the invariant factors divisible by p are the nonzero
+    ones that vanish mod p.  Over either field rank(R_j) is rank(R) - 1
+    when j is a coloop of R (e_j in its row space) and rank(R) otherwise,
+    so ``rank_coloops`` over F_p and over Q, once per cover, gives
+    rank(R_j) for every j.  Raises ValueError if max_index is below 1.
     """
     check_bounds(max_index=max_index)
     _check_prime(p)
     return _torsion_piece_in(CoverCensus(g, budget).covers(max_index), p)
 
 
+def _torsion_lifts(m: PrecoverMorphism, p: int) -> Iterator[Tuple[str, List[str]]]:
+    """The cyclic lifts of m that ``find_torsion_piece`` passes, in name
+    order, each with its incident edges in order: non-cut, with two
+    incident edges or more, and leaving p-torsion once killed.  The cut
+    vertices and the two eliminations are made once, on the first lift
+    that needs them."""
+    cut = ranks = None
+    for v in sorted(m.cyclic_index):
+        incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
+        if len(incident) < 2:
+            continue
+        if cut is None:
+            cut = _cut_vertices(m.total.graph)
+        if v in cut:
+            continue
+        if ranks is None:
+            roster, matrix = abelianized_presentation(m.total)
+            ranks = rank_coloops(matrix, p), rank_coloops(matrix)
+        (rank_p, loose_p), (rank_q, loose_q) = ranks
+        col = cyclic_column(m.total, roster, v)
+        if rank_p - (col in loose_p) < rank_q - (col in loose_q):
+            yield v, incident
+
+
 def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
     for m in covers:
-        presentation = cut = None
-        for v in sorted(m.cyclic_index):
-            incident = sorted(
-                d for d, ref in m.edge_assignment.items() if ref.vertex == v
-            )
-            if len(incident) < 2:
-                continue
-            if cut is None:
-                cut = _cut_vertices(m.total.graph)
-            if v in cut:
-                continue
-            if presentation is None:
-                presentation = abelianized_presentation(m.total)
-            roster, matrix = presentation
-            col = cyclic_column(m.total, roster, v)
-            unit = tuple(int(k == col) for k in range(matrix.cols))
-            if p_rank(cokernel(IntMatrix(matrix.entries + (unit,), matrix.cols)), p) == 0:
-                continue
+        for v, incident in _torsion_lifts(m, p):
             piece = split_cyclic(m, v, [incident[0]])
             q = h1_mod_cyclic(piece, [v + ".1", v + ".2"])
             if p_rank(q, p) == 0:

@@ -20,8 +20,9 @@ logarithm, i.e. the exponent itself, which keeps everything in Q).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .words import Frozen, Value, _set
 
@@ -224,6 +225,83 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     diag = [w[i][i] for i in range(min(a.rows, a.cols))]
     rank = sum(1 for d in diag if d)
     return AbelianGroup(a.cols - rank, tuple(d for d in diag if d >= 2))
+
+
+def _clear(row: Dict[int, int], piv: Dict[int, int], c: int, p: int) -> Dict[int, int]:
+    """A new row: ``row`` less the multiple of the pivot row ``piv`` that
+    clears column c.  Over F_p (p > 0) piv[c] is 1; over Q (p = 0) the rows
+    are integral, and the result is divided by the gcd of its entries
+    whenever row was scaled by more than a sign to clear c."""
+    f = row[c]
+    if p:
+        out = row.copy()
+        for k, x in piv.items():
+            y = (out.get(k, 0) - f * x) % p
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+        return out
+    s = piv[c]
+    g = math.gcd(f, s)
+    s //= g
+    f //= g
+    out = row.copy() if s == 1 else {k: s * x for k, x in row.items()}
+    for k, x in piv.items():
+        y = out.get(k, 0) - f * x
+        if y:
+            out[k] = y
+        else:
+            del out[k]
+    if s != 1 and s != -1 and out:
+        g = math.gcd(*out.values())
+        if g > 1:
+            out = {k: x // g for k, x in out.items()}
+    return out
+
+
+def rank_coloops(a: IntMatrix, p: int = 0) -> Tuple[int, FrozenSet[int]]:
+    """The rank of a over F_p, or over Q when p is 0, and its coloops: the
+    columns j whose deletion drops the rank by one.
+
+    Deleting column j maps the row space R onto that of a without column
+    j, with kernel R ∩ span(e_j), so j is a coloop exactly when e_j lies in
+    R.  In reduced echelon form that means column j's pivot row has no
+    other nonzero entry.  Gauss–Jordan elimination on sparse rows
+    ({column: value}): each row is reduced against the pivot rows, and its
+    first remaining column becomes a pivot, cleared from the other pivot
+    rows.  Over F_p a pivot row is scaled to make its pivot 1; over Q the
+    rows stay integral, divided by the gcd of their entries.
+
+    >>> rank_coloops(IntMatrix.from_rows([[2, 0, 0], [0, 3, 3]]))
+    (2, frozenset({0}))
+    >>> rank_coloops(IntMatrix.from_rows([[2, 0, 0], [0, 3, 3]]), 2)
+    (1, frozenset())
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for entries in a.entries:
+        if p:
+            row = {j: x % p for j, x in enumerate(entries) if x % p}
+        else:
+            row = {j: x for j, x in enumerate(entries) if x}
+        for c in [c for c in row if c in pivots]:
+            row = _clear(row, pivots[c], c, p)
+        if not row:
+            continue
+        c = next(iter(row))
+        if p:
+            if row[c] != 1:
+                inv = pow(row[c], -1, p)
+                row = {k: x * inv % p for k, x in row.items()}
+        else:
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: x // g for k, x in row.items()}
+        for k, other in pivots.items():
+            if c in other:
+                pivots[k] = _clear(other, row, c, p)
+        pivots[c] = row
+    return len(pivots), frozenset(c for c, row in pivots.items() if len(row) == 1)
 
 
 def p_rank(a: AbelianGroup, p: int) -> int:

@@ -16,6 +16,13 @@ builds every connected cover it finds, before any dedup;
 keeping the first of each class.  ``gfgcover.covers.enumerate_covers`` must
 yield the same representatives in the same order.
 
+``census_extensions`` reads the census engine's candidates one lift
+choice after another, and ``degree_covers_oracle`` codes every one of them
+and keeps one set of codes for the whole degree;
+``gfgcover.covers._degree_covers``, which keeps one set per lift choice and
+codes a choice's candidates only once it has a second, must yield the same
+covers, with the same codes, in the same order.
+
 ``has_pinch`` and ``is_nontrivial`` read the normal form theorem off a
 finished path word; ``enumerate_closed_words_oracle`` keeps the words of
 one depth-first pass to the length cap that ``is_nontrivial`` passes and
@@ -44,6 +51,14 @@ same answers, errors and tree edges in the same order.
 ``is_cut_vertex`` walks the graph once per vertex asked;
 ``gfgcover.covers._cut_vertices``, one depth-first search per graph, must
 find the same cut vertices on every cover total.
+
+``torsion_lifts_oracle`` tests each candidate cyclic lift of a cover on
+its own, with a unit row for the lift's generator and one ``cokernel``;
+``gfgcover.covers._torsion_lifts``, which decides every lift from one
+elimination over F_p and one over Q, must pass the same lifts.
+``field_rank`` is dense elimination over F_p or Q; the rank of each
+column deletion it gives must make the coloops that
+``gfgcover.homology.rank_coloops`` finds.
 
 ``smith_group`` reads a presentation's group off the diagonal of ``snf``,
 and ``cokernel_basis`` also reads, off ``snf``'s V, where each generator of
@@ -109,6 +124,7 @@ one memoised record per lift, must derive the same, in the same order.
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from _helpers import lifts_over, reduce_element, schreier_basis, word_length
@@ -136,7 +152,7 @@ from gfgcover.cosets import (
 )
 from gfgcover.covers import (
     CoverCensus, ElevationRef, HangingSlot, PrecoverMorphism, TorsionPiece, _AnyComponents,
-    _assemble, _check_merge, _close_open_ends, _elevations, _extensions,
+    _assemble, _check_merge, _close_open_ends, _code, _elevations, _extensions,
     _lift_choices, _parts, _pooled_edges, _retarget, _same_base, _union, ensure_precover,
     split_cyclic, with_basepoint,
 )
@@ -146,7 +162,7 @@ from gfgcover.gog import (
     pair_of, reverse_edge,
 )
 from gfgcover.homology import (
-    AbelianGroup, IntMatrix, _check_prime, cyclic_column, p_rank, snf,
+    AbelianGroup, IntMatrix, _check_prime, cokernel, cyclic_column, p_rank, snf,
 )
 from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, identity, power_of
 
@@ -265,6 +281,31 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
     return assign(0, 0, set())
 
 
+def census_extensions(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[tuple]:
+    """The raw candidates of ``_extensions(g, None, n, "@", budget)``, one
+    lift choice after another, each as (new free lifts, new cyclic lifts,
+    new triples)."""
+    for new_free, closings in _extensions(g, None, n, "@", budget):
+        for new_cyclic, triples in closings:
+            yield new_free, new_cyclic, triples
+
+
+def degree_covers_oracle(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[PrecoverMorphism]:
+    """``_degree_covers`` with one set of codes for the whole degree: every
+    candidate coded and built only when its code is new to the degree."""
+    seen: Set[tuple] = set()
+    for raw in census_extensions(g, n, budget):
+        new_free, new_cyclic, triples = raw
+        code = _code(g, itertools.chain(new_free.items(), new_cyclic.items()), triples)
+        assert len(code) == 1, "census candidate with a disconnected total"
+        if code in seen:
+            continue
+        seen.add(code)
+        m = _assemble(g, None, "@", raw)
+        m._code = code
+        yield m
+
+
 def unpruned_extensions(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[tuple]:
     """``_extensions(g, None, n, "@", budget)`` without the census's cuts:
     every lift choice, closed by ``_AnyComponents``, so every candidate of
@@ -284,7 +325,7 @@ def candidate_covers(
     engine builds every candidate and drops the disconnected ones here;
     ``pruned`` asks the census engine instead."""
     budget = budget or Budget()
-    raws = _extensions(g, None, n, "@", budget) if pruned else unpruned_extensions(g, n, budget)
+    raws = census_extensions(g, n, budget) if pruned else unpruned_extensions(g, n, budget)
     for raw in raws:
         m = _assemble(g, None, "@", raw)
         if m.total.graph.is_connected():
@@ -578,6 +619,43 @@ def torsion_piece_oracle(
                 if p_rank(q, p) >= 1:
                     return TorsionPiece(piece, v + ".1", v + ".2", p, q)
     return None
+
+
+def torsion_lifts_oracle(m: PrecoverMorphism, p: int) -> List[str]:
+    """The cyclic lifts ``find_torsion_piece`` passes in m, each tested on
+    its own: the cover's presentation with one unit row for the lift's
+    generator, and its ``cokernel``."""
+    roster, matrix = abelianized_presentation(m.total)
+    out = []
+    for v in sorted(m.cyclic_index):
+        incident = [d for d, ref in m.edge_assignment.items() if ref.vertex == v]
+        if len(incident) < 2 or is_cut_vertex(m.total.graph, v):
+            continue
+        col = cyclic_column(m.total, roster, v)
+        unit = tuple(int(k == col) for k in range(matrix.cols))
+        if p_rank(cokernel(IntMatrix(matrix.entries + (unit,), matrix.cols)), p):
+            out.append(v)
+    return out
+
+
+def field_rank(rows: Sequence[Sequence[int]], p: int = 0) -> int:
+    """Rank over F_p, or over Q (on ``Fraction`` entries) when p is 0, by
+    dense Gauss–Jordan elimination."""
+    a = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][j]:
+                f = a[i][j] * (pow(a[rank][j], -1, p) if p else 1 / a[rank][j])
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+                if p:
+                    a[i] = [x % p for x in a[i]]
+        rank += 1
+    return rank
 
 
 def smith_group(a: IntMatrix) -> AbelianGroup:

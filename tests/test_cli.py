@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _helpers import document_for_gog, identity_cover
 
-from gfgcover import cli, covers
+from gfgcover import cli, covers, gog
 from gfgcover.covers import find_torsion_piece, isomorphic
 from gfgcover.gog import GraphOfGroups
 
@@ -189,6 +189,33 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", HNN_F1)
         assert code == 0 and out == "ok\n"
 
+    @pytest.mark.parametrize("path", [HNN_F1, GENUS2, SEEDED], ids=["hnn_f1", "genus2", "seeded"])
+    def test_validate_walks_a_fixture_once(self, capsys, monkeypatch, path):
+        calls = []
+        real = gog.validate
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(gog, "validate", counted)
+        # A second walk would go through a name cli binds itself, if any.
+        monkeypatch.setattr(cli, "validate", counted, raising=False)
+        assert run(capsys, "validate", path) == (0, "ok\n", "")
+        assert len(calls) == 1
+
+    def test_validate_refuses_an_invalid_gog_on_reading_it(self, capsys, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            Path(SEEDED).read_text(encoding="utf-8").replace(
+                "{name: c, kind: cyclic}", "{name: c, kind: cyclic, rank: 2}"
+            ),
+            encoding="utf-8",
+        )
+        assert run(capsys, "validate", str(path)) == (
+            1, "", "error: %s: cyclic vertex 'c' must have rank 1\n" % path
+        )
+
     def test_validate_identity_cover(self, capsys, tmp_path):
         doc = cli.document_for_morphism(identity_cover(load_gog(SEEDED)))
         path = tmp_path / "identity.yaml"
@@ -268,6 +295,42 @@ class TestCommands:
         assert run(capsys, "validate", str(cover_path)) == (0, "ok\n", "")
         _, out, _ = run(capsys, "h1", str(cover_path))
         assert out.count("Z/2") == 2
+
+    def test_only_validate_computes_a_piece_certificate(self, capsys, monkeypatch, piece_file):
+        calls = []
+        real = covers.h1_mod_cyclic
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(covers, "h1_mod_cyclic", counted)
+        code, out, _ = run(capsys, "chain", piece_file, "--copies", "2")
+        assert code == 0 and out.startswith("format_version: 1\nkind: morphism\n")
+        assert calls == []
+        assert run(capsys, "validate", piece_file) == (0, "ok\n", "")
+        assert len(calls) == 1
+
+    def test_a_piece_without_its_torsion_fails_validate(self, capsys, tmp_path, piece_file):
+        path = tmp_path / "p3.yaml"
+        path.write_text(
+            Path(piece_file).read_text(encoding="utf-8").replace("prime: 2\n", "prime: 3\n"),
+            encoding="utf-8",
+        )
+        assert run(capsys, "validate", str(path)) == (1, "certificate has no 3-torsion\n", "")
+
+    def test_a_disconnected_piece_is_refused(self, capsys, tmp_path, piece_file):
+        # A lift of v with the index-1 table, every elevation hanging.
+        text = Path(piece_file).read_text(encoding="utf-8").replace(
+            "  - {name: c@0.1, over: c, index: 1}\n",
+            "  - {name: c@0.1, over: c, index: 1}\n"
+            "  - name: v@9\n    over: v\n    table:\n    - [0]\n    - [0]\n",
+        )
+        path = tmp_path / "split.yaml"
+        path.write_text(text, encoding="utf-8")
+        error = "error: homology of a disconnected graph of groups is per component\n"
+        for argv in (["validate"], ["h1"], ["chain", "--copies", "2"], ["complete", "--bound", "24"]):
+            assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", error)
 
     def test_complete_not_found_exits_2(self, capsys, tmp_path, piece_file):
         code, out, err = run(capsys, "chain", piece_file, "--copies", "2")

@@ -11,8 +11,10 @@ from _oracles import (
     abelianized_presentation_oracle,
     admits_oracle,
     candidate_covers,
+    census_extensions,
     chain_oracle,
     class_image_oracle,
+    degree_covers_oracle,
     detach_edge,
     elevations_oracle,
     enumerate_covers_oracle,
@@ -26,6 +28,7 @@ from _oracles import (
     smith_group,
     splice,
     step_assembly_oracle,
+    torsion_lifts_oracle,
     torsion_piece_oracle,
 )
 
@@ -1656,7 +1659,7 @@ class TestConnectedPrune:
         for n in range(1, top + 1):
             pruned = [
                 covers_module._assemble(g, None, "@", raw)
-                for raw in covers_module._extensions(g, None, n, "@", pruned_nodes)
+                for raw in census_extensions(g, n, pruned_nodes)
             ]
             assert all(m.total.graph.is_connected() for m in pruned)
             oracle = list(candidate_covers(g, n, unpruned_nodes))
@@ -1675,7 +1678,7 @@ class TestConnectedPrune:
         g = cyclic_between((1, (1,)), (2, (1,)))
         got = [
             covers_module._assemble(g, None, "@", raw)
-            for raw in covers_module._extensions(g, None, 2, "@", Budget())
+            for raw in census_extensions(g, 2, Budget())
         ]
         assert any(
             len(lifts_over(m, "u")) == 2 and len(lifts_over(m, "w")) == 1 for m in got
@@ -1737,7 +1740,7 @@ def census_work(g, top):
     candidates = classes = 0
     for n in range(1, top + 1):
         codes = set()
-        for new_free, new_cyclic, triples in covers_module._extensions(g, None, n, "@", budget):
+        for new_free, new_cyclic, triples in census_extensions(g, n, budget):
             candidates += 1
             lifts = list(new_free.items()) + list(new_cyclic.items())
             codes.add(covers_module._code(g, lifts, triples))
@@ -1817,6 +1820,67 @@ class TestSymmetryCut:
         orbits = rule_work(monkeypatch, work, False, True)
         assert orbits[1] < neither[1] and orbits[2] == neither[2]
         assert rule_work(monkeypatch, work, True, True) == orbits
+
+
+# Per lift choice, the census codes a candidate only once a second one
+# arrives; the first of a choice takes its code from ``canonical_code``
+# only then.  Calls of ``covers._code`` per census base, up to its index:
+CODE_CALLS = {
+    "A": 24, "B": 24, "C": 30, "D": 24, "E": 30, "F": 108, "G": 58, "H12": 0, "H14": 0,
+    "H23": 0, "T1": 11, "T2": 11, "T3": 39, "UCDW": 156, "UCW": 14, "UCW2": 16, "UCWX": 14,
+    "genus2": 118, "hnn_f1": 0, "hnn_f1_total": 2, "seeded_torsion": 58, "seeded_total": 108,
+}
+
+
+class TestCodesPerChoice:
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_matches_one_set_of_codes_per_degree(self, name):
+        """With one set of codes per lift choice, each degree yields the
+        covers that one set for the whole degree yields, in its order, with
+        its codes, for the same nodes."""
+        build, top = CENSUS_BASES[name]
+        g = build()
+        for n in range(1, top + 1):
+            got_nodes, want_nodes = Budget(), Budget()
+            got = list(covers_module._degree_covers(g, n, got_nodes))
+            want = list(degree_covers_oracle(g, n, want_nodes))
+            assert list(map(representative_digest, got)) == list(
+                map(representative_digest, want)
+            )
+            assert list(map(canonical_code, got)) == [m._code for m in want]
+            assert got_nodes.nodes == want_nodes.nodes
+
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_code_calls(self, monkeypatch, name):
+        build, top = CENSUS_BASES[name]
+        g = build()
+        calls = []
+        real = covers_module._code
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(covers_module, "_code", counted)
+        list(enumerate_covers(g, top))
+        assert len(calls) == CODE_CALLS[name]
+
+
+class TestTorsionLifts:
+    def test_two_eliminations_decide_as_one_cokernel_per_lift(self):
+        """On every cover of the census bases up to index 4, the lifts the
+        two eliminations pass are those whose own unit row leaves p-torsion
+        in the cokernel, for p = 2, 3, 5, 7."""
+        covers = hits = 0
+        for name in sorted(CENSUS_BASES):
+            build, top = CENSUS_BASES[name]
+            for m in enumerate_covers(build(), min(top, 4)):
+                covers += 1
+                for p in (2, 3, 5, 7):
+                    got = [v for v, _ in covers_module._torsion_lifts(m, p)]
+                    assert got == torsion_lifts_oracle(m, p)
+                    hits += len(got)
+        assert covers > 800 and hits > 1000
 
 
 class TestCutVertices:

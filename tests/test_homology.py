@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from _helpers import determinant, group_order, matmul, reduce_element
-from _oracles import dim_mod_p, quotient_by
+from _oracles import dim_mod_p, field_rank, quotient_by
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from gfgcover.homology import (
     ledger_check,
     ledger_update,
     p_rank,
+    rank_coloops,
     snf,
     torsion_exponent,
 )
@@ -234,6 +235,45 @@ class TestCokernel:
             by_hand *= d
         assert by_hand == torsion_order
         assert g.betti == a.cols - len(factors)
+
+
+# Small matrices, mostly zeros, with entries that vanish mod some primes.
+sparse = st.integers(0, 6).flatmap(
+    lambda m: st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 10]),
+                     min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        ).map(lambda rows: (rows, n))
+    )
+)
+
+
+class TestRankColoops:
+    @given(sparse, st.sampled_from([0, 2, 3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rank_of_each_deletion(self, shaped, p):
+        rows, n = shaped
+        rank, loose = rank_coloops(IntMatrix.from_rows(rows, cols=n), p)
+        assert rank == field_rank(rows, p)
+        deleted = [field_rank([row[:j] + row[j + 1:] for row in rows], p) for j in range(n)]
+        assert loose == {j for j in range(n) if deleted[j] == rank - 1}
+        assert all(d in (rank, rank - 1) for d in deleted)
+
+    @given(sparse, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_give_the_torsion_of_each_kill(self, shaped, p):
+        """Z^n/(R + Z e_j) has as many p-divisible invariant factors as
+        rank_Q(R_j) exceeds rank_Fp(R_j)."""
+        rows, n = shaped
+        a = IntMatrix.from_rows(rows, cols=n)
+        rank_p, loose_p = rank_coloops(a, p)
+        rank_q, loose_q = rank_coloops(a)
+        for j in range(n):
+            unit = tuple(int(k == j) for k in range(n))
+            killed = cokernel(IntMatrix(a.entries + (unit,), n))
+            assert p_rank(killed, p) == (rank_q - (j in loose_q)) - (rank_p - (j in loose_p))
 
 
 class TestAbelianGroup:

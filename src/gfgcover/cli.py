@@ -53,12 +53,12 @@ from .covers import (
     PrecoverMorphism,
     TorsionPiece,
     TowerBounds,
+    _cover_degree,
     _spans,
     build_tower,
     chain,
     check_bounds,
     complete,
-    degree,
     enumerate_covers,
     find_torsion_piece,
     validate_cover,
@@ -337,64 +337,65 @@ def _dump_direct(data: dict) -> str:
     default_flow_style=None``), for a mapping of ints, bare names, lists and
     dicts, no container twice and no line past _WIDTH.  A collection of
     scalars is one flow line; a block sequence under a key is indentless."""
-    lines: List[str] = []
-    seen = set()
-
-    def put(value, head: str, indent: int, compact: bool) -> None:
-        # Write a list or dict after ``head``: a "key:" or, when compact, a
-        # dash prefix its first entry continues.  Block entries sit at indent.
-        if id(value) in seen:  # PyYAML would write an anchor and an alias
-            raise _Refused
-        seen.add(id(value))
-        is_list = value.__class__ is list
-        children = value if is_list else value.values()
-        kinds = set(map(type, children))
-        if not kinds <= _NODES or not is_list and not (
-                set(map(type, value)) <= _SCALARS and all(map(_plain, value))):
-            raise _Refused
-        if kinds <= _SCALARS:  # one flow line
-            if not all(map(_plain, children)):
-                raise _Refused
-            if is_list:
-                text = "[" + ", ".join(map(str, value)) + "]"
-            else:
-                text = "{" + ", ".join(map("%s: %s".__mod__, value.items())) + "}"
-            lines.append(head + text if compact else head + " " + text)
-            return
-        pad = " " * indent
-        if compact:
-            lead = head
-        else:
-            lines.append(head)
-            lead = pad
-        if is_list:
-            for child in value:
-                if child.__class__ is list or child.__class__ is dict:
-                    put(child, lead + "- ", indent + 2, True)
-                elif _plain(child):
-                    lines.append("%s- %s" % (lead, child))
-                else:
-                    raise _Refused
-                lead = pad
-        else:
-            for key, child in value.items():
-                if child.__class__ is list:
-                    put(child, "%s%s:" % (lead, key), indent, False)
-                elif child.__class__ is dict:
-                    put(child, "%s%s:" % (lead, key), indent + 2, False)
-                elif _plain(child):
-                    lines.append("%s%s: %s" % (lead, key, child))
-                else:
-                    raise _Refused
-                lead = pad
-
     if data.__class__ is not dict:
         raise _Refused
-    put(data, "", 0, True)
+    lines: List[str] = []
+    _put(lines, set(), data, "", 0, True)
     if max(map(len, lines)) > _WIDTH:
         raise _Refused
     lines.append("")
     return "\n".join(lines)
+
+
+def _put(lines: List[str], seen: set, value, head: str, indent: int, compact: bool) -> None:
+    """Append to ``lines`` a list or dict written after ``head``: a "key:"
+    or, when compact, a dash prefix its first entry continues.  Block
+    entries sit at indent; ``seen`` holds the ids of the containers written
+    so far."""
+    if id(value) in seen:  # PyYAML would write an anchor and an alias
+        raise _Refused
+    seen.add(id(value))
+    is_list = value.__class__ is list
+    children = value if is_list else value.values()
+    kinds = set(map(type, children))
+    if not kinds <= _NODES or not is_list and not (
+            set(map(type, value)) <= _SCALARS and all(map(_plain, value))):
+        raise _Refused
+    if kinds <= _SCALARS:  # one flow line
+        if not all(map(_plain, children)):
+            raise _Refused
+        if is_list:
+            text = "[" + ", ".join(map(str, value)) + "]"
+        else:
+            text = "{" + ", ".join(map("%s: %s".__mod__, value.items())) + "}"
+        lines.append(head + text if compact else head + " " + text)
+        return
+    pad = " " * indent
+    if compact:
+        lead = head
+    else:
+        lines.append(head)
+        lead = pad
+    if is_list:
+        for child in value:
+            if child.__class__ is list or child.__class__ is dict:
+                _put(lines, seen, child, lead + "- ", indent + 2, True)
+            elif _plain(child):
+                lines.append("%s- %s" % (lead, child))
+            else:
+                raise _Refused
+            lead = pad
+    else:
+        for key, child in value.items():
+            if child.__class__ is list:
+                _put(lines, seen, child, "%s%s:" % (lead, key), indent, False)
+            elif child.__class__ is dict:
+                _put(lines, seen, child, "%s%s:" % (lead, key), indent + 2, False)
+            elif _plain(child):
+                lines.append("%s%s: %s" % (lead, key, child))
+            else:
+                raise _Refused
+            lead = pad
 
 
 def _inline(text: str):
@@ -692,7 +693,7 @@ def cmd_enumerate_covers(args, g, data) -> int:
         if problems:
             raise AssertionError("enumerated cover failed validation: %s" % problems)
         rows.append(
-            [str(degree(m)), str(euler_characteristic(m.total)), str(h1(m))]
+            [str(_cover_degree(m)), str(euler_characteristic(m.total)), str(h1(m))]
         )
     _print_csv(["degree", "chi", "h1"], rows)
     return 0

@@ -345,33 +345,38 @@ def enumerate_subgroups(rank: int, idx: int) -> Iterator[CosetTable]:
     if idx == 1:
         yield whole_group_table(rank)
         return
-    n, r = idx, rank
-    fwd = [[-1] * n for _ in range(r)]
-    bwd = [[-1] * n for _ in range(r)]
-    slots = [(a, x) for a in range(n) for x in range(r)]
+    fwd = [[-1] * idx for _ in range(rank)]
+    bwd = [[-1] * idx for _ in range(rank)]
+    slots = [(a, x) for a in range(idx) for x in range(rank)]
+    yield from _standard_tables(fwd, bwd, slots, 0, 1)
 
-    def rec(si: int, used: int) -> Iterator[CosetTable]:
-        if si == len(slots):
-            if used == n and not any(_precedes(fwd, s) for s in range(1, n)):
-                yield CosetTable(rank, tuple(tuple(row) for row in fwd))
-            return
-        a, x = slots[si]
-        if a >= used:
-            return
-        if fwd[x][a] != -1:
-            yield from rec(si + 1, used)
-            return
-        top = used + 1 if used < n else used
-        for b in range(top):
-            if bwd[x][b] != -1:
-                continue
-            fwd[x][a] = b
-            bwd[x][b] = a
-            yield from rec(si + 1, used + 1 if b == used else used)
-            fwd[x][a] = -1
-            bwd[x][b] = -1
 
-    yield from rec(0, 1)
+def _standard_tables(
+    fwd: List[List[int]], bwd: List[List[int]], slots: List[Tuple[int, int]], si: int, used: int
+) -> Iterator[CosetTable]:
+    """The class-minimal completions of the partial standard table
+    ``fwd`` (``bwd`` its inverse) on ``used`` cosets, whose slots before
+    the si-th are decided, in depth-first order."""
+    n = len(fwd[0])
+    if si == len(slots):
+        if used == n and not any(_precedes(fwd, s) for s in range(1, n)):
+            yield CosetTable(len(fwd), tuple(tuple(row) for row in fwd))
+        return
+    a, x = slots[si]
+    if a >= used:
+        return
+    if fwd[x][a] != -1:
+        yield from _standard_tables(fwd, bwd, slots, si + 1, used)
+        return
+    top = used + 1 if used < n else used
+    for b in range(top):
+        if bwd[x][b] != -1:
+            continue
+        fwd[x][a] = b
+        bwd[x][b] = a
+        yield from _standard_tables(fwd, bwd, slots, si + 1, used + 1 if b == used else used)
+        fwd[x][a] = -1
+        bwd[x][b] = -1
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,11 @@ def degree(m: PrecoverMorphism) -> int:
     problems = validate_cover(m)
     if problems:
         raise ValueError("; ".join(problems))
+    return _cover_degree(m)
+
+
+def _cover_degree(m: PrecoverMorphism) -> int:
+    """``degree`` of a morphism that ``validate_cover`` has passed."""
     if not _spans(m):
         raise ValueError("degree of a disconnected cover is not defined")
     return next(iter(m.sums.values()))
@@ -510,20 +515,31 @@ def _check_base_shape(g: GraphOfGroups) -> None:
 
 
 @lru_cache(maxsize=None)
+def _closing_order(
+    g: GraphOfGroups,
+) -> Tuple[Tuple[Tuple[str, Tuple[str, ...]], ...], Tuple[str, ...]]:
+    """The order in which ``_close_open_ends`` closes ends: the cyclic
+    vertices, each with its sorted ends, then the free–free pairs, all
+    sorted; memoised."""
+    gr, kind = g.graph, g.vertex_kind
+    cyclic = tuple(
+        (c, tuple(sorted(gr.ends(c)))) for c in sorted(gr.vertices) if kind[c] == "cyclic"
+    )
+    pairs = tuple(
+        sorted(p for p in gr.pairs if kind[gr.iota(p)] == kind[gr.tau(p)] == "free")
+    )
+    return cyclic, pairs
+
+
+@lru_cache(maxsize=None)
 def _pooled_edges(g: GraphOfGroups) -> Tuple[Tuple[str, ...], ...]:
     """Groups of oriented edges whose pools a cover empties together: the
     free sides of the ends of each cyclic vertex, and the two sides of each
     free–free pair; memoised."""
-    gr = g.graph
-    groups = [
-        tuple(reverse_edge(e) for e in sorted(gr.ends(c)))
-        for c in sorted(gr.vertices) if g.vertex_kind[c] == "cyclic"
-    ]
-    groups += [
-        (p, reverse_edge(p)) for p in sorted(gr.pairs)
-        if g.vertex_kind[gr.iota(p)] == g.vertex_kind[gr.tau(p)] == "free"
-    ]
-    return tuple(groups)
+    cyclic, pairs = _closing_order(g)
+    return tuple(tuple(map(reverse_edge, ends)) for _, ends in cyclic) + tuple(
+        (p, reverse_edge(p)) for p in pairs
+    )
 
 
 @lru_cache(maxsize=None)
@@ -745,138 +761,174 @@ def _close_open_ends(
     branch a join leads to; ``_Components`` cuts those that can only give
     a disconnected total.
     """
-    gr = base.graph
-    consumed: Set[ElevationRef] = set()
-    new_cyclic: Dict[str, Tuple[str, int]] = {}
-    out_pairs: List[Tuple[str, ElevationRef, ElevationRef]] = []
+    if not components.cut_at_start():
+        state = _Closing(base, pools, demands, room, taken_names, budget, components)
+        yield from _do_demands(state, 0)
 
-    demand_steps: List[Tuple[str, int, str]] = []
-    for lift, d, ends in sorted(demands):
-        for e in sorted(ends):
-            demand_steps.append((lift, d, e))
 
-    cyclic_vs = sorted(
-        v for v in gr.vertices if base.vertex_kind[v] == "cyclic"
+class _Closing:
+    """The state of one ``_close_open_ends`` search: the pools, scanned in
+    place, the consumed elevations, the new cyclic lifts and pair triples
+    (the containers each yield hands out), the room, taken names, budget
+    and components, the demand steps in search order, and the base's
+    ``_closing_order``.
+
+    The steps of the search are module-level generator functions that
+    take this object and their loop variables.  Were they nested functions
+    naming each other, their closure cells would tie every lift choice's
+    state into reference cycles that only the cyclic garbage collector
+    frees; as it is, nothing here refers back to a step, and each choice's
+    state is freed as soon as the search leaves it.
+    """
+
+    __slots__ = (
+        "pools", "consumed", "new_cyclic", "out_pairs", "room", "taken_names", "budget",
+        "components", "demand_steps", "cyclic", "free_pairs",
     )
-    ends_of = {c: sorted(gr.ends(c)) for c in cyclic_vs}
-    free_pairs = sorted(
-        p
-        for p in gr.pairs
-        if base.vertex_kind[gr.iota(p)] == "free"
-        and base.vertex_kind[gr.tau(p)] == "free"
-    )
 
-    def fresh_name(c: str) -> str:
+    def __init__(self, base, pools, demands, room, taken_names, budget, components):
+        self.pools = pools
+        self.consumed: Set[ElevationRef] = set()
+        self.new_cyclic: Dict[str, Tuple[str, int]] = {}
+        self.out_pairs: List[Tuple[str, ElevationRef, ElevationRef]] = []
+        self.room = room
+        self.taken_names = taken_names
+        self.budget = budget
+        self.components = components
+        self.demand_steps = [
+            (lift, d, e) for lift, d, ends in sorted(demands) for e in sorted(ends)
+        ]
+        self.cyclic, self.free_pairs = _closing_order(base)
+
+    def fresh_name(self, c: str) -> str:
         i = 0
         while True:
             name = "%s@%d" % (c, i)
-            if name not in taken_names and name not in new_cyclic:
+            if name not in self.taken_names and name not in self.new_cyclic:
                 return name
             i += 1
 
     # Pools are scanned in place; each loop restores ``consumed`` per entry.
-    def first_open(e: str) -> Optional[Tuple[ElevationRef, int]]:
-        return next((rd for rd in pools.get(e, ()) if rd[0] not in consumed), None)
+    def first_open(self, e: str) -> Optional[Tuple[ElevationRef, int]]:
+        consumed = self.consumed
+        for rd in self.pools.get(e, ()):
+            if rd[0] not in consumed:
+                return rd
+        return None
 
-    def emit(bp: str, cyc_end: str, cyc_ref: ElevationRef, far_ref: ElevationRef):
+    def emit(self, bp: str, cyc_end: str, cyc_ref: ElevationRef, far_ref: ElevationRef):
         if cyc_end == bp:
-            out_pairs.append((bp, cyc_ref, far_ref))
+            self.out_pairs.append((bp, cyc_ref, far_ref))
         else:
-            out_pairs.append((bp, far_ref, cyc_ref))
+            self.out_pairs.append((bp, far_ref, cyc_ref))
 
-    def do_demands(i: int) -> Iterator[None]:
-        if i == len(demand_steps):
-            yield from do_cyclic(0, 0)
-            return
-        lift, d, e = demand_steps[i]
-        for ref, dd in pools.get(reverse_edge(e), ()):
-            if dd != d or ref in consumed:
-                continue
-            budget.tick()
-            consumed.add(ref)
-            emit(pair_of(e), e, ElevationRef(lift, e, 0), ref)
-            yield from do_demands(i + 1)
-            out_pairs.pop()
-            consumed.remove(ref)
 
-    def do_cyclic(ci: int, spent: int) -> Iterator[None]:
-        if ci == len(cyclic_vs):
-            yield from do_pairs(0)
+def _do_demands(s: _Closing, i: int) -> Iterator[tuple]:
+    """Realize the i-th and later demand steps, then the cyclic lifts."""
+    if i == len(s.demand_steps):
+        yield from _do_cyclic(s, 0, 0)
+        return
+    lift, d, e = s.demand_steps[i]
+    consumed = s.consumed
+    for ref, dd in s.pools.get(reverse_edge(e), ()):
+        if dd != d or ref in consumed:
+            continue
+        s.budget.tick()
+        consumed.add(ref)
+        s.emit(pair_of(e), e, ElevationRef(lift, e, 0), ref)
+        yield from _do_demands(s, i + 1)
+        s.out_pairs.pop()
+        consumed.remove(ref)
+
+
+def _do_cyclic(s: _Closing, ci: int, spent: int) -> Iterator[tuple]:
+    """Create the new lifts of the ci-th and later cyclic vertices, the
+    ci-th having ``spent`` of its room already, then pair the free ends."""
+    if ci == len(s.cyclic):
+        yield from _do_pairs(s, 0)
+        return
+    c, ends = s.cyclic[ci]
+    anchor = s.first_open(reverse_edge(ends[0])) if ends else None
+    if anchor is None:
+        if spent != s.room.get(c, 0):
             return
-        c = cyclic_vs[ci]
-        ends = ends_of[c]
-        anchor = first_open(reverse_edge(ends[0])) if ends else None
-        if anchor is None:
-            if spent != room.get(c, 0):
+        for e in ends[1:]:
+            if s.first_open(reverse_edge(e)) is not None:
                 return
-            for e in ends[1:]:
-                if first_open(reverse_edge(e)) is not None:
-                    return
-            yield from do_cyclic(ci + 1, 0)
-            return
-        ref0, d = anchor
-        if spent + d > room.get(c, 0):
-            return
-        name = fresh_name(c)
-        consumed.add(ref0)
-        new_cyclic[name] = (c, d)
-        emit(pair_of(ends[0]), ends[0], ElevationRef(name, ends[0], 0), ref0)
-        anchored = components.join(ref0, ref0, 1)
+        yield from _do_cyclic(s, ci + 1, 0)
+        return
+    ref0, d = anchor
+    if spent + d > s.room.get(c, 0):
+        return
+    name = s.fresh_name(c)
+    s.consumed.add(ref0)
+    s.new_cyclic[name] = (c, d)
+    s.emit(pair_of(ends[0]), ends[0], ElevationRef(name, ends[0], 0), ref0)
+    anchored = s.components.join(ref0, ref0, 1)
+    yield from _fill(s, ci, spent, name, ref0, d, anchored, 1)
+    s.components.split(anchored)
+    s.out_pairs.pop()
+    del s.new_cyclic[name]
+    s.consumed.remove(ref0)
 
-        def fill(j: int) -> Iterator[None]:
-            if j == len(ends):
-                if not components.cut(anchored):
-                    yield from do_cyclic(ci, spent + d)
-                return
-            e = ends[j]
-            for ref, dd in pools.get(reverse_edge(e), ()):
-                if dd != d or ref in consumed or components.skip(ref0, ref):
-                    continue
-                budget.tick()
-                consumed.add(ref)
-                emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
-                undo = components.join(ref0, ref, 1)
-                yield from fill(j + 1)
-                components.split(undo)
-                out_pairs.pop()
-                consumed.remove(ref)
 
-        yield from fill(1)
-        components.split(anchored)
-        out_pairs.pop()
-        del new_cyclic[name]
-        consumed.remove(ref0)
+def _fill(
+    s: _Closing, ci: int, spent: int, name: str, ref0: ElevationRef, d: int,
+    anchored: tuple, j: int,
+) -> Iterator[tuple]:
+    """Realize the j-th and later ends of the new cyclic lift ``name`` of
+    index d, anchored at ref0, then go on with the ci-th cyclic vertex."""
+    ends = s.cyclic[ci][1]
+    components = s.components
+    if j == len(ends):
+        if not components.cut(anchored):
+            yield from _do_cyclic(s, ci, spent + d)
+        return
+    e = ends[j]
+    consumed = s.consumed
+    for ref, dd in s.pools.get(reverse_edge(e), ()):
+        if dd != d or ref in consumed or components.skip(ref0, ref):
+            continue
+        s.budget.tick()
+        consumed.add(ref)
+        s.emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
+        undo = components.join(ref0, ref, 1)
+        yield from _fill(s, ci, spent, name, ref0, d, anchored, j + 1)
+        components.split(undo)
+        s.out_pairs.pop()
+        consumed.remove(ref)
 
-    def do_pairs(pi: int) -> Iterator[None]:
-        if pi == len(free_pairs):
-            yield new_cyclic, out_pairs
+
+def _do_pairs(s: _Closing, pi: int) -> Iterator[tuple]:
+    """Join the open ends of the pi-th and later free–free pairs, then
+    yield the closing."""
+    if pi == len(s.free_pairs):
+        yield s.new_cyclic, s.out_pairs
+        return
+    p = s.free_pairs[pi]
+    first = s.first_open(p)
+    if first is None:
+        if s.first_open(reverse_edge(p)) is not None:
             return
-        p = free_pairs[pi]
-        first = first_open(p)
-        if first is None:
-            if first_open(reverse_edge(p)) is not None:
-                return
-            yield from do_pairs(pi + 1)
-            return
-        x, dx = first
-        for y, dy in pools.get(reverse_edge(p), ()):
-            if dy != dx or y in consumed or components.skip(x, y):
-                continue
-            budget.tick()
-            consumed.add(x)
-            if y != x:
-                consumed.add(y)
-            out_pairs.append((p, x, y))
-            undo = components.join(x, y, 1 if y == x else 2)
-            if not components.cut(undo):
-                yield from do_pairs(pi)
-            components.split(undo)
-            out_pairs.pop()
-            consumed.discard(y)
-            consumed.discard(x)
-
-    if not components.cut_at_start():
-        yield from do_demands(0)
+        yield from _do_pairs(s, pi + 1)
+        return
+    x, dx = first
+    consumed, components = s.consumed, s.components
+    for y, dy in s.pools.get(reverse_edge(p), ()):
+        if dy != dx or y in consumed or components.skip(x, y):
+            continue
+        s.budget.tick()
+        consumed.add(x)
+        if y != x:
+            consumed.add(y)
+        s.out_pairs.append((p, x, y))
+        undo = components.join(x, y, 1 if y == x else 2)
+        if not components.cut(undo):
+            yield from _do_pairs(s, pi)
+        components.split(undo)
+        s.out_pairs.pop()
+        consumed.discard(y)
+        consumed.discard(x)
 
 
 def _free_pool(
@@ -901,21 +953,25 @@ def _vertex_multisets(
         for pos, t in enumerate(_tables(rank, i)):
             entries.append((i, pos, t))
     out: List[Tuple[Tuple[int, int, CosetTable], ...]] = []
-
-    def rec(start: int, left: int, acc: List[Tuple[int, int, CosetTable]]):
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(start, len(entries)):
-            i, pos, t = entries[k]
-            if i > left:
-                continue
-            acc.append(entries[k])
-            rec(k, left - i, acc)
-            acc.pop()
-
-    rec(0, total, [])
+    _multisets_into(out, entries, 0, total, [])
     return out
+
+
+def _multisets_into(
+    out: list, entries: list, start: int, left: int, acc: List[Tuple[int, int, CosetTable]]
+) -> None:
+    """Append to ``out`` every multiset of entries from ``start`` on whose
+    indices sum to ``left``, each after the entries in ``acc``."""
+    if left == 0:
+        out.append(tuple(acc))
+        return
+    for k in range(start, len(entries)):
+        i, pos, t = entries[k]
+        if i > left:
+            continue
+        acc.append(entries[k])
+        _multisets_into(out, entries, k, left - i, acc)
+        acc.pop()
 
 
 def _lift_choices(

@@ -334,39 +334,37 @@ def enumerate_closed_words(g: GraphOfGroups, max_length: int) -> Iterator[GogWor
     is one depth-first pass cut off at that length.
     """
     check_int(max_length, "max_length")
-    base = g.base_vertex
-    gr = g.graph
-    edges = sorted(gr.oriented_edges())
-
-    def letters_at(v):
-        r = g.vertex_rank[v]
-        return [a for a in range(-r, r + 1) if a != 0]
-
-    def dfs(v, syllables, crossings, cur, left):
-        # cur: letters of the open syllable at v; left: letters still to spend.
-        if left == 0:
-            if v == base:
-                word = Word(tuple(cur), g.vertex_rank[v])
-                yield GogWord(base, tuple(syllables) + (word,), tuple(crossings))
-            return
-        for a in letters_at(v):
-            if cur and cur[-1] == -a:
-                continue
-            cur.append(a)
-            yield from dfs(v, syllables, crossings, cur, left - 1)
-            cur.pop()
-        word = Word(tuple(cur), g.vertex_rank[v])
-        for e in edges:
-            if gr.iota(e) != v:
-                continue
-            if crossings and e == reverse_edge(crossings[-1]):
-                if power_of(word, g.edge_words[crossings[-1]]) is not None:
-                    continue
-            syllables.append(word)
-            crossings.append(e)
-            yield from dfs(gr.tau(e), syllables, crossings, [], left - 1)
-            crossings.pop()
-            syllables.pop()
-
+    edges = sorted(g.graph.oriented_edges())
     for length in range(1, max_length + 1):
-        yield from dfs(base, [], [], [], length)
+        yield from _closed_words(g, edges, g.base_vertex, [], [], [], length)
+
+
+def _closed_words(g, edges, v, syllables, crossings, cur, left) -> Iterator[GogWord]:
+    """The words of ``enumerate_closed_words`` that go on from v with
+    ``left`` more letters, after the finished ``syllables`` and
+    ``crossings`` and the letters ``cur`` of the open syllable at v."""
+    gr = g.graph
+    if left == 0:
+        if v == g.base_vertex:
+            word = Word(tuple(cur), g.vertex_rank[v])
+            yield GogWord(v, tuple(syllables) + (word,), tuple(crossings))
+        return
+    r = g.vertex_rank[v]
+    for a in range(-r, r + 1):
+        if a == 0 or cur and cur[-1] == -a:
+            continue
+        cur.append(a)
+        yield from _closed_words(g, edges, v, syllables, crossings, cur, left - 1)
+        cur.pop()
+    word = Word(tuple(cur), r)
+    for e in edges:
+        if gr.iota(e) != v:
+            continue
+        if crossings and e == reverse_edge(crossings[-1]):
+            if power_of(word, g.edge_words[crossings[-1]]) is not None:
+                continue
+        syllables.append(word)
+        crossings.append(e)
+        yield from _closed_words(g, edges, gr.tau(e), syllables, crossings, [], left - 1)
+        crossings.pop()
+        syllables.pop()

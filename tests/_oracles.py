@@ -16,6 +16,12 @@ builds every connected cover it finds, before any dedup;
 keeping the first of each class.  ``gfgcover.covers.enumerate_covers`` must
 yield the same representatives in the same order.
 
+``close_open_ends_oracle`` is the matching engine as nested generator
+functions that share its state through closure cells;
+``gfgcover.covers._close_open_ends``, whose steps are module-level
+functions that take one state object, must yield the same closings in the
+same order for the same nodes.
+
 ``census_extensions`` reads the census engine's candidates one lift
 choice after another, and ``degree_covers_oracle`` codes every one of them
 and keeps one set of codes for the whole degree;
@@ -1060,3 +1066,148 @@ def morphism_fields_oracle(m: PrecoverMorphism) -> dict:
     hanging = tuple(sorted(slots, key=lambda s: (s.vertex, s.edge, s.least)))
     total = (tuple(names), total_pairs, ranks, kinds, edge_words, m.total.base_vertex)
     return {"elevation_of": elevation_of, "hanging": hanging, "problems": problems, "total": total}
+
+
+def close_open_ends_oracle(
+    base: GraphOfGroups,
+    pools: Dict[str, List[Tuple[ElevationRef, int]]],
+    demands: Sequence[Tuple[str, int, Tuple[str, ...]]],
+    room: Dict[str, int],
+    taken_names: Set[str],
+    budget: Budget,
+    components: _AnyComponents,
+) -> Iterator[Tuple[Dict[str, Tuple[str, int]], List[Tuple[str, ElevationRef, ElevationRef]]]]:
+    """``gfgcover.covers._close_open_ends`` as nested generator functions
+    that share the search state through closure cells."""
+    gr = base.graph
+    consumed: Set[ElevationRef] = set()
+    new_cyclic: Dict[str, Tuple[str, int]] = {}
+    out_pairs: List[Tuple[str, ElevationRef, ElevationRef]] = []
+
+    demand_steps: List[Tuple[str, int, str]] = []
+    for lift, d, ends in sorted(demands):
+        for e in sorted(ends):
+            demand_steps.append((lift, d, e))
+
+    cyclic_vs = sorted(
+        v for v in gr.vertices if base.vertex_kind[v] == "cyclic"
+    )
+    ends_of = {c: sorted(gr.ends(c)) for c in cyclic_vs}
+    free_pairs = sorted(
+        p
+        for p in gr.pairs
+        if base.vertex_kind[gr.iota(p)] == "free"
+        and base.vertex_kind[gr.tau(p)] == "free"
+    )
+
+    def fresh_name(c: str) -> str:
+        i = 0
+        while True:
+            name = "%s@%d" % (c, i)
+            if name not in taken_names and name not in new_cyclic:
+                return name
+            i += 1
+
+    # Pools are scanned in place; each loop restores ``consumed`` per entry.
+    def first_open(e: str) -> Optional[Tuple[ElevationRef, int]]:
+        return next((rd for rd in pools.get(e, ()) if rd[0] not in consumed), None)
+
+    def emit(bp: str, cyc_end: str, cyc_ref: ElevationRef, far_ref: ElevationRef):
+        if cyc_end == bp:
+            out_pairs.append((bp, cyc_ref, far_ref))
+        else:
+            out_pairs.append((bp, far_ref, cyc_ref))
+
+    def do_demands(i: int) -> Iterator[None]:
+        if i == len(demand_steps):
+            yield from do_cyclic(0, 0)
+            return
+        lift, d, e = demand_steps[i]
+        for ref, dd in pools.get(reverse_edge(e), ()):
+            if dd != d or ref in consumed:
+                continue
+            budget.tick()
+            consumed.add(ref)
+            emit(pair_of(e), e, ElevationRef(lift, e, 0), ref)
+            yield from do_demands(i + 1)
+            out_pairs.pop()
+            consumed.remove(ref)
+
+    def do_cyclic(ci: int, spent: int) -> Iterator[None]:
+        if ci == len(cyclic_vs):
+            yield from do_pairs(0)
+            return
+        c = cyclic_vs[ci]
+        ends = ends_of[c]
+        anchor = first_open(reverse_edge(ends[0])) if ends else None
+        if anchor is None:
+            if spent != room.get(c, 0):
+                return
+            for e in ends[1:]:
+                if first_open(reverse_edge(e)) is not None:
+                    return
+            yield from do_cyclic(ci + 1, 0)
+            return
+        ref0, d = anchor
+        if spent + d > room.get(c, 0):
+            return
+        name = fresh_name(c)
+        consumed.add(ref0)
+        new_cyclic[name] = (c, d)
+        emit(pair_of(ends[0]), ends[0], ElevationRef(name, ends[0], 0), ref0)
+        anchored = components.join(ref0, ref0, 1)
+
+        def fill(j: int) -> Iterator[None]:
+            if j == len(ends):
+                if not components.cut(anchored):
+                    yield from do_cyclic(ci, spent + d)
+                return
+            e = ends[j]
+            for ref, dd in pools.get(reverse_edge(e), ()):
+                if dd != d or ref in consumed or components.skip(ref0, ref):
+                    continue
+                budget.tick()
+                consumed.add(ref)
+                emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
+                undo = components.join(ref0, ref, 1)
+                yield from fill(j + 1)
+                components.split(undo)
+                out_pairs.pop()
+                consumed.remove(ref)
+
+        yield from fill(1)
+        components.split(anchored)
+        out_pairs.pop()
+        del new_cyclic[name]
+        consumed.remove(ref0)
+
+    def do_pairs(pi: int) -> Iterator[None]:
+        if pi == len(free_pairs):
+            yield new_cyclic, out_pairs
+            return
+        p = free_pairs[pi]
+        first = first_open(p)
+        if first is None:
+            if first_open(reverse_edge(p)) is not None:
+                return
+            yield from do_pairs(pi + 1)
+            return
+        x, dx = first
+        for y, dy in pools.get(reverse_edge(p), ()):
+            if dy != dx or y in consumed or components.skip(x, y):
+                continue
+            budget.tick()
+            consumed.add(x)
+            if y != x:
+                consumed.add(y)
+            out_pairs.append((p, x, y))
+            undo = components.join(x, y, 1 if y == x else 2)
+            if not components.cut(undo):
+                yield from do_pairs(pi)
+            components.split(undo)
+            out_pairs.pop()
+            consumed.discard(y)
+            consumed.discard(x)
+
+    if not components.cut_at_start():
+        yield from do_demands(0)

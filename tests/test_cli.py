@@ -204,6 +204,27 @@ class TestCommands:
         assert run(capsys, "validate", path) == (0, "ok\n", "")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("path", [HNN_F1, GENUS2, SEEDED], ids=["hnn_f1", "genus2", "seeded"])
+    def test_enumerate_covers_validates_each_printed_cover_once(self, capsys, monkeypatch, path):
+        """Beyond the census's own check of each cover it builds, the
+        command walks every cover it prints with ``validate_cover`` once."""
+        calls = []
+        real = covers.validate_cover
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(covers, "validate_cover", counted)
+        monkeypatch.setattr(cli, "validate_cover", counted)
+        list(covers.enumerate_covers(load_gog(path), 3))
+        census = len(calls)
+        calls.clear()
+        code, out, _ = run(capsys, "enumerate-covers", path, "--max-index", "3")
+        printed = out.count("\n") - 1
+        assert code == 0 and printed > 0
+        assert len(calls) - census == printed
+
     def test_validate_refuses_an_invalid_gog_on_reading_it(self, capsys, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import random
@@ -14,6 +15,7 @@ from _oracles import (
     census_extensions,
     chain_oracle,
     class_image_oracle,
+    close_open_ends_oracle,
     degree_covers_oracle,
     detach_edge,
     elevations_oracle,
@@ -33,7 +35,9 @@ from _oracles import (
 )
 
 import gfgcover.covers as covers_module
-from gfgcover.cli import document_for_morphism, gog_from_payload, load_document, save_document
+from gfgcover.cli import (
+    document_for_morphism, document_for_piece, gog_from_payload, load_document, save_document,
+)
 from gfgcover.cosets import (
     CosetTable, cyclic_table, elevations, enumerate_subgroups, whole_group_table,
 )
@@ -1864,6 +1868,123 @@ class TestCodesPerChoice:
         monkeypatch.setattr(covers_module, "_code", counted)
         list(enumerate_covers(g, top))
         assert len(calls) == CODE_CALLS[name]
+
+
+def engine_runs(g, m, target, sep):
+    """Per lift choice of ``_extensions(g, m, target, sep, ...)``, the
+    closings of the engine and of the closure-based oracle, each copied out
+    of its reused containers, with the nodes each spends."""
+    census = m is None
+    rules = covers_module._Components if census else covers_module._AnyComponents
+    for new_free, pools, demands, room, taken in covers_module._lift_choices(
+        g, m, target, sep, Budget(), rules
+    ):
+        runs = []
+        for engine in (covers_module._close_open_ends, close_open_ends_oracle):
+            components = (
+                covers_module._Components(g, new_free, pools) if census
+                else covers_module._AnyComponents()
+            )
+            budget = Budget()
+            closings = [
+                (dict(new_cyclic), list(triples))
+                for new_cyclic, triples in engine(g, pools, demands, room, taken, budget, components)
+            ]
+            runs.append((closings, budget.nodes))
+        yield runs
+
+
+class TestEngineOracle:
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_census_closings(self, name):
+        """From the empty precover, with the census's components, every
+        lift choice closes as in the oracle, in its order, for its nodes."""
+        build, top = CENSUS_BASES[name]
+        g = build()
+        closings = 0
+        for n in range(1, top + 1):
+            for got, want in engine_runs(g, None, n, "@"):
+                assert got == want
+                closings += len(got[0])
+        assert closings > 0
+
+    @pytest.mark.parametrize("base, p", [("seeded_torsion", 2), ("seeded_torsion", 3), ("G", 3)])
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_completion_closings(self, base, p, copies):
+        """From a chain, as ``complete`` searches it, every lift choice of
+        the least three degrees closes as in the oracle."""
+        g = fixture(base) if base == "seeded_torsion" else amalgam(AMALGAMS[base])
+        m = chain(find_torsion_piece(g, p, 4), copies)
+        low = max(m.sums.values())
+        closings = 0
+        for target in range(low, low + 3):
+            for got, want in engine_runs(m.base, m, target, "+"):
+                assert got == want
+                closings += len(got[0])
+        assert closings > 40
+
+
+def clear_caches():
+    """Empty every ``functools`` cache of the package."""
+    for name, module in list(sys.modules.items()):
+        if name == "gfgcover" or name.startswith("gfgcover."):
+            for obj in list(vars(module).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
+
+
+def stopped_census(piece):
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_covers(piece.morphism.base, 5, Budget(300)))
+
+
+# Each call takes the p = 2 piece of seeded_torsion, built beforehand.
+GARBAGE_CALLS = {
+    "enumerate_covers(seeded, 5)": lambda piece: list(enumerate_covers(piece.morphism.base, 5)),
+    "enumerate_covers(genus2, 3)": lambda piece: list(enumerate_covers(genus2(), 3)),
+    "census stopped by Budget(300)": stopped_census,
+    "find_torsion_piece(seeded, 5, 4)": lambda piece: find_torsion_piece(
+        piece.morphism.base, 5, 4
+    ),
+    "build_tower(seeded, [2], 1)": lambda piece: build_tower(piece.morphism.base, [2], 1),
+    "complete(chain(piece, 2), 24)": lambda piece: complete(chain(piece, 2), 24),
+    "enumerate_subgroups(2, 5)": lambda piece: list(enumerate_subgroups(2, 5)),
+    "enumerate_closed_words(seeded, 4)": lambda piece: list(
+        enumerate_closed_words(piece.morphism.base, 4)
+    ),
+    "save_document of the p = 2 piece": lambda piece: save_document(document_for_piece(piece)),
+}
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("name", list(GARBAGE_CALLS))
+    def test_search_leaves_no_reference_cycles(self, name, seeded_piece):
+        """Each search frees its state by reference counting alone: with
+        the caches cleared and the collector off, it leaves nothing for
+        ``gc.collect`` to free.  When the matching engine and the recursive
+        helpers were nested functions naming each other, the collector
+        freed, per call:
+
+            enumerate_covers(seeded, 5)            8,031
+            enumerate_covers(genus2, 3)            5,491
+            the same census at Budget(300)         4,808
+            find_torsion_piece(seeded, 5, 4)       2,758
+            build_tower(seeded, [2], 1)            2,140
+            complete(chain(piece, 2), 24)             62
+            enumerate_subgroups(2, 5)                 25
+            enumerate_closed_words(seeded, 4)         11
+            save_document of the p = 2 piece           7
+        """
+        call = GARBAGE_CALLS[name]
+        clear_caches()
+        gc.collect()
+        gc.disable()
+        try:
+            call(seeded_piece)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTorsionLifts:

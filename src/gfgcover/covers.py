@@ -830,12 +830,13 @@ def _do_demands(s: _Closing, i: int) -> Iterator[tuple]:
         return
     lift, d, e = s.demand_steps[i]
     consumed = s.consumed
+    bp, own = pair_of(e), ElevationRef(lift, e, 0)
     for ref, dd in s.pools.get(reverse_edge(e), ()):
         if dd != d or ref in consumed:
             continue
         s.budget.tick()
         consumed.add(ref)
-        s.emit(pair_of(e), e, ElevationRef(lift, e, 0), ref)
+        s.emit(bp, e, own, ref)
         yield from _do_demands(s, i + 1)
         s.out_pairs.pop()
         consumed.remove(ref)
@@ -886,12 +887,13 @@ def _fill(
         return
     e = ends[j]
     consumed = s.consumed
+    bp, own = pair_of(e), ElevationRef(name, e, 0)
     for ref, dd in s.pools.get(reverse_edge(e), ()):
         if dd != d or ref in consumed or components.skip(ref0, ref):
             continue
         s.budget.tick()
         consumed.add(ref)
-        s.emit(pair_of(e), e, ElevationRef(name, e, 0), ref)
+        s.emit(bp, e, own, ref)
         undo = components.join(ref0, ref, 1)
         yield from _fill(s, ci, spent, name, ref0, d, anchored, j + 1)
         components.split(undo)

@@ -15,11 +15,17 @@ determinant the homology tests check Smith forms against, ``matmul`` the
 matrix product they check U * A * V = D with, and ``group_order`` the
 order of a finite abelian group.  ``outcome`` is a call's value or the
 message of the ValueError it raises, for comparing a function with its
-oracle errors included.
+oracle errors included.  ``run_cli`` runs the command line in a fresh
+interpreter, as the console script does.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, Sequence, Tuple
 
+import gfgcover
 from gfgcover.cli import FORMAT_VERSION, gog_to_payload
 from gfgcover.cosets import CosetTable, _primitive_root, schreier, whole_group_table
 from gfgcover.covers import ElevationRef, PrecoverMorphism
@@ -239,3 +245,18 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return "error: %s" % exc
+
+
+def run_cli(*argv: str, python_flags: Sequence[str] = ()) -> Tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python [python_flags] -m
+    gfgcover.cli argv`` in a fresh interpreter.  The child imports the
+    package these tests import, with or without PYTHONPATH set by the
+    caller."""
+    package_root = str(Path(gfgcover.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *python_flags, "-m", "gfgcover.cli", *argv],
+        capture_output=True, encoding="utf-8", env=env,
+    )
+    return done.returncode, done.stdout, done.stderr

@@ -1,9 +1,6 @@
 import argparse
 import contextlib
 import io
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _helpers import document_for_gog, identity_cover
+from _helpers import document_for_gog, identity_cover, run_cli
 
 from gfgcover import cli, covers, gog
 from gfgcover.covers import find_torsion_piece, isomorphic
@@ -855,20 +852,8 @@ class TestParser:
 
 class TestConsoleScript:
     def test_subprocess_exit_codes(self, tmp_path):
-        # The child imports the package the tests imported, with or without
-        # PYTHONPATH set by the caller.
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        ok = subprocess.run(
-            [sys.executable, "-m", "gfgcover.cli", "h1", HNN_F1],
-            capture_output=True, text=True, env=env,
-        )
-        assert ok.returncode == 0 and ok.stdout == "Z ⊕ Z/2\n"
+        assert run_cli("h1", HNN_F1) == (0, "Z ⊕ Z/2\n", "")
         bad = tmp_path / "bad.yaml"
         bad.write_text("format_version: 2\nkind: gog\n", encoding="utf-8")
-        rejected = subprocess.run(
-            [sys.executable, "-m", "gfgcover.cli", "validate", str(bad)],
-            capture_output=True, text=True, env=env,
-        )
-        assert rejected.returncode == 1 and "format_version" in rejected.stderr
+        code, out, err = run_cli("validate", str(bad))
+        assert (code, out) == (1, "") and "format_version" in err

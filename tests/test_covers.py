@@ -1,6 +1,8 @@
 import collections
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import random
 import sys
@@ -33,10 +35,12 @@ from _oracles import (
     torsion_lifts_oracle,
     torsion_piece_oracle,
 )
+from test_console import CONSOLE, SEEDED, shown
 
 import gfgcover.covers as covers_module
 from gfgcover.cli import (
-    document_for_morphism, document_for_piece, gog_from_payload, load_document, save_document,
+    document_for_morphism, document_for_piece, gog_from_payload, load_document, main,
+    save_document,
 )
 from gfgcover.cosets import (
     CosetTable, cyclic_table, elevations, enumerate_subgroups, whole_group_table,
@@ -1939,6 +1943,17 @@ def stopped_census(piece):
         list(enumerate_covers(piece.morphism.base, 5, Budget(300)))
 
 
+def console_main(*argv):
+    """A call of ``cli.main(argv)`` in process, which must exit and print
+    as the console run of argv does in ``CONSOLE``."""
+    def call(piece):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, shown(out.getvalue()), err.getvalue()) == CONSOLE[argv]
+    return call
+
+
 # Each call takes the p = 2 piece of seeded_torsion, built beforehand.
 GARBAGE_CALLS = {
     "enumerate_covers(seeded, 5)": lambda piece: list(enumerate_covers(piece.morphism.base, 5)),
@@ -1954,6 +1969,15 @@ GARBAGE_CALLS = {
         enumerate_closed_words(piece.morphism.base, 4)
     ),
     "save_document of the p = 2 piece": lambda piece: save_document(document_for_piece(piece)),
+    "cli enumerate-covers seeded --max-index 5": console_main(
+        "enumerate-covers", SEEDED, "--max-index", "5"
+    ),
+    "cli torsion-piece seeded --prime 5 --max-index 4": console_main(
+        "torsion-piece", SEEDED, "--prime", "5", "--max-index", "4"
+    ),
+    "cli tower seeded --steps 2 --primes 2,2": console_main(
+        "tower", SEEDED, "--steps", "2", "--primes", "2,2"
+    ),
 }
 
 
@@ -1966,15 +1990,20 @@ class TestNoCyclicGarbage:
         helpers were nested functions naming each other, the collector
         freed, per call:
 
-            enumerate_covers(seeded, 5)            8,031
-            enumerate_covers(genus2, 3)            5,491
-            the same census at Budget(300)         4,808
-            find_torsion_piece(seeded, 5, 4)       2,758
-            build_tower(seeded, [2], 1)            2,140
-            complete(chain(piece, 2), 24)             62
-            enumerate_subgroups(2, 5)                 25
-            enumerate_closed_words(seeded, 4)         11
-            save_document of the p = 2 piece           7
+            enumerate_covers(seeded, 5)                        8,031
+            enumerate_covers(genus2, 3)                        5,491
+            the same census at Budget(300)                     4,808
+            find_torsion_piece(seeded, 5, 4)                   2,758
+            build_tower(seeded, [2], 1)                        2,140
+            complete(chain(piece, 2), 24)                         62
+            enumerate_subgroups(2, 5)                             25
+            enumerate_closed_words(seeded, 4)                     11
+            save_document of the p = 2 piece                       7
+            cli enumerate-covers seeded --max-index 5          8,031
+            cli torsion-piece seeded --prime 5 --max-index 4   2,758
+            cli tower seeded --steps 2 --primes 2,2           18,940
+
+        The cli calls also print what the console runs in ``CONSOLE`` do.
         """
         call = GARBAGE_CALLS[name]
         clear_caches()

@@ -2,20 +2,18 @@
 constructor errors.
 
 The expected texts and errors were read off the dataclass definitions these
-classes replaced, so each class behaves as before.  ``import gfgcover.cli``
-loads neither ``dataclasses`` nor ``inspect``.
+classes replaced, so each class behaves as before.  A command run loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import copy
 import inspect
-import os
 import pickle
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from _helpers import run_cli
 
 from gfgcover.cosets import CosetTable, Elevation, PrescribeResult, SchreierData, prescribe_degrees
 from gfgcover.covers import (
@@ -218,12 +216,17 @@ def test_a_bool_is_not_an_int(build, name):
 
 
 def test_cli_imports_no_dataclasses_or_inspect():
-    code = "import sys, gfgcover.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-    ).stdout
-    assert out == "[]\n"
+    # The import profile of a whole command names every module it loads.
+    code, out, err = run_cli(
+        "h1", str(SRC.parent / "fixtures" / "hnn_f1.yaml"), python_flags=("-X", "importtime")
+    )
+    assert (code, out) == (0, "Z ⊕ Z/2\n")
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in err.splitlines() if line.startswith("import time:")
+    }
+    assert "gfgcover.covers" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def _value_classes(cls=Value):

@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .cosets import (
@@ -497,21 +497,37 @@ def _tables(rank: int, idx: int) -> Tuple[CosetTable, ...]:
     return tuple(enumerate_subgroups(rank, idx))
 
 
+def _base_shape_problems(g: GraphOfGroups) -> List[str]:
+    """Why the matching engine cannot cover the valid gog g, if it cannot.
+
+    It creates cyclic lifts only at open ends of free lifts, so a cyclic
+    vertex must meet a free one by every edge and have at least one edge.
+    Every edge must enter a cyclic vertex by its generator z or by z^-1:
+    then a cyclic lift of index d has one elevation of degree d per end,
+    which the degree screen and the tower's site search both read."""
+    gr, kind = g.graph, g.vertex_kind
+    problems = [
+        "pair %r joins two cyclic vertices" % p
+        for p in gr.pairs if kind[gr.iota(p)] == kind[gr.tau(p)] == "cyclic"
+    ]
+    problems += [
+        "cyclic vertex %r has no edges (give it as a free vertex of rank 1)" % v
+        for v in sorted(gr.vertices) if kind[v] == "cyclic" and not gr.ends(v)
+    ]
+    problems += [
+        "edge %r enters cyclic vertex %r by the non-generator word %s (give [1] or [-1])"
+        % (e, gr.tau(e), list(g.edge_word(e).letters))
+        for e in sorted(gr.oriented_edges())
+        if kind[gr.tau(e)] == "cyclic" and g.edge_word(e).letters not in ((1,), (-1,))
+    ]
+    return problems
+
+
 def _check_base_shape(g: GraphOfGroups) -> None:
-    """Reject the bases the matching engine cannot cover: it creates cyclic
-    lifts only at open ends of free lifts, so a cyclic vertex must meet a
-    free one by every edge and have at least one edge."""
-    gr = g.graph
-    for p in gr.pairs:
-        kinds = {g.vertex_kind[gr.iota(p)], g.vertex_kind[gr.tau(p)]}
-        if kinds == {"cyclic"}:
-            raise ValueError("unsupported base: pair %r joins two cyclic vertices" % p)
-    for v in sorted(gr.vertices):
-        if g.vertex_kind[v] == "cyclic" and not gr.ends(v):
-            raise ValueError(
-                "unsupported base: cyclic vertex %r has no edges "
-                "(give it as a free vertex of rank 1)" % v
-            )
+    """Raise ValueError with the first of ``_base_shape_problems``."""
+    problems = _base_shape_problems(g)
+    if problems:
+        raise ValueError("unsupported base: " + problems[0])
 
 
 @lru_cache(maxsize=None)
@@ -976,6 +992,11 @@ def _multisets_into(
         acc.pop()
 
 
+# A test of a choice of new free lifts, name -> (base vertex, table); None
+# keeps every choice.
+_Keep = Optional[Callable[[Dict[str, Tuple[str, CosetTable]]], bool]]
+
+
 def _lift_choices(
     g: GraphOfGroups,
     m: Optional[PrecoverMorphism],
@@ -983,10 +1004,12 @@ def _lift_choices(
     sep: str,
     budget: Budget,
     rules: type = _AnyComponents,
+    keep: _Keep = None,
 ) -> Iterator[tuple]:
     """The choices of new free lifts in ``_extensions`` that ``rules``
-    admits, each as (new free lifts, pools, demands, room, taken names) for
-    ``_close_open_ends``.  Every choice costs one node, admitted or not."""
+    admits and ``keep`` (None: every choice) keeps, each as (new free
+    lifts, pools, demands, room, taken names) for ``_close_open_ends``.
+    Every choice costs one node, admitted and kept or not."""
     gr = g.graph
     free_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "free")
     cyclic_vs = sorted(v for v in gr.vertices if g.vertex_kind[v] == "cyclic")
@@ -1018,7 +1041,7 @@ def _lift_choices(
                     k += 1
                 new_free["%s%s%d" % (v, sep, k)] = (v, t)
                 k += 1
-        if not rules.admits(g, new_free):
+        if not rules.admits(g, new_free) or keep is not None and not keep(new_free):
             continue
         pools = _free_pool(g, new_free)
         for e, entries in hang_pool.items():
@@ -1034,6 +1057,7 @@ def _extensions(
     target: int,
     sep: str,
     budget: Budget,
+    keep: _Keep = None,
 ) -> Iterator[tuple]:
     """Every cover of degree ``target`` containing the precover ``m``
     (None: the empty precover), in matching-engine order, grouped by lift
@@ -1051,10 +1075,12 @@ def _extensions(
     only the census starts from, only the covers with a connected total
     come out, the others in order: the search skips every lift choice
     whose elevation degrees cannot pair up and cuts every branch that can
-    no longer give a connected total.
+    no longer give a connected total.  ``keep`` drops more lift choices,
+    as in ``_lift_choices``.
     """
     rules = _Components if m is None else _AnyComponents
-    for new_free, pools, demands, room, taken in _lift_choices(g, m, target, sep, budget, rules):
+    choices = _lift_choices(g, m, target, sep, budget, rules, keep)
+    for new_free, pools, demands, room, taken in choices:
         components = _Components(g, new_free, pools) if m is None else _AnyComponents()
         yield new_free, _close_open_ends(g, pools, demands, room, taken, budget, components)
 
@@ -1089,10 +1115,12 @@ def _assemble(
     return out
 
 
-def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[PrecoverMorphism]:
+def _degree_covers(
+    g: GraphOfGroups, n: int, budget: Budget, keep: _Keep = None
+) -> Iterator[PrecoverMorphism]:
     """Connected covers of degree n in matching-engine order, one per
     rotation class, a candidate built only when it is the first of its
-    class.
+    class; with ``keep``, only those of the lift choices it keeps.
 
     Lemma: an isomorphism of covers maps each free lift to one over the
     same base vertex with a conjugate table, which is the same catalog
@@ -1104,7 +1132,7 @@ def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[Precove
     checked by the breadth-first search that ``degree`` and ``h1`` read;
     codes are taken only once a second candidate arrives.
     """
-    for new_free, closings in _extensions(g, None, n, "@", budget):
+    for new_free, closings in _extensions(g, None, n, "@", budget, keep):
         first: Optional[PrecoverMorphism] = None
         seen: Set[tuple] = set()
         for new_cyclic, triples in closings:
@@ -1126,37 +1154,6 @@ def _degree_covers(g: GraphOfGroups, n: int, budget: Budget) -> Iterator[Precove
             yield m
 
 
-class CoverCensus:
-    """The connected covers of one base, enumerated once and replayed:
-    ``covers(max_index)`` yields what ``enumerate_covers(g, max_index,
-    budget)`` yields.  Each degree is searched once, as far as some caller
-    has read, all from ``budget``: it runs out at the same cover as in a
-    fresh enumeration, and once it is spent, by any search, none resumes."""
-
-    def __init__(self, g: GraphOfGroups, budget: Optional[Budget] = None):
-        ensure_valid(g)
-        _check_base_shape(g)
-        self.base, self.budget = g, budget or Budget()
-        self._degrees: Dict[int, Tuple[List[PrecoverMorphism], Optional[Iterator]]] = {}
-
-    def covers(self, max_index: int) -> Iterator[PrecoverMorphism]:
-        for n in range(1, max_index + 1):
-            if n not in self._degrees:
-                self._degrees[n] = ([], _degree_covers(self.base, n, self.budget))
-            found, search = self._degrees[n]
-            for i in itertools.count():
-                if i == len(found):
-                    if search is None:
-                        break
-                    self.budget.check()  # a search that raised cannot resume
-                    m = next(search, None)
-                    if m is None:
-                        self._degrees[n] = (found, None)
-                        break
-                    found.append(m)
-                yield found[i]
-
-
 def enumerate_covers(
     g: GraphOfGroups, max_index: int, budget: Optional[Budget] = None
 ) -> Iterator[PrecoverMorphism]:
@@ -1170,12 +1167,17 @@ def enumerate_covers(
     ones of its choice: the first is built with no code, a later one whose
     ``canonical_code`` the choice has already seen is dropped before any
     morphism is built, and the first candidate of each class represents
-    it.  Raises
-    ValueError, before any search, if max_index is below 1, and
-    BudgetExceededError when the search exceeds ``budget``.
+    it.  At its first ``next``, before any search, raises ValueError if
+    max_index is below 1 or g is invalid or of a shape the engine cannot
+    cover (``_base_shape_problems``); raises BudgetExceededError when the
+    search exceeds ``budget``.
     """
     check_bounds(max_index=max_index)
-    yield from CoverCensus(g, budget).covers(max_index)
+    ensure_valid(g)
+    _check_base_shape(g)
+    budget = budget or Budget()
+    for n in range(1, max_index + 1):
+        yield from _degree_covers(g, n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1494,7 +1496,7 @@ def find_torsion_piece(
     """
     check_bounds(max_index=max_index)
     _check_prime(p)
-    return _torsion_piece_in(CoverCensus(g, budget).covers(max_index), p)
+    return _torsion_piece_in(enumerate_covers(g, max_index, budget), p)
 
 
 def _torsion_lifts(m: PrecoverMorphism, p: int) -> Iterator[Tuple[str, List[str]]]:
@@ -1741,42 +1743,89 @@ class _StageFailure(Exception):
 
 
 def _site_stage(
-    census: CoverCensus, n: int, piece: TorsionPiece, e1: str, bounds: TowerBounds
+    g: GraphOfGroups, n: int, piece: TorsionPiece, e1: str, bounds: TowerBounds,
+    budget: Budget,
 ) -> Tuple[PrecoverMorphism, str, int, Optional[GogWord], str]:
     """The cover a step detaches, its site, and the step's word.
 
     A site is a total edge over e1's pair whose cyclic end has the piece's
-    boundary index; each cover offers its site farthest from the basepoint,
-    the least by name among ties.  The word is the n-th closed word within
-    ``max_word_length``.  The first cover of index <= ``max_cover_index``
-    with a site that the word exits is taken, else the first with a site.
-    Returns (cover, site, distance, word, note), where note is the
-    exclusion note that stands if the word does not exit the step's cover.
+    boundary index d_p; each cover offers its site farthest from the
+    basepoint, the least by name among ties.  The word is the n-th closed
+    word within ``max_word_length``.  Of the census covers of g of index <=
+    ``max_cover_index``, in census order, the first with a site that the
+    word exits is taken, else the first with a site.  Returns (cover, site,
+    distance, word, note), where note is the exclusion note that stands if
+    the word does not exit the step's cover.
+
+    The stage runs its own census, screened by lift choice with the two
+    lemmas below, so it builds only covers it can take.  A screened choice
+    still costs its node, and the census compares covers only within one
+    choice, so the kept choices yield the same covers in the same order.
+
+    Site lemma: a census cover has a site exactly when one of its free
+    lifts has an elevation of degree d_p over ~e1.  Each elevation over ~e1
+    is realized once, against a cyclic lift at e1's end, and e1's word is z
+    or z^-1 (``_base_shape_problems``), so that lift's index is the
+    elevation's degree.
+
+    Exit lemma: a word without crossings is one syllable at the base
+    vertex, and it lies in the subgroup exactly when its walk in the
+    basepoint's coset table closes up (Stallings, Invent. Math. 71, 1983),
+    that is, when it fixes coset 0.  At a free base vertex the basepoint is
+    the least-named lift over it, a free lift, so the lift choice decides
+    whether the word exits.
+
+    So the search keeps a choice when it has a site and, once the fallback
+    is found, when the word exits it; the exit test is skipped when the
+    word has crossings, when there is no word, or when the base vertex is
+    cyclic.  The first cover yielded is the fallback, and the first that
+    the word exits is the answer.
     """
-    words = enumerate_closed_words(census.base, bounds.max_word_length)
+    words = enumerate_closed_words(g, bounds.max_word_length)
     word = next(itertools.islice(words, n - 1, None), None)
+    d_p, side = piece.boundary_index, reverse_edge(e1)
+    u, side_word = g.graph.tau(side), g.edge_word(side)
+    screened = (
+        word is not None and not word.crossings and g.vertex_kind[g.base_vertex] == "free"
+    )
     first = None
-    for cover in census.covers(bounds.max_cover_index):
+
+    def keep(lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
+        if not any(
+            el.degree == d_p
+            for b, t in lifts.values() if b == u
+            for el in _elevations(t, side_word)
+        ):
+            return False
+        if first is None or not screened:
+            return True
+        basepoint = min(v for v, (b, _) in lifts.items() if b == g.base_vertex)
+        return lifts[basepoint][1].act_word(0, word.syllables[0]) != 0
+
+    covers = (
+        m for k in range(1, bounds.max_cover_index + 1) for m in _degree_covers(g, k, budget, keep)
+    )
+    for cover in covers:
         sites = []
         for q, (bp, fwd, bwd) in cover.pair_spec.items():
             if bp != pair_of(e1):
                 continue
             cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
-            if cover.cyclic_index[cyc.vertex] == piece.boundary_index:
+            if cover.cyclic_index[cyc.vertex] == d_p:
                 dist = cover.total.graph.distance(cover.total.base_vertex, free.vertex)
                 sites.append((dist, q))
-        if not sites:
-            continue
         dist, site = min(sites, key=lambda s: (-s[0], s[1]))
         if word is not None and isinstance(lift_word(cover, word), ExitsAt):
             return cover, site, dist, word, "word re-enters after assembly"
         if first is None:
             first = (cover, site, dist)
+            if word is None:
+                break
     if first is None:
         raise _StageFailure(
             "site",
             "no cover of index <= %d detaches at a cyclic lift of index %d over %r"
-            % (bounds.max_cover_index, piece.boundary_index, piece.morphism.vertex_map[piece.c1]),
+            % (bounds.max_cover_index, d_p, piece.morphism.vertex_map[piece.c1]),
         )
     if word is None:
         note = "no nontrivial closed word within length %d" % bounds.max_word_length
@@ -1917,8 +1966,7 @@ def _tower_step(
 ) -> Tuple[TowerStep, PrecoverMorphism, TowerLedger]:
     """Step n over the base b, stage by stage; a stage that finds nothing
     raises ``_StageFailure``."""
-    census = CoverCensus(b, budget)
-    piece = _torsion_piece_in(census.covers(bounds.max_piece_index), p)
+    piece = _torsion_piece_in(enumerate_covers(b, bounds.max_piece_index, budget), p)
     if piece is None:
         raise _StageFailure(
             "piece", "no p=%d torsion piece within index %d" % (p, bounds.max_piece_index)
@@ -1929,7 +1977,7 @@ def _tower_step(
         raise _StageFailure("assembly", "boundary vertex %r meets several free vertices" % c_base)
     (u,) = far
     e1 = next(r.edge for r in piece.morphism.edge_assignment.values() if r.vertex == piece.c1)
-    cover, site, site_distance, word, note = _site_stage(census, n, piece, e1, bounds)
+    cover, site, site_distance, word, note = _site_stage(b, n, piece, e1, bounds, budget)
     connector = _build_connector(b, u, piece.boundary_index)
     h = predegree(piece.morphism)
     n_a = connector.vertex_data[u + "@A"].size

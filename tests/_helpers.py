@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import gfgcover
 from gfgcover.cli import FORMAT_VERSION, gog_to_payload
 from gfgcover.cosets import CosetTable, _primitive_root, schreier, whole_group_table
-from gfgcover.covers import ElevationRef, PrecoverMorphism
+from gfgcover.covers import ElevationRef, PrecoverMorphism, _base_shape_problems
 from gfgcover.gog import GogWord, GraphOfGroups, reverse_edge, validate
 from gfgcover.homology import AbelianGroup, IntMatrix
 from gfgcover.words import Word, conj_canonical, cyclic_reduce
@@ -168,23 +168,20 @@ def check_normal_form(g: GraphOfGroups) -> List[str]:
     """Check the bipartite normal form; returns problems (empty when ok).
 
     Requires: kinds split every edge between a free and a cyclic vertex;
-    words at cyclic ends are single letters; at each free vertex the
-    incident words form a malnormal family.
+    the shape the cover searches take (``covers._base_shape_problems``:
+    among others, words at cyclic ends are single letters); at each free
+    vertex the incident words form a malnormal family.
     """
     problems = list(validate(g))
+    if problems:
+        return problems
     gr = g.graph
     for name, (u, w) in sorted(gr.pairs.items()):
-        ku = g.vertex_kind.get(u)
-        kw = g.vertex_kind.get(w)
-        if ku == kw:
-            problems.append("pair %r joins two %s vertices" % (name, ku))
-    for e in sorted(gr.oriented_edges()):
-        if g.vertex_kind.get(gr.tau(e)) == "cyclic":
-            word = g.edge_words.get(e)
-            if word is not None and word.letters not in ((1,), (-1,)):
-                problems.append("edge %r enters a cyclic vertex with a non-generator word" % e)
+        if g.vertex_kind[u] == g.vertex_kind[w] == "free":
+            problems.append("pair %r joins two free vertices" % name)
+    problems += _base_shape_problems(g)
     for v in gr.vertices:
-        if g.vertex_kind.get(v) != "free":
+        if g.vertex_kind[v] != "free":
             continue
         _, fam = induced_pair(g, v)
         for msg in malnormal_family_problems([w for _, w in fam]):

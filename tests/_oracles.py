@@ -47,6 +47,12 @@ row per killed generator.  ``gfgcover.covers.find_torsion_piece``, which
 tests each lift on its unsplit cover and splits only the hit, must return
 the same piece, or None, and run out of budget exactly where it does.
 
+``site_stage_oracle`` is the tower's site search as a scan of every
+census cover up to ``max_cover_index``, each built, searched for sites and
+walked by the step's word.  ``gfgcover.covers._site_stage``, which screens
+lift choices before building their covers, must take the same cover, site,
+distance, word and note, or fail as it does.
+
 ``is_connected_oracle`` (a stack walk), ``distance_oracle`` (a
 breadth-first search that stops at its target) and
 ``spanning_tree_oracle`` (a breadth-first search level by level) are three
@@ -157,15 +163,15 @@ from gfgcover.cosets import (
     whole_group_table,
 )
 from gfgcover.covers import (
-    CoverCensus, ElevationRef, HangingSlot, PrecoverMorphism, TorsionPiece, _AnyComponents,
-    _assemble, _check_merge, _close_open_ends, _code, _elevations, _extensions,
-    _lift_choices, _parts, _pooled_edges, _retarget, _same_base, _union, ensure_precover,
-    split_cyclic, with_basepoint,
+    ElevationRef, ExitsAt, HangingSlot, PrecoverMorphism, TorsionPiece, TowerBounds,
+    _AnyComponents, _StageFailure, _assemble, _check_merge, _close_open_ends, _code,
+    _elevations, _extensions, _lift_choices, _parts, _pooled_edges, _retarget, _same_base,
+    _union, ensure_precover, enumerate_covers, lift_word, split_cyclic, with_basepoint,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
-    GogWord, GraphOfGroups, SerreGraph, abelianized_presentation, euler_characteristic,
-    pair_of, reverse_edge,
+    GogWord, GraphOfGroups, SerreGraph, abelianized_presentation, enumerate_closed_words,
+    euler_characteristic, pair_of, reverse_edge,
 )
 from gfgcover.homology import (
     AbelianGroup, IntMatrix, _check_prime, cokernel, cyclic_column, p_rank, snf,
@@ -609,7 +615,7 @@ def torsion_piece_oracle(
     """First split, over covers, lifts and incident edges in order, whose
     certificate has p-torsion."""
     _check_prime(p)
-    for m in CoverCensus(g, budget).covers(max_index):
+    for m in enumerate_covers(g, max_index, budget):
         for v in sorted(m.cyclic_index):
             incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
             if len(incident) < 2 or is_cut_vertex(m.total.graph, v):
@@ -625,6 +631,46 @@ def torsion_piece_oracle(
                 if p_rank(q, p) >= 1:
                     return TorsionPiece(piece, v + ".1", v + ".2", p, q)
     return None
+
+
+def site_stage_oracle(
+    g: GraphOfGroups, n: int, piece: TorsionPiece, e1: str, bounds: TowerBounds,
+    budget: Optional[Budget] = None,
+) -> Tuple[PrecoverMorphism, str, int, Optional[GogWord], str]:
+    """The tower's site search as an unscreened scan: every census cover of
+    index <= ``max_cover_index`` is built, its sites listed and the word
+    lifted, and the first cover with a site that the word exits is taken,
+    else the first with a site."""
+    words = enumerate_closed_words(g, bounds.max_word_length)
+    word = next(itertools.islice(words, n - 1, None), None)
+    first = None
+    for cover in enumerate_covers(g, bounds.max_cover_index, budget):
+        sites = []
+        for q, (bp, fwd, bwd) in cover.pair_spec.items():
+            if bp != pair_of(e1):
+                continue
+            cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
+            if cover.cyclic_index[cyc.vertex] == piece.boundary_index:
+                dist = cover.total.graph.distance(cover.total.base_vertex, free.vertex)
+                sites.append((dist, q))
+        if not sites:
+            continue
+        dist, site = min(sites, key=lambda s: (-s[0], s[1]))
+        if word is not None and isinstance(lift_word(cover, word), ExitsAt):
+            return cover, site, dist, word, "word re-enters after assembly"
+        if first is None:
+            first = (cover, site, dist)
+    if first is None:
+        raise _StageFailure(
+            "site",
+            "no cover of index <= %d detaches at a cyclic lift of index %d over %r"
+            % (bounds.max_cover_index, piece.boundary_index, piece.morphism.vertex_map[piece.c1]),
+        )
+    if word is None:
+        note = "no nontrivial closed word within length %d" % bounds.max_word_length
+    else:
+        note = "word lifts into every candidate cover of index <= %d" % bounds.max_cover_index
+    return first + (word, note)
 
 
 def torsion_lifts_oracle(m: PrecoverMorphism, p: int) -> List[str]:

@@ -475,13 +475,18 @@ class TestCommands:
         ("  - {name: c, kind: cyclic}\n  - {name: d, kind: cyclic}\n",
          "\n  - {name: p, to: d, word: [1]}\n  - {name: '~p', to: c, word: [1]}\n",
          "pair 'p' joins two cyclic vertices"),
-    ], ids=["edgeless-cyclic-vertex", "cyclic-pair"])
+        ("  - {name: v, kind: free, rank: 1}\n  - {name: c, kind: cyclic}\n",
+         "\n  - {name: p, to: c, word: [1, 1]}\n  - {name: '~p', to: v, word: [1]}\n",
+         "edge 'p' enters cyclic vertex 'c' by the non-generator word [1, 1] (give [1] or [-1])"),
+    ], ids=["edgeless-cyclic-vertex", "cyclic-pair", "non-generator-word"])
     def test_unsupported_base_rejected(
         self, capsys, monkeypatch, tmp_path, command, flags, vertices, edges, reason
     ):
-        """Both bases are valid gogs with H_1 = Z, but the engine creates
-        cyclic lifts only at open ends of free lifts, so no search can
-        cover them: each search command fails before searching."""
+        """Each base is a valid gog with H_1 = Z, but the engine creates
+        cyclic lifts only at open ends of free lifts, and only of the index
+        their degree gives when the word at the cyclic end is z or z^-1, so
+        no search can cover it: each search command fails before
+        searching."""
         path = tmp_path / "base.yaml"
         path.write_text(
             "format_version: 1\nkind: gog\nvertices:\n%sbase_vertex: c\nedges: %s"

@@ -3,11 +3,12 @@
 stdout and stderr.
 
 The rows hold what only a whole run shows: one census under three
-spellings of its flag, the exact node counts of three searches (each
+spellings of its flag, the exact node counts of five searches (each
 pinned at N, which passes, and at N - 1, which runs out of budget), tower
-reports that end in a failed step, the field path of a PyYAML-read error,
-and a vertex named ``yes``, which the direct YAML subset cannot write or
-read, taken through the document pipeline.
+reports that end in a failed step, a base every search command refuses,
+the field path of a PyYAML-read error, and a vertex named ``yes``, which
+the direct YAML subset cannot write or read, taken through the document
+pipeline.
 """
 
 import hashlib
@@ -56,6 +57,11 @@ ELEVATIONS = (
     "~p1,1,2,-1 -2 1 1 1 1,-4 2\n"
 )
 
+DEEP_WORD = (
+    "error: unsupported base: edge 'p0' enters cyclic vertex 'c' by the non-generator word"
+    " [1, 1] (give [1] or [-1])\n"
+)
+
 # argv -> (exit code, shown stdout, stderr).  A <name> in argv or stderr
 # stands for the path of that document of the ``documents`` fixture.
 CONSOLE = {
@@ -93,6 +99,22 @@ CONSOLE = {
         "1,2,8,1,1/8,ok\n",
         "",
     ),
+    # The one-step tower takes exactly 70 nodes: its piece search, then a
+    # site search that screens lift choices before building their covers.
+    ("tower", SEEDED, "--steps", "1", "--primes", "2", "--budget", "70"): (
+        0,
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,2,8,1,1/8,ok\n",
+        "",
+    ),
+    ("tower", SEEDED, "--steps", "1", "--primes", "2", "--budget", "69"): (
+        2,
+        "step,prime,degree,e_2,ratio_2,status\n"
+        "0,,1,0,0/1,base\n"
+        "1,,,,,failed:budget:search budget exceeded (69 nodes)\n",
+        "",
+    ),
     # At p = 3 the one chain length the step builds fails the ledger.
     ("tower", SEEDED, "--steps", "1", "--primes", "3"): (
         2,
@@ -110,6 +132,23 @@ CONSOLE = {
         "2,,,,,,,failed:assembly:no copy count keeps enough of the previous cover\n",
         "",
     ),
+    # The two steps take exactly 1,131 nodes.
+    ("tower", SEEDED, "--steps", "2", "--primes", "2,2", "--budget", "1131"): (
+        2,
+        "step,prime,degree,e_2,e_2,ratio_2,ratio_2,status\n"
+        "0,,1,0,0,0/1,0/1,base\n"
+        "1,2,8,1,1,1/8,1/8,ok\n"
+        "2,,,,,,,failed:assembly:no copy count keeps enough of the previous cover\n",
+        "",
+    ),
+    ("tower", SEEDED, "--steps", "2", "--primes", "2,2", "--budget", "1130"): (
+        2,
+        "step,prime,degree,e_2,e_2,ratio_2,ratio_2,status\n"
+        "0,,1,0,0,0/1,0/1,base\n"
+        "1,2,8,1,1,1/8,1/8,ok\n"
+        "2,,,,,,,failed:budget:search budget exceeded (1130 nodes)\n",
+        "",
+    ),
     # Step 2 at p = 5 tests its lifts until the budget runs out.
     ("tower", SEEDED, "--steps", "2", "--primes", "2,5", "--budget", "20000"): (
         2,
@@ -119,6 +158,11 @@ CONSOLE = {
         "2,,,,,,,failed:budget:search budget exceeded (20000 nodes)\n",
         "",
     ),
+    # An edge entering the cyclic vertex by z^2 is refused before any
+    # search, by each search command.
+    ("enumerate-covers", "<deep-gog>", "--max-index", "3"): (1, "", DEEP_WORD),
+    ("torsion-piece", "<deep-gog>", "--prime", "2", "--max-index", "4"): (1, "", DEEP_WORD),
+    ("tower", "<deep-gog>", "--steps", "1", "--primes", "2"): (1, "", DEEP_WORD),
     ("complete", "<chain>", "--bound", "-1"): (
         1, "", "error: --bound: bound must be at least 0, got -1\n"
     ),
@@ -156,6 +200,12 @@ def documents(tmp_path_factory):
     assert text.count("least: true") == 1
     bool_chain = folder / "bool-chain.yaml"
     bool_chain.write_text(text, encoding="utf-8")
+    # p0 enters the cyclic vertex by z^2 instead of z.
+    text = Path(SEEDED).read_text(encoding="utf-8")
+    text = text.replace("{name: p0, to: c, word: [1]}", "{name: p0, to: c, word: [1, 1]}")
+    assert text.count("word: [1, 1]") == 1
+    deep = folder / "deep-gog.yaml"
+    deep.write_text(text, encoding="utf-8")
     # "yes" is not a bare name, so PyYAML writes and reads every document
     # made from this one.
     text = Path(SEEDED).read_text(encoding="utf-8")
@@ -172,6 +222,7 @@ def documents(tmp_path_factory):
     return {
         "<chain>": chain,
         "<bool-chain>": str(bool_chain),
+        "<deep-gog>": str(deep),
         "<yes-gog>": str(yes),
         "<yes-cover>": written(folder, "yes-cover", "complete", yes_chain, "--bound", "24"),
     }

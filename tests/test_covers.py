@@ -29,6 +29,7 @@ from _oracles import (
     morphism_fields_oracle,
     quotient_by,
     rename_total,
+    site_stage_oracle,
     smith_group,
     splice,
     step_assembly_oracle,
@@ -46,7 +47,6 @@ from gfgcover.cosets import (
     CosetTable, cyclic_table, elevations, enumerate_subgroups, whole_group_table,
 )
 from gfgcover.covers import (
-    CoverCensus,
     ElevationRef,
     ExitsAt,
     InSubgroup,
@@ -76,6 +76,7 @@ from gfgcover.gog import (
     abelianized_presentation,
     enumerate_closed_words,
     euler_characteristic,
+    pair_of,
 )
 from gfgcover.homology import (
     IntMatrix,
@@ -901,6 +902,11 @@ def test_closed_words_are_nontrivial(name):
     assert words and all(is_nontrivial(g, gw) for gw in words)
 
 
+def boundary_edge(piece):
+    """e1 of a tower step: the edge over which the piece's c1 is joined."""
+    return next(r.edge for r in piece.morphism.edge_assignment.values() if r.vertex == piece.c1)
+
+
 class TestTower:
     def test_zero_steps(self):
         rep = build_tower(seeded(), [2], 0)
@@ -957,11 +963,9 @@ class TestTower:
 
     def test_site_is_farthest_then_least_by_name(self):
         # Both p0@1 and p0@2 of the chosen cover are sites at distance 0.
-        census = covers_module.CoverCensus(seeded(), Budget())
-        piece = covers_module._torsion_piece_in(census.covers(4), 2)
-        e1 = next(r.edge for r in piece.morphism.edge_assignment.values() if r.vertex == piece.c1)
+        piece = find_torsion_piece(seeded(), 2, 4)
         cover, site, dist, word, note = covers_module._site_stage(
-            census, 1, piece, e1, TowerBounds()
+            seeded(), 1, piece, boundary_edge(piece), TowerBounds(), Budget()
         )
         assert (site, dist, str(word)) == ("p0@1", 0, "(-2)@v")
         assert note == "word re-enters after assembly"
@@ -1229,6 +1233,100 @@ def survey_steps():
             g = seeded() if name == "seeded" else amalgam(AMALGAMS[name])
             assert build_tower(g, primes, len(primes)).to_csv() == TOWER_OUTCOMES[name, primes]
     return steps, built
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every morphism ``covers._assemble`` builds from here on, in order."""
+    built = []
+    real = covers_module._assemble
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(covers_module, "_assemble", recorded)
+    return built
+
+
+def same_site(g, n, piece, bounds, assembled):
+    """What the screened site search and the unscreened scan give on step
+    n's word, compared: the kind of outcome, its note or failure.  When the
+    exit screen applies, every cover the screened search builds outside
+    the first one's lift choice is one the word exits."""
+    e1 = boundary_edge(piece)
+    got, want = [], []
+    for search, out in ((covers_module._site_stage, got), (site_stage_oracle, want)):
+        assembled.clear()
+        try:
+            out.extend(search(g, n, piece, e1, bounds, Budget()))
+        except covers_module._StageFailure as exc:
+            out.append(str(exc))
+        if out is got:
+            screened = list(assembled)
+    if len(want) == 1:
+        assert got == want
+        return "failed"
+    assert canonical_code(got[0]) == canonical_code(want[0]) and got[1:] == want[1:]
+    word = got[3]
+    if word is not None and not word.crossings and g.vertex_kind[g.base_vertex] == "free":
+        assert all(
+            m.vertex_data == screened[0].vertex_data or isinstance(lift_word(m, word), ExitsAt)
+            for m in screened
+        )
+    return got[4], word is not None and bool(word.crossings)
+
+
+def generators_swapped(words):
+    return tuple(tuple({1: 2, 2: 1, -1: -2, -2: -1}[a] for a in w) for w in words)
+
+
+def based_at(g, v):
+    return GraphOfGroups(g.graph, g.vertex_rank, g.vertex_kind, g.edge_words, v)
+
+
+class TestSiteScreen:
+    def test_takes_what_the_unscreened_scan_takes(self, assembled):
+        """On the fixtures and A-G in both generator orders, at p = 2, 3, 5,
+        7, ``max_cover_index`` 2, 3 and 4, and steps 1 and 2, the site
+        search takes the cover, site, distance, word and note that the
+        scan of every census cover takes, or fails as it does."""
+        bases = [fixture(name) for name in ("seeded_torsion", "hnn_f1", "genus2")]
+        bases += [amalgam(f(w)) for w in AMALGAMS.values() for f in (tuple, generators_swapped)]
+        seen = collections.Counter()
+        for g in bases:
+            for p in (2, 3, 5, 7):
+                piece = find_torsion_piece(g, p, 4)
+                if piece is None:
+                    continue
+                for top in (2, 3, 4):
+                    for n in (1, 2):
+                        bounds = TowerBounds(max_cover_index=top)
+                        seen[same_site(g, n, piece, bounds, assembled)] += 1
+        assert seen["failed"] and seen["word re-enters after assembly", False] > 100
+        assert seen["word lifts into every candidate cover of index <= 4", False]
+
+    def test_words_with_crossings_cyclic_basepoints_and_no_word(self, assembled):
+        """The cases the exit screen skips give what the scan gives: words
+        with crossings, a cyclic base vertex, and no word at all."""
+        seen = collections.Counter()
+        for words in [((2,), (1, 1, 1, -2))] + list(AMALGAMS.values()):
+            for g in (amalgam(words), based_at(amalgam(words), "c")):
+                for p in (2, 3):
+                    piece = find_torsion_piece(g, p, 4)
+                    if piece is None:
+                        continue
+                    closed = list(enumerate_closed_words(g, 4))
+                    crossing = [i + 1 for i, w in enumerate(closed) if w.crossings][:3]
+                    for n in crossing + [1]:
+                        for length in (0, 4):
+                            bounds = TowerBounds(max_word_length=length)
+                            seen[g.base_vertex, same_site(g, n, piece, bounds, assembled)] += 1
+        for v in ("v", "c"):
+            assert seen[v, ("word re-enters after assembly", True)]
+            assert seen[v, ("word lifts into every candidate cover of index <= 4", True)]
+            assert seen[v, ("no nontrivial closed word within length 0", False)]
+        assert seen["c", ("word re-enters after assembly", False)]
 
 
 class TestStepAssembly:
@@ -1530,18 +1628,6 @@ def count_until_budget(covers):
 
 
 class TestCoverCensus:
-    def test_replays_what_enumeration_yields(self):
-        g = seeded()
-        census = CoverCensus(g)
-        head = list(itertools.islice(census.covers(4), 5))
-        full = list(census.covers(4))
-        assert all(a is b for a, b in zip(head, full))
-        assert [representative_digest(m) for m in full] == [
-            representative_digest(m) for m in enumerate_covers(g, 4)
-        ]
-        low = list(census.covers(2))
-        assert low == [m for m in full if degree(m) <= 2]
-
     def test_budget_runs_out_at_the_same_cover(self):
         g = seeded()
         raised = 0
@@ -1549,33 +1635,33 @@ class TestCoverCensus:
             want, want_raised = count_until_budget(
                 enumerate_covers_oracle(g, 4, Budget(cap), pruned=True)
             )
-            census = CoverCensus(g, Budget(cap))
-            count_until_budget(itertools.islice(census.covers(3), 4))
-            for covers in (enumerate_covers(g, 4, Budget(cap)), census.covers(4)):
-                got, got_raised = count_until_budget(covers)
-                assert got_raised == want_raised
-                assert list(map(representative_digest, got)) == list(
-                    map(representative_digest, want)
-                )
-            if got_raised:
-                raised += 1
-                with pytest.raises(BudgetExceededError):
-                    list(census.covers(4))
+            got, got_raised = count_until_budget(enumerate_covers(g, 4, Budget(cap)))
+            assert got_raised == want_raised
+            assert list(map(representative_digest, got)) == list(
+                map(representative_digest, want)
+            )
+            raised += got_raised
         assert 0 < raised < len(range(1, 330, 9))
 
-    def test_tower_step_enumerates_each_degree_once(self, monkeypatch):
-        searched = []
-        real = covers_module._degree_covers
-
-        def counting(g, n, budget):
-            searched.append((id(g), n))
-            return real(g, n, budget)
-
-        monkeypatch.setattr(covers_module, "_degree_covers", counting)
-        rep = build_tower(seeded(), [2], 1)
-        assert rep.status == "ok"
-        assert len(searched) == len(set(searched))
-        assert sorted(n for _, n in searched) == [1, 2, 3, 4]
+    def test_site_search_builds_only_screened_covers(self, assembled):
+        """The site search of the one-step tower on seeded_torsion at p = 2
+        builds no cover of a lift choice its screen drops: only the
+        fallback and the cover the word exits, each with a site, where the
+        unscreened scan builds every census cover up to the one it takes."""
+        g, piece = seeded(), find_torsion_piece(seeded(), 2, 4)
+        e1 = boundary_edge(piece)
+        assembled.clear()
+        got = covers_module._site_stage(g, 1, piece, e1, TowerBounds(), Budget())
+        screened, assembled[:] = assembled[:], []
+        want = site_stage_oracle(g, 1, piece, e1, TowerBounds())
+        assert canonical_code(got[0]) == canonical_code(want[0]) and got[1:] == want[1:]
+        assert 1 <= len(screened) <= 2 < len(assembled) and screened[-1] is got[0]
+        for m in screened:
+            assert any(
+                bp == pair_of(e1) and m.cyclic_index[(f if f.edge == e1 else b).vertex]
+                == piece.boundary_index
+                for bp, f, b in m.pair_spec.values()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1728,8 +1814,8 @@ class TestDegreeScreen:
 # The census engine skips a lift choice whose elevation degrees cannot pair
 # up, and a partner choice that swapping twin lifts, or an automorphism of a
 # lift's table, maps onto an earlier one.  Nothing in the output shows these
-# cuts, so their work is pinned: per census base, the census may code no
-# more candidates and spend no more nodes than below.
+# cuts, so their work is pinned: per census base, the census codes exactly
+# the candidates and spends exactly the nodes below.
 
 CENSUS_WORK = {
     "A": (36, 159), "B": (32, 151), "C": (59, 219), "D": (36, 159), "E": (59, 215),
@@ -1784,8 +1870,7 @@ class TestSymmetryCut:
     def test_work_stays_within_bounds(self, name):
         build, top = CENSUS_BASES[name]
         candidates, nodes, classes = census_work(build(), top)
-        most_candidates, most_nodes = CENSUS_WORK[name]
-        assert candidates <= most_candidates and nodes <= most_nodes
+        assert (candidates, nodes) == CENSUS_WORK[name]
         if name in ("H12", "H23", "H14", "hnn_f1"):
             assert candidates == classes
 
@@ -2118,49 +2203,60 @@ class TestBudget:
         assert rep.status == "failed:budget:search budget exceeded (%d nodes)" % (n - 1)
 
     def test_completion_leaves_the_census_spent(self):
+        """A census and a completion that share one Budget share its count:
+        at the nodes the two take together both give what they give alone;
+        one node fewer, the census reads as far and the completion runs
+        out, and after that the census cannot resume."""
         g = seeded()
         chained = chain(find_torsion_piece(g, 2, 4), 3)
 
-        def head(census):
-            return [representative_digest(m) for m in itertools.islice(census.covers(4), 20)]
+        def head(budget):
+            covers = enumerate_covers(g, 4, budget)
+            return covers, [representative_digest(m) for m in itertools.islice(covers, 20)]
 
         free = Budget()
-        want = head(CoverCensus(g, free)), representative_digest(complete(chained, 24, free))
+        want = head(free)[1], representative_digest(complete(chained, 24, free))
         budget = Budget(free.nodes)
-        census = CoverCensus(g, budget)
-        assert (head(census), representative_digest(complete(chained, 24, budget))) == want
+        assert (head(budget)[1], representative_digest(complete(chained, 24, budget))) == want
 
         budget = Budget(free.nodes - 1)
-        census = CoverCensus(g, budget)
-        assert head(census) == want[0]
+        covers, digests = head(budget)
+        assert digests == want[0]
         with pytest.raises(BudgetExceededError):
             complete(chained, 24, budget)
         with pytest.raises(BudgetExceededError):
-            list(census.covers(4))
+            list(covers)
 
     def test_completion_spends_the_census_budget(self, monkeypatch):
         # A one-step tower here assembles a cover that needs no completion
         # node, so its completion is replaced by one that searches until it
         # has spent 2,000 nodes or its budget.
-        censuses = []
+        free = Budget()
+        build_tower(seeded(), [2], 1, budget=free)
+        calls = []
+        real = covers_module._degree_covers
 
-        class Recorded(CoverCensus):
-            def __init__(self, g, budget=None):
-                super().__init__(g, budget)
-                censuses.append(self)
+        def recorded(g, n, budget, keep=None):
+            calls.append((n, budget, budget.nodes))
+            return real(g, n, budget, keep)
 
         def spending(m, bound, budget):
+            calls.append(("complete", budget, budget.nodes))
             for _ in range(2000):
                 budget.tick()
 
-        monkeypatch.setattr(covers_module, "CoverCensus", Recorded)
+        monkeypatch.setattr(covers_module, "_degree_covers", recorded)
         monkeypatch.setattr(covers_module, "complete", spending)
-        rep = build_tower(seeded(), [2], 1, budget=Budget(1000))
+        budget = Budget(1000)
+        rep = build_tower(seeded(), [2], 1, budget=budget)
         assert rep.status == "failed:budget:search budget exceeded (1000 nodes)"
-        (census,) = censuses
-        assert census._degrees[4][1] is not None  # degree 4 was read part way
+        # The piece search and the site search each start at degree 1, and
+        # the completion goes on from the nodes both spent, on one Budget.
+        assert [n for n, _, _ in calls].count(1) == 2 and calls[-1][0] == "complete"
+        assert all(b is budget for _, b, _ in calls)
+        assert calls[-1][2] == free.nodes and budget.nodes == 1001
         with pytest.raises(BudgetExceededError, match=r"\(1000 nodes\)"):
-            list(census.covers(4))
+            budget.check()
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ def morphism_to_payload(m: PrecoverMorphism) -> dict:
     ]
     return {
         "vertices": vertices,
-        "basepoint": m.total.base_vertex,
+        "basepoint": m.basepoint,
         "edges": edges,
     }
 
@@ -693,7 +693,7 @@ def cmd_enumerate_covers(args, g, data) -> int:
         if problems:
             raise AssertionError("enumerated cover failed validation: %s" % problems)
         rows.append(
-            [str(_cover_degree(m)), str(euler_characteristic(m.total)), str(h1(m))]
+            [str(_cover_degree(m)), str(euler_characteristic(m)), str(h1(m))]
         )
     _print_csv(["degree", "chi", "h1"], rows)
     return 0

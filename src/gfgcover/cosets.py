@@ -33,8 +33,8 @@ from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .words import (
-    ConjClass, Frozen, Word, _least_rotation, _set, abelianize_word, check_int,
-    conj_canonical, identity,
+    ConjClass, Frozen, Word, _exponent_sums, _least_rotation, _set, abelianize_word,
+    check_int, conj_canonical, identity,
 )
 
 Target = Union[Word, ConjClass]
@@ -231,11 +231,15 @@ class Elevation(Frozen):
 
     ``cycle`` starts at the least coset it contains and follows the action
     of the word on ``table``.  ``rep`` is rep(m) * w**degree * rep(m)**-1
-    at that least coset m, and ``local`` is its class written in the
-    subgroup basis; both are computed when first read, and the instance
-    keeps a ``__dict__`` for them.  rep(m) runs along Schreier tree edges
-    only, which write no basis letter, so ``local`` walks w**degree once
-    around the cycle from m and never builds ``rep``.
+    at that least coset m, ``local`` is its class written in the subgroup
+    basis, and ``exponent_sums`` the exponent sums of ``local``'s
+    canonical word; all three are computed when first read, and the
+    instance keeps a ``__dict__`` for them.  rep(m) runs along Schreier
+    tree edges only, which write no basis letter, so ``local`` walks
+    w**degree once around the cycle from m and never builds ``rep``.
+    ``exponent_sums`` counts the letters of the same walk: a rotation does
+    not change exponent sums, so they need neither a least rotation nor a
+    ``Word``.
     """
 
     FIELDS = ("base", "cycle", "table")
@@ -249,6 +253,13 @@ class Elevation(Frozen):
         r = schreier(self.table).reps[self.cycle[0]]
         return r * self.base.canonical.power(self.degree) * r.inverse()
 
+    def _walk(self) -> Tuple[List[int], int]:
+        """The basis letters w**degree writes once around the cycle from
+        its least coset, and the subgroup's rank."""
+        sd = schreier(self.table)
+        out, _ = sd.walk(self.base.canonical.letters * self.degree, self.cycle[0])
+        return out, len(sd.edge_basis)
+
     @cached_property
     def local(self) -> ConjClass:
         """The walk's class, with no cyclic reduction.
@@ -260,9 +271,13 @@ class Elevation(Frozen):
         The walk is not empty: it rewrites a conjugate of w**degree, which
         a free group never makes trivial.  So its least rotation is the canonical representative,
         which ``ConjClass`` checks."""
-        sd = schreier(self.table)
-        out, _ = sd.walk(self.base.canonical.letters * self.degree, self.cycle[0])
-        return ConjClass(Word(_least_rotation(tuple(out)), len(sd.edge_basis)))
+        out, rank = self._walk()
+        return ConjClass(Word(_least_rotation(tuple(out)), rank))
+
+    @cached_property
+    def exponent_sums(self) -> Tuple[int, ...]:
+        """``abelianize_word`` of ``local``'s canonical word."""
+        return _exponent_sums(*self._walk())
 
 
 def elevations(table: CosetTable, target: Target) -> List[Elevation]:

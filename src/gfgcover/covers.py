@@ -103,15 +103,15 @@ def _elevations(table: CosetTable, word: Word) -> Tuple[Elevation, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lift_template(
-    g: GraphOfGroups, b: str, table: CosetTable
-) -> Tuple[Tuple[str, int, Elevation], ...]:
-    """Every elevation at a lift of b with this table, as (edge, least
-    coset, elevation): one per cycle of each edge word ending at b, edges
-    in ``ends`` order; memoised.  A lift's refs are this record with its
-    name put in."""
+def _lift_refs(
+    g: GraphOfGroups, b: str, table: CosetTable, name: str
+) -> Tuple[Tuple[ElevationRef, Elevation], ...]:
+    """Every elevation at the lift ``name`` of b with this table, with its
+    ref: one per cycle of each edge word ending at b, edges in ``ends``
+    order; memoised, as the census names the lifts of each choice alike."""
     return tuple(
-        (e, el.cycle[0], el) for e in g.graph.ends(b) for el in _elevations(table, g.edge_word(e))
+        (ElevationRef(name, e, el.cycle[0]), el)
+        for e in g.graph.ends(b) for el in _elevations(table, g.edge_word(e))
     )
 
 
@@ -158,15 +158,22 @@ class PrecoverMorphism:
         fwd_ref is the elevation realized at tau of the forward orientation
         and bwd_ref the one at tau of the reverse orientation.
 
-    Everything else is derived once, at construction.  ``elevation_of``
-    maps the ref of every elevation at every lift, over every oriented
-    base edge ending at the lift's base vertex, to its ``Elevation``.
-    ``realized`` maps each ref some total edge realizes to the least such
-    edge, ``edge_assignment`` maps each oriented total edge to its ref,
-    and ``hanging`` lists the refs left unrealized as slots.  ``problems``
+    What the checks need is derived at construction, in one pass over
+    the lifts and one over the pairs.  ``elevation_of`` maps the ref of
+    every elevation at every lift, over every oriented base edge ending at
+    the lift's base vertex, to its ``Elevation``.  ``realized`` maps each
+    ref some total edge realizes to the least such edge,
+    ``edge_assignment`` maps each oriented total edge to its ref, and
+    ``hanging`` lists the refs left unrealized as slots.  ``problems``
     lists the precover defects: degree mismatches across a pair and
     elevations realized twice.  ``sums`` is the index sum over each base
-    vertex, and ``total`` the total graph of groups.  Instances are
+    vertex.  Of the total, ``total_graph`` is its graph, ``basepoint`` its
+    base vertex, and ``vertex_rank`` and ``vertex_kind`` its vertex data.
+
+    ``total``, the total graph of groups, is built when first read: its
+    edge words are the canonical local words of the elevations the edges
+    realize, the costly part, and the census, the piece test and ``h1``
+    need none of them (``abelianized_presentation``).  Instances are
     treated as immutable: every operation builds a new morphism.
     """
 
@@ -213,13 +220,21 @@ class PrecoverMorphism:
 
         names = sorted(vertex_map)
         elevation_of: Dict[ElevationRef, Elevation] = {}
+        ranks: Dict[str, int] = {}
+        kinds: Dict[str, str] = {}
+        sums = dict.fromkeys(gr.vertices, 0)
         for v in names:
-            for e, least, el in _lift_template(base, vertex_map[v], self.vertex_table(v)):
-                elevation_of[ElevationRef(v, e, least)] = el
+            b, t = vertex_map[v], self.vertex_table(v)
+            kinds[v] = kind = base.vertex_kind[b]
+            ranks[v] = subgroup_rank(t) if kind == "free" else 1
+            sums[b] += t.size
+            elevation_of.update(_lift_refs(base, b, t, v))
         self.elevation_of = elevation_of
+        self.vertex_rank = ranks
+        self.vertex_kind = kinds
+        self.sums: Dict[str, int] = sums
 
         total_pairs: Dict[str, Tuple[str, str]] = {}
-        edge_words: Dict[str, Word] = {}
         assignment: Dict[str, ElevationRef] = {}
         realized: Dict[ElevationRef, str] = {}
         mismatches: List[str] = []
@@ -242,7 +257,6 @@ class PrecoverMorphism:
                 el = elevation_of.get(ref)
                 if el is None:
                     raise ValueError("pair %r names a nonexistent elevation %r" % (q, ref))
-                edge_words[d] = el.local.canonical
                 assignment[d] = ref
                 # All edges that realize one ref share its orientation, so
                 # the first met here is the least by name.
@@ -260,37 +274,36 @@ class PrecoverMorphism:
             for ref in sorted(repeats, key=realized.__getitem__)
         )
 
-        graph = SerreGraph(names, total_pairs)
-        ranks = {}
-        kinds = {}
-        for v in names:
-            b = vertex_map[v]
-            kinds[v] = base.vertex_kind[b]
-            if kinds[v] == "free":
-                ranks[v] = subgroup_rank(self.vertex_data[v])
-            else:
-                ranks[v] = 1
+        self.total_graph = SerreGraph(names, total_pairs)
         if basepoint is None:
             over_base = sorted(v for v in names if vertex_map[v] == base.base_vertex)
             basepoint = over_base[0] if over_base else names[0]
         elif vertex_map.get(basepoint) != base.base_vertex:
             raise ValueError("basepoint %r is not a lift of %r" % (basepoint, base.base_vertex))
-        self.total = GraphOfGroups(graph, ranks, kinds, edge_words, basepoint)
+        self.basepoint = basepoint
 
-        slots = [
-            HangingSlot(ref.vertex, ref.edge, kinds[ref.vertex], el.degree, ref.least)
-            for ref, el in elevation_of.items()
-            if ref not in realized
-        ]
-        self.hanging: Tuple[HangingSlot, ...] = tuple(
-            sorted(slots, key=lambda s: (s.vertex, s.edge, s.least))
-        )
-
-        sums = {b: 0 for b in gr.vertices}
-        for v in names:
-            sums[vertex_map[v]] += self.vertex_index(v)
-        self.sums: Dict[str, int] = sums
+        # realized holds refs of elevation_of only, so it holds them all
+        # exactly when nothing hangs.
+        self.hanging: Tuple[HangingSlot, ...] = ()
+        if len(realized) < len(elevation_of):
+            slots = [
+                HangingSlot(ref.vertex, ref.edge, kinds[ref.vertex], el.degree, ref.least)
+                for ref, el in elevation_of.items()
+                if ref not in realized
+            ]
+            self.hanging = tuple(sorted(slots, key=lambda s: (s.vertex, s.edge, s.least)))
         self._code: Optional[tuple] = None
+
+    @cached_property
+    def total(self) -> GraphOfGroups:
+        """The total graph of groups, built when first read."""
+        elevation_of = self.elevation_of
+        edge_words = {
+            d: elevation_of[ref].local.canonical for d, ref in self.edge_assignment.items()
+        }
+        return GraphOfGroups(
+            self.total_graph, self.vertex_rank, self.vertex_kind, edge_words, self.basepoint
+        )
 
     def vertex_table(self, v: str) -> CosetTable:
         """Coset table of a lift; cyclic lifts materialize theirs on demand."""
@@ -298,10 +311,6 @@ class PrecoverMorphism:
         if t is not None:
             return t
         return cyclic_table(self.cyclic_index[v])
-
-    def vertex_index(self, v: str) -> int:
-        t = self.vertex_data.get(v)
-        return t.size if t is not None else self.cyclic_index[v]
 
     def elevs(self, v: str, e: str) -> Tuple[Elevation, ...]:
         return _elevations(self.vertex_table(v), self.base.edge_word(e))
@@ -317,7 +326,7 @@ class PrecoverMorphism:
 def with_basepoint(m: PrecoverMorphism, v: str) -> PrecoverMorphism:
     """The same morphism with a chosen lift of the base vertex marked; m
     itself when that lift is already its basepoint."""
-    if v == m.total.base_vertex and m.vertex_map.get(v) == m.base.base_vertex:
+    if v == m.basepoint and m.vertex_map.get(v) == m.base.base_vertex:
         return m
     return PrecoverMorphism(
         m.base, m.vertex_map, m.vertex_data, m.cyclic_index, m.pair_spec, basepoint=v
@@ -391,8 +400,8 @@ def _spans(m: PrecoverMorphism) -> bool:
     """Whether the breadth-first tree from the basepoint spans the total,
     which is exactly when the total is connected; the search is kept on
     the graph, and ``abelianized_presentation`` reuses it."""
-    gr = m.total.graph
-    return len(gr.spanning_tree(m.total.base_vertex)) == len(gr.vertices) - 1
+    gr = m.total_graph
+    return len(gr.spanning_tree(m.basepoint)) == len(gr.vertices) - 1
 
 
 def predegree(m: PrecoverMorphism) -> int:
@@ -443,7 +452,7 @@ def split_cyclic(
     inherit every peripheral end, so the ends moved away reopen as hanging
     slots on the other copy.
     """
-    if m.total.vertex_kind.get(v) != "cyclic":
+    if m.vertex_kind.get(v) != "cyclic":
         raise ValueError("split of a non-cyclic vertex %r" % v)
     incident = [d for d in m.edge_assignment if m.edge_assignment[d].vertex == v]
     part = list(part)
@@ -657,11 +666,17 @@ class _Components(_AnyComponents):
     without skips.  So the first candidate of each class, which represents
     it, is never skipped, and the census yields the same covers in the
     same order.
+
+    A lift's orbit firsts and twins are found at the first ``skip`` that
+    consults them, which is at a lift with no consumed end: many lifts
+    never are, and the orbit firsts are the costliest record of a table.
     """
 
     def __init__(self, g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]],
                  pools: Dict[str, List[Tuple[ElevationRef, int]]]):
         names = sorted(lifts)
+        self.g = g
+        self.lifts = [lifts[v] for v in names]
         self.number = {v: i for i, v in enumerate(names)}
         self.parent = list(range(len(names)))
         self.size = [1] * len(names)
@@ -670,10 +685,8 @@ class _Components(_AnyComponents):
         for entries in pools.values():
             for ref, _ in entries:
                 self.opens[self.number[ref.vertex]] += 1
-        self.firsts = [_orbit_firsts(g, *lifts[v]) for v in names]
-        self.twins = [
-            [j for j in range(i) if lifts[names[j]] == lifts[v]] for i, v in enumerate(names)
-        ]
+        self.firsts: List[Optional[FrozenSet[Tuple[str, int]]]] = [None] * len(names)
+        self.twins: List[Optional[Sequence[int]]] = [None] * len(names)
 
     @staticmethod
     def admits(g: GraphOfGroups, lifts: Dict[str, Tuple[str, CosetTable]]) -> bool:
@@ -751,9 +764,16 @@ class _Components(_AnyComponents):
         consumed = self.consumed
         if consumed[i] or i == k:
             return False
-        if (ref.edge, ref.least) not in self.firsts[i]:
+        firsts = self.firsts[i]
+        if firsts is None:
+            firsts = self.firsts[i] = _orbit_firsts(self.g, *self.lifts[i])
+        if (ref.edge, ref.least) not in firsts:
             return True
-        return any(not consumed[j] and j != k for j in self.twins[i])
+        twins = self.twins[i]
+        if twins is None:
+            lift = self.lifts[i]
+            twins = self.twins[i] = [j for j in range(i) if self.lifts[j] == lift]
+        return any(not consumed[j] and j != k for j in twins)
 
 
 def _close_open_ends(
@@ -956,9 +976,8 @@ def _free_pool(
     """All elevations at the given free lifts, keyed by oriented base edge."""
     pools: Dict[str, List[Tuple[ElevationRef, int]]] = {}
     for name in sorted(lifts):
-        b, table = lifts[name]
-        for e, least, el in _lift_template(base, b, table):
-            pools.setdefault(e, []).append((ElevationRef(name, e, least), el.degree))
+        for ref, el in _lift_refs(base, *lifts[name], name):
+            pools.setdefault(ref.edge, []).append((ref, el.degree))
     return pools
 
 
@@ -1150,7 +1169,7 @@ def _degree_covers(
                 seen.add(code)
                 m = _assemble(g, None, "@", raw)
                 m._code = code
-            assert euler_characteristic(m.total) == n * euler_characteristic(g)
+            assert euler_characteristic(m) == n * euler_characteristic(g)
             yield m
 
 
@@ -1486,41 +1505,53 @@ def find_torsion_piece(
     divisors of ``h1_mod_cyclic(m, [v])`` and betti one less, and v passes
     exactly when the latter has p-torsion.
 
-    Two eliminations per cover decide every lift (``_torsion_lifts``).
-    Lemma: coker(R_j) has p-torsion exactly when rank_Fp(R_j) <
-    rank_Q(R_j), as the invariant factors divisible by p are the nonzero
-    ones that vanish mod p.  Over either field rank(R_j) is rank(R) - 1
-    when j is a coloop of R (e_j in its row space) and rank(R) otherwise,
-    so ``rank_coloops`` over F_p and over Q, once per cover, gives
-    rank(R_j) for every j.  Raises ValueError if max_index is below 1.
+    At most two eliminations per cover decide every lift
+    (``_torsion_lifts``).  Lemma: coker(R_j) has p-torsion exactly when
+    rank_Fp(R_j) < rank_Q(R_j), as the invariant factors divisible by p
+    are the nonzero ones that vanish mod p.  Over either field rank(R_j)
+    is rank(R) - 1 when j is a coloop of R (e_j in its row space) and
+    rank(R) otherwise, so ``rank_coloops`` over F_p and over Q, once per
+    cover, gives rank(R_j) for every j.  The rank of a matrix over F_p
+    never exceeds its rank over Q, so when R has full row rank over F_p
+    the two ranks of R agree, and a lift passes only when its column is a
+    coloop over F_p and not over Q: when no eligible column is a coloop
+    over F_p, the cover fails without the elimination over Q.  Raises
+    ValueError if max_index is below 1.
     """
     check_bounds(max_index=max_index)
     _check_prime(p)
     return _torsion_piece_in(enumerate_covers(g, max_index, budget), p)
 
 
-def _torsion_lifts(m: PrecoverMorphism, p: int) -> Iterator[Tuple[str, List[str]]]:
+def _torsion_lifts(m: PrecoverMorphism, p: int) -> List[Tuple[str, List[str]]]:
     """The cyclic lifts of m that ``find_torsion_piece`` passes, in name
     order, each with its incident edges in order: non-cut, with two
     incident edges or more, and leaving p-torsion once killed.  The cut
-    vertices and the two eliminations are made once, on the first lift
-    that needs them."""
-    cut = ranks = None
+    vertices are found once, when some lift has two incident edges, and
+    the eliminations run once, when some lift is eligible; the one over Q
+    only when the one over F_p does not decide."""
+    eligible = []
+    cut = None
     for v in sorted(m.cyclic_index):
         incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
         if len(incident) < 2:
             continue
         if cut is None:
-            cut = _cut_vertices(m.total.graph)
-        if v in cut:
-            continue
-        if ranks is None:
-            roster, matrix = abelianized_presentation(m.total)
-            ranks = rank_coloops(matrix, p), rank_coloops(matrix)
-        (rank_p, loose_p), (rank_q, loose_q) = ranks
-        col = cyclic_column(m.total, roster, v)
-        if rank_p - (col in loose_p) < rank_q - (col in loose_q):
-            yield v, incident
+            cut = _cut_vertices(m.total_graph)
+        if v not in cut:
+            eligible.append((v, incident))
+    if not eligible:
+        return []
+    roster, matrix = abelianized_presentation(m)
+    cols = [cyclic_column(m, roster, v) for v, _ in eligible]
+    rank_p, loose_p = rank_coloops(matrix, p)
+    if rank_p == matrix.rows and loose_p.isdisjoint(cols):
+        return []
+    rank_q, loose_q = rank_coloops(matrix)
+    return [
+        lift for lift, col in zip(eligible, cols)
+        if rank_p - (col in loose_p) < rank_q - (col in loose_q)
+    ]
 
 
 def _torsion_piece_in(covers: Iterable[PrecoverMorphism], p: int) -> Optional[TorsionPiece]:
@@ -1617,7 +1648,7 @@ def lift_word(m: PrecoverMorphism, gw: GogWord):
         raise ValueError("; ".join(problems))
     if not gw.is_closed(m.base):
         raise ValueError("only closed words can be tested for membership")
-    start = m.total.base_vertex
+    start = m.basepoint
     if m.vertex_map[start] != gw.start:
         raise ValueError(
             "word starts at %r but the basepoint lift is over %r"
@@ -1812,7 +1843,7 @@ def _site_stage(
                 continue
             cyc, free = (fwd, bwd) if fwd.edge == e1 else (bwd, fwd)
             if cover.cyclic_index[cyc.vertex] == d_p:
-                dist = cover.total.graph.distance(cover.total.base_vertex, free.vertex)
+                dist = cover.total_graph.distance(cover.basepoint, free.vertex)
                 sites.append((dist, q))
         dist, site = min(sites, key=lambda s: (-s[0], s[1]))
         if word is not None and isinstance(lift_word(cover, word), ExitsAt):
@@ -1927,7 +1958,7 @@ def _completion_stage(
     try:
         asm = PrecoverMorphism(
             cover.base, vertex_map, vertex_data, cyclic_index, pairs,
-            basepoint=cover.total.base_vertex + "!L",
+            basepoint=cover.basepoint + "!L",
         )
     except ValueError as exc:
         raise _StageFailure("completion", str(exc))
@@ -1936,7 +1967,7 @@ def _completion_stage(
         raise _StageFailure(
             "completion", "no completion within added index %d" % bounds.complete_bound
         )
-    if not cover_n.total.graph.is_connected():
+    if not cover_n.total_graph.is_connected():
         raise _StageFailure("completion", "assembled cover is disconnected")
     return cover_n
 
@@ -1983,7 +2014,7 @@ def _tower_step(
     n_a = connector.vertex_data[u + "@A"].size
     beta, alpha = _copy_count(n, h, min(piece.morphism.sums.values()), degree(cover), n_a)
     cover_n = _completion_stage(piece, alpha, e1, cover, site, connector, bounds, budget)
-    cover_n = with_basepoint(cover_n, cover.total.base_vertex + "!L")
+    cover_n = with_basepoint(cover_n, cover.basepoint + "!L")
     rel = degree(cover_n)
     exps, trial = _ledger_stage(cover_n, tracked, ledger, n, p, degree_so_far * rel, h)
     excluded = word is not None and isinstance(lift_word(cover_n, word), ExitsAt)
@@ -2052,7 +2083,8 @@ def build_tower(
             status = "failed:budget:%s" % exc
             break
         done.append(step)
-        current = cover_n.total
+        if n < steps:
+            current = cover_n.total  # the next step's base
         total_degree = step.total_degree
     return TowerReport(
         base=g,

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .homology import IntMatrix
-from .words import Frozen, Word, _set, check_int, power_of
+from .words import Frozen, Word, _set, abelianize_word, check_int, power_of
 
 Roster = List[Tuple]
 
@@ -214,14 +214,17 @@ def ensure_valid(g: GraphOfGroups) -> None:
     g._valid = True
 
 
-def euler_characteristic(g: GraphOfGroups) -> int:
-    """Sum over vertices of 1 - rank; cyclic edge groups contribute zero."""
-    return sum(1 - g.vertex_rank[v] for v in g.graph.vertices)
+def euler_characteristic(g) -> int:
+    """Sum over vertices of 1 - rank; cyclic edge groups contribute zero.
+    ``g`` is a valid graph of groups or a morphism, whose total has one
+    vertex per lift, of the rank in its ``vertex_rank``."""
+    return sum(1 - r for r in g.vertex_rank.values())
 
 
-def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:
-    """Presentation of H_1: vertex blocks plus one free column per stable
-    letter, one row per edge pair.
+def abelianized_presentation(g) -> Tuple[Roster, IntMatrix]:
+    """Presentation of H_1 of a graph of groups, or of a morphism's total:
+    vertex blocks plus one free column per stable letter, one row per edge
+    pair.
 
     The roster lists the columns: ("vertex", name, i) for the i-th generator
     of each vertex block (vertices in graph order), then ("stable", pair)
@@ -229,11 +232,22 @@ def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:
     vertex, sorted by name.  The row of a pair p is the exponent vector of
     word_fwd in the block of its terminal vertex minus that of word_bwd in
     the block of its initial vertex.
+
+    A morphism's total is not built.  Its edge words are the canonical
+    local words of the elevations the edges realize, least rotations of
+    the elevations' walks, and a rotation keeps exponent sums, so each row
+    reads the elevations' ``exponent_sums``.
     """
-    gr = g.graph
+    if isinstance(g, GraphOfGroups):
+        gr, root = g.graph, g.base_vertex
+        sums = {e: abelianize_word(w) for e, w in g.edge_words.items()}
+    else:
+        gr, root = g.total_graph, g.basepoint
+        elevation_of = g.elevation_of
+        sums = {d: elevation_of[ref].exponent_sums for d, ref in g.edge_assignment.items()}
     # The search from the base vertex gives the tree, and it spans the graph
     # exactly when the graph is connected and the base vertex is in it.
-    tree = gr.spanning_tree(g.base_vertex)
+    tree = gr.spanning_tree(root)
     if len(tree) != len(gr.vertices) - 1 and not gr.is_connected():
         raise ValueError("homology of a disconnected graph of groups is per component")
     tree = set(tree)
@@ -248,14 +262,14 @@ def abelianized_presentation(g: GraphOfGroups) -> Tuple[Roster, IntMatrix]:
     width = len(roster)
     rows = []
     for name in names:
-        # Letter a of word_fwd adds sign(a) in column |a| - 1 of tau's
-        # block, and of word_bwd subtracts it in iota's.
+        # The exponent sum c of generator i in word_fwd adds c in column i
+        # of tau's block, and in word_bwd subtracts it in iota's.
         row = [0] * width
-        tv, iv = offset[gr.tau(name)] - 1, offset[gr.iota(name)] - 1
-        for a in g.edge_words[name].letters:
-            row[tv + abs(a)] += 1 if a > 0 else -1
-        for a in g.edge_words["~" + name].letters:
-            row[iv + abs(a)] -= 1 if a > 0 else -1
+        for e, at, sign in ((name, gr.tau(name), 1), ("~" + name, gr.iota(name), -1)):
+            k = offset[at]
+            for i, c in enumerate(sums[e]):
+                if c:
+                    row[k + i] += sign * c
         rows.append(row)
     return roster, IntMatrix.from_rows(rows, cols=width)
 

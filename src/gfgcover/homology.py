@@ -372,7 +372,8 @@ def _check_prime(p: int) -> None:
 
 
 def h1(g) -> AbelianGroup:
-    """H_1 of a graph of groups (or of a morphism's total).
+    """H_1 of a graph of groups, or of a morphism's total, which is not
+    built (``abelianized_presentation``).
 
     The input must be connected.
     """
@@ -397,8 +398,6 @@ def class_image(g, target) -> Tuple[int, ...]:
     from . import gog as _gog
     from .words import abelianize_word
 
-    if hasattr(g, "total"):
-        g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
     vec = [0] * matrix.cols
     if isinstance(target, str):
@@ -420,8 +419,8 @@ def class_image(g, target) -> Tuple[int, ...]:
 
 
 def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
-    """H_1 of g (or of a morphism's total) with the generators of the given
-    cyclic vertices killed.
+    """H_1 of g (a graph of groups, or a morphism's total, which is not
+    built) with the generators of the given cyclic vertices killed.
 
     Killing the generator of column j adds the relation e_j, one unit row,
     to the presentation of H_1, and ``cokernel`` reads the group off the
@@ -431,8 +430,6 @@ def h1_mod_cyclic(g, vertices: Sequence[str]) -> AbelianGroup:
     """
     from . import gog as _gog
 
-    if hasattr(g, "total"):
-        g = g.total
     roster, matrix = _gog.abelianized_presentation(g)
     kills = [cyclic_column(g, roster, v) for v in vertices]
     units = tuple(tuple(int(k == j) for k in range(matrix.cols)) for j in kills)

@@ -273,8 +273,14 @@ def abelianize_word(w: Word) -> Tuple[int, ...]:
     >>> abelianize_word(Word((1, 2, -1, -2), 2))
     (0, 0)
     """
-    v = [0] * w.rank
-    for a in w.letters:
+    return _exponent_sums(w.letters, w.rank)
+
+
+def _exponent_sums(letters: Iterable[int], rank: int) -> Tuple[int, ...]:
+    """Exponent-sum vector of a letter sequence of the given rank, read as
+    it is: no ``Word`` is built, so nothing is reduced or checked."""
+    v = [0] * rank
+    for a in letters:
         if a > 0:
             v[a - 1] += 1
         else:

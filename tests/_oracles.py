@@ -65,9 +65,11 @@ same answers, errors and tree edges in the same order.
 find the same cut vertices on every cover total.
 
 ``torsion_lifts_oracle`` tests each candidate cyclic lift of a cover on
-its own, with a unit row for the lift's generator and one ``cokernel``;
-``gfgcover.covers._torsion_lifts``, which decides every lift from one
-elimination over F_p and one over Q, must pass the same lifts.
+its own, with a unit row for the lift's generator and one ``cokernel``,
+and ``torsion_lifts_two_eliminations_oracle`` decides every lift from one
+elimination over F_p and one over Q on the cover's built total;
+``gfgcover.covers._torsion_lifts``, which skips the elimination over Q
+when the one over F_p decides, must pass the same lifts.
 ``field_rank`` is dense elimination over F_p or Q; the rank of each
 column deletion it gives must make the coloops that
 ``gfgcover.homology.rank_coloops`` finds.
@@ -121,8 +123,7 @@ the same tables in the same order.
 ``abelianized_presentation_oracle`` checks connectivity and finds the
 spanning tree by two searches and fills each row from exponent-sum
 vectors; ``gfgcover.gog.abelianized_presentation``, which reads both off
-one memoised search and fills rows from the letters, must give the same
-roster, matrix and error.
+one memoised search, must give the same roster, matrix and error.
 
 ``admits_oracle`` builds and sorts the degree pools of each lift choice;
 ``gfgcover.covers._Components.admits``, which sums per-table degree
@@ -130,13 +131,21 @@ signatures, must give the same answer.
 
 ``lift_elevations`` walks a lift's elevations edge by edge, and
 ``morphism_fields_oracle`` derives a morphism's elevation index, hanging
-slots, problems and total from it; ``PrecoverMorphism``, which renames
-one memoised record per lift, must derive the same, in the same order.
+slots, problems and total from it; ``PrecoverMorphism``, which takes one
+memoised list of refs per lift, must derive the same, in the same order.
+
+``total_oracle`` builds a morphism's total at once from its lift and pair
+data, each edge word the local class of ``elevations_oracle``, as the
+morphism's constructor once did; ``PrecoverMorphism.total``, built when
+first read, must be the same graph of groups.  Through it,
+``abelianized_presentation`` and ``h1`` of the built total are the oracles
+of those of the morphism, which read elevation exponent sums instead.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from _helpers import lifts_over, reduce_element, schreier_basis, word_length
@@ -165,8 +174,9 @@ from gfgcover.cosets import (
 from gfgcover.covers import (
     ElevationRef, ExitsAt, HangingSlot, PrecoverMorphism, TorsionPiece, TowerBounds,
     _AnyComponents, _StageFailure, _assemble, _check_merge, _close_open_ends, _code,
-    _elevations, _extensions, _lift_choices, _parts, _pooled_edges, _retarget, _same_base,
-    _union, ensure_precover, enumerate_covers, lift_word, split_cyclic, with_basepoint,
+    _cut_vertices, _elevations, _extensions, _lift_choices, _parts, _pooled_edges, _retarget,
+    _same_base, _union, ensure_precover, enumerate_covers, lift_word, split_cyclic,
+    with_basepoint,
 )
 from gfgcover.errors import Budget
 from gfgcover.gog import (
@@ -174,7 +184,7 @@ from gfgcover.gog import (
     euler_characteristic, pair_of, reverse_edge,
 )
 from gfgcover.homology import (
-    AbelianGroup, IntMatrix, _check_prime, cokernel, cyclic_column, p_rank, snf,
+    AbelianGroup, IntMatrix, _check_prime, cokernel, cyclic_column, p_rank, rank_coloops, snf,
 )
 from gfgcover.words import ConjClass, Word, abelianize_word, conj_canonical, identity, power_of
 
@@ -216,8 +226,8 @@ def isomorphic_oracle(m1: PrecoverMorphism, m2: PrecoverMorphism) -> bool:
         return True
     if not _same_base(m1.base, m2.base):
         return False
-    inv1 = sorted((b, m1.total.vertex_kind[v], m1.vertex_index(v)) for v, b in m1.vertex_map.items())
-    inv2 = sorted((b, m2.total.vertex_kind[v], m2.vertex_index(v)) for v, b in m2.vertex_map.items())
+    inv1 = sorted((b, m1.total.vertex_kind[v], m1.vertex_table(v).size) for v, b in m1.vertex_map.items())
+    inv2 = sorted((b, m2.total.vertex_kind[v], m2.vertex_table(v).size) for v, b in m2.vertex_map.items())
     if inv1 != inv2:
         return False
     cnt1 = sorted(bp for bp, _, _ in m1.pair_spec.values())
@@ -350,7 +360,7 @@ def _invariant(m: PrecoverMorphism) -> tuple:
     isomorphic morphisms over one base."""
     return (
         tuple(sorted(
-            (b, m.total.vertex_kind[v], m.vertex_index(v)) for v, b in m.vertex_map.items()
+            (b, m.total.vertex_kind[v], m.vertex_table(v).size) for v, b in m.vertex_map.items()
         )),
         tuple(sorted(bp for bp, _, _ in m.pair_spec.values())),
         tuple(sorted((s.edge, s.side, s.degree) for s in m.hanging)),
@@ -671,6 +681,33 @@ def site_stage_oracle(
     else:
         note = "word lifts into every candidate cover of index <= %d" % bounds.max_cover_index
     return first + (word, note)
+
+
+def torsion_lifts_two_eliminations_oracle(
+    m: PrecoverMorphism, p: int
+) -> List[Tuple[str, List[str]]]:
+    """The cyclic lifts ``find_torsion_piece`` passes in m, each with its
+    incident edges: both eliminations of the built total's presentation,
+    over F_p and over Q, made once some lift is eligible; a lift passes
+    when deleting its column leaves the F_p rank below the Q rank."""
+    out = []
+    cut = ranks = None
+    for v in sorted(m.cyclic_index):
+        incident = sorted(d for d, ref in m.edge_assignment.items() if ref.vertex == v)
+        if len(incident) < 2:
+            continue
+        if cut is None:
+            cut = _cut_vertices(m.total.graph)
+        if v in cut:
+            continue
+        if ranks is None:
+            roster, matrix = abelianized_presentation(m.total)
+            ranks = rank_coloops(matrix, p), rank_coloops(matrix)
+        (rank_p, loose_p), (rank_q, loose_q) = ranks
+        col = cyclic_column(m.total, roster, v)
+        if rank_p - (col in loose_p) < rank_q - (col in loose_q):
+            out.append((v, incident))
+    return out
 
 
 def torsion_lifts_oracle(m: PrecoverMorphism, p: int) -> List[str]:
@@ -1112,6 +1149,37 @@ def morphism_fields_oracle(m: PrecoverMorphism) -> dict:
     hanging = tuple(sorted(slots, key=lambda s: (s.vertex, s.edge, s.least)))
     total = (tuple(names), total_pairs, ranks, kinds, edge_words, m.total.base_vertex)
     return {"elevation_of": elevation_of, "hanging": hanging, "problems": problems, "total": total}
+
+
+@lru_cache(maxsize=None)
+def _eager_locals(table: CosetTable, word: Word) -> Dict[int, Word]:
+    """The canonical local word of each elevation of ``elevations_oracle``,
+    by least coset."""
+    return {el.cycle[0]: el.local.canonical for el in elevations_oracle(table, word)}
+
+
+def total_oracle(m: PrecoverMorphism, basepoint: Optional[str] = None) -> GraphOfGroups:
+    """m's total built at once from its lift and pair data: the lifts by
+    name, each pair from its bwd lift to its fwd lift, each oriented edge's
+    word the local class of the elevation it realizes, and the given
+    basepoint, by default the least-named lift of the base vertex (the
+    least lift when there is none)."""
+    base = m.base
+    names = sorted(m.vertex_map)
+    edge_words: Dict[str, Word] = {}
+    pairs: Dict[str, Tuple[str, str]] = {}
+    for q in sorted(m.pair_spec):
+        _, fwd, bwd = m.pair_spec[q]
+        for ref, d in ((fwd, q), (bwd, "~" + q)):
+            local = _eager_locals(m.vertex_table(ref.vertex), base.edge_word(ref.edge))
+            edge_words[d] = local[ref.least]
+        pairs[q] = (bwd.vertex, fwd.vertex)
+    kinds = {v: base.vertex_kind[m.vertex_map[v]] for v in names}
+    ranks = {v: subgroup_rank(m.vertex_data[v]) if kinds[v] == "free" else 1 for v in names}
+    if basepoint is None:
+        over_base = [v for v in names if m.vertex_map[v] == base.base_vertex]
+        basepoint = over_base[0] if over_base else names[0]
+    return GraphOfGroups(SerreGraph(names, pairs), ranks, kinds, edge_words, basepoint)
 
 
 def close_open_ends_oracle(

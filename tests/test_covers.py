@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -34,7 +35,9 @@ from _oracles import (
     splice,
     step_assembly_oracle,
     torsion_lifts_oracle,
+    torsion_lifts_two_eliminations_oracle,
     torsion_piece_oracle,
+    total_oracle,
 )
 from test_console import CONSOLE, SEEDED, shown
 
@@ -1925,6 +1928,17 @@ CODE_CALLS = {
 }
 
 
+# The census finds a lift's orbit firsts only at the first ``skip`` that
+# consults them, so it builds ``_lift_code``, the costliest record of a
+# table, only for those lifts and for what ``_code`` reads.  Records that
+# ``enumerate_covers(g, top)`` builds from empty caches, per census base:
+ORBIT_RECORDS = {
+    "A": 6, "B": 6, "C": 13, "D": 6, "E": 13, "F": 10, "G": 16, "H12": 2, "H14": 2, "H23": 1,
+    "T1": 14, "T2": 14, "T3": 14, "UCDW": 10, "UCW": 41, "UCW2": 6, "UCWX": 12, "genus2": 19,
+    "hnn_f1": 2, "hnn_f1_total": 5, "seeded_torsion": 19, "seeded_total": 21,
+}
+
+
 class TestCodesPerChoice:
     @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
     def test_matches_one_set_of_codes_per_degree(self, name):
@@ -1957,6 +1971,14 @@ class TestCodesPerChoice:
         monkeypatch.setattr(covers_module, "_code", counted)
         list(enumerate_covers(g, top))
         assert len(calls) == CODE_CALLS[name]
+
+    @pytest.mark.parametrize("name", sorted(CENSUS_BASES))
+    def test_orbit_records(self, name):
+        build, top = CENSUS_BASES[name]
+        g = build()
+        clear_caches()
+        list(enumerate_covers(g, top))
+        assert covers_module._lift_code.cache_info().currsize == ORBIT_RECORDS[name]
 
 
 def engine_runs(g, m, target, sep):
@@ -2118,6 +2140,32 @@ class TestTorsionLifts:
         assert covers > 800 and hits > 1000
 
 
+    def test_fp_screen_decides_as_two_eliminations(self, monkeypatch):
+        """On every cover of the census bases up to their index, the lifts
+        passed with the elimination over Q made only when the one over F_p
+        does not decide are those both eliminations pass, for p = 2, 3, 5,
+        7; and most covers need no elimination over Q."""
+        calls = collections.Counter()
+        real = covers_module.rank_coloops
+
+        def counted(matrix, p=0):
+            calls["Q" if p == 0 else "F_p"] += 1
+            return real(matrix, p)
+
+        monkeypatch.setattr(covers_module, "rank_coloops", counted)
+        covers = hits = 0
+        for name in sorted(CENSUS_BASES):
+            build, top = CENSUS_BASES[name]
+            for m in enumerate_covers(build(), top):
+                covers += 1
+                for p in (2, 3, 5, 7):
+                    got = covers_module._torsion_lifts(m, p)
+                    assert got == torsion_lifts_two_eliminations_oracle(m, p)
+                    hits += len(got)
+        assert covers > 900 and hits > 1000
+        assert 2 * calls["Q"] < calls["F_p"]
+
+
 class TestCutVertices:
     def test_one_search_finds_what_the_walks_find(self):
         totals = cuts = 0
@@ -2131,6 +2179,99 @@ class TestCutVertices:
                 totals += 1
                 cuts += len(want)
         assert totals > 900 and cuts > 700
+
+
+# ---------------------------------------------------------------------------
+# A morphism's total is built when first read; its presentation and
+# homology are read off elevation exponent sums without it.
+
+
+def deferred_cases():
+    """Every cover of every census base up to its index; then the seeded
+    p = 2 and p = 3 pieces and the G p = 3 piece, each with its 2- and
+    3-copy chains and the completion of each chain."""
+    for name in sorted(CENSUS_BASES):
+        build, top = CENSUS_BASES[name]
+        yield from enumerate_covers(build(), top)
+    for g, p in ((seeded(), 2), (seeded(), 3), (amalgam(AMALGAMS["G"]), 3)):
+        piece = find_torsion_piece(g, p, 4)
+        yield piece.morphism
+        for copies in (2, 3):
+            m = chain(piece, copies)
+            done = complete(m, 24)
+            assert done is not None
+            yield m
+            yield done
+
+
+def gog_fields(g):
+    """A graph of groups as plain data, its dicts in their order."""
+    gr = g.graph
+    return (
+        gr.vertices, list(gr.pairs.items()), list(g.vertex_rank.items()),
+        list(g.vertex_kind.items()), list(g.edge_words.items()), g.base_vertex,
+    )
+
+
+def counted_totals(monkeypatch):
+    """The morphisms whose ``total`` is built from now on, in order."""
+    built = []
+    real = PrecoverMorphism.total.func
+
+    def total(m):
+        built.append(m)
+        return real(m)
+
+    prop = functools.cached_property(total)
+    prop.__set_name__(PrecoverMorphism, "total")
+    monkeypatch.setattr(PrecoverMorphism, "total", prop)
+    return built
+
+
+class TestDeferredData:
+    def test_read_without_the_total_as_through_it(self):
+        """On each case, the presentation, ``h1`` and ``h1_mod_cyclic`` over
+        each cyclic lift, read without building the total, equal those of
+        the total; and the total built when first read is the one built at
+        once from the morphism's data."""
+        cases = cyclic = 0
+        for m in deferred_cases():
+            lifts = sorted(m.cyclic_index)
+            got = (
+                outcome(abelianized_presentation, m), outcome(h1, m),
+                [outcome(h1_mod_cyclic, m, [v]) for v in lifts],
+            )
+            assert "total" not in vars(m)
+            t = m.total
+            assert got == (
+                outcome(abelianized_presentation, t), outcome(h1, t),
+                [outcome(h1_mod_cyclic, t, [v]) for v in lifts],
+            )
+            assert gog_fields(t) == gog_fields(total_oracle(m))
+            cases += 1
+            cyclic += len(lifts)
+        assert cases > 900 and cyclic > 1900
+
+    def test_census_builds_no_total(self, monkeypatch):
+        built = counted_totals(monkeypatch)
+        console_main("enumerate-covers", SEEDED, "--max-index", "5")(None)
+        assert built == []
+
+    def test_tower_builds_the_total_of_each_next_base(self, monkeypatch):
+        built = counted_totals(monkeypatch)
+        assert build_tower(seeded(), [2], 1).status == "ok"
+        assert built == []
+        rep = build_tower(seeded(), [2, 2], 2)
+        assert len(rep.steps) == 1 and len(built) == 1
+
+    @pytest.mark.parametrize("base, p", [
+        ("seeded_torsion", 2), ("seeded_torsion", 3), ("seeded_torsion", 5), ("G", 3),
+    ])
+    def test_piece_search_builds_at_most_the_piece_total(self, monkeypatch, base, p):
+        g = fixture(base) if base == "seeded_torsion" else amalgam(AMALGAMS[base])
+        built = counted_totals(monkeypatch)
+        piece = find_torsion_piece(g, p, 4)
+        assert len(built) <= 1 and all(m is piece.morphism for m in built)
 
 
 # ---------------------------------------------------------------------------
